@@ -10,34 +10,22 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .metrics import CSV_COLUMNS, report_rows
-from .model import ScenarioError, load_scenario, validate
-from .presets import PRESETS
-from .sim import PolicySpec, RunConfig, run, sweep
+from .metrics import CSV_COLUMNS, _fmt, report_rows
+from .model import ScenarioError, load_scenario, replace_param, validate
+from .presets import LATENCY_UE, PRESETS, RATE_TOL
+from .sim import PolicySpec, RunConfig, run, sweep, sweep_target
 from .solver import SolverError, compute_t_star, hier_threshold, lower_bound
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path is None:
-        out = sys.stdout
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    """Write to ``path``, or to stdout when it is None."""
+    with (nullcontext(sys.stdout) if path is None else open(path, "w", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def parse_grid(text: str) -> list[float]:
@@ -108,11 +96,9 @@ def cmd_run(args) -> int:
     report = run(config)
     run_id = f"{report.policy}-h{args.horizon}-s{args.seed}"
     rows = report_rows(report, run_id)
+    _write_csv(args.out or None, CSV_COLUMNS, rows)
     if args.out:
-        _write_csv(args.out, CSV_COLUMNS, rows)
         print(f"wrote {args.out}")
-    else:
-        _write_csv(None, CSV_COLUMNS, rows)
     return 0
 
 
@@ -162,211 +148,94 @@ def cmd_sweep(args) -> int:
 
 # -- reproduce -------------------------------------------------------------
 
-def _seed_mean(values) -> float:
-    values = list(values)
-    return sum(values) / len(values)
+def sweep_means(preset, horizon: int, args) -> dict[str, dict[float, dict]]:
+    """Sweep the preset's grid once per policy and average over the seeds.
 
-
-class Checks:
-    def __init__(self) -> None:
-        self.failed = 0
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        tag = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed += 1
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{tag}] {name}{suffix}")
-
-
-def _group_by_value(points):
-    by_value: dict[float, list] = {}
-    for pt in points:
-        by_value.setdefault(pt.value, []).append(pt)
-    return by_value
-
-
-def _reproduce_alpha_preset(name: str, args, checks: Checks) -> list[list[str]]:
-    preset = PRESETS[name]
-    base = RunConfig(scenario=preset.scenario, policy=PolicySpec("hier"),
-                     horizon=args.horizon, seed=args.seed)
-    points = sweep(base, "alpha", list(preset.grid), seeds=args.seeds, jobs=args.jobs)
-    by_value = _group_by_value(points)
-    bounds = {v: lower_bound(_with_alpha(preset.scenario, v), args.horizon,
-                             args.seed, seeds=min(args.seeds, 2))
-              for v in by_value}
-    rows = []
-    means: dict[float, dict] = {}
-    for v in preset.grid:
-        pts = by_value[v]
-        lb = bounds[v].lb
-        agg: dict[int, dict[str, float]] = {}
-        cost = _seed_mean(pt.report.cost_objective for pt in pts)
-        for ue_id in sorted(pts[0].report.per_ue):
-            agg[ue_id] = {
-                "throughput": _seed_mean(pt.report.per_ue[ue_id].throughput for pt in pts),
-                "avg_aoi": _seed_mean(pt.report.per_ue[ue_id].avg_aoi or 0.0
-                                      for pt in pts),
-                "avg_latency": _seed_mean(pt.report.per_ue[ue_id].avg_latency or 0.0
-                                          for pt in pts),
-            }
-            tstar = pts[0].report.extras.get("t_star", {}).get(ue_id)
-            rows.append([_fmt(v), str(ue_id), _fmt(agg[ue_id]["throughput"]),
-                         _fmt(agg[ue_id]["avg_aoi"]), _fmt(agg[ue_id]["avg_latency"]),
-                         _fmt(tstar), _fmt(lb), _fmt(cost)])
-        means[v] = {"agg": agg, "cost": cost, "lb": lb}
-
-    if name == "fig4":
-        for v in preset.grid:
-            r2 = means[v]["agg"][2]["throughput"]
-            checks.check(f"fig4 alpha={v}: latency-ue rate 0.2 +- 0.01",
-                         abs(r2 - 0.2) <= 0.01, f"measured {r2:.4f}")
-            r3 = means[v]["agg"][3]["throughput"]
-            checks.check(f"fig4 alpha={v}: throughput-ue rate >= alpha - 0.01",
-                         r3 >= v - 0.01, f"measured {r3:.4f}")
-        r1s = [means[v]["agg"][1]["throughput"] for v in preset.grid]
-        checks.check("fig4: aoi-ue rate non-increasing in alpha",
-                     all(a >= b - 0.005 for a, b in zip(r1s, r1s[1:])),
-                     " ".join(f"{x:.4f}" for x in r1s))
-    else:  # fig5_cost
-        for v in preset.grid:
-            checks.check(f"fig5 alpha={v}: cost >= lb",
-                         means[v]["cost"] >= means[v]["lb"],
-                         f"cost {means[v]['cost']:.4f} lb {means[v]['lb']:.4f}")
-        gaps = {v: (means[v]["cost"] - means[v]["lb"]) / means[v]["lb"] for v in preset.grid}
-        checks.check("fig5: relative gap shrinks from first to last alpha",
-                     gaps[preset.grid[-1]] < gaps[preset.grid[0]],
-                     f"gap@{preset.grid[0]}={gaps[preset.grid[0]]:.3f} "
-                     f"gap@{preset.grid[-1]}={gaps[preset.grid[-1]]:.3f}")
-    return rows
-
-
-def _with_alpha(scenario, value):
-    from .model import replace_param
-    target = scenario.throughput_ues[0].id
-    return replace_param(scenario, target, alpha=value)
-
-
-def _reproduce_fig5_weights(args, checks: Checks) -> list[list[str]]:
-    preset = PRESETS["fig5_weights"]
-    rows = []
-    horizon = args.horizon if args.horizon_set else 2 * 10 ** 6
-    for beta in preset.grid:
-        scn = _with_beta(preset.scenario, beta)
-        config = RunConfig(scenario=scn, policy=PolicySpec("vw"),
-                           horizon=horizon, seed=args.seed)
-        report = run(config)
-        log = report.extras["weight_log"]
-        lat_id = scn.latency_ues[0].id
-        trajectory = [entry[lat_id] for entry in log]
-        for i, rho in enumerate(trajectory, start=1):
-            rows.append([_fmt(beta), str(i), _fmt(rho)])
-        if beta == 1.0:
-            over = next((i for i, r in enumerate(trajectory, 1) if r > 50.0), None)
-            checks.check("fig5_weights beta=1: weight exceeds 50 within 200 updates",
-                         over is not None and over <= 200,
-                         f"max over {len(trajectory)} updates = {max(trajectory):.2f}")
-            checks.check("fig5_weights beta=1: weight nondecreasing once latency sits above beta",
-                         all(b >= a for a, b in zip(trajectory, trajectory[1:])))
-        if beta == 5.0:
-            first0 = next((i for i, r in enumerate(trajectory) if r == 0.0), None)
-            checks.check("fig5_weights beta=5: weight reaches 0 and stays 0",
-                         first0 is not None and all(r == 0.0 for r in trajectory[first0:]),
-                         f"first zero at update {None if first0 is None else first0 + 1}")
-    return rows
-
-
-def _with_beta(scenario, value):
-    from .model import replace_param
-    target = scenario.latency_ues[0].id
-    return replace_param(scenario, target, beta=value)
-
-
-def _reproduce_beta_preset(name: str, args, checks: Checks) -> list[list[str]]:
-    preset = PRESETS[name]
-    floor = 4.0 / 3.0
-    rows = []
-    results: dict[str, dict[float, dict]] = {}
+    Returns ``means[policy][value]``: under ``ues``, per UE id, the seed
+    means of throughput, avg_aoi and avg_latency (a missing average counts
+    as 0.0); the mean ``cost``; the first replicate's ``t_star``.
+    """
+    means: dict[str, dict[float, dict]] = {}
     for policy in preset.policies:
         base = RunConfig(scenario=preset.scenario, policy=PolicySpec(policy),
-                         horizon=args.horizon, seed=args.seed)
-        points = sweep(base, "beta", list(preset.grid), seeds=args.seeds, jobs=args.jobs)
-        by_value = _group_by_value(points)
-        results[policy] = {}
+                         horizon=horizon, seed=args.seed)
+        points = sweep(base, preset.param, list(preset.grid), seeds=args.seeds,
+                       jobs=args.jobs)
+        means[policy] = {}
         for v in preset.grid:
-            pts = by_value[v]
-            agg = {}
-            for ue_id in sorted(pts[0].report.per_ue):
-                s = {
-                    "throughput": _seed_mean(pt.report.per_ue[ue_id].throughput
-                                             for pt in pts),
-                    "avg_aoi": _seed_mean(pt.report.per_ue[ue_id].avg_aoi or 0.0
-                                          for pt in pts),
-                    "avg_latency": _seed_mean(pt.report.per_ue[ue_id].avg_latency or 0.0
-                                              for pt in pts),
-                }
-                agg[ue_id] = s
-                rows.append([_fmt(v), policy, str(ue_id), _fmt(s["avg_aoi"]),
-                             _fmt(s["avg_latency"]), _fmt(s["throughput"])])
-            results[policy][v] = agg
+            reports = [pt.report for pt in points if pt.value == v]
+            n = len(reports)
+            means[policy][v] = {
+                "ues": {ue_id: {key: sum(getattr(r.per_ue[ue_id], key) or 0.0
+                                         for r in reports) / n
+                                for key in ("throughput", "avg_aoi", "avg_latency")}
+                        for ue_id in sorted(reports[0].per_ue)},
+                "cost": sum(r.cost_objective for r in reports) / n,
+                "t_star": reports[0].extras.get("t_star", {}),
+            }
+    return means
 
-    lat_id = preset.scenario.latency_ues[0].id
-    thr_id = preset.scenario.throughput_ues[0].id
-    if name == "fig6":
-        for v in preset.grid:
-            lbar = results["rd"][v][lat_id]["avg_latency"]
-            if v < floor:
-                checks.check(f"fig6 rd beta={v}: latency pinned at queueing floor +- 3%",
-                             abs(lbar - floor) <= 0.03 * floor, f"measured {lbar:.4f}")
-            else:
-                checks.check(f"fig6 rd beta={v}: latency within 5% of beta",
-                             abs(lbar - v) <= 0.05 * v, f"measured {lbar:.4f}")
-    else:  # fig8
-        for policy in preset.policies:
-            for ue_id in (1, lat_id, thr_id):
-                vals = [results[policy][v][ue_id]["throughput"] for v in preset.grid]
-                checks.check(f"fig8 {policy} ue {ue_id}: throughput spread over beta < 0.01",
-                             max(vals) - min(vals) < 0.01,
-                             f"spread {max(vals) - min(vals):.4f}")
-            r3 = [results[policy][v][thr_id]["throughput"] for v in preset.grid]
-            checks.check(f"fig8 {policy}: throughput-ue rate >= 0.19 at all beta",
-                         min(r3) >= 0.19, f"min {min(r3):.4f}")
-        for v in preset.grid:
-            for ue_id in (1, lat_id, thr_id):
-                a = results["vw"][v][ue_id]["throughput"]
-                b = results["rd"][v][ue_id]["throughput"]
-                if abs(a - b) > 0.01:
-                    checks.check(f"fig8 beta={v} ue {ue_id}: vw and rd rates agree +- 0.01",
-                                 False, f"{a:.4f} vs {b:.4f}")
-        checks.check("fig8: vw and rd per-ue rates agree +- 0.01 on the grid", True)
+
+def _sweep_rows(preset, means) -> list[list[str]]:
+    rows = []
+    for policy, by_value in means.items():
+        for v, m in by_value.items():
+            for ue_id, ue_means in m["ues"].items():
+                cells = {preset.param: v, "policy": policy, "ue_id": ue_id, **ue_means,
+                         "t_star": m["t_star"].get(ue_id), "lb": m.get("lb"),
+                         "cost": m["cost"]}
+                rows.append([_fmt(cells[c]) for c in preset.header])
     return rows
 
 
-REPRODUCE_HEADERS = {
-    "fig4": ["alpha", "ue_id", "throughput", "avg_aoi", "avg_latency", "t_star", "lb", "cost"],
-    "fig5_cost": ["alpha", "ue_id", "throughput", "avg_aoi", "avg_latency", "t_star",
-                  "lb", "cost"],
-    "fig5_weights": ["beta", "update_index", "rho"],
-    "fig6": ["beta", "policy", "ue_id", "avg_aoi", "avg_latency", "throughput"],
-    "fig8": ["beta", "policy", "ue_id", "avg_aoi", "avg_latency", "throughput"],
-}
+def _reproduce_alpha(preset, horizon: int, args):
+    means = sweep_means(preset, horizon, args)
+    target = sweep_target(preset.scenario, "alpha", None)
+    for by_alpha in means.values():
+        for v, m in by_alpha.items():
+            scenario = replace_param(preset.scenario, target, alpha=v)
+            m["lb"] = lower_bound(scenario, horizon, args.seed,
+                                  seeds=min(args.seeds, 2)).lb
+    return _sweep_rows(preset, means), means
+
+
+def _reproduce_beta(preset, horizon: int, args):
+    means = sweep_means(preset, horizon, args)
+    return _sweep_rows(preset, means), means
+
+
+def _reproduce_weights(preset, horizon: int, args):
+    (policy,) = preset.policies
+    target = sweep_target(preset.scenario, "beta", None)
+    rows, trajectories = [], {}
+    for beta in preset.grid:
+        config = RunConfig(scenario=replace_param(preset.scenario, target, beta=beta),
+                           policy=PolicySpec(policy), horizon=horizon, seed=args.seed)
+        trajectory = [entry[target] for entry in run(config).extras["weight_log"]]
+        for i, rho in enumerate(trajectory, start=1):
+            cells = {"beta": beta, "update_index": i, "rho": rho}
+            rows.append([_fmt(cells[c]) for c in preset.header])
+        trajectories[beta] = trajectory
+    return rows, trajectories
+
+
+RUNNERS = {"alpha": _reproduce_alpha, "beta": _reproduce_beta,
+           "weights": _reproduce_weights}
 
 
 def cmd_reproduce(args) -> int:
-    name = args.preset
-    if name not in PRESETS:
-        raise ScenarioError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    checks = Checks()
-    if name in ("fig4", "fig5_cost"):
-        rows = _reproduce_alpha_preset(name, args, checks)
-    elif name == "fig5_weights":
-        rows = _reproduce_fig5_weights(args, checks)
-    else:
-        rows = _reproduce_beta_preset(name, args, checks)
-    out = args.out or f"{name}.csv"
-    _write_csv(out, REPRODUCE_HEADERS[name], rows)
+    preset = PRESETS[args.preset]
+    horizon = preset.horizon if args.horizon is None else args.horizon
+    rows, results = RUNNERS[preset.shape](preset, horizon, args)
+    failed = 0
+    for name, ok, detail in preset.check(results):
+        failed += not ok
+        suffix = f" ({detail})" if detail else ""
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
+    out = args.out or f"{preset.name}.csv"
+    _write_csv(out, list(preset.header), rows)
     print(f"wrote {out} ({len(rows)} rows)")
-    return 2 if checks.failed else 0
+    return 2 if failed else 0
 
 
 # -- report ----------------------------------------------------------------
@@ -401,9 +270,9 @@ def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
     out = []
     cols = {name: i for i, name in enumerate(header)}
     if {"alpha", "ue_id", "throughput"} <= set(header):
-        r2 = [float(r[cols["throughput"]]) for r in rows if r[cols["ue_id"]] == "2"]
+        r2 = [float(r[cols["throughput"]]) for r in rows if r[cols["ue_id"]] == str(LATENCY_UE)]
         if r2:
-            flat = max(r2) - min(r2) < 0.01
+            flat = max(r2) - min(r2) < RATE_TOL
             out.append(f"- latency-ue throughput flat across alpha (spread "
                        f"{max(r2) - min(r2):.4f}): {'PASS' if flat else 'FAIL'}")
     if {"beta", "policy", "ue_id", "throughput"} <= set(header):
@@ -413,7 +282,7 @@ def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
                 float(r[cols["throughput"]]))
         worst = max((max(v) - min(v) for v in by_key.values()), default=0.0)
         out.append(f"- max per-ue throughput spread across beta = {worst:.4f}: "
-                   f"{'PASS' if worst < 0.01 else 'FAIL'}")
+                   f"{'PASS' if worst < RATE_TOL else 'FAIL'}")
     return out
 
 
@@ -472,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a pinned experiment preset")
     p.add_argument("preset", choices=sorted(PRESETS))
-    p.add_argument("--horizon", type=int, default=10 ** 6)
+    p.add_argument("--horizon", type=int,
+                   help="slots per run (default: the preset's, 10^6 or 2*10^6)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)
@@ -489,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fn is cmd_reproduce:
-        args.horizon_set = "--horizon" in (argv if argv is not None else sys.argv[1:])
     try:
         return args.fn(args)
     except (ScenarioError, SolverError, FileNotFoundError) as exc:

@@ -29,7 +29,7 @@ class UeMetrics:
         "ue_id", "is_aoi", "track_pending",
         "lam", "aoi_sum", "arrivals", "deliveries", "attempts",
         "latency_sum_delivered", "pending_count", "pending_g_sum",
-        "n_samples", "sample_sum", "sample_sumsq", "g_first", "g_prev",
+        "n_samples", "sample_sum", "sample_sumsq", "g_prev",
         "sum_spacing_wait",
     )
 
@@ -48,7 +48,6 @@ class UeMetrics:
         self.n_samples = 0
         self.sample_sum = 0.0
         self.sample_sumsq = 0.0
-        self.g_first = None
         self.g_prev = None
         self.sum_spacing_wait = 0.0  # sum over delivered packets of T_i * (L_i - 1)
 
@@ -79,8 +78,6 @@ class UeMetrics:
             self.sample_sumsq += d * d
             if self.is_aoi:
                 self.sum_spacing_wait += d * (t - g)
-        else:
-            self.g_first = g
         self.g_prev = g
 
     def backlog_age_sum(self, t: int) -> int:
@@ -103,7 +100,6 @@ class UeMetrics:
         self.n_samples = 0
         self.sample_sum = 0.0
         self.sample_sumsq = 0.0
-        self.g_first = None
         self.g_prev = None
         self.sum_spacing_wait = 0.0
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,8 +105,13 @@ def _require(cond: bool, msg: str) -> None:
 
 def _check_ue(ue: UeConfig, variant: Variant) -> None:
     name = f"ue {ue.id}"
-    _require(isinstance(ue.id, int) and ue.id >= 0,
+    _require(isinstance(ue.id, int) and not isinstance(ue.id, bool) and ue.id >= 0,
              f"{name}: id must be a small nonnegative integer")
+    for key in ("p", "q", "rho", "beta", "alpha"):
+        value = getattr(ue, key)
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        _require((number and math.isfinite(value)) or (value is None and key != "p"),
+                 f"{name}: {key} must be a finite number, got {value!r}")
     _require(0.0 < ue.p <= 1.0, f"{name}: p must be in (0, 1], got {ue.p}")
     if ue.cls is UeClass.AOI:
         _require(ue.q is not None, f"{name}: aoi class requires q")
@@ -140,9 +147,9 @@ def check_structure(scenario: Scenario) -> None:
     _require(len(scenario.ues) >= 1, "scenario needs at least one ue")
     seen: set[int] = set()
     for ue in scenario.ues:
+        _check_ue(ue, scenario.variant)
         _require(ue.id not in seen, f"duplicate ue id {ue.id}")
         seen.add(ue.id)
-        _check_ue(ue, scenario.variant)
 
 
 def validate(scenario: Scenario) -> FeasibilityReport:

@@ -27,7 +27,7 @@ from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
 from .rng import derive_seed, rng_contract, substreams
 from .solver import SolverError
 
-__all__ = ["PolicySpec", "RunConfig", "SweepPoint", "run", "sweep",
+__all__ = ["PolicySpec", "RunConfig", "SweepPoint", "run", "sweep", "sweep_target",
            "derive_seed", "rng_contract"]
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
@@ -167,7 +167,8 @@ class SweepPoint:
     report: RunReport | None
 
 
-def _sweep_target(scenario: Scenario, param: str, ue_id: int | None) -> int:
+def sweep_target(scenario: Scenario, param: str, ue_id: int | None) -> int:
+    """Id of the UE whose ``param`` a sweep varies: ``ue_id``, or the only candidate."""
     cls = {"alpha": UeClass.THROUGHPUT, "beta": UeClass.LATENCY}.get(param)
     if cls is None:
         raise ScenarioError(f"sweep param must be 'alpha' or 'beta', got {param!r}")
@@ -195,7 +196,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     (for instance a latency ceiling below its queueing floor) run normally
     and carry their feasibility flags.
     """
-    target = _sweep_target(base.scenario, param, ue_id)
+    target = sweep_target(base.scenario, param, ue_id)
     points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
     for i, value in enumerate(grid):
         scn = replace_param(base.scenario, target, **{param: value})

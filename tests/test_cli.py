@@ -60,6 +60,27 @@ def test_parse_rejects_unknown_key(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("ue,field", [
+    ({"id": 1, "class": "aoi", "q": "0.9", "p": 0.7, "rho": 1.0}, "q"),
+    ({"id": True, "class": "aoi", "q": 0.9, "p": 0.7, "rho": 1.0}, "id"),
+    ({"id": [1], "class": "aoi", "q": 0.9, "p": 0.7, "rho": 1.0}, "id"),
+    ({"id": 1, "class": "aoi", "q": 0.9, "p": None, "rho": 1.0}, "p"),
+    ({"id": 1, "class": "aoi", "q": 0.9, "p": True, "rho": 1.0}, "p"),
+    ({"id": 1, "class": "aoi", "q": 0.9, "p": 0.7, "rho": float("inf")}, "rho"),
+    ({"id": 1, "class": "aoi", "q": 0.9, "p": 0.7, "rho": True}, "rho"),
+    ({"id": 2, "class": "latency", "q": 0.2, "p": 0.8, "beta": float("inf")}, "beta"),
+    ({"id": 3, "class": "throughput", "p": 0.9, "alpha": "0.2"}, "alpha"),
+])
+def test_malformed_values_are_scenario_errors(tmp_path, capsys, ue, field):
+    variant = "latency_constrained" if "beta" in ue else "latency_weighted"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"variant": variant, "ue": [ue]}))
+    with pytest.raises(ScenarioError, match=f"{field} must be"):
+        load_scenario(path)
+    assert main(["validate", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parse_grid_forms():
     assert parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
     assert parse_grid("1.5,2.0,3") == [1.5, 2.0, 3.0]

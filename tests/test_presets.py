@@ -4,7 +4,8 @@ import pytest
 
 from aoisched.cli import main
 from aoisched.model import validate
-from aoisched.presets import PRESETS, reference_constrained, reference_weighted
+from aoisched.presets import (PRESETS, check_fig5_weights, check_fig8,
+                              reference_constrained, reference_weighted)
 
 
 def test_reference_scenarios_validate():
@@ -49,3 +50,33 @@ def test_reproduce_fig5_weights_smoke(tmp_path, capsys):
 def test_reproduce_unknown_preset():
     with pytest.raises(SystemExit):
         main(["reproduce", "fig99"])
+
+
+def _fig8_means(rd_shift: float) -> dict:
+    """vw and rd at the same per-ue rates, except rd's ue 1 at beta=2.0."""
+    rates = {1: 0.3, 2: 0.2, 3: 0.3}
+    means = {}
+    for policy in ("vw", "rd"):
+        means[policy] = {}
+        for beta in (1.5, 2.0, 2.5):
+            ues = {u: {"throughput": r} for u, r in rates.items()}
+            if policy == "rd" and beta == 2.0:
+                ues[1] = {"throughput": rates[1] + rd_shift}
+            means[policy][beta] = {"ues": ues}
+    return means
+
+
+@pytest.mark.parametrize("rd_shift,agree", [(0.0, True), (0.02, False)])
+def test_fig8_summary_reflects_vw_rd_agreement(rd_shift, agree):
+    verdicts = {name: ok for name, ok, _ in check_fig8(_fig8_means(rd_shift))}
+    assert verdicts["fig8: vw and rd per-ue rates agree +- 0.01 on the grid"] is agree
+    point = "fig8 beta=2.0 ue 1: vw and rd rates agree +- 0.01"
+    assert (point in verdicts) is not agree
+    if not agree:
+        assert verdicts[point] is False
+
+
+def test_fig5_weights_check_without_updates_fails_cleanly():
+    verdicts = list(check_fig5_weights({1.0: [], 2.0: [], 5.0: []}))
+    assert [ok for _, ok, _ in verdicts] == [False, True, False]
+    assert verdicts[0][2] == "max over 0 updates = 0.00"
