@@ -27,7 +27,7 @@ class UeMetrics:
 
     __slots__ = (
         "ue_id", "is_aoi", "track_pending",
-        "lam", "aoi_sum", "arrivals", "deliveries", "attempts",
+        "lam", "aoi_sum", "aged", "arrivals", "deliveries", "attempts",
         "latency_sum_delivered", "pending_count", "pending_g_sum",
         "n_samples", "sample_sum", "sample_sumsq", "g_prev",
         "sum_spacing_wait",
@@ -39,6 +39,7 @@ class UeMetrics:
         self.track_pending = track_pending
         self.lam = 0
         self.aoi_sum = 0
+        self.aged = 0  # last slot whose age is in aoi_sum
         self.arrivals = 0
         self.deliveries = 0
         self.attempts = 0
@@ -57,9 +58,17 @@ class UeMetrics:
             self.pending_count += 1
             self.pending_g_sum += t
 
-    def step_aoi(self, t: int) -> None:
-        # must run before any delivery of slot t is recorded
-        self.aoi_sum += t - self.lam
+    def accrue_age(self, t: int) -> None:
+        """Add the age of slots (aged, t] to ``aoi_sum``.
+
+        The age at slot s is s - lam, and lam only moves at a delivery,
+        which lowers the age from the next slot on; so calling this before
+        each delivery is recorded, and once at the end, sums the age of
+        every slot exactly.
+        """
+        last = self.aged
+        self.aoi_sum += (t - last) * (t + last + 1 - 2 * self.lam) // 2
+        self.aged = t
 
     def on_delivery(self, g: int, t: int) -> None:
         if g > t:
@@ -91,7 +100,8 @@ class UeMetrics:
         return (self.latency_sum_delivered + self.backlog_age_sum(t)) / self.arrivals
 
     def reset_window(self) -> None:
-        """Drop accumulated sums (warm-up): pending backlog and lam survive."""
+        """Drop accumulated sums (warm-up): pending backlog, lam and the
+        aged-through slot survive, so accrue age up to the boundary first."""
         self.aoi_sum = 0
         self.arrivals = 0
         self.deliveries = 0

@@ -8,6 +8,15 @@ UE); whenever that pool is nonempty its best-index packet is sent, and
 only an empty pool lets the throughput tier transmit.  Ties break toward
 the lowest UE id everywhere, which keeps runs reproducible.
 
+State is indexed by UE *position*: the UE's index in the scenario's UEs
+sorted by ascending id.  ``update_index`` takes the positions that saw an
+arrival, in ascending order, and may be skipped on slots without arrivals;
+a transmission is a ``(position, g)`` tuple, ``g`` being the arrival slot
+of the packet sent.  ``on_outcome`` changes nothing on a failed AoI or
+latency attempt, so it may be skipped then.  Indices change only on these
+events, so each policy keeps its argmax cached and ``select`` does no work
+that grows with the number of UEs.
+
 AoI eligibility is gated by a counter: an arrival in slot t bumps the
 counter only if more than ``threshold`` slots passed since the previous
 bump, and while the counter exceeds the UE's delivery count every new
@@ -17,40 +26,12 @@ arrival replaces the retained packet (fresher data supersedes older).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field
+from heapq import heapreplace
 
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
-
-
-@dataclass(frozen=True)
-class Transmit:
-    ue_id: int
-    g: int  # arrival slot of the transmitted packet
-
-
-@dataclass
-class PolicyState:
-    """Scheduler bookkeeping, all keyed by UE id."""
-
-    W: dict[int, float] = field(default_factory=dict)
-    a: dict[int, int] = field(default_factory=dict)
-    b: dict[int, int] = field(default_factory=dict)
-    s_packet: dict[int, int | None] = field(default_factory=dict)
-    latency_queues: dict[int, list[int]] = field(default_factory=dict)
-    virtual_rho: dict[int, float] = field(default_factory=dict)
-    thresholds: dict[int, int] = field(default_factory=dict)
-    deliveries: dict[int, int] = field(default_factory=dict)
-    lam: dict[int, int] = field(default_factory=dict)
-    attempts: dict[int, int] = field(default_factory=dict)
-
-
-def _split(scenario: Scenario):
-    aoi = sorted((u for u in scenario.ues if u.cls is UeClass.AOI), key=lambda u: u.id)
-    lat = sorted((u for u in scenario.ues if u.cls is UeClass.LATENCY), key=lambda u: u.id)
-    thr = sorted((u for u in scenario.ues if u.cls is UeClass.THROUGHPUT), key=lambda u: u.id)
-    return aoi, lat, thr
 
 
 def thresholds_for(scenario: Scenario, zeta: float) -> tuple[dict[int, int], TStarSolution | None]:
@@ -62,14 +43,123 @@ def thresholds_for(scenario: Scenario, zeta: float) -> tuple[dict[int, int], TSt
     return {u.id: hier_threshold(sol.t_star[u.id], u.q) for u in aoi}, sol
 
 
-class HierarchicalPolicy:
+class _TwoTier:
+    """State the two-tier policies share, one list entry per UE position.
+
+    * The AoI eligibility gate: last bump slot ``a``, counter ``b``,
+      ``deliveries``, newest delivered arrival slot ``lam`` and the
+      retained packet ``s_packet``.
+    * The index ``W`` of every ``pool`` member, and the cached pool
+      argmax (largest index, lowest position on ties).
+    * The latency ``queues`` (``None`` for other classes).
+    * The throughput tier: argmax of ``alpha*t/p - attempts``.  UEs that
+      share ``(alpha, p)`` share ``alpha*t/p``, and below 2**52 distinct
+      attempt counts never round to the same index, so within such a
+      group the argmax is the member with the fewest attempts, lowest
+      position first: a heap of ``(attempts, position)`` per group.
+    """
+
+    def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
+        ues = sorted(scenario.ues, key=lambda u: u.id)
+        n = len(ues)
+        self.ues = ues
+        self.ids = [u.id for u in ues]
+        self.W = [0.0] * n
+        self.a = [0] * n
+        self.b = [0] * n
+        self.deliveries = [0] * n
+        self.lam = [0] * n
+        self.s_packet: list[int | None] = [None] * n
+        self.thresholds = [thresholds.get(u.id) for u in ues]
+        self.queues = [[] if u.cls is UeClass.LATENCY else None for u in ues]
+        self.lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
+        self._aoi_w = [u.rho * u.p if u.cls is UeClass.AOI else None for u in ues]
+        self.pool: set[int] = set()
+        self._best: int | None = None
+        self._best_w = -1.0
+        groups: dict[tuple[float, float], list] = {}
+        for i, u in enumerate(ues):
+            if u.cls is UeClass.THROUGHPUT:
+                groups.setdefault((u.alpha, u.p), []).append((0, i))
+        self._thr_groups = [(alpha, p, heap) for (alpha, p), heap in groups.items()]
+        self._thr_heap = {i: heap for _, _, heap in self._thr_groups for _, i in heap}
+
+    def _aoi_arrival(self, i: int, t: int) -> None:
+        """Gate an AoI arrival; retain it while the counter is ahead."""
+        if t - self.a[i] > self.thresholds[i]:
+            self.a[i] = t
+            self.b[i] += 1
+        if self.b[i] > self.deliveries[i]:
+            self.s_packet[i] = t
+            self._retain(i, self._aoi_w[i] * (t - self.lam[i]))
+
+    def _aoi_delivered(self, i: int, g: int) -> None:
+        if self.lam[i] < g:
+            self.lam[i] = g
+        self.deliveries[i] += 1
+        self.s_packet[i] = None
+        assert self.deliveries[i] <= self.b[i]
+        self._release(i)
+
+    def _retain(self, i: int, w: float) -> None:
+        """Put i in the pool with index w, keeping the cached argmax current."""
+        self.W[i] = w
+        self.pool.add(i)
+        best, best_w = self._best, self._best_w
+        if i == best:
+            if w < best_w:
+                self._rescan()
+            else:
+                self._best_w = w
+        elif best is None or w > best_w or (w == best_w and i < best):
+            self._best, self._best_w = i, w
+
+    def _release(self, i: int) -> None:
+        self.W[i] = 0.0
+        self.pool.discard(i)
+        if i == self._best:
+            self._rescan()
+
+    def _rescan(self) -> None:
+        W = self.W
+        best, best_w = None, -1.0
+        for i in self.pool:
+            w = W[i]
+            if best is None or w > best_w or (w == best_w and i < best):
+                best, best_w = i, w
+        self._best, self._best_w = best, best_w
+
+    def _throughput_best(self, t: int) -> int | None:
+        best = None
+        best_y = -math.inf
+        for alpha, p, heap in self._thr_groups:
+            n, i = heap[0]
+            y = alpha * t / p - n
+            if y > best_y or (y == best_y and i < best):
+                best, best_y = i, y
+        return best
+
+    def _throughput_attempted(self, i: int) -> None:
+        heap = self._thr_heap[i]
+        n, top = heap[0]
+        assert top == i, "only the throughput argmax is ever attempted"
+        heapreplace(heap, (n + 1, i))
+
+    def pending_aoi_packets(self) -> dict[int, int]:
+        """Arrival slot of each retained AoI packet, by position."""
+        return {i: g for i, g in enumerate(self.s_packet) if g is not None}
+
+
+class HierarchicalPolicy(_TwoTier):
     """Index policy with a strict two-tier hierarchy.
 
     On latency-constrained scenarios the latency weights are virtual: they
     start at 1 and every ``f`` slots move by ``eta`` times the gap between
     the UE's running average latency and its ceiling, floored at zero (the
     policy then reports itself as "vw").  On weighted scenarios the
-    latency weights come from the scenario and never change.
+    latency weights come from the scenario and never change.  A latency
+    UE's index is set from its weight when a packet arrives, so a weight
+    step reaches the index at the UE's next arrival.
     """
 
     name = "hier"
@@ -77,127 +167,66 @@ class HierarchicalPolicy:
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int],
                  f: int = 10000, eta: float = 0.1):
-        aoi, lat, thr = _split(scenario)
-        self.aoi_ids = [u.id for u in aoi]
-        self.lat_ids = [u.id for u in lat]
-        self.thr_ids = [u.id for u in thr]
-        self.al_ids = sorted(self.aoi_ids + self.lat_ids)
-        aoi_set = set(self.aoi_ids)
-        self._al_src = [(ue, ue in aoi_set) for ue in self.al_ids]
-        self._cls = {u.id: u.cls for u in scenario.ues}
-        self._q = {u.id: u.q for u in aoi + lat}
-        self._p = {u.id: u.p for u in scenario.ues}
-        self._rho = {u.id: u.rho for u in aoi}
-        self._alpha = {u.id: u.alpha for u in thr}
-        virtual = scenario.variant is Variant.LATENCY_CONSTRAINED and bool(lat)
+        super().__init__(scenario, thresholds)
+        ues = self.ues
+        virtual = scenario.variant is Variant.LATENCY_CONSTRAINED and bool(self.lat)
         self.virtual = virtual
         if virtual:
             self.name = "vw"
-            self._beta = {u.id: u.beta for u in lat}
+            self._beta = [u.beta for u in ues]
             self.f = f
             self.eta = eta
-            lat_rho = {u.id: 1.0 for u in lat}
+            self.virtual_rho = [1.0 if u.cls is UeClass.LATENCY else None for u in ues]
             self.weight_log: list[dict[int, float]] = []
         else:
-            lat_rho = {u.id: u.rho for u in lat}
-        st = PolicyState()
-        st.W = {i: 0.0 for i in self.al_ids}
-        st.a = {i: 0 for i in self.aoi_ids}
-        st.b = {i: 0 for i in self.aoi_ids}
-        st.s_packet = {i: None for i in self.aoi_ids}
-        st.latency_queues = {i: [] for i in self.lat_ids}
-        st.virtual_rho = lat_rho
-        st.thresholds = dict(thresholds)
-        st.deliveries = {i: 0 for i in self.aoi_ids}
-        st.lam = {i: 0 for i in self.aoi_ids}
-        st.attempts = {i: 0 for i in self.thr_ids}
-        self.state = st
+            self.virtual_rho = [u.rho if u.cls is UeClass.LATENCY else None for u in ues]
+        self._p = [u.p for u in ues]
+        self._q = [u.q for u in ues]
 
     def update_virtual_weights(self, latency_now: dict[int, float | None]) -> None:
-        st = self.state
-        for j in self.lat_ids:
+        """One weight step from each latency UE's running latency, by position."""
+        rho = self.virtual_rho
+        for j in self.lat:
             lbar = latency_now.get(j)
             if lbar is None:
                 continue
-            st.virtual_rho[j] = max(0.0, st.virtual_rho[j] - self.eta * (self._beta[j] - lbar))
-        self.weight_log.append(dict(st.virtual_rho))
+            rho[j] = max(0.0, rho[j] - self.eta * (self._beta[j] - lbar))
+        self.weight_log.append({self.ids[j]: rho[j] for j in self.lat})
 
     def update_index(self, t: int, arrived: list[int]) -> None:
-        st = self.state
-        for ue in arrived:
-            if self._cls[ue] is UeClass.LATENCY:
-                st.latency_queues[ue].append(t)
-                st.W[ue] = st.virtual_rho[ue] * self._p[ue] / self._q[ue]
+        for i in arrived:
+            queue = self.queues[i]
+            if queue is None:
+                self._aoi_arrival(i, t)
             else:
-                if t - st.a[ue] > st.thresholds[ue]:
-                    st.a[ue] = t
-                    st.b[ue] += 1
-                if st.b[ue] > st.deliveries[ue]:
-                    st.s_packet[ue] = t
-                    st.W[ue] = self._rho[ue] * self._p[ue] * (t - st.lam[ue])
+                queue.append(t)
+                self._retain(i, self.virtual_rho[i] * self._p[i] / self._q[i])
 
-    def _best_member(self) -> int | None:
-        st = self.state
-        s_packet = st.s_packet
-        queues = st.latency_queues
-        best = None
-        best_w = -1.0
-        for ue, is_aoi in self._al_src:
-            if (s_packet[ue] is None) if is_aoi else (not queues[ue]):
-                continue
-            w = st.W[ue]
-            if w > best_w:
-                best, best_w = ue, w
-        return best
-
-    def _best_throughput(self, t: int) -> int | None:
-        st = self.state
-        best = None
-        best_y = -math.inf
-        for k in self.thr_ids:
-            y = self._alpha[k] * t / self._p[k] - st.attempts[k]
-            if y > best_y:
-                best, best_y = k, y
-        return best
-
-    def select(self, t: int) -> Transmit | None:
-        best = self._best_member()
+    def select(self, t: int, draw: float | None = None) -> tuple[int, int] | None:
+        best = self._best
         if best is not None:
-            st = self.state
-            if self._cls[best] is UeClass.AOI:
-                g = st.s_packet[best]
-            else:
-                g = st.latency_queues[best][-1]
-            return Transmit(best, g)
-        k = self._best_throughput(t)
-        return Transmit(k, t) if k is not None else None
+            queue = self.queues[best]
+            return best, (self.s_packet[best] if queue is None else queue[-1])
+        k = self._throughput_best(t)
+        return (k, t) if k is not None else None
 
-    def on_outcome(self, action: Transmit, success: bool, t: int) -> None:
-        ue = action.ue_id
-        st = self.state
-        if self._cls[ue] is UeClass.THROUGHPUT:
-            st.attempts[ue] += 1
+    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
+        i, g = action
+        if i in self._thr_heap:
+            self._throughput_attempted(i)
             return
         if not success:
             return
-        if self._cls[ue] is UeClass.AOI:
-            if st.lam[ue] < action.g:
-                st.lam[ue] = action.g
-            st.deliveries[ue] += 1
-            st.s_packet[ue] = None
-            st.W[ue] = 0.0
-            assert st.deliveries[ue] <= st.b[ue]
-        else:
-            q = st.latency_queues[ue]
-            q.pop()  # newest was transmitted
-            if not q:
-                st.W[ue] = 0.0
-
-    def pending_aoi_packets(self) -> dict[int, int]:
-        return {ue: g for ue, g in self.state.s_packet.items() if g is not None}
+        queue = self.queues[i]
+        if queue is None:
+            self._aoi_delivered(i, g)
+            return
+        queue.pop()  # newest was transmitted
+        if not queue:
+            self._release(i)
 
 
-class RandomizedPolicy:
+class RandomizedPolicy(_TwoTier):
     """Two-tier selection for AoI/throughput plus randomised latency service.
 
     Each latency UE with a queued packet is served with its fixed
@@ -213,88 +242,63 @@ class RandomizedPolicy:
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
         if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
             raise ScenarioError("randomised policy needs latency ceilings (beta)")
-        aoi, lat, thr = _split(scenario)
-        self.aoi_ids = [u.id for u in aoi]
-        self.lat_ids = [u.id for u in lat]
-        self.thr_ids = [u.id for u in thr]
-        self._cls = {u.id: u.cls for u in scenario.ues}
-        self._q = {u.id: u.q for u in aoi + lat}
-        self._p = {u.id: u.p for u in scenario.ues}
-        self._rho = {u.id: u.rho for u in aoi}
-        self._alpha = {u.id: u.alpha for u in thr}
-        self.theta = {u.id: theta_j(u.q, u.p, u.beta) for u in lat}
-        st = PolicyState()
-        st.W = {i: 0.0 for i in self.aoi_ids}
-        st.a = {i: 0 for i in self.aoi_ids}
-        st.b = {i: 0 for i in self.aoi_ids}
-        st.s_packet = {i: None for i in self.aoi_ids}
-        st.latency_queues = {i: [] for i in self.lat_ids}
-        st.thresholds = dict(thresholds)
-        st.deliveries = {i: 0 for i in self.aoi_ids}
-        st.lam = {i: 0 for i in self.aoi_ids}
-        st.attempts = {i: 0 for i in self.thr_ids}
-        self.state = st
+        super().__init__(scenario, thresholds)
+        self.theta = [theta_j(u.q, u.p, u.beta) if u.cls is UeClass.LATENCY else None
+                      for u in self.ues]
+        self._queued: list[int] = []    # latency positions with a packet, ascending
+        self._cum: list[float] = []     # upper ends of their service intervals
 
-    def update_index(self, t: int, arrived: list[int]) -> None:
-        st = self.state
-        for ue in arrived:
-            if self._cls[ue] is UeClass.LATENCY:
-                st.latency_queues[ue].append(t)
-            else:
-                if t - st.a[ue] > st.thresholds[ue]:
-                    st.a[ue] = t
-                    st.b[ue] += 1
-                if st.b[ue] > st.deliveries[ue]:
-                    st.s_packet[ue] = t
-                    st.W[ue] = self._rho[ue] * self._p[ue] * (t - st.lam[ue])
-
-    def select(self, t: int, draw: float) -> Transmit | None:
-        st = self.state
-        best = None
-        best_w = 0.0
-        for ue in self.aoi_ids:
-            if st.s_packet[ue] is not None and st.W[ue] > best_w:
-                best, best_w = ue, st.W[ue]
-        if best is None and self.thr_ids:
-            best_y = -math.inf
-            for k in self.thr_ids:
-                y = self._alpha[k] * t / self._p[k] - st.attempts[k]
-                if y > best_y:
-                    best, best_y = k, y
-        queued = [(j, self.theta[j]) for j in self.lat_ids if st.latency_queues[j]]
-        total = sum(th for _, th in queued)
+    def _partition(self) -> None:
+        queued = self._queued
+        total = sum(self.theta[j] for j in queued)
         scale = 1.0 if total <= 1.0 else 1.0 / total
         acc = 0.0
-        for j, th in queued:
-            acc += th * scale
-            if draw < acc:
-                return Transmit(j, st.latency_queues[j][-1])
-        if best is None:
-            return None
-        if self._cls[best] is UeClass.AOI:
-            return Transmit(best, st.s_packet[best])
-        return Transmit(best, t)
+        cum = []
+        for j in queued:
+            acc += self.theta[j] * scale
+            cum.append(acc)
+        self._cum = cum
 
-    def on_outcome(self, action: Transmit, success: bool, t: int) -> None:
-        ue = action.ue_id
-        st = self.state
-        cls = self._cls[ue]
-        if cls is UeClass.THROUGHPUT:
-            st.attempts[ue] += 1
+    def update_index(self, t: int, arrived: list[int]) -> None:
+        regroup = False
+        for i in arrived:
+            queue = self.queues[i]
+            if queue is None:
+                self._aoi_arrival(i, t)
+            else:
+                if not queue:
+                    insort(self._queued, i)
+                    regroup = True
+                queue.append(t)
+        if regroup:
+            self._partition()
+
+    def select(self, t: int, draw: float) -> tuple[int, int] | None:
+        k = bisect_right(self._cum, draw)
+        if k < len(self._cum):
+            j = self._queued[k]
+            return j, self.queues[j][-1]
+        best = self._best
+        if best is not None:
+            return best, self.s_packet[best]
+        k = self._throughput_best(t)
+        return (k, t) if k is not None else None
+
+    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
+        i, g = action
+        if i in self._thr_heap:
+            self._throughput_attempted(i)
             return
         if not success:
             return
-        if cls is UeClass.AOI:
-            if st.lam[ue] < action.g:
-                st.lam[ue] = action.g
-            st.deliveries[ue] += 1
-            st.s_packet[ue] = None
-            st.W[ue] = 0.0
-        else:
-            st.latency_queues[ue].pop()
-
-    def pending_aoi_packets(self) -> dict[int, int]:
-        return {ue: g for ue, g in self.state.s_packet.items() if g is not None}
+        queue = self.queues[i]
+        if queue is None:
+            self._aoi_delivered(i, g)
+            return
+        queue.pop()
+        if not queue:
+            self._queued.remove(i)
+            self._partition()
 
 
 class CmuPolicy:
@@ -310,24 +314,33 @@ class CmuPolicy:
             raise ScenarioError("weighted-rate rule runs on latency-only scenarios")
         if scenario.variant is not Variant.LATENCY_WEIGHTED:
             raise ScenarioError("weighted-rate rule needs latency weights (rho)")
-        order = sorted(lat, key=lambda u: (-(u.rho * u.p / u.q), u.id))
-        self.order = [u.id for u in order]
-        self.queues: dict[int, deque[int]] = {u.id: deque() for u in lat}
+        ues = sorted(lat, key=lambda u: u.id)
+        order = sorted(range(len(ues)), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
+        self.order = order                          # positions, service priority first
+        self._rank_of = {i: r for r, i in enumerate(order)}
+        self.queues: list[deque[int]] = [deque() for _ in ues]
+        self._ready: list[int] = []                 # ranks of nonempty queues, ascending
 
     def update_index(self, t: int, arrived: list[int]) -> None:
-        for ue in arrived:
-            self.queues[ue].append(t)
+        for i in arrived:
+            queue = self.queues[i]
+            if not queue:
+                insort(self._ready, self._rank_of[i])
+            queue.append(t)
 
-    def select(self, t: int) -> Transmit | None:
-        for ue in self.order:
-            q = self.queues[ue]
-            if q:
-                return Transmit(ue, q[0])
-        return None
+    def select(self, t: int, draw: float | None = None) -> tuple[int, int] | None:
+        if not self._ready:
+            return None
+        i = self.order[self._ready[0]]
+        return i, self.queues[i][0]
 
-    def on_outcome(self, action: Transmit, success: bool, t: int) -> None:
+    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
         if success:
-            self.queues[action.ue_id].popleft()
+            i = action[0]
+            queue = self.queues[i]
+            queue.popleft()
+            if not queue:
+                self._ready.remove(self._rank_of[i])
 
     def pending_aoi_packets(self) -> dict[int, int]:
         return {}

@@ -5,13 +5,18 @@ The draw layout is normative for reproducibility:
 * the run seed feeds ``numpy.random.SeedSequence([seed])``, which is split
   into three children: arrivals, policy, success;
 * the arrivals child is split again into one stream per non-throughput UE,
-  in ascending UE id order; each stream yields that UE's whole Bernoulli
-  arrival sequence up front, so arrivals never depend on the policy;
+  in ascending UE id order; each stream yields one uniform per slot, and
+  the UE has an arrival in slot t when draw t is below its q, so arrivals
+  never depend on the policy;
 * the success stream yields exactly one uniform per slot, compared against
   the served UE's success probability only when a transmission happens;
 * the policy stream yields one uniform per slot and is consumed only by
   the randomised policy (every slot, even when no latency queue is
-  occupied, so draws stay aligned across runs).
+  occupied, so draws stay aligned across runs);
+* every stream starts with a draw for slot 0, which is never used, so slot
+  t reads draw t.  The engine takes the draws in fixed blocks of slots; the
+  concatenated blocks of a stream equal one draw of the whole horizon, so
+  the block size changes no result.
 
 Sweep replicates derive their run seed as
 ``SeedSequence([base_seed, point_index, replicate_index])`` reduced to one

@@ -5,11 +5,18 @@ Per-slot order of operations (normative):
 1. virtual-weight step, when due;
 2. Bernoulli arrivals for non-throughput UEs, ascending id (throughput UEs
    are perpetually backlogged and consume no draws);
-3. age accumulation (before this slot's delivery is recorded);
-4. policy index update, then selection (the randomised policy consumes its
+3. policy index update, then selection (the randomised policy consumes its
    per-slot uniform here);
-5. on a transmission, one success draw against the served UE's p, then
+4. on a transmission, one success draw against the served UE's p, then
    metrics and policy outcome hooks.
+
+Age is not summed slot by slot: it only changes course at an AoI
+delivery, so it is accounted in closed form just before each delivery is
+recorded (the delivery lowers the age from the next slot on), at the
+warm-up boundary and at the horizon.  The engine calls a policy or metric
+hook only where it has work: the index update on slots with arrivals, the
+outcome hook on successes and throughput attempts.  Draws are taken in
+blocks of ``CHUNK`` slots, so memory does not grow with the horizon.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -18,6 +25,9 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
+
+import numpy as np
 
 from .metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
@@ -31,6 +41,9 @@ __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "run", "sweep", "sweep_targe
            "derive_seed", "rng_contract"]
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
+
+# Slots per block of draws.
+CHUNK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -80,6 +93,31 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
+def _arrivals(n: int, streams) -> list[list[int] | None]:
+    """Positions arriving in each of the next ``n`` slots, ascending, or None."""
+    slots: list[list[int] | None] = [None] * n
+    for pos, gen, q in streams:
+        for s in np.flatnonzero(gen.random(n) < q).tolist():
+            at = slots[s]
+            if at is None:
+                slots[s] = [pos]
+            else:
+                at.append(pos)
+    return slots
+
+
+def _segments(lo: int, hi: int, every: int, warm_end: int):
+    """Split slots [lo, hi) so each weight-step slot (a multiple of
+    ``every``) starts a segment and the warm-up's last slot ends one."""
+    cuts = {lo, hi}
+    if every:
+        cuts.update(range(lo + (-lo) % every, hi, every))
+    if lo < warm_end + 1 < hi:
+        cuts.add(warm_end + 1)
+    cuts = sorted(cuts)
+    return zip(cuts, cuts[1:])
+
+
 def run(config: RunConfig) -> RunReport:
     scenario = config.scenario
     horizon = config.horizon
@@ -90,58 +128,65 @@ def run(config: RunConfig) -> RunReport:
     policy, extras = build_policy(config)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
-    non_thr = [u for u in ues if u.cls is not UeClass.THROUGHPUT]
-    p_of = {u.id: u.p for u in ues}
-    metrics = {
-        u.id: UeMetrics(u.id, is_aoi=(u.cls is UeClass.AOI),
-                        track_pending=(u.cls is UeClass.LATENCY))
-        for u in ues
-    }
-    lat_ids = [u.id for u in ues if u.cls is UeClass.LATENCY]
+    metrics = [UeMetrics(u.id, is_aoi=(u.cls is UeClass.AOI),
+                         track_pending=(u.cls is UeClass.LATENCY)) for u in ues]
+    p_of = [u.p for u in ues]
+    is_aoi = [u.cls is UeClass.AOI for u in ues]
+    is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
+    arriving = [i for i, thr in enumerate(is_thr) if not thr]
+    lat_pos = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
+    aoi_ms = [m for m in metrics if m.is_aoi]
 
-    arrival_gens, policy_gen, success_gen = substreams(config.seed, len(non_thr))
-    arrival_bits = [
-        (gen.random(horizon + 1) < u.q).view("u1").tobytes()
-        for u, gen in zip(non_thr, arrival_gens)
-    ]
-    success_u = success_gen.random(horizon + 1).tolist()
-    policy_u = policy_gen.random(horizon + 1).tolist() if policy.needs_draw else None
-
-    arr_track = [(u.id, bits, metrics[u.id]) for u, bits in zip(non_thr, arrival_bits)]
-    aoi_ms = [metrics[u.id] for u in ues if u.cls is UeClass.AOI]
-    weight_every = policy.f if getattr(policy, "virtual", False) else 0
+    arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
+    streams = [(i, gen, ues[i].q) for i, gen in zip(arriving, arrival_gens)]
+    update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
+    every = policy.f if getattr(policy, "virtual", False) else 0
     warm_end = config.warmup
 
-    arrived: list[int] = []
-    for t in range(1, horizon + 1):
-        if weight_every and t % weight_every == 0:
-            policy.update_virtual_weights({j: metrics[j].latency_now(t) for j in lat_ids})
-        arrived.clear()
-        for uid, bits, m in arr_track:
-            if bits[t]:
-                m.on_arrival(t)
-                arrived.append(uid)
-        for m in aoi_ms:
-            m.aoi_sum += t - m.lam
-        policy.update_index(t, arrived)
-        action = policy.select(t, policy_u[t]) if policy_u is not None else policy.select(t)
-        if action is not None:
-            m = metrics[action.ue_id]
-            m.attempts += 1
-            success = success_u[t] < p_of[action.ue_id]
-            if success:
-                m.on_delivery(action.g, t)
-            policy.on_outcome(action, success, t)
-        if t == warm_end:
-            for m in metrics.values():
-                m.reset_window()
+    # Slot 0 is drawn and never used, so slot t is draw t of every stream.
+    for start in range(0, horizon + 1, CHUNK):
+        n = min(CHUNK, horizon + 1 - start)
+        arrivals = _arrivals(n, streams)
+        success_u = success_gen.random(n).tolist()
+        policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
+        for a, b in _segments(max(start, 1), start + n, every, warm_end):
+            if every and a % every == 0:
+                policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
+            lo, hi = a - start, b - start
+            draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
+            for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
+                                           success_u[lo:hi], draws):
+                if arrived is not None:
+                    for i in arrived:
+                        metrics[i].on_arrival(t)
+                    update_index(t, arrived)
+                action = select(t, draw)
+                if action is None:
+                    continue
+                i, g = action
+                m = metrics[i]
+                m.attempts += 1
+                if u < p_of[i]:
+                    if is_aoi[i]:
+                        m.accrue_age(t)
+                    m.on_delivery(g, t)
+                    on_outcome(action, True, t)
+                elif is_thr[i]:
+                    on_outcome(action, False, t)
+            if b - 1 == warm_end:
+                for m in aoi_ms:
+                    m.accrue_age(warm_end)
+                for m in metrics:
+                    m.reset_window()
+    for m in aoi_ms:
+        m.accrue_age(horizon)
 
     effective = horizon - config.warmup
     retained = policy.pending_aoi_packets()
     per_ue = {}
-    for u in ues:
-        extra = (retained[u.id],) if u.id in retained else ()
-        per_ue[u.id] = metrics[u.id].finalize(effective, u.cls, extra_pending=extra)
+    for i, u in enumerate(ues):
+        extra = (retained[i],) if i in retained else ()
+        per_ue[u.id] = metrics[i].finalize(effective, u.cls, extra_pending=extra)
 
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoisched.metrics import (UeMetrics, aoi_decomposition_audit, assemble_cost,
                               report_rows, RunReport)
@@ -10,22 +12,21 @@ def make(is_aoi=True, track_pending=False):
     return UeMetrics(1, is_aoi=is_aoi, track_pending=track_pending)
 
 
-# -- age stepping --------------------------------------------------------------
+# -- age accounting ------------------------------------------------------------
 
 def test_age_counts_from_virtual_origin():
     m = make()
-    for t in range(1, 6):
-        m.step_aoi(t)
+    m.accrue_age(5)
     # no delivery yet: age at slot t is t, so the sum is 1+2+3+4+5
     assert m.aoi_sum == 15
 
 
 def test_age_resets_to_arrival_slot():
     m = make()
-    m.step_aoi(1)          # age 1
+    m.accrue_age(4)        # ages 1, 2, 3, 4
     m.on_delivery(g=3, t=4)
-    m.step_aoi(5)          # age 5 - 3 = 2
-    assert m.aoi_sum == 1 + 2
+    m.accrue_age(5)        # age 5 - 3 = 2
+    assert m.aoi_sum == 1 + 2 + 3 + 4 + 2
 
 
 def test_age_recurrence_on_random_trace():
@@ -35,7 +36,7 @@ def test_age_recurrence_on_random_trace():
     ages = []
     lam = 0
     for t in range(1, 200):
-        m.step_aoi(t)
+        m.accrue_age(t)
         ages.append(t - lam)
         if rng.random() < 0.3:
             g = int(rng.integers(max(1, t - 3), t + 1))
@@ -45,6 +46,30 @@ def test_age_recurrence_on_random_trace():
     assert m.aoi_sum == sum(ages)
     for prev, nxt, t in zip(ages, ages[1:], range(1, 200)):
         assert nxt == prev + 1 or nxt <= t + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 8)), max_size=30),
+       st.integers(0, 10))
+def test_closed_form_age_equals_per_slot_sum(steps, tail):
+    # each step: a delivery `wait` slots after the previous one, of a packet
+    # `lag` slots old (clamped so g stays in [lam, t]); ages are summed
+    # slot by slot next to the closed form accrued only at deliveries
+    m = make()
+    per_slot = 0
+    lam = t = 0
+    for lag, wait in steps:
+        for s in range(t + 1, t + wait + 1):
+            per_slot += s - lam
+        t += wait
+        g = max(lam, t - lag)
+        m.accrue_age(t)
+        m.on_delivery(g=g, t=t)
+        lam = g
+    for s in range(t + 1, t + tail + 1):
+        per_slot += s - lam
+    m.accrue_age(t + tail)
+    assert m.aoi_sum == per_slot
 
 
 # -- delivery accounting ---------------------------------------------------------
@@ -190,10 +215,9 @@ def test_audit_exact_on_deterministic_trace():
     # age runs 1,2,3 | 1,2,3 | 1,2,3 so the average is exactly 2, and the
     # spacing form gives (3 + 0/3 + 1)/2 = 2 with no waiting term
     m = make()
-    for t in range(1, 10):
-        m.step_aoi(t)
-        if t in (3, 6, 9):
-            m.on_delivery(g=t, t=t)
+    for t in (3, 6, 9):
+        m.accrue_age(t)
+        m.on_delivery(g=t, t=t)
     stats = m.finalize(9, UeClass.AOI)
     assert stats.avg_aoi == pytest.approx(2.0)
     assert stats.t_bar == pytest.approx(3.0)
@@ -205,11 +229,9 @@ def test_audit_exact_on_deterministic_trace():
 def test_audit_exact_with_waiting_term():
     # same arrivals but delivery lags: arrival 3 delivered at 4, arrival 6 at 8
     m = make()
-    deliveries = {4: 3, 8: 6, 9: 9}
-    for t in range(1, 10):
-        m.step_aoi(t)
-        if t in deliveries:
-            m.on_delivery(g=deliveries[t], t=t)
+    for g, t in ((3, 4), (6, 8), (9, 9)):
+        m.accrue_age(t)
+        m.on_delivery(g=g, t=t)
     stats = m.finalize(9, UeClass.AOI)
     # direct ages: 1,2,3,4,2,3,4,5,3 -> 27/9 (the slot-9 delivery only
     # lowers the age from slot 10 onward)
@@ -222,7 +244,7 @@ def test_audit_exact_with_waiting_term():
 
 def test_audit_skipped_with_single_delivery():
     m = make()
-    m.step_aoi(1)
+    m.accrue_age(1)
     m.on_delivery(g=1, t=1)
     stats = m.finalize(1, UeClass.AOI)
     assert aoi_decomposition_audit(stats, 1) is None

@@ -1,8 +1,12 @@
 import pytest
 
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
-from aoisched.policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
-                               Transmit, thresholds_for)
+from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
+
+# Policy state and actions are indexed by UE position (UEs sorted by id):
+# in the three-UE scenarios below, ue 1 (aoi) is position 0, ue 2
+# (latency) is position 1 and ue 3 (throughput) is position 2.
+AOI, LAT, THR = 0, 1, 2
 
 
 def weighted_scenario():
@@ -29,46 +33,46 @@ def hier(thresholds={1: 2}):
 
 def test_latency_arrival_index_is_constant():
     p = hier()
-    p.update_index(1, [2])
-    assert p.state.W[2] == pytest.approx(1.0 * 0.8 / 0.2)  # = 4
-    p.update_index(2, [2])
-    assert p.state.W[2] == pytest.approx(4.0)
+    p.update_index(1, [LAT])
+    assert p.W[LAT] == pytest.approx(1.0 * 0.8 / 0.2)  # = 4
+    p.update_index(2, [LAT])
+    assert p.W[LAT] == pytest.approx(4.0)
 
 
 def test_counter_gap_must_strictly_exceed_threshold():
     p = hier()
-    p.state.a[1] = 5
-    p.state.b[1] = 1
-    p.update_index(6, [1])  # gap 1, threshold 2: no bump
-    assert p.state.b[1] == 1 and p.state.a[1] == 5
-    p.update_index(7, [1])  # gap 2: still no bump (strict)
-    assert p.state.b[1] == 1
-    p.update_index(8, [1])  # gap 3: bump
-    assert p.state.b[1] == 2 and p.state.a[1] == 8
+    p.a[AOI] = 5
+    p.b[AOI] = 1
+    p.update_index(6, [AOI])  # gap 1, threshold 2: no bump
+    assert p.b[AOI] == 1 and p.a[AOI] == 5
+    p.update_index(7, [AOI])  # gap 2: still no bump (strict)
+    assert p.b[AOI] == 1
+    p.update_index(8, [AOI])  # gap 3: bump
+    assert p.b[AOI] == 2 and p.a[AOI] == 8
 
 
 def test_first_eligible_arrival_gets_age_weighted_index():
     p = hier()
     # arrivals every slot from t=1; threshold 2 means the first bump is at t=3
     for t in (1, 2):
-        p.update_index(t, [1])
-        assert p.state.W[1] == 0.0 and p.state.s_packet[1] is None
-    p.update_index(3, [1])
-    assert p.state.b[1] == 1
-    assert p.state.s_packet[1] == 3
-    assert p.state.W[1] == pytest.approx(0.7 * 3)  # rho * p * (t - lam), lam = 0
+        p.update_index(t, [AOI])
+        assert p.W[AOI] == 0.0 and p.s_packet[AOI] is None
+    p.update_index(3, [AOI])
+    assert p.b[AOI] == 1
+    assert p.s_packet[AOI] == 3
+    assert p.W[AOI] == pytest.approx(0.7 * 3)  # rho * p * (t - lam), lam = 0
 
 
 def test_newer_eligible_arrival_replaces_retained_packet():
     p = hier()
-    p.update_index(3, [1])
-    assert p.state.s_packet[1] == 3
+    p.update_index(3, [AOI])
+    assert p.s_packet[AOI] == 3
     # the counter still exceeds the delivery count, so the next arrival
     # supersedes the retained packet even without a counter bump
-    p.update_index(4, [1])
-    assert p.state.s_packet[1] == 4
-    assert p.state.W[1] == pytest.approx(0.7 * 4)
-    assert p.state.b[1] == 1
+    p.update_index(4, [AOI])
+    assert p.s_packet[AOI] == 4
+    assert p.W[AOI] == pytest.approx(0.7 * 4)
+    assert p.b[AOI] == 1
 
 
 def test_ten_slot_reference_trace():
@@ -81,47 +85,47 @@ def test_ten_slot_reference_trace():
         4: (1, 4, 2.8),    # replace; W = 0.7 * (4 - 0)
     }
     for t in range(1, 5):
-        p.update_index(t, [1])
+        p.update_index(t, [AOI])
         b, s, w = expected[t]
-        assert (p.state.b[1], p.state.s_packet[1]) == (b, s)
-        assert p.state.W[1] == pytest.approx(w)
+        assert (p.b[AOI], p.s_packet[AOI]) == (b, s)
+        assert p.W[AOI] == pytest.approx(w)
     action = p.select(4)
-    assert action == Transmit(1, 4)
+    assert action == (AOI, 4)
     p.on_outcome(action, success=True, t=4)
-    assert p.state.W[1] == 0.0 and p.state.s_packet[1] is None
-    assert p.state.lam[1] == 4 and p.state.deliveries[1] == 1
+    assert p.W[AOI] == 0.0 and p.s_packet[AOI] is None
+    assert p.lam[AOI] == 4 and p.deliveries[AOI] == 1
 
-    p.update_index(6, [1])   # gap 3 > 2 but b == deliveries: bump, retain
-    assert p.state.b[1] == 2 and p.state.s_packet[1] == 6
-    assert p.state.W[1] == pytest.approx(0.7 * (6 - 4))
-    p.update_index(7, [1])   # replace with fresher arrival
-    assert p.state.s_packet[1] == 7
-    assert p.state.W[1] == pytest.approx(0.7 * (7 - 4))
-    p.update_index(8, [1])   # gap 2 from the t=6 bump: replace only
-    assert p.state.s_packet[1] == 8
-    assert p.state.b[1] == 2
-    p.update_index(10, [1])  # gap 4 > 2: bump
-    assert p.state.b[1] == 3
-    assert p.state.a[1] == 10
-    assert p.state.s_packet[1] == 10
+    p.update_index(6, [AOI])   # gap 3 > 2 but b == deliveries: bump, retain
+    assert p.b[AOI] == 2 and p.s_packet[AOI] == 6
+    assert p.W[AOI] == pytest.approx(0.7 * (6 - 4))
+    p.update_index(7, [AOI])   # replace with fresher arrival
+    assert p.s_packet[AOI] == 7
+    assert p.W[AOI] == pytest.approx(0.7 * (7 - 4))
+    p.update_index(8, [AOI])   # gap 2 from the t=6 bump: replace only
+    assert p.s_packet[AOI] == 8
+    assert p.b[AOI] == 2
+    p.update_index(10, [AOI])  # gap 4 > 2: bump
+    assert p.b[AOI] == 3
+    assert p.a[AOI] == 10
+    assert p.s_packet[AOI] == 10
 
 
 def test_counter_bump_timing_follows_a_not_retained_packet():
     p = hier()
-    p.update_index(3, [1])           # bump: a=3, b=1
-    p.update_index(4, [1])           # replace only
-    p.update_index(6, [1])           # gap 3 > 2: bump (a tracks bumps, not packets)
-    assert p.state.b[1] == 2
-    assert p.state.a[1] == 6
+    p.update_index(3, [AOI])           # bump: a=3, b=1
+    p.update_index(4, [AOI])           # replace only
+    p.update_index(6, [AOI])           # gap 3 > 2: bump (a tracks bumps, not packets)
+    assert p.b[AOI] == 2
+    assert p.a[AOI] == 6
 
 
 # -- selection ----------------------------------------------------------------
 
 def test_argmax_selects_highest_index():
     p = hier()
-    p.update_index(3, [1, 2])    # W1 = 2.1, W2 = 4
+    p.update_index(3, [AOI, LAT])    # W1 = 2.1, W2 = 4
     action = p.select(3)
-    assert action == Transmit(2, 3)
+    assert action == (LAT, 3)
 
 
 def test_argmax_tie_breaks_to_lowest_id():
@@ -130,16 +134,16 @@ def test_argmax_tie_breaks_to_lowest_id():
         UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, rho=1.0),
     ), variant=Variant.LATENCY_WEIGHTED)
     p = HierarchicalPolicy(scn, {})
-    p.update_index(1, [1, 2])
-    assert p.select(1) == Transmit(1, 1)
+    p.update_index(1, [0, 1])
+    assert p.select(1) == (0, 1)
 
 
 def test_throughput_tier_served_only_when_pool_empty():
     p = hier()
-    p.update_index(3, [1])
-    assert p.select(3).ue_id == 1
+    p.update_index(3, [AOI])
+    assert p.select(3)[0] == AOI
     p.on_outcome(p.select(3), success=True, t=3)
-    assert p.select(4) == Transmit(3, 4)  # pool empty: throughput tier
+    assert p.select(4) == (THR, 4)  # pool empty: throughput tier
 
 
 def test_throughput_index_arithmetic():
@@ -149,36 +153,37 @@ def test_throughput_index_arithmetic():
         UeConfig(id=2, cls=UeClass.THROUGHPUT, p=1.0, alpha=0.2),
     ), variant=Variant.LATENCY_WEIGHTED)
     p = HierarchicalPolicy(scn, {})
-    p.state.attempts[1] = 2
-    assert p.select(10) == Transmit(2, 10)
+    for t in (1, 2):
+        p.on_outcome((0, t), success=False, t=t)   # two attempts for ue 1
+    assert p.select(10) == (1, 10)
 
 
 def test_latency_service_is_newest_first():
     p = hier()
-    p.update_index(1, [2])
-    p.update_index(5, [2])
-    assert p.select(5) == Transmit(2, 5)
+    p.update_index(1, [LAT])
+    p.update_index(5, [LAT])
+    assert p.select(5) == (LAT, 5)
 
 
 def test_latency_index_survives_partial_drain():
     p = hier()
-    p.update_index(1, [2])
-    p.update_index(2, [2])
+    p.update_index(1, [LAT])
+    p.update_index(2, [LAT])
     action = p.select(2)
     p.on_outcome(action, success=True, t=2)
-    assert p.state.W[2] == pytest.approx(4.0)   # queue still nonempty
+    assert p.W[LAT] == pytest.approx(4.0)   # queue still nonempty
     action = p.select(3)
     p.on_outcome(action, success=True, t=3)
-    assert p.state.W[2] == 0.0
+    assert p.W[LAT] == 0.0
 
 
 def test_failure_leaves_packet_in_place():
     p = hier()
-    p.update_index(3, [1])
+    p.update_index(3, [AOI])
     action = p.select(3)
     p.on_outcome(action, success=False, t=3)
-    assert p.state.s_packet[1] == 3
-    assert p.select(4) == Transmit(1, 3)
+    assert p.s_packet[AOI] == 3
+    assert p.select(4) == (AOI, 3)
 
 
 def test_counter_dominates_delivery_count():
@@ -186,12 +191,12 @@ def test_counter_dominates_delivery_count():
     rng = np.random.default_rng(3)
     p = hier()
     for t in range(1, 2000):
-        arrived = [ue for ue in (1, 2) if rng.random() < (0.9 if ue == 1 else 0.2)]
+        arrived = [i for i in (AOI, LAT) if rng.random() < (0.9 if i == AOI else 0.2)]
         p.update_index(t, arrived)
         action = p.select(t)
-        if action is not None and action.ue_id != 3:
+        if action is not None and action[0] != THR:
             p.on_outcome(action, rng.random() < 0.75, t)
-        assert p.state.b[1] >= p.state.deliveries[1]
+        assert p.b[AOI] >= p.deliveries[AOI]
 
 
 def test_decisions_invariant_under_weight_rescaling():
@@ -207,10 +212,10 @@ def test_decisions_invariant_under_weight_rescaling():
         rng = np.random.default_rng(17)
         out = []
         for t in range(1, 3000):
-            arrived = [ue for ue in (1, 2) if rng.random() < (0.9 if ue == 1 else 0.2)]
+            arrived = [i for i in (AOI, LAT) if rng.random() < (0.9 if i == AOI else 0.2)]
             p.update_index(t, arrived)
             action = p.select(t)
-            out.append(None if action is None else (action.ue_id, action.g))
+            out.append(action)
             if action is not None:
                 p.on_outcome(action, rng.random() < 0.7, t)
         return out
@@ -223,40 +228,41 @@ def test_decisions_invariant_under_weight_rescaling():
 def test_virtual_weights_start_at_one_and_follow_gradient():
     p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
     assert p.virtual and p.name == "vw"
-    assert p.state.virtual_rho[2] == 1.0
-    p.update_virtual_weights({2: 1.4})
+    assert p.virtual_rho[LAT] == 1.0
+    p.update_virtual_weights({LAT: 1.4})
     # step: 1 - 0.1 * (5 - 1.4) = 0.64
-    assert p.state.virtual_rho[2] == pytest.approx(0.64)
+    assert p.virtual_rho[LAT] == pytest.approx(0.64)
+    assert p.weight_log == [{2: p.virtual_rho[LAT]}]   # logged by ue id
 
 
 def test_virtual_weight_zero_floor():
     p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
-    p.state.virtual_rho[2] = 0.1
-    p.update_virtual_weights({2: 1.4})
-    assert p.state.virtual_rho[2] == 0.0
+    p.virtual_rho[LAT] = 0.1
+    p.update_virtual_weights({LAT: 1.4})
+    assert p.virtual_rho[LAT] == 0.0
 
 
 def test_virtual_weight_fixed_point():
     p = HierarchicalPolicy(constrained_scenario(beta=2.0), {1: 2})
-    p.update_virtual_weights({2: 2.0})
-    assert p.state.virtual_rho[2] == 1.0
+    p.update_virtual_weights({LAT: 2.0})
+    assert p.virtual_rho[LAT] == 1.0
 
 
 def test_virtual_weight_grows_when_infeasible():
     p = HierarchicalPolicy(constrained_scenario(beta=1.01), {1: 2})
     values = [1.0]
     for _ in range(5):
-        p.update_virtual_weights({2: 1.4})
-        values.append(p.state.virtual_rho[2])
+        p.update_virtual_weights({LAT: 1.4})
+        values.append(p.virtual_rho[LAT])
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_zero_weight_latency_queue_still_outranks_throughput_tier():
     p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
-    p.state.virtual_rho[2] = 0.0
-    p.update_index(1, [2])
-    assert p.state.W[2] == 0.0
-    assert p.select(1) == Transmit(2, 1)  # pool membership, not index, decides the tier
+    p.virtual_rho[LAT] = 0.0
+    p.update_index(1, [LAT])
+    assert p.W[LAT] == 0.0
+    assert p.select(1) == (LAT, 1)  # pool membership, not index, decides the tier
 
 
 # -- randomised policy -------------------------------------------------------------
@@ -269,25 +275,25 @@ def test_rd_probability_partition():
     # theta for (q=0.2, p=0.8, beta=2) is 0.75; the latency interval comes
     # first, the deterministic candidate takes the remainder
     p = rd(beta=2.0)
-    p.update_index(1, [2])
-    assert p.select(1, draw=0.5) == Transmit(2, 1)
-    assert p.select(1, draw=0.74) == Transmit(2, 1)
-    assert p.select(1, draw=0.76).ue_id == 3
-    assert p.select(1, draw=0.9).ue_id == 3
+    p.update_index(1, [LAT])
+    assert p.select(1, draw=0.5) == (LAT, 1)
+    assert p.select(1, draw=0.74) == (LAT, 1)
+    assert p.select(1, draw=0.76)[0] == THR
+    assert p.select(1, draw=0.9)[0] == THR
 
 
 def test_rd_empty_latency_queue_gives_candidate_probability_one():
     p = rd()
-    assert p.select(1, draw=0.0).ue_id == 3
-    assert p.select(1, draw=0.999).ue_id == 3
+    assert p.select(1, draw=0.0)[0] == THR
+    assert p.select(1, draw=0.999)[0] == THR
 
 
 def test_rd_aoi_candidate_outranks_throughput():
     p = rd()
     for t in (1, 2, 3):
-        p.update_index(t, [1])
+        p.update_index(t, [AOI])
     action = p.select(3, draw=0.99)
-    assert action == Transmit(1, 3)
+    assert action == (AOI, 3)
 
 
 def test_rd_never_idles_with_throughput_ues():
@@ -299,9 +305,9 @@ def test_rd_share_clamped_when_ceiling_unattainable():
     # beta below the queueing floor pushes theta above 1; the share clamps
     # so the latency ue is served whenever it has a packet
     p = rd(beta=1.2)
-    assert p.theta[2] > 1.0
-    p.update_index(1, [2])
-    assert p.select(1, draw=0.999999) == Transmit(2, 1)
+    assert p.theta[LAT] > 1.0
+    p.update_index(1, [LAT])
+    assert p.select(1, draw=0.999999) == (LAT, 1)
 
 
 def test_rd_partition_orders_latency_ues_by_id():
@@ -311,30 +317,30 @@ def test_rd_partition_orders_latency_ues_by_id():
         UeConfig(id=5, cls=UeClass.LATENCY, q=0.1, p=0.9, beta=10.0),  # share 0.2
     ), variant=Variant.LATENCY_CONSTRAINED)
     p = RandomizedPolicy(scn, {})
-    p.update_index(1, [2, 5])
-    assert p.select(1, draw=0.4).ue_id == 2    # [0, 0.75)
-    assert p.select(1, draw=0.80).ue_id == 5   # [0.75, 0.95)
-    assert p.select(1, draw=0.97).ue_id == 3   # leftover to the candidate
+    p.update_index(1, [0, 2])                  # ues 2 and 5
+    assert p.select(1, draw=0.4)[0] == 0       # ue 2: [0, 0.75)
+    assert p.select(1, draw=0.80)[0] == 2      # ue 5: [0.75, 0.95)
+    assert p.select(1, draw=0.97)[0] == 1      # leftover to the candidate, ue 3
 
 
 def test_rd_latency_ues_have_no_index():
     p = rd()
-    p.update_index(1, [2])
-    assert 2 not in p.state.W
+    p.update_index(1, [LAT])
+    assert p.W[LAT] == 0.0 and LAT not in p.pool
 
 
 def test_rd_success_clears_aoi_candidate_only():
     p = rd()
     for t in (1, 2, 3):
-        p.update_index(t, [1, 2])
+        p.update_index(t, [AOI, LAT])
     action = p.select(3, draw=0.99)   # aoi candidate
-    assert action.ue_id == 1
+    assert action[0] == AOI
     p.on_outcome(action, success=True, t=3)
-    assert p.state.s_packet[1] is None and p.state.W[1] == 0.0
+    assert p.s_packet[AOI] is None and p.W[AOI] == 0.0
     action = p.select(4, draw=0.2)    # latency interval
-    assert action.ue_id == 2
+    assert action[0] == LAT
     p.on_outcome(action, success=True, t=4)
-    assert len(p.state.latency_queues[2]) == 2
+    assert len(p.queues[LAT]) == 2
 
 
 # -- weighted-rate rule -------------------------------------------------------------
@@ -348,17 +354,17 @@ def cmu_scenario():
 
 def test_cmu_serves_highest_weighted_rate():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(1, [1, 2])
-    assert p.select(1).ue_id == 1
+    p.update_index(1, [0, 1])
+    assert p.select(1)[0] == 0
 
 
 def test_cmu_work_conserving_fifo():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(1, [2])
-    p.update_index(2, [2])
-    assert p.select(2) == Transmit(2, 1)   # oldest first
+    p.update_index(1, [1])
+    p.update_index(2, [1])
+    assert p.select(2) == (1, 1)   # ue 2, oldest first
     p.on_outcome(p.select(2), success=True, t=2)
-    assert p.select(3) == Transmit(2, 2)
+    assert p.select(3) == (1, 2)
     p.on_outcome(p.select(3), success=True, t=3)
     assert p.select(4) is None             # idle only when all queues empty
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import pytest
 
 from aoisched.metrics import report_rows
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.rng import derive_seed, rng_contract, substreams
-from aoisched.sim import PolicySpec, RunConfig, run, sweep
+from aoisched.sim import CHUNK, PolicySpec, RunConfig, run, sweep
 from aoisched.solver import SolverError
 
 
@@ -203,6 +204,25 @@ def test_adaptive_weights_leave_throughput_unchanged():
     rv = run(cfg(constrained(beta=2.0), policy="vw", horizon=horizon, seed=31))
     for ue in (1, 2, 3):
         assert abs(rh.per_ue[ue].throughput - rv.per_ue[ue].throughput) <= 0.005
+
+
+def test_memory_stays_flat_as_the_horizon_grows():
+    # rd draws success and policy uniforms as well as arrivals; with draws
+    # taken in blocks of CHUNK slots, doubling a run of whole blocks must
+    # not raise its allocation peak by a byte per extra slot
+    def peak(horizon):
+        config = cfg(constrained(), policy="rd", horizon=horizon, seed=3)
+        tracemalloc.start()
+        try:
+            run(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(cfg(constrained(), policy="rd", horizon=10))   # first-call imports
+    short = peak(2 * CHUNK)
+    growth = (peak(4 * CHUNK) - short) / (2 * CHUNK)
+    assert growth < 1.0, f"{growth:.1f} B per extra slot"
 
 
 def test_rd_consumes_draw_every_slot():
