@@ -11,11 +11,14 @@ the lowest UE id everywhere, which keeps runs reproducible.
 State is indexed by UE *position*: the UE's index in the scenario's UEs
 sorted by ascending id.  ``update_index`` takes the positions that saw an
 arrival, in ascending order, and may be skipped on slots without arrivals;
-a transmission is a ``(position, g)`` tuple, ``g`` being the arrival slot
-of the packet sent.  ``on_outcome`` changes nothing on a failed AoI or
-latency attempt, so it may be skipped then.  Indices change only on these
-events, so each policy keeps its argmax cached and ``select`` does no work
-that grows with the number of UEs.
+``select(t, draw)`` gets the slot's policy uniform, or None for policies
+that take none (``needs_draw``), and returns at most one transmission, a
+``(position, g)`` tuple, ``g`` being the arrival slot of the packet sent.
+``on_outcome`` changes nothing on a failed AoI or latency attempt, so it
+may be skipped then.  Indices change only on these events, so each policy
+keeps its argmax cached and ``select`` does no work that grows with the
+number of UEs (the throughput tier's, with the number of distinct
+``(alpha, p)`` pairs).
 
 AoI eligibility is gated by a counter: an arrival in slot t bumps the
 counter only if more than ``threshold`` slots passed since the previous
@@ -29,6 +32,7 @@ import math
 from bisect import bisect_right, insort
 from collections import deque
 from heapq import heapreplace
+from typing import Sequence
 
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
@@ -63,7 +67,6 @@ class _TwoTier:
         ues = sorted(scenario.ues, key=lambda u: u.id)
         n = len(ues)
         self.ues = ues
-        self.ids = [u.id for u in ues]
         self.W = [0.0] * n
         self.a = [0] * n
         self.b = [0] * n
@@ -72,7 +75,6 @@ class _TwoTier:
         self.s_packet: list[int | None] = [None] * n
         self.thresholds = [thresholds.get(u.id) for u in ues]
         self.queues = [[] if u.cls is UeClass.LATENCY else None for u in ues]
-        self.lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
         self._aoi_w = [u.rho * u.p if u.cls is UeClass.AOI else None for u in ues]
         self.pool: set[int] = set()
         self._best: int | None = None
@@ -169,6 +171,7 @@ class HierarchicalPolicy(_TwoTier):
                  f: int = 10000, eta: float = 0.1):
         super().__init__(scenario, thresholds)
         ues = self.ues
+        self.lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
         virtual = scenario.variant is Variant.LATENCY_CONSTRAINED and bool(self.lat)
         self.virtual = virtual
         if virtual:
@@ -191,9 +194,9 @@ class HierarchicalPolicy(_TwoTier):
             if lbar is None:
                 continue
             rho[j] = max(0.0, rho[j] - self.eta * (self._beta[j] - lbar))
-        self.weight_log.append({self.ids[j]: rho[j] for j in self.lat})
+        self.weight_log.append({self.ues[j].id: rho[j] for j in self.lat})
 
-    def update_index(self, t: int, arrived: list[int]) -> None:
+    def update_index(self, t: int, arrived: Sequence[int]) -> None:
         for i in arrived:
             queue = self.queues[i]
             if queue is None:
@@ -259,7 +262,7 @@ class RandomizedPolicy(_TwoTier):
             cum.append(acc)
         self._cum = cum
 
-    def update_index(self, t: int, arrived: list[int]) -> None:
+    def update_index(self, t: int, arrived: Sequence[int]) -> None:
         regroup = False
         for i in arrived:
             queue = self.queues[i]
@@ -321,7 +324,7 @@ class CmuPolicy:
         self.queues: list[deque[int]] = [deque() for _ in ues]
         self._ready: list[int] = []                 # ranks of nonempty queues, ascending
 
-    def update_index(self, t: int, arrived: list[int]) -> None:
+    def update_index(self, t: int, arrived: Sequence[int]) -> None:
         for i in arrived:
             queue = self.queues[i]
             if not queue:

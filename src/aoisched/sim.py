@@ -93,16 +93,18 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
-def _arrivals(n: int, streams) -> list[list[int] | None]:
-    """Positions arriving in each of the next ``n`` slots, ascending, or None."""
-    slots: list[list[int] | None] = [None] * n
+def _arrivals(n: int, streams) -> list[tuple[int, ...] | None]:
+    """Positions arriving in each of the next ``n`` slots, ascending, or None.
+
+    A slot with one arrival shares its stream's 1-tuple, so the block costs
+    about a pointer per slot.
+    """
+    slots: list[tuple[int, ...] | None] = [None] * n
     for pos, gen, q in streams:
+        alone = (pos,)
         for s in np.flatnonzero(gen.random(n) < q).tolist():
             at = slots[s]
-            if at is None:
-                slots[s] = [pos]
-            else:
-                at.append(pos)
+            slots[s] = alone if at is None else at + alone
     return slots
 
 
