@@ -26,6 +26,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -93,18 +94,24 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
-def _arrivals(n: int, streams) -> list[tuple[int, ...] | None]:
+def _arrivals(n: int, streams) -> list[Sequence[int] | None]:
     """Positions arriving in each of the next ``n`` slots, ascending, or None.
 
     A slot with one arrival shares its stream's 1-tuple, so the block costs
-    about a pointer per slot.
+    about a pointer per slot.  Slots with more arrivals get lists: freed
+    tuples stay cached by the interpreter, lists do not.
     """
-    slots: list[tuple[int, ...] | None] = [None] * n
+    slots: list[Sequence[int] | None] = [None] * n
     for pos, gen, q in streams:
         alone = (pos,)
         for s in np.flatnonzero(gen.random(n) < q).tolist():
             at = slots[s]
-            slots[s] = alone if at is None else at + alone
+            if at is None:
+                slots[s] = alone
+            elif at.__class__ is tuple:
+                slots[s] = [at[0], pos]
+            else:
+                at.append(pos)
     return slots
 
 
@@ -148,6 +155,7 @@ def run(config: RunConfig) -> RunReport:
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
     for start in range(0, horizon + 1, CHUNK):
         n = min(CHUNK, horizon + 1 - start)
+        arrivals = success_u = policy_u = None  # free the last block first
         arrivals = _arrivals(n, streams)
         success_u = success_gen.random(n).tolist()
         policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
