@@ -13,11 +13,11 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .metrics import CSV_COLUMNS, _fmt, report_rows
+from .metrics import CSV_COLUMNS, _fmt, report_rows, ue_cells
 from .model import ScenarioError, load_scenario, replace_param, validate
 from .presets import LATENCY_UE, PRESETS, RATE_TOL
-from .sim import PolicySpec, RunConfig, run, sweep, sweep_target
-from .solver import SolverError, compute_t_star, hier_threshold, lower_bound
+from .sim import POLICY_NAMES, PolicySpec, RunConfig, lower_bound, run, sweep, sweep_target
+from .solver import SolverError, compute_t_star, hier_threshold
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -61,8 +61,6 @@ def cmd_tstar(args) -> int:
     if not scenario.aoi_ues:
         print("no aoi ues; nothing to solve")
         return 0
-    if report.zeta <= 0:
-        raise SolverError(f"zeta = {report.zeta!r} <= 0: spacing program infeasible")
     sol = compute_t_star(scenario.aoi_ues, report.zeta)
     rows = []
     for u in scenario.aoi_ues:
@@ -120,11 +118,7 @@ def sweep_rows(points) -> list[list[str]]:
         tstar = pt.report.extras.get("t_star", {})
         thresholds = pt.report.extras.get("thresholds", {})
         for ue_id in sorted(pt.report.per_ue):
-            s = pt.report.per_ue[ue_id]
-            rows.append(base + [str(ue_id), s.ue_class.value, _fmt(s.avg_aoi),
-                                _fmt(s.avg_latency), _fmt(s.throughput),
-                                _fmt(s.t_bar), _fmt(s.delta_sq),
-                                _fmt(s.attempts_share),
+            rows.append(base + [*ue_cells(pt.report.per_ue[ue_id]),
                                 _fmt(pt.report.cost_objective),
                                 _fmt(pt.report.f1), _fmt(pt.report.f2),
                                 _fmt(tstar.get(ue_id)),
@@ -290,7 +284,7 @@ def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
 
 def _add_run_args(p: argparse.ArgumentParser, with_policy: bool = True) -> None:
     if with_policy:
-        p.add_argument("--policy", choices=["hier", "vw", "rd", "cmu"], default="hier")
+        p.add_argument("--policy", choices=POLICY_NAMES, default="hier")
         p.add_argument("--f", type=int, default=10000,
                        help="virtual-weight update period (vw)")
         p.add_argument("--eta", type=float, default=0.1,

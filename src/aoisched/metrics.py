@@ -26,17 +26,18 @@ class UeMetrics:
     """Online accumulators for one UE.  One instance per UE per run."""
 
     __slots__ = (
-        "ue_id", "is_aoi", "track_pending",
+        "ue_id", "cls", "is_aoi", "track_pending",
         "lam", "aoi_sum", "aged", "arrivals", "deliveries", "attempts",
         "latency_sum_delivered", "pending_count", "pending_g_sum",
         "n_samples", "sample_sum", "sample_sumsq", "g_prev",
         "sum_spacing_wait",
     )
 
-    def __init__(self, ue_id: int, is_aoi: bool = False, track_pending: bool = False):
+    def __init__(self, ue_id: int, cls: UeClass):
         self.ue_id = ue_id
-        self.is_aoi = is_aoi
-        self.track_pending = track_pending
+        self.cls = cls
+        self.is_aoi = cls is UeClass.AOI
+        self.track_pending = cls is UeClass.LATENCY  # the queue's own backlog
         self.lam = 0
         self.aoi_sum = 0
         self.aged = 0  # last slot whose age is in aoi_sum
@@ -113,7 +114,7 @@ class UeMetrics:
         self.g_prev = None
         self.sum_spacing_wait = 0.0
 
-    def finalize(self, t: int, ue_cls: UeClass, extra_pending: Iterable[int] = ()) -> "PerUeStats":
+    def finalize(self, t: int, extra_pending: Iterable[int] = ()) -> "PerUeStats":
         """Close the books at horizon t.
 
         ``extra_pending`` carries arrival slots of undelivered packets the
@@ -125,7 +126,7 @@ class UeMetrics:
         for g in extra_pending:
             backlog += t - g + 1
         avg_aoi = self.aoi_sum / t if self.is_aoi else None
-        if ue_cls is UeClass.THROUGHPUT:
+        if self.cls is UeClass.THROUGHPUT:
             arrivals = t  # synthetic backlog: one fresh packet per slot
             avg_latency = None
         elif arrivals > 0:
@@ -139,7 +140,7 @@ class UeMetrics:
             t_bar = delta_sq = None
         return PerUeStats(
             ue_id=self.ue_id,
-            ue_class=ue_cls,
+            ue_class=self.cls,
             avg_aoi=avg_aoi,
             avg_latency=avg_latency,
             throughput=self.deliveries / t,
@@ -246,15 +247,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def ue_cells(s: PerUeStats) -> list[str]:
+    """The per-UE cells, ``ue_id`` through ``attempts_share``, that both the
+    run and the sweep CSV write."""
+    return [str(s.ue_id), s.ue_class.value, _fmt(s.avg_aoi), _fmt(s.avg_latency),
+            _fmt(s.throughput), _fmt(s.t_bar), _fmt(s.delta_sq), _fmt(s.attempts_share)]
+
+
 def report_rows(report: RunReport, run_id: str, lb: float | None = None) -> list[list[str]]:
     rows = []
     base = [run_id, report.policy, str(report.seed), str(report.horizon)]
     for ue_id in sorted(report.per_ue):
-        s = report.per_ue[ue_id]
-        rows.append(base + ["ue", str(ue_id), s.ue_class.value,
-                            _fmt(s.avg_aoi), _fmt(s.avg_latency), _fmt(s.throughput),
-                            _fmt(s.t_bar), _fmt(s.delta_sq), _fmt(s.attempts_share),
-                            "", "", "", ""])
+        rows.append(base + ["ue", *ue_cells(report.per_ue[ue_id]), "", "", "", ""])
     rows.append(base + ["summary", "", "", "", "", "", "", "", "",
                         _fmt(report.cost_objective), _fmt(report.f1),
                         _fmt(report.f2), _fmt(lb)])

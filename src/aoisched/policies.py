@@ -155,34 +155,37 @@ class _TwoTier:
 class HierarchicalPolicy(_TwoTier):
     """Index policy with a strict two-tier hierarchy.
 
-    On latency-constrained scenarios the latency weights are virtual: they
-    start at 1 and every ``f`` slots move by ``eta`` times the gap between
-    the UE's running average latency and its ceiling, floored at zero (the
-    policy then reports itself as "vw").  On weighted scenarios the
-    latency weights come from the scenario and never change.  A latency
-    UE's index is set from its weight when a packet arrives, so a weight
-    step reaches the index at the UE's next arrival.
+    Without a weight period ``f`` this is "hier": the latency weights come
+    from a latency-weighted scenario and never change.  Given ``f`` it is
+    "vw", for latency-constrained scenarios: the latency weights are
+    virtual, start at 1, and at every ``f``-th slot the engine moves them
+    by ``eta`` times the gap between the UE's running average latency and
+    its ceiling, floored at zero.  A latency UE's index is set from its
+    weight when a packet arrives, so a weight step reaches the index at the
+    UE's next arrival.
     """
 
     name = "hier"
     needs_draw = False
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int],
-                 f: int = 10000, eta: float = 0.1):
+                 f: int | None = None, eta: float = 0.1):
+        if f is None:
+            if scenario.latency_ues and scenario.variant is not Variant.LATENCY_WEIGHTED:
+                raise ScenarioError("policy 'hier' needs latency weights; use 'vw' or 'rd' "
+                                    "with latency ceilings")
+        elif scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
+            raise ScenarioError("policy 'vw' needs latency ceilings (beta)")
         super().__init__(scenario, thresholds)
         ues = self.ues
         self.lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
-        virtual = scenario.variant is Variant.LATENCY_CONSTRAINED and bool(self.lat)
-        self.virtual = virtual
-        if virtual:
+        if f is None:
+            self.virtual_rho = [u.rho if u.cls is UeClass.LATENCY else None for u in ues]
+        else:
             self.name = "vw"
-            self._beta = [u.beta for u in ues]
-            self.f = f
             self.eta = eta
             self.virtual_rho = [1.0 if u.cls is UeClass.LATENCY else None for u in ues]
             self.weight_log: list[dict[int, float]] = []
-        else:
-            self.virtual_rho = [u.rho if u.cls is UeClass.LATENCY else None for u in ues]
         self._p = [u.p for u in ues]
         self._q = [u.q for u in ues]
 
@@ -193,7 +196,7 @@ class HierarchicalPolicy(_TwoTier):
             lbar = latency_now.get(j)
             if lbar is None:
                 continue
-            rho[j] = max(0.0, rho[j] - self.eta * (self._beta[j] - lbar))
+            rho[j] = max(0.0, rho[j] - self.eta * (self.ues[j].beta - lbar))
         self.weight_log.append({self.ues[j].id: rho[j] for j in self.lat})
 
     def update_index(self, t: int, arrived: Sequence[int]) -> None:

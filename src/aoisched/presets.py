@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .model import Scenario, UeClass, UeConfig, Variant
+from .solver import geo_geo1_latency
 
 ALPHA_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
 BETA_GRID = [1.2, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -21,13 +22,14 @@ WEIGHT_BETAS = [1.0, 2.0, 5.0]
 
 AOI_UE, LATENCY_UE, THROUGHPUT_UE = 1, 2, 3
 LATENCY_Q = 0.2  # the latency UE's arrival rate, hence its delivery rate
+LATENCY_P = 0.8  # its service success rate
 
 # Tolerance on a per-UE delivery rate: one UE against a target, or one
 # UE's rates across a grid or across policies.  ``report`` uses it too.
 RATE_TOL = 0.01
 MONOTONE_SLACK = 0.005      # allowed rise of the AoI UE's rate between alphas
 THROUGHPUT_FLOOR = 0.19     # fig8: throughput UE rate at every beta
-LATENCY_FLOOR = 4.0 / 3.0   # fig6: (1 - q) / (p - q), the latency UE's queueing floor
+LATENCY_FLOOR = geo_geo1_latency(LATENCY_P, LATENCY_Q)  # fig6: latency UE's floor
 FLOOR_TOL = 0.03            # fig6: relative, below the floor
 BETA_TOL = 0.05             # fig6: relative, at or above the floor
 WEIGHT_CEILING = 50         # fig5_weights beta=1: the weight must pass this ...
@@ -39,7 +41,7 @@ Verdict = tuple[str, bool, str]
 def reference_weighted(alpha: float = 0.2) -> Scenario:
     return Scenario(ues=(
         UeConfig(id=AOI_UE, cls=UeClass.AOI, q=0.9, p=0.7, rho=1.0),
-        UeConfig(id=LATENCY_UE, cls=UeClass.LATENCY, q=LATENCY_Q, p=0.8, rho=1.0),
+        UeConfig(id=LATENCY_UE, cls=UeClass.LATENCY, q=LATENCY_Q, p=LATENCY_P, rho=1.0),
         UeConfig(id=THROUGHPUT_UE, cls=UeClass.THROUGHPUT, p=0.9, alpha=alpha),
     ), variant=Variant.LATENCY_WEIGHTED)
 
@@ -47,7 +49,7 @@ def reference_weighted(alpha: float = 0.2) -> Scenario:
 def reference_constrained(beta: float = 2.0, alpha: float = 0.2) -> Scenario:
     return Scenario(ues=(
         UeConfig(id=AOI_UE, cls=UeClass.AOI, q=0.9, p=0.7, rho=1.0),
-        UeConfig(id=LATENCY_UE, cls=UeClass.LATENCY, q=LATENCY_Q, p=0.8, beta=beta),
+        UeConfig(id=LATENCY_UE, cls=UeClass.LATENCY, q=LATENCY_Q, p=LATENCY_P, beta=beta),
         UeConfig(id=THROUGHPUT_UE, cls=UeClass.THROUGHPUT, p=0.9, alpha=alpha),
     ), variant=Variant.LATENCY_CONSTRAINED)
 

@@ -36,10 +36,10 @@ from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
 from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
                        thresholds_for)
 from .rng import derive_seed, rng_contract, substreams
-from .solver import SolverError
+from .solver import spacing_bound
 
-__all__ = ["PolicySpec", "RunConfig", "SweepPoint", "run", "sweep", "sweep_target",
-           "derive_seed", "rng_contract"]
+__all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep",
+           "sweep_target", "lower_bound", "derive_seed", "rng_contract"]
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
 
@@ -49,6 +49,9 @@ CHUNK = 2 ** 14
 
 @dataclass(frozen=True)
 class PolicySpec:
+    """Policy name, plus the weight period ``f`` and step ``eta`` that only
+    ``vw`` uses."""
+
     name: str
     f: int = 10000
     eta: float = 0.1
@@ -66,31 +69,22 @@ class RunConfig:
 def build_policy(config: RunConfig):
     """Construct the policy plus solver metadata for the report."""
     scenario = config.scenario
-    name = config.policy.name
-    if name not in POLICY_NAMES:
-        raise ScenarioError(f"unknown policy {name!r}")
+    spec = config.policy
+    if spec.name not in POLICY_NAMES:
+        raise ScenarioError(f"unknown policy {spec.name!r}")
     extras: dict = {}
-    if name == "cmu":
+    if spec.name == "cmu":
         return CmuPolicy(scenario), extras
 
-    report = validate(scenario)
-    if scenario.aoi_ues and report.zeta <= 0.0:
-        raise SolverError(f"no attempt budget left for aoi traffic (zeta={report.zeta})")
-    thresholds, sol = thresholds_for(scenario, report.zeta)
+    thresholds, sol = thresholds_for(scenario, validate(scenario).zeta)
     if sol is not None:
         extras["t_star"] = dict(sol.t_star)
         extras["mu"] = sol.mu
         extras["thresholds"] = dict(thresholds)
-    if name == "hier":
-        if scenario.latency_ues and scenario.variant is not Variant.LATENCY_WEIGHTED:
-            raise ScenarioError("policy 'hier' needs latency weights; use 'vw' or 'rd' "
-                                "with latency ceilings")
+    if spec.name == "hier":
         return HierarchicalPolicy(scenario, thresholds), extras
-    if name == "vw":
-        if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
-            raise ScenarioError("policy 'vw' needs latency ceilings (beta)")
-        return HierarchicalPolicy(scenario, thresholds,
-                                  f=config.policy.f, eta=config.policy.eta), extras
+    if spec.name == "vw":
+        return HierarchicalPolicy(scenario, thresholds, f=spec.f, eta=spec.eta), extras
     return RandomizedPolicy(scenario, thresholds), extras
 
 
@@ -137,8 +131,7 @@ def run(config: RunConfig) -> RunReport:
     policy, extras = build_policy(config)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
-    metrics = [UeMetrics(u.id, is_aoi=(u.cls is UeClass.AOI),
-                         track_pending=(u.cls is UeClass.LATENCY)) for u in ues]
+    metrics = [UeMetrics(u.id, u.cls) for u in ues]
     p_of = [u.p for u in ues]
     is_aoi = [u.cls is UeClass.AOI for u in ues]
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
@@ -149,7 +142,8 @@ def run(config: RunConfig) -> RunReport:
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
     streams = [(i, gen, ues[i].q) for i, gen in zip(arriving, arrival_gens)]
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
-    every = policy.f if getattr(policy, "virtual", False) else 0
+    virtual = config.policy.name == "vw"
+    every = config.policy.f if virtual else 0
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
@@ -196,7 +190,7 @@ def run(config: RunConfig) -> RunReport:
     per_ue = {}
     for i, u in enumerate(ues):
         extra = (retained[i],) if i in retained else ()
-        per_ue[u.id] = metrics[i].finalize(effective, u.cls, extra_pending=extra)
+        per_ue[u.id] = metrics[i].finalize(effective, extra_pending=extra)
 
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {}
@@ -204,7 +198,7 @@ def run(config: RunConfig) -> RunReport:
         res = aoi_decomposition_audit(per_ue[u.id], effective)
         if res is not None:
             audit[u.id] = res
-    if getattr(policy, "virtual", False):
+    if virtual:
         extras["weight_log"] = list(policy.weight_log)
     return RunReport(policy=policy.name, seed=config.seed, horizon=horizon,
                      per_ue=per_ue, cost_objective=cost, f1=f1, f2=f2,
@@ -278,3 +272,37 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
                               feasibility=feas, runnable=cfg is not None,
                               report=report))
     return out
+
+
+@dataclass(frozen=True)
+class LowerBound:
+    lb_f1: float
+    lb_f2: float
+
+    @property
+    def lb(self) -> float:
+        return self.lb_f1 + self.lb_f2
+
+
+def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> LowerBound:
+    """Cost floor: optimal spacing bound for AoI UEs plus a simulated
+    latency-only floor.
+
+    The first part is ``solver.spacing_bound``.  The second part simulates
+    the latency UEs alone under the weighted-rate rule (``cmu``: serve the
+    nonempty queue maximising rho*p/q), which is optimal for the
+    weighted-latency objective, and averages the result over ``seeds``
+    replicate runs using the standard seed-derivation scheme.
+    """
+    lb_f1 = spacing_bound(scenario)
+    lb_f2 = 0.0
+    lat = scenario.latency_ues
+    if lat:
+        sub = Scenario(ues=lat, variant=Variant.LATENCY_WEIGHTED)
+        total = 0.0
+        for rep in range(seeds):
+            config = RunConfig(scenario=sub, policy=PolicySpec("cmu"),
+                               horizon=horizon, seed=derive_seed(seed, 0, rep))
+            total += run(config).f2
+        lb_f2 = total / seeds
+    return LowerBound(lb_f1=lb_f1, lb_f2=lb_f2)

@@ -1,4 +1,5 @@
-"""Numerical subroutines: target-spacing program, queueing formulas, cost bound.
+"""Numerical subroutines: target-spacing program, queueing formulas, and the
+spacing part of the cost bound.
 
 The target spacing per AoI UE minimises
 
@@ -35,16 +36,6 @@ class TStarSolution:
     t_star: dict[int, float]
     mu: float
     binding: bool
-
-
-@dataclass(frozen=True)
-class LowerBound:
-    lb_f1: float
-    lb_f2: float
-
-    @property
-    def lb(self) -> float:
-        return self.lb_f1 + self.lb_f2
 
 
 def _spacing_at(mu: float, cs: list[float], rhos: list[float], ps: list[float]) -> list[float]:
@@ -106,13 +97,11 @@ def compute_t_star(aoi_ues: list[UeConfig] | tuple[UeConfig, ...], zeta: float) 
     return _solve_kkt(ids, cs, rhos, ps, zeta)
 
 
-def spacing_objective(aoi_ues, ts: dict[int, float], halve_variance: bool = False) -> float:
+def spacing_objective(aoi_ues, ts: dict[int, float]) -> float:
     """Objective value of the spacing program at a given point."""
     total = 0.0
     for u in aoi_ues:
         c = (1.0 - u.q) / (u.q * u.q)
-        if halve_variance:
-            c *= 0.5
         t = ts[u.id]
         total += 0.5 * u.rho * (t + c / t)
     return total
@@ -139,52 +128,26 @@ def geo_geo1_latency(p: float, q: float) -> float:
     return (1.0 - p) / (p - q) + 1.0
 
 
-def effective_rate_for_beta(q: float, beta: float) -> float:
-    """Service rate at which the single-server queue's average latency is beta."""
-    if beta < 1.0:
-        raise SolverError(f"beta must be at least 1, got {beta}")
-    return q + (1.0 - q) / beta
+def spacing_bound(scenario: Scenario) -> float:
+    """Spacing part of the cost floor of a latency-weighted scenario.
 
-
-def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> LowerBound:
-    """Cost floor: optimal spacing bound for AoI UEs plus a simulated
-    latency-only floor.
-
-    The first part re-solves the spacing program with the variance constant
-    halved (the tightest constant valid for every admissible policy).  The
-    second part simulates the latency UEs alone under the weighted-rate rule
-    (serve the nonempty queue maximising rho*p/q), which is optimal for the
-    weighted-latency objective, and averages the result over ``seeds``
-    replicate runs using the standard seed-derivation scheme.
+    Re-solves the spacing program with the variance constant halved (the
+    tightest constant valid for every admissible policy); 0.0 without AoI
+    UEs.  ``sim.lower_bound`` adds the latency UEs' simulated floor.
     """
     if scenario.variant is not Variant.LATENCY_WEIGHTED:
         raise ScenarioError("lower_bound applies to latency-weighted scenarios")
     report = validate(scenario)
     if not report.feasible:
         raise ScenarioError(f"infeasible scenario (load={report.load})")
-
-    lb_f1 = 0.0
     aoi = scenario.aoi_ues
-    if aoi:
-        ids = [u.id for u in aoi]
-        cs = [0.5 * (1.0 - u.q) / (u.q * u.q) for u in aoi]
-        sol = _solve_kkt(ids, cs, [u.rho for u in aoi], [u.p for u in aoi], report.zeta)
-        for u in aoi:
-            t = sol.t_star[u.id]
-            c = 0.5 * (1.0 - u.q) / (u.q * u.q)
-            lb_f1 += 0.5 * u.rho * (t + c / t + 1.0)
-
-    lb_f2 = 0.0
-    lat = scenario.latency_ues
-    if lat:
-        from . import sim  # deferred: sim depends on this module
-
-        sub = Scenario(ues=lat, variant=Variant.LATENCY_WEIGHTED)
-        total = 0.0
-        for rep in range(seeds):
-            config = sim.RunConfig(scenario=sub, policy=sim.PolicySpec("cmu"),
-                                   horizon=horizon, seed=sim.derive_seed(seed, 0, rep))
-            total += sim.run(config).f2
-        lb_f2 = total / seeds
-
-    return LowerBound(lb_f1=lb_f1, lb_f2=lb_f2)
+    if not aoi:
+        return 0.0
+    cs = [0.5 * (1.0 - u.q) / (u.q * u.q) for u in aoi]
+    sol = _solve_kkt([u.id for u in aoi], cs, [u.rho for u in aoi], [u.p for u in aoi],
+                     report.zeta)
+    total = 0.0
+    for u, c in zip(aoi, cs):
+        t = sol.t_star[u.id]
+        total += 0.5 * u.rho * (t + c / t + 1.0)
+    return total

@@ -13,9 +13,8 @@ import pytest
 from aoisched.model import Scenario, UeClass, UeConfig, Variant, validate
 from aoisched.presets import (ALPHA_GRID, reference_constrained,
                               reference_weighted)
-from aoisched.sim import PolicySpec, RunConfig, run, sweep
-from aoisched.solver import (compute_t_star, geo_geo1_latency, lower_bound,
-                             spacing_objective)
+from aoisched.sim import PolicySpec, RunConfig, lower_bound, run, sweep
+from aoisched.solver import compute_t_star, geo_geo1_latency, spacing_objective
 
 BASE_SEED = 7
 HORIZON = 10 ** 6
@@ -270,10 +269,9 @@ def test_criterion_10_attempt_share(alpha_sweep):
                f"throughput-tier attempt share {share:.4f} >= {floor:.4f}")
 
 
-def test_criterion_11_solver_oracles():
+def test_criterion_11_solver_oracles(spacing_oracle):
     problems = []
     rng = np.random.default_rng(1234)
-    cvxpy = pytest.importorskip("cvxpy")
     checked = 0
     for case in range(20):
         n = int(rng.integers(1, 4))
@@ -292,13 +290,7 @@ def test_criterion_11_solver_oracles():
             oracle = min(0.5 * u.rho * (t + c / t) for t in candidates
                          if 1 / (u.p * t) <= zeta + 1e-12)
         else:
-            T = cvxpy.Variable(n)
-            objective = cvxpy.Minimize(sum(
-                0.5 * u.rho * (T[i] + ((1 - u.q) / u.q ** 2) * cvxpy.inv_pos(T[i]))
-                for i, u in enumerate(ues)))
-            constraints = [T >= 1, sum((1 / u.p) * cvxpy.inv_pos(T[i])
-                                       for i, u in enumerate(ues)) <= zeta]
-            oracle = cvxpy.Problem(objective, constraints).solve()
+            oracle = spacing_oracle(ues, zeta)
         if abs(ours - oracle) > 1e-4:
             problems.append(f"case {case} (n={n}): {ours:.6f} vs oracle {oracle:.6f}")
         checked += 1

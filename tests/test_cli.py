@@ -4,8 +4,10 @@ import json
 import pytest
 
 from aoisched.cli import main, parse_grid
-from aoisched.model import ScenarioError, load_scenario, save_scenario
+from aoisched.model import (Scenario, ScenarioError, UeClass, UeConfig, Variant,
+                            load_scenario, save_scenario)
 from aoisched.presets import reference_constrained, reference_weighted
+from aoisched.sim import PolicySpec, RunConfig, run
 
 
 @pytest.fixture
@@ -123,6 +125,37 @@ def test_cli_run_writes_csv(scenario_file, tmp_path):
     assert rows[0][0] == "run_id"
     assert [r[5] for r in rows[1:4]] == ["1", "2", "3"]
     assert rows[4][4] == "summary"
+
+
+def test_cli_tstar_without_budget_exits_1(tmp_path, capsys):
+    path = tmp_path / "full.json"
+    save_scenario(reference_weighted(alpha=0.72), path)  # load 0.25 + 0.8 > 1
+    assert main(["tstar", str(path)]) == 1
+    assert "zeta" in capsys.readouterr().err
+
+
+def test_cli_run_vw_without_latency_ues(tmp_path):
+    # vw is named by the caller: with no latency UE to weigh it serves as
+    # hier does, but reports itself as vw and logs its (empty) weight steps
+    scn = Scenario(ues=(
+        UeConfig(id=1, cls=UeClass.AOI, q=0.9, p=0.7, rho=1.0),
+        UeConfig(id=3, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.2),
+    ), variant=Variant.LATENCY_CONSTRAINED)
+    path = tmp_path / "no_latency.json"
+    save_scenario(scn, path)
+    out = {}
+    for policy in ("hier", "vw"):
+        out[policy] = tmp_path / f"{policy}.csv"
+        assert main(["run", str(path), "--policy", policy, "--f", "1000",
+                     "--horizon", "5000", "--seed", "4", "--out", str(out[policy])]) == 0
+    hier_rows = list(csv.reader(out["hier"].open()))
+    vw_rows = list(csv.reader(out["vw"].open()))
+    assert [r[1] for r in vw_rows[1:]] == ["vw"] * 3
+    assert [r[0] for r in vw_rows[1:]] == ["vw-h5000-s4"] * 3
+    assert [r[2:] for r in vw_rows] == [r[2:] for r in hier_rows]
+    report = run(RunConfig(scenario=scn, policy=PolicySpec("vw", f=1000),
+                           horizon=5000, seed=4))
+    assert report.extras["weight_log"] == [{}] * 5  # slots 1000, 2000, ..., 5000
 
 
 def test_cli_run_byte_identical(scenario_file, tmp_path):

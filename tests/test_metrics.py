@@ -8,8 +8,8 @@ from aoisched.metrics import (UeMetrics, aoi_decomposition_audit, assemble_cost,
 from aoisched.model import Scenario, UeClass, UeConfig, Variant
 
 
-def make(is_aoi=True, track_pending=False):
-    return UeMetrics(1, is_aoi=is_aoi, track_pending=track_pending)
+def make(cls=UeClass.AOI):
+    return UeMetrics(1, cls)
 
 
 # -- age accounting ------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_spacing_sum_telescopes():
 
 
 def test_lambda_nondecreasing_under_out_of_order_deliveries():
-    m = make(is_aoi=False, track_pending=True)
+    m = make(UeClass.LATENCY)
     m.on_arrival(3)
     m.on_arrival(5)
     m.on_delivery(g=5, t=6)   # newest served first
@@ -123,7 +123,7 @@ def test_finalize_throughput_ratio():
     m = make()
     for k in range(200):
         m.on_delivery(g=5 * k + 1, t=5 * k + 1)
-    stats = m.finalize(10 ** 3, UeClass.AOI)
+    stats = m.finalize(10 ** 3)
     assert stats.throughput == 200 / 10 ** 3
     assert stats.deliveries == 200
 
@@ -132,7 +132,7 @@ def test_finalize_constant_spacing_has_zero_variance():
     m = make()
     for k in range(100):
         m.on_delivery(g=5 * k + 3, t=5 * k + 3)
-    stats = m.finalize(600, UeClass.AOI)
+    stats = m.finalize(600)
     assert stats.t_bar == pytest.approx(5.0)
     assert stats.delta_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -152,7 +152,7 @@ def test_finalize_threshold_gated_arrival_spacing_statistics():
         if arrivals[t] and t - last > gap:
             m.on_delivery(g=t, t=t)
             last = t
-    stats = m.finalize(horizon, UeClass.AOI)
+    stats = m.finalize(horizon)
     predicted_mean = gap + 1 / q
     predicted_var = (1 - q) / q ** 2
     assert stats.t_bar == pytest.approx(predicted_mean, rel=0.02)
@@ -161,29 +161,29 @@ def test_finalize_threshold_gated_arrival_spacing_statistics():
 
 
 def test_finalize_no_arrivals_reports_absent_latency():
-    m = make(is_aoi=False, track_pending=True)
-    stats = m.finalize(100, UeClass.LATENCY)
+    m = make(UeClass.LATENCY)
+    stats = m.finalize(100)
     assert stats.avg_latency is None
     assert stats.throughput == 0.0
 
 
 def test_finalize_backlog_counts_as_delivered_at_horizon():
-    m = make(is_aoi=False, track_pending=True)
+    m = make(UeClass.LATENCY)
     m.on_arrival(4)
     m.on_arrival(8)
     m.on_delivery(g=4, t=5)      # latency 2
-    stats = m.finalize(10, UeClass.LATENCY)
+    stats = m.finalize(10)
     # pending packet from slot 8 counts as delivered in slot 10: latency 3
     assert stats.avg_latency == pytest.approx((2 + 3) / 2)
 
 
 def test_backlog_zero_when_queue_empty():
-    m = make(is_aoi=False, track_pending=True)
+    m = make(UeClass.LATENCY)
     m.on_arrival(4)
     m.on_delivery(g=4, t=5)
     assert m.backlog_age_sum(9) == 0
     with_backlog = m.latency_now(9)
-    m2 = make(is_aoi=False, track_pending=True)
+    m2 = make(UeClass.LATENCY)
     m2.on_arrival(4)
     m2.on_delivery(g=4, t=5)
     m2.on_arrival(7)
@@ -195,15 +195,15 @@ def test_finalize_extra_pending_for_retained_packet():
     m.on_arrival(2)
     m.on_delivery(g=2, t=2)
     m.on_arrival(6)
-    stats = m.finalize(9, UeClass.AOI, extra_pending=(6,))
+    stats = m.finalize(9, extra_pending=(6,))
     # delivered latency 1 plus retained packet counted to the horizon (4)
     assert stats.avg_latency == pytest.approx((1 + 4) / 2)
 
 
 def test_throughput_class_reports_no_latency():
-    m = make(is_aoi=False)
+    m = make(UeClass.THROUGHPUT)
     m.on_delivery(g=5, t=5)
-    stats = m.finalize(10, UeClass.THROUGHPUT)
+    stats = m.finalize(10)
     assert stats.avg_latency is None
     assert stats.arrivals == 10  # synthetic backlog: one packet per slot
 
@@ -218,7 +218,7 @@ def test_audit_exact_on_deterministic_trace():
     for t in (3, 6, 9):
         m.accrue_age(t)
         m.on_delivery(g=t, t=t)
-    stats = m.finalize(9, UeClass.AOI)
+    stats = m.finalize(9)
     assert stats.avg_aoi == pytest.approx(2.0)
     assert stats.t_bar == pytest.approx(3.0)
     assert stats.delta_sq == pytest.approx(0.0, abs=1e-12)
@@ -232,7 +232,7 @@ def test_audit_exact_with_waiting_term():
     for g, t in ((3, 4), (6, 8), (9, 9)):
         m.accrue_age(t)
         m.on_delivery(g=g, t=t)
-    stats = m.finalize(9, UeClass.AOI)
+    stats = m.finalize(9)
     # direct ages: 1,2,3,4,2,3,4,5,3 -> 27/9 (the slot-9 delivery only
     # lowers the age from slot 10 onward)
     assert stats.avg_aoi == pytest.approx(3.0)
@@ -246,7 +246,7 @@ def test_audit_skipped_with_single_delivery():
     m = make()
     m.accrue_age(1)
     m.on_delivery(g=1, t=1)
-    stats = m.finalize(1, UeClass.AOI)
+    stats = m.finalize(1)
     assert aoi_decomposition_audit(stats, 1) is None
 
 

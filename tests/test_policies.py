@@ -226,8 +226,8 @@ def test_decisions_invariant_under_weight_rescaling():
 # -- virtual weights -------------------------------------------------------------
 
 def test_virtual_weights_start_at_one_and_follow_gradient():
-    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
-    assert p.virtual and p.name == "vw"
+    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
+    assert p.name == "vw"
     assert p.virtual_rho[LAT] == 1.0
     p.update_virtual_weights({LAT: 1.4})
     # step: 1 - 0.1 * (5 - 1.4) = 0.64
@@ -236,20 +236,20 @@ def test_virtual_weights_start_at_one_and_follow_gradient():
 
 
 def test_virtual_weight_zero_floor():
-    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
+    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
     p.virtual_rho[LAT] = 0.1
     p.update_virtual_weights({LAT: 1.4})
     assert p.virtual_rho[LAT] == 0.0
 
 
 def test_virtual_weight_fixed_point():
-    p = HierarchicalPolicy(constrained_scenario(beta=2.0), {1: 2})
+    p = HierarchicalPolicy(constrained_scenario(beta=2.0), {1: 2}, f=10000)
     p.update_virtual_weights({LAT: 2.0})
     assert p.virtual_rho[LAT] == 1.0
 
 
 def test_virtual_weight_grows_when_infeasible():
-    p = HierarchicalPolicy(constrained_scenario(beta=1.01), {1: 2})
+    p = HierarchicalPolicy(constrained_scenario(beta=1.01), {1: 2}, f=10000)
     values = [1.0]
     for _ in range(5):
         p.update_virtual_weights({LAT: 1.4})
@@ -258,7 +258,7 @@ def test_virtual_weight_grows_when_infeasible():
 
 
 def test_zero_weight_latency_queue_still_outranks_throughput_tier():
-    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2})
+    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
     p.virtual_rho[LAT] = 0.0
     p.update_index(1, [LAT])
     assert p.W[LAT] == 0.0

@@ -67,6 +67,10 @@ def test_policy_variant_mismatch_rejected():
         run(cfg(weighted(), policy="vw", horizon=10))
     with pytest.raises(ScenarioError):
         run(cfg(constrained(), policy="hier", horizon=10))
+    with pytest.raises(ScenarioError):
+        run(cfg(weighted(), policy="rd", horizon=10))
+    with pytest.raises(ScenarioError):
+        run(cfg(weighted(), policy="cmu", horizon=10))
 
 
 def test_no_budget_for_aoi_traffic_rejected():

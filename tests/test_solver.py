@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from aoisched.model import Scenario, UeClass, UeConfig, Variant
-from aoisched.solver import (SolverError, compute_t_star, effective_rate_for_beta,
-                             geo_geo1_latency, hier_threshold, lower_bound,
+from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant, theta_j
+from aoisched.sim import lower_bound
+from aoisched.solver import (SolverError, compute_t_star, geo_geo1_latency, hier_threshold,
                              spacing_objective)
 
 
@@ -104,8 +104,7 @@ def test_single_ue_matches_grid_oracle(case):
 
 
 @pytest.mark.parametrize("case", range(12))
-def test_multi_ue_matches_convex_oracle(case):
-    cvxpy = pytest.importorskip("cvxpy")
+def test_multi_ue_matches_convex_oracle(case, spacing_oracle):
     rng = np.random.default_rng(2000 + case)
     n = int(rng.integers(2, 4))
     ues = [aoi(i + 1, q=float(rng.uniform(0.05, 1.0)), p=float(rng.uniform(0.3, 1.0)),
@@ -113,16 +112,7 @@ def test_multi_ue_matches_convex_oracle(case):
     zeta = float(rng.uniform(0.15, 0.9))
     sol = compute_t_star(ues, zeta)
     ours = spacing_objective(ues, sol.t_star)
-
-    T = cvxpy.Variable(n)
-    cs = [(1 - u.q) / u.q ** 2 for u in ues]
-    objective = cvxpy.Minimize(sum(
-        0.5 * u.rho * (T[i] + c * cvxpy.inv_pos(T[i]))
-        for i, (u, c) in enumerate(zip(ues, cs))))
-    constraints = [T >= 1,
-                   sum((1 / u.p) * cvxpy.inv_pos(T[i]) for i, u in enumerate(ues)) <= zeta]
-    problem = cvxpy.Problem(objective, constraints)
-    oracle = problem.solve()
+    oracle = spacing_oracle(ues, zeta)
     assert ours <= oracle + 1e-4
     assert abs(ours - oracle) <= 1e-4
 
@@ -182,17 +172,20 @@ def test_queue_latency_matches_simulation(q, p):
     assert sim == pytest.approx(geo_geo1_latency(p, q), rel=0.02)
 
 
+# theta_j with p = 1 is the service rate at which the queue's average
+# latency is beta.
+
 def test_effective_rate_round_trip():
-    rate = effective_rate_for_beta(0.2, 2.0)
+    rate = theta_j(0.2, 1.0, 2.0)
     assert rate == pytest.approx(0.6, abs=1e-12)
     assert geo_geo1_latency(rate, 0.2) == pytest.approx(2.0, abs=1e-12)
-    assert effective_rate_for_beta(0.2, 1e15) == pytest.approx(0.2, rel=1e-9)
-    assert effective_rate_for_beta(0.2, 4 / 3) == pytest.approx(0.8, abs=1e-12)
+    assert theta_j(0.2, 1.0, 1e15) == pytest.approx(0.2, rel=1e-9)
+    assert theta_j(0.2, 1.0, 4 / 3) == pytest.approx(0.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 7.5])
 def test_effective_rate_inverts_latency(beta):
-    rate = effective_rate_for_beta(0.35, beta)
+    rate = theta_j(0.35, 1.0, beta)
     assert geo_geo1_latency(rate, 0.35) == pytest.approx(beta, rel=1e-12)
 
 
@@ -246,7 +239,6 @@ def test_lower_bound_scales_with_weights():
 
 
 def test_lower_bound_requires_weighted_variant():
-    from aoisched.model import ScenarioError
     scn = Scenario(ues=(UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, beta=2.0),),
                    variant=Variant.LATENCY_CONSTRAINED)
     with pytest.raises(ScenarioError):
