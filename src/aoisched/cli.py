@@ -11,13 +11,14 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 
 from .metrics import CSV_COLUMNS, _fmt, report_rows, ue_cells
 from .model import ScenarioError, load_scenario, replace_param, validate
 from .presets import LATENCY_UE, PRESETS, RATE_TOL
 from .sim import POLICY_NAMES, PolicySpec, RunConfig, lower_bound, run, sweep, sweep_target
-from .solver import SolverError, compute_t_star, hier_threshold
+from .solver import SolverError, compute_t_star, hier_threshold, spacing_bound
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -185,11 +186,13 @@ def _sweep_rows(preset, means) -> list[list[str]]:
 def _reproduce_alpha(preset, horizon: int, args):
     means = sweep_means(preset, horizon, args)
     target = sweep_target(preset.scenario, "alpha", None)
+    # The simulated latency floor ignores alpha: simulate it once and pair
+    # it with each alpha's own spacing bound.
+    bound = lower_bound(preset.scenario, horizon, args.seed, seeds=min(args.seeds, 2))
     for by_alpha in means.values():
         for v, m in by_alpha.items():
             scenario = replace_param(preset.scenario, target, alpha=v)
-            m["lb"] = lower_bound(scenario, horizon, args.seed,
-                                  seeds=min(args.seeds, 2)).lb
+            m["lb"] = replace(bound, lb_f1=spacing_bound(scenario)).lb
     return _sweep_rows(preset, means), means
 
 

@@ -156,7 +156,7 @@ class HierarchicalPolicy(_TwoTier):
     """Index policy with a strict two-tier hierarchy.
 
     Without a weight period ``f`` this is "hier": the latency weights come
-    from a latency-weighted scenario and never change.  Given ``f`` it is
+    from a latency-weighted scenario and never change.  Given ``f`` >= 1 it is
     "vw", for latency-constrained scenarios: the latency weights are
     virtual, start at 1, and at every ``f``-th slot the engine moves them
     by ``eta`` times the gap between the UE's running average latency and
@@ -174,6 +174,8 @@ class HierarchicalPolicy(_TwoTier):
             if scenario.latency_ues and scenario.variant is not Variant.LATENCY_WEIGHTED:
                 raise ScenarioError("policy 'hier' needs latency weights; use 'vw' or 'rd' "
                                     "with latency ceilings")
+        elif f < 1:
+            raise ScenarioError(f"policy 'vw' needs a weight period f >= 1, got {f}")
         elif scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
             raise ScenarioError("policy 'vw' needs latency ceilings (beta)")
         super().__init__(scenario, thresholds)

@@ -292,7 +292,9 @@ def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> 
     the latency UEs alone under the weighted-rate rule (``cmu``: serve the
     nonempty queue maximising rho*p/q), which is optimal for the
     weighted-latency objective, and averages the result over ``seeds``
-    replicate runs using the standard seed-derivation scheme.
+    replicate runs using the standard seed-derivation scheme.  That floor
+    depends only on the latency UEs, ``horizon``, ``seed`` and ``seeds``,
+    never on a throughput UE's ``alpha``.
     """
     lb_f1 = spacing_bound(scenario)
     lb_f2 = 0.0

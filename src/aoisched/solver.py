@@ -97,16 +97,6 @@ def compute_t_star(aoi_ues: list[UeConfig] | tuple[UeConfig, ...], zeta: float) 
     return _solve_kkt(ids, cs, rhos, ps, zeta)
 
 
-def spacing_objective(aoi_ues, ts: dict[int, float]) -> float:
-    """Objective value of the spacing program at a given point."""
-    total = 0.0
-    for u in aoi_ues:
-        c = (1.0 - u.q) / (u.q * u.q)
-        t = ts[u.id]
-        total += 0.5 * u.rho * (t + c / t)
-    return total
-
-
 def hier_threshold(t_star: float, q: float) -> int:
     """Slot gap required between successive eligibility counter bumps.
 

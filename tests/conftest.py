@@ -41,6 +41,22 @@ def _spacing_optimum(ues, zeta: float) -> float:
     return float(result.fun)
 
 
+def _spacing_objective(aoi_ues, ts: dict[int, float]) -> float:
+    """Objective value of the spacing program at the spacings ``ts``, by UE id."""
+    total = 0.0
+    for u in aoi_ues:
+        c = (1.0 - u.q) / (u.q * u.q)
+        t = ts[u.id]
+        total += 0.5 * u.rho * (t + c / t)
+    return total
+
+
+@pytest.fixture
+def spacing_objective():
+    """``spacing_objective(aoi_ues, ts)``: the spacing program's objective at ``ts``."""
+    return _spacing_objective
+
+
 @pytest.fixture
 def spacing_oracle():
     """``spacing_oracle(ues, zeta)``: the spacing program's optimal value

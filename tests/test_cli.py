@@ -158,6 +158,18 @@ def test_cli_run_vw_without_latency_ues(tmp_path):
     assert report.extras["weight_log"] == [{}] * 5  # slots 1000, 2000, ..., 5000
 
 
+@pytest.mark.parametrize("f", ["0", "-3"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "beta", "--grid", "2"]])
+def test_cli_vw_weight_period_below_one_exits_1(constrained_file, tmp_path, capsys,
+                                                 command, f):
+    out = tmp_path / "out.csv"
+    assert main([command[0], str(constrained_file), *command[1:], "--policy", "vw",
+                 "--f", f, "--horizon", "5000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight period f >= 1" in err
+    assert not out.exists()
+
+
 def test_cli_run_byte_identical(scenario_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["run", str(scenario_file), "--horizon", "20000", "--out", str(a)])

@@ -2,10 +2,12 @@ import csv
 
 import pytest
 
+import aoisched.sim
 from aoisched.cli import main
 from aoisched.model import validate
-from aoisched.presets import (PRESETS, check_fig5_weights, check_fig8,
+from aoisched.presets import (ALPHA_GRID, PRESETS, check_fig5_weights, check_fig8,
                               reference_constrained, reference_weighted)
+from aoisched.sim import lower_bound
 
 
 def test_reference_scenarios_validate():
@@ -32,6 +34,34 @@ def test_reproduce_fig4_smoke(tmp_path, capsys):
     assert len(rows) - 1 == 6 * 3
     text = capsys.readouterr().out
     assert "[PASS]" in text or "[FAIL]" in text
+
+
+def test_reproduce_lb_cells_equal_lower_bound_per_alpha(tmp_path):
+    out = tmp_path / "fig5.csv"
+    main(["reproduce", "fig5_cost", "--jobs", "1", "--horizon", "10000", "--seeds", "3",
+          "--seed", "2", "--out", str(out)])
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 3 * len(ALPHA_GRID)
+    for alpha in ALPHA_GRID:
+        bound = lower_bound(reference_weighted(alpha=alpha), 10000, 2, seeds=2)
+        cells = {r["lb"] for r in rows if float(r["alpha"]) == alpha}
+        assert cells == {repr(bound.lb)}
+
+
+@pytest.mark.parametrize("preset", ["fig4", "fig5_cost"])
+def test_reproduce_alpha_simulates_the_latency_floor_once(preset, tmp_path, monkeypatch):
+    runs = []
+    real_run = aoisched.sim.run
+
+    def counting_run(config):
+        runs.append(config.policy.name)
+        return real_run(config)
+
+    monkeypatch.setattr(aoisched.sim, "run", counting_run)
+    main(["reproduce", preset, "--jobs", "1", "--horizon", "5000", "--seeds", "4",
+          "--out", str(tmp_path / "out.csv")])
+    assert runs.count("hier") == 4 * len(ALPHA_GRID)
+    assert runs.count("cmu") == 2  # min(seeds, 2) replicates, not one set per alpha
 
 
 def test_reproduce_fig5_weights_smoke(tmp_path, capsys):

@@ -73,6 +73,12 @@ def test_policy_variant_mismatch_rejected():
         run(cfg(weighted(), policy="cmu", horizon=10))
 
 
+@pytest.mark.parametrize("f", [0, -3])
+def test_vw_weight_period_below_one_rejected(f):
+    with pytest.raises(ScenarioError, match="weight period"):
+        run(cfg(constrained(), policy="vw", horizon=40000, f=f))
+
+
 def test_no_budget_for_aoi_traffic_rejected():
     # load >= 1 with an aoi ue present cannot size the spacing program
     scn = weighted(alpha=0.72)  # 0.25 + 0.8 = 1.05 > 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant, theta_j
+from aoisched.presets import ALPHA_GRID, reference_weighted
 from aoisched.sim import lower_bound
-from aoisched.solver import (SolverError, compute_t_star, geo_geo1_latency, hier_threshold,
-                             spacing_objective)
+from aoisched.solver import SolverError, compute_t_star, geo_geo1_latency, hier_threshold
 
 
 def aoi(id, q, p, rho=1.0):
@@ -91,7 +91,7 @@ def _grid_oracle_1ue(u, zeta, step=1e-3):
 
 
 @pytest.mark.parametrize("case", range(8))
-def test_single_ue_matches_grid_oracle(case):
+def test_single_ue_matches_grid_oracle(case, spacing_objective):
     rng = np.random.default_rng(1000 + case)
     u = aoi(1, q=float(rng.uniform(0.05, 1.0)), p=float(rng.uniform(0.3, 1.0)),
             rho=float(rng.uniform(0.2, 3.0)))
@@ -104,7 +104,7 @@ def test_single_ue_matches_grid_oracle(case):
 
 
 @pytest.mark.parametrize("case", range(12))
-def test_multi_ue_matches_convex_oracle(case, spacing_oracle):
+def test_multi_ue_matches_convex_oracle(case, spacing_objective, spacing_oracle):
     rng = np.random.default_rng(2000 + case)
     n = int(rng.integers(2, 4))
     ues = [aoi(i + 1, q=float(rng.uniform(0.05, 1.0)), p=float(rng.uniform(0.3, 1.0)),
@@ -236,6 +236,14 @@ def test_lower_bound_scales_with_weights():
     b2 = lower_bound(doubled, horizon=10 ** 5, seed=3)
     assert b2.lb_f1 == pytest.approx(2 * b1.lb_f1, rel=1e-9)
     assert b2.lb_f2 == pytest.approx(2 * b1.lb_f2, rel=1e-9)
+
+
+def test_lower_bound_latency_floor_ignores_alpha():
+    # alpha moves only the throughput UE, which the simulated floor leaves
+    # out: every alpha gets the same lb_f2, bit for bit
+    floors = {lower_bound(reference_weighted(alpha=a), horizon=20000, seed=4, seeds=2).lb_f2
+              for a in ALPHA_GRID}
+    assert len(floors) == 1 and floors.pop() > 0.0
 
 
 def test_lower_bound_requires_weighted_variant():
