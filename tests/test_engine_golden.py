@@ -10,7 +10,10 @@ end, ``2**14 + 777``, are not multiples of a power of two, so an engine that
 takes its draws in blocks of up to 2**14 slots crosses several block
 boundaries and ends, and resets its window, part-way through a block.
 ``vw`` runs with a weight period of 1000 slots, so its weights step 49
-times per run.
+times per run.  ``VW_GOLDEN`` adds ``vw`` at other weight periods: a step
+every slot (``f=1``), every 7th slot, and warm-ups whose last slot is a
+weight-step slot, one of them also the first slot of a block (16384 with
+``f=4096``), one the last slot of the block before it (16383).
 
 Re-record only when output changes on purpose:
 ``python tests/test_engine_golden.py`` prints the current table.
@@ -58,8 +61,9 @@ SYSTEMS = {
 }
 
 
-def engine_digest(system: str, policy: str, seed: int, warmup: int) -> str:
-    spec = PolicySpec(policy, f=VW_PERIOD) if policy == "vw" else PolicySpec(policy)
+def engine_digest(system: str, policy: str, seed: int, warmup: int,
+                  f: int = VW_PERIOD) -> str:
+    spec = PolicySpec(policy, f=f) if policy == "vw" else PolicySpec(policy)
     report = run(RunConfig(scenario=SYSTEMS[system][policy], policy=spec,
                            horizon=HORIZON, seed=seed, warmup=warmup))
     buf = io.StringIO()
@@ -123,14 +127,60 @@ GOLDEN = {
 }
 
 
+# (weight period f, warmup) of each extra vw case; every one runs on both
+# systems at seeds 1 and 42
+VW_RUNS = ((1, 0), (1, 17161), (7, 0), (7, 7 * 2452), (1000, 17000),
+           (4096, 2 ** 14), (4096, 2 ** 14 - 1))
+VW_SEEDS = (1, 42)
+
+# (system, f, seed, warmup): sha256
+VW_GOLDEN = {
+    ('ref', 1, 1, 0): '7903089bfdee0c7a46605a6d54797c5345019d054ce2ff962f5e4b041f3d0b62',
+    ('ref', 1, 1, 17161): '450eabf255cf68fff434d07a0e19fce37a553dbc412488b3c68a9ccb2c2111a2',
+    ('ref', 1, 42, 0): 'cf3cb4508cef4af5d937be4e2e29c8b67b0452fd779425ad7abf2ca3f09818de',
+    ('ref', 1, 42, 17161): '1874f21974c89ea53a3e2c3db87acb2d5841357cd65ddd12e3fb621a0fa338f7',
+    ('ref', 7, 1, 0): '88c4f387357c4d71e47d974756301608adf2df9ea74f9a7fb50510136822f4e9',
+    ('ref', 7, 1, 17164): '75dcb56eec0f0b4e63d41321e9bf26a4577e818c24f7454408e967fd01dd0fab',
+    ('ref', 7, 42, 0): '95bab4dedd0d8e5d8551a6be412339995ad77d9e89bab5774069ac34b1e2760b',
+    ('ref', 7, 42, 17164): 'cb6996463cb48de77fa435bef79cb58bfb7614afc11aa46060422dfc5c0789d1',
+    ('ref', 1000, 1, 17000): 'b9615a5ee025ea742ddc54a8862fe4478cc64e9311c9bf2728ccc211d4ac07c5',
+    ('ref', 1000, 42, 17000): '76a7e4523600b92be57016f23cd61e96df43a1181c5ecc43dafa911265b09484',
+    ('ref', 4096, 1, 16383): '2c7b444c7d41cf8f815957fd62625d25ed69d00fb0c3e52213aa14d19cd02dae',
+    ('ref', 4096, 1, 16384): '3ae3c22b758394d5f37e8077ea54c803525745fface630def73354a031e93e35',
+    ('ref', 4096, 42, 16383): '225ab23ae9d441acb6aa5993629b3827467a2687e785f1c287ab37f98bc2508d',
+    ('ref', 4096, 42, 16384): '0a06f5472e83cc4bc161449609d290dea266af389e921499c0ecb8e122f3ba2b',
+    ('ue12', 1, 1, 0): 'de95f28c321b37830ec8c507814f24b7321a4051dd29facff165595894ceae6e',
+    ('ue12', 1, 1, 17161): '745ec52daa1405e06a9372325968f4a900575f1723e5057919f077f5dcf5d0c2',
+    ('ue12', 1, 42, 0): '566cbf1d014dacbf78bada231d8dd0216730538f92869276a36207040300d4ed',
+    ('ue12', 1, 42, 17161): '7c754e2569bb5db4d2444fd75faa8af1f14f2bd14beb3666a48a8c88cb78af54',
+    ('ue12', 7, 1, 0): '11eb0e4feb5164da9804e21e7324665c8d8395cd918c04bf703316b2f2bd79a9',
+    ('ue12', 7, 1, 17164): '8cff4a1e6556f0fa3d8f60253eea3848db78da8da57aec8ec4f0e7bae69e932d',
+    ('ue12', 7, 42, 0): '0e3f5a384392b8ac70e11559bf2046d5557c44e51a52a3c809477c34802ecf05',
+    ('ue12', 7, 42, 17164): 'f40d91eef771619e03d37be6f1fcb287759f72e3bb7ee83aa4d1ec935a1d7a1d',
+    ('ue12', 1000, 1, 17000): 'cbc0b81d916fadf9ecd58df2be88e89f6cc63c13da37a26ad2a771dce32ea1bf',
+    ('ue12', 1000, 42, 17000): '1656df52519b8d5f39dcfc4601d919d335e45b528c90f76842d676e9641e86b1',
+    ('ue12', 4096, 1, 16383): '848b208941a17d86537c7a2656954547359e9435bdc38dd13c08975b660d4f11',
+    ('ue12', 4096, 1, 16384): '0f2ee3dd2b774862a11a6738688a614f1a8f2ec5ea28e28c48d72e3b58f9d2a5',
+    ('ue12', 4096, 42, 16383): '48b8ab35b595ba49ff58d34c8d12eb2992889d59271b6f980be0741e1cf7689f',
+    ('ue12', 4096, 42, 16384): '9709d7f24dbb838c23309ffc129704f9ad34183e3b186267174512a2a31b1a70',
+}
+
+
 @pytest.mark.parametrize("system,policy,seed,warmup", sorted(GOLDEN))
 def test_engine_output_is_pinned(system, policy, seed, warmup):
     assert engine_digest(system, policy, seed, warmup) == GOLDEN[system, policy, seed, warmup]
 
 
+@pytest.mark.parametrize("system,f,seed,warmup", sorted(VW_GOLDEN))
+def test_vw_weight_periods_are_pinned(system, f, seed, warmup):
+    assert engine_digest(system, "vw", seed, warmup, f) == VW_GOLDEN[system, f, seed, warmup]
+
+
 def test_matrix_is_complete():
     assert set(GOLDEN) == {(s, p, seed, w) for s in SYSTEMS for p in POLICIES
                            for seed in SEEDS for w in WARMUPS}
+    assert set(VW_GOLDEN) == {(s, f, seed, w) for s in SYSTEMS for f, w in VW_RUNS
+                              for seed in VW_SEEDS}
 
 
 if __name__ == "__main__":
@@ -140,3 +190,9 @@ if __name__ == "__main__":
                 for warmup in WARMUPS:
                     key = (system, policy, seed, warmup)
                     print(f"    {key!r}: {engine_digest(*key)!r},")
+    print()
+    for system in SYSTEMS:
+        for f, warmup in VW_RUNS:
+            for seed in VW_SEEDS:
+                key = (system, f, seed, warmup)
+                print(f"    {key!r}: {engine_digest(system, 'vw', seed, warmup, f)!r},")
