@@ -1,4 +1,4 @@
-"""Per-UE statistics tracked online during a run, and the cost assembly.
+"""Per-UE statistics folded in batches during a run, and the cost assembly.
 
 Conventions:
 
@@ -16,14 +16,29 @@ Conventions:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import Scenario, UeClass, Variant
 
+_NO_SLOTS = memoryview(array("q"))
+
 
 class UeMetrics:
-    """Online accumulators for one UE.  One instance per UE per run."""
+    """Accumulators for one UE.  One instance per UE per run.
+
+    Events are not folded one at a time.  The engine hands over each
+    block's arrival slots (``log_arrivals``) and appends each delivery to
+    the ``dg``/``dt`` buffers; ``fold`` then folds the whole batch at once,
+    once per block and at the warm-up boundary.  Every statistic is a sum
+    of integers, exact in int64 and, as a float, below 2**53 for horizons
+    up to about 9 * 10**7 slots, so a batch fold gives the same bits as
+    folding the events one by one.
+    """
 
     __slots__ = (
         "ue_id", "cls", "is_aoi", "track_pending",
@@ -31,6 +46,7 @@ class UeMetrics:
         "latency_sum_delivered", "pending_count", "pending_g_sum",
         "n_samples", "sample_sum", "sample_sumsq", "g_prev",
         "sum_spacing_wait",
+        "arrived", "dg", "dt", "_seen", "_tail_t", "_tail_g",
     )
 
     def __init__(self, ue_id: int, cls: UeClass):
@@ -52,53 +68,130 @@ class UeMetrics:
         self.sample_sumsq = 0.0
         self.g_prev = None
         self.sum_spacing_wait = 0.0  # sum over delivered packets of T_i * (L_i - 1)
+        self.arrived = _NO_SLOTS  # arrival slots not yet folded, ascending
+        self.dg = array("q")  # arrival slot of each delivered packet not yet folded
+        self.dt = array("q")  # and its delivery slot
+        # deliveries latency_now has read since the last fold: count, sum of
+        # delivery slots, sum of arrival slots
+        self._seen = self._tail_t = self._tail_g = 0
 
-    def on_arrival(self, t: int) -> None:
-        self.arrivals += 1
+    def log_arrivals(self, slots) -> None:
+        """Take a block's arrival slots (an ascending int64 buffer), to be
+        folded by ``fold`` or ``latency_now``."""
+        self.arrived = memoryview(slots) if len(slots) else _NO_SLOTS
+
+    def fold(self, end: int) -> None:
+        """Fold the logged arrivals before slot ``end`` and every logged delivery."""
+        self._fold_arrivals(end)
+        if self.dt:
+            self.on_delivery(np.frombuffer(self.dg, np.int64), np.frombuffer(self.dt, np.int64))
+            del self.dg[:], self.dt[:]
+        self._seen = self._tail_t = self._tail_g = 0
+
+    def _fold_arrivals(self, end: int) -> None:
+        arrived = self.arrived
+        if arrived and arrived[0] < end:
+            k = bisect_left(arrived, end)
+            self.on_arrival(arrived[:k])
+            self.arrived = arrived[k:] if k < len(arrived) else _NO_SLOTS
+
+    def on_arrival(self, slots: Sequence[int]) -> None:
+        """Fold a batch of arrivals, given their arrival slots."""
+        n = len(slots)
+        self.arrivals += n
         if self.track_pending:
-            self.pending_count += 1
-            self.pending_g_sum += t
+            self.pending_count += n
+            self.pending_g_sum += sum(slots)
 
     def accrue_age(self, t: int) -> None:
         """Add the age of slots (aged, t] to ``aoi_sum``.
 
         The age at slot s is s - lam, and lam only moves at a delivery,
-        which lowers the age from the next slot on; so calling this before
-        each delivery is recorded, and once at the end, sums the age of
-        every slot exactly.
+        which lowers the age from the next slot on; so accruing up to each
+        delivery's slot before the delivery is folded, and once at the end,
+        sums the age of every slot exactly.
         """
         last = self.aged
         self.aoi_sum += (t - last) * (t + last + 1 - 2 * self.lam) // 2
         self.aged = t
 
-    def on_delivery(self, g: int, t: int) -> None:
-        if g > t:
-            raise ValueError(f"delivery before arrival: g={g} > t={t}")
-        self.deliveries += 1
-        self.latency_sum_delivered += t - g + 1
+    def on_delivery(self, g, t) -> None:
+        """Fold a batch of deliveries in delivery order: the packet that
+        arrived in slot ``g[k]`` was delivered in slot ``t[k]``, and ``t``
+        ascends."""
+        g = np.asarray(g, dtype=np.int64)
+        t = np.asarray(t, dtype=np.int64)
+        n = len(g)
+        if n == 0:
+            return
+        wait = t - g
+        if wait.min() < 0:
+            k = int(wait.argmin())
+            raise ValueError(f"delivery before arrival: g={g[k]} > t={t[k]}")
+        g0, g_last = int(g[0]), int(g[-1])
+        if self.is_aoi:
+            # lam before each delivery is the newest arrival slot delivered
+            # so far; the age of slots (t[k-1], t[k]] sums s - lam over them
+            lam = np.maximum(np.maximum.accumulate(g), self.lam)
+            self.accrue_age(int(t[0]))
+            first, last = self.aged, int(t[-1])
+            self.aoi_sum += ((last * (last + 1) - first * (first + 1)) // 2
+                             - int((t[1:] - t[:-1]) @ lam[:-1]))
+            self.aged = last
+            self.lam = int(lam[-1])
+        else:
+            self.lam = max(self.lam, int(g.max()))
+        self.deliveries += n
+        self.latency_sum_delivered += int(wait.sum()) + n
         if self.track_pending:
-            self.pending_count -= 1
-            self.pending_g_sum -= g
-        if self.lam < g:
-            self.lam = g
-        if self.g_prev is not None:
-            d = g - self.g_prev
-            self.n_samples += 1
-            self.sample_sum += d
-            self.sample_sumsq += d * d
-            if self.is_aoi:
-                self.sum_spacing_wait += d * (t - g)
-        self.g_prev = g
+            self.pending_count -= n
+            self.pending_g_sum -= int(g.sum())
+        # spacing samples: one per delivery after the window's first
+        d = g[1:] - g[:-1]
+        sumsq = int(d @ d)
+        spacing_wait = int(d @ wait[1:]) if self.is_aoi else 0
+        samples = n - 1
+        prev = self.g_prev
+        if prev is None:
+            prev = g0
+        else:
+            samples += 1
+            sumsq += (g0 - prev) ** 2
+            spacing_wait += (g0 - prev) * int(wait[0])
+        self.n_samples += samples
+        self.sample_sum += g_last - prev
+        self.sample_sumsq += sumsq
+        if self.is_aoi:
+            self.sum_spacing_wait += spacing_wait
+        self.g_prev = g_last
 
     def backlog_age_sum(self, t: int) -> int:
         """Total latency the currently pending packets would log at time t."""
         return self.pending_count * (t + 1) - self.pending_g_sum
 
     def latency_now(self, t: int) -> float | None:
-        """Running average latency including the pending backlog."""
+        """Running average latency at slot t, pending backlog included.
+
+        Folds the arrivals before t, then adds the deliveries logged since
+        the last fold; those already read by an earlier call are kept as
+        running sums, so each call costs plain-Python work in the number of
+        new events.
+        """
+        arrived = self.arrived
+        if arrived and arrived[0] < t:
+            self._fold_arrivals(t)
         if self.arrivals == 0:
             return None
-        return (self.latency_sum_delivered + self.backlog_age_sum(t)) / self.arrivals
+        seen, n = self._seen, len(self.dt)
+        if seen < n:
+            self._tail_t += sum(self.dt[seen:])
+            self._tail_g += sum(self.dg[seen:])
+            self._seen = n
+        latency = self.latency_sum_delivered + self._tail_t - self._tail_g + n
+        if self.track_pending:
+            latency += ((self.pending_count - n) * (t + 1)
+                        - (self.pending_g_sum - self._tail_g))
+        return latency / self.arrivals
 
     def reset_window(self) -> None:
         """Drop accumulated sums (warm-up): pending backlog, lam and the

@@ -159,10 +159,10 @@ class HierarchicalPolicy(_TwoTier):
     from a latency-weighted scenario and never change.  Given ``f`` >= 1 it is
     "vw", for latency-constrained scenarios: the latency weights are
     virtual, start at 1, and at every ``f``-th slot the engine moves them
-    by ``eta`` times the gap between the UE's running average latency and
-    its ceiling, floored at zero.  A latency UE's index is set from its
-    weight when a packet arrives, so a weight step reaches the index at the
-    UE's next arrival.
+    by ``eta`` (finite, > 0) times the gap between the UE's running average
+    latency and its ceiling, floored at zero.  A latency UE's index is set
+    from its weight when a packet arrives, so a weight step reaches the
+    index at the UE's next arrival.
     """
 
     name = "hier"
@@ -176,6 +176,8 @@ class HierarchicalPolicy(_TwoTier):
                                     "with latency ceilings")
         elif f < 1:
             raise ScenarioError(f"policy 'vw' needs a weight period f >= 1, got {f}")
+        elif not 0 < eta < math.inf:
+            raise ScenarioError(f"policy 'vw' needs a finite weight step eta > 0, got {eta}")
         elif scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
             raise ScenarioError("policy 'vw' needs latency ceilings (beta)")
         super().__init__(scenario, thresholds)

@@ -7,16 +7,18 @@ Per-slot order of operations (normative):
    are perpetually backlogged and consume no draws);
 3. policy index update, then selection (the randomised policy consumes its
    per-slot uniform here);
-4. on a transmission, one success draw against the served UE's p, then
-   metrics and policy outcome hooks.
+4. on a transmission, one success draw against the served UE's p, then the
+   policy outcome hook; a success is logged for the metrics.
 
-Age is not summed slot by slot: it only changes course at an AoI
-delivery, so it is accounted in closed form just before each delivery is
-recorded (the delivery lowers the age from the next slot on), at the
-warm-up boundary and at the horizon.  The engine calls a policy or metric
-hook only where it has work: the index update on slots with arrivals, the
-outcome hook on successes and throughput attempts.  Draws are taken in
-blocks of ``CHUNK`` slots, so memory does not grow with the horizon.
+Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
+the horizon.  The per-UE statistics are not updated slot by slot: each
+block's arrivals and logged deliveries are folded once per block, and at
+the warm-up boundary, in slot order (see ``metrics.UeMetrics``); a weight
+step reads the folded totals plus the events logged since.  Age only
+changes course at an AoI delivery, so it is summed in closed form between
+deliveries.  The engine calls a policy hook only where it has work: the
+index update on slots with arrivals, the outcome hook on successes and
+throughput attempts.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -43,8 +45,9 @@ __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep"
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
 
-# Slots per block of draws.
-CHUNK = 2 ** 14
+# Slots per block of draws.  A block's draws, arrival slots and logged
+# deliveries are held until it is folded, so this sets the working set.
+CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -88,17 +91,22 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
-def _arrivals(n: int, streams) -> list[Sequence[int] | None]:
-    """Positions arriving in each of the next ``n`` slots, ascending, or None.
+def _arrivals(n: int, start: int, streams) -> list[Sequence[int] | None]:
+    """Positions arriving in each of the ``n`` slots from ``start`` on,
+    ascending, or None; each stream's arrival slots also go to its UE's
+    metrics, to be folded later.  Slot 0 is left out.
 
     A slot with one arrival shares its stream's 1-tuple, so the block costs
     about a pointer per slot.  Slots with more arrivals get lists: freed
     tuples stay cached by the interpreter, lists do not.
     """
     slots: list[Sequence[int] | None] = [None] * n
-    for pos, gen, q in streams:
+    for pos, gen, q, m in streams:
         alone = (pos,)
-        for s in np.flatnonzero(gen.random(n) < q).tolist():
+        hit = np.flatnonzero(gen.random(n) < q)
+        if start == 0:
+            hit = hit[hit.searchsorted(1):]
+        for s in hit.tolist():
             at = slots[s]
             if at is None:
                 slots[s] = alone
@@ -106,6 +114,8 @@ def _arrivals(n: int, streams) -> list[Sequence[int] | None]:
                 slots[s] = [at[0], pos]
             else:
                 at.append(pos)
+        hit += start
+        m.log_arrivals(hit)
     return slots
 
 
@@ -133,14 +143,15 @@ def run(config: RunConfig) -> RunReport:
     ues = sorted(scenario.ues, key=lambda u: u.id)
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
     p_of = [u.p for u in ues]
-    is_aoi = [u.cls is UeClass.AOI for u in ues]
+    log_g = [m.dg.append for m in metrics]
+    log_t = [m.dt.append for m in metrics]
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
     lat_pos = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
     aoi_ms = [m for m in metrics if m.is_aoi]
 
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
-    streams = [(i, gen, ues[i].q) for i, gen in zip(arriving, arrival_gens)]
+    streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
     virtual = config.policy.name == "vw"
     every = config.policy.f if virtual else 0
@@ -150,7 +161,7 @@ def run(config: RunConfig) -> RunReport:
     for start in range(0, horizon + 1, CHUNK):
         n = min(CHUNK, horizon + 1 - start)
         arrivals = success_u = policy_u = None  # free the last block first
-        arrivals = _arrivals(n, streams)
+        arrivals = _arrivals(n, start, streams)
         success_u = success_gen.random(n).tolist()
         policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
@@ -161,27 +172,27 @@ def run(config: RunConfig) -> RunReport:
             for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
                                            success_u[lo:hi], draws):
                 if arrived is not None:
-                    for i in arrived:
-                        metrics[i].on_arrival(t)
                     update_index(t, arrived)
                 action = select(t, draw)
                 if action is None:
                     continue
                 i, g = action
-                m = metrics[i]
-                m.attempts += 1
+                metrics[i].attempts += 1
                 if u < p_of[i]:
-                    if is_aoi[i]:
-                        m.accrue_age(t)
-                    m.on_delivery(g, t)
+                    log_g[i](g)
+                    log_t[i](t)
                     on_outcome(action, True, t)
                 elif is_thr[i]:
                     on_outcome(action, False, t)
             if b - 1 == warm_end:
+                for m in metrics:
+                    m.fold(b)
                 for m in aoi_ms:
                     m.accrue_age(warm_end)
                 for m in metrics:
                     m.reset_window()
+        for m in metrics:
+            m.fold(start + n)
     for m in aoi_ms:
         m.accrue_age(horizon)
 
@@ -232,6 +243,11 @@ def sweep_target(scenario: Scenario, param: str, ue_id: int | None) -> int:
     return candidates[0]
 
 
+def _check_seeds(seeds: int) -> None:
+    if seeds < 1:
+        raise ScenarioError(f"seeds must be >= 1, got {seeds}")
+
+
 def _run_worker(config: RunConfig) -> RunReport:
     return run(config)
 
@@ -245,6 +261,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     (for instance a latency ceiling below its queueing floor) run normally
     and carry their feasibility flags.
     """
+    _check_seeds(seeds)
     target = sweep_target(base.scenario, param, ue_id)
     points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
     for i, value in enumerate(grid):
@@ -296,6 +313,7 @@ def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> 
     depends only on the latency UEs, ``horizon``, ``seed`` and ``seeds``,
     never on a throughput UE's ``alpha``.
     """
+    _check_seeds(seeds)
     lb_f1 = spacing_bound(scenario)
     lb_f2 = 0.0
     lat = scenario.latency_ues

@@ -170,6 +170,34 @@ def test_cli_vw_weight_period_below_one_exits_1(constrained_file, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--param", "beta", "--grid", "2"]])
+def test_cli_vw_weight_step_not_positive_exits_1(constrained_file, tmp_path, capsys,
+                                                 command, eta):
+    out = tmp_path / "out.csv"
+    assert main([command[0], str(constrained_file), *command[1:], "--policy", "vw",
+                 "--eta", eta, "--horizon", "5000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight step eta > 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lb", "{scenario}", "--seeds", "0"],
+    ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1", "--seeds", "0"],
+    ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1", "--seeds", "-1"],
+    ["reproduce", "fig4", "--seeds", "0"],
+], ids=["lb", "sweep-0", "sweep-neg", "reproduce"])
+def test_cli_seeds_below_one_exits_1(scenario_file, tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    argv = [a.format(scenario=scenario_file) for a in argv]
+    flag = "--csv" if argv[0] == "lb" else "--out"
+    assert main([*argv, "--horizon", "1000", flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seeds must be >= 1" in err
+    assert not out.exists()
+
+
 def test_cli_run_byte_identical(scenario_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["run", str(scenario_file), "--horizon", "20000", "--out", str(a)])

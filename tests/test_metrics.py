@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched.metrics import (UeMetrics, aoi_decomposition_audit, assemble_cost,
@@ -23,9 +23,8 @@ def test_age_counts_from_virtual_origin():
 
 def test_age_resets_to_arrival_slot():
     m = make()
-    m.accrue_age(4)        # ages 1, 2, 3, 4
-    m.on_delivery(g=3, t=4)
-    m.accrue_age(5)        # age 5 - 3 = 2
+    m.on_delivery(g=[3], t=[4])  # accrues ages 1, 2, 3, 4 first
+    m.accrue_age(5)              # age 5 - 3 = 2
     assert m.aoi_sum == 1 + 2 + 3 + 4 + 2
 
 
@@ -36,13 +35,13 @@ def test_age_recurrence_on_random_trace():
     ages = []
     lam = 0
     for t in range(1, 200):
-        m.accrue_age(t)
         ages.append(t - lam)
         if rng.random() < 0.3:
             g = int(rng.integers(max(1, t - 3), t + 1))
             if g >= lam:
-                m.on_delivery(g=g, t=t)
+                m.on_delivery(g=[g], t=[t])
                 lam = max(lam, g)
+    m.accrue_age(199)
     assert m.aoi_sum == sum(ages)
     for prev, nxt, t in zip(ages, ages[1:], range(1, 200)):
         assert nxt == prev + 1 or nxt <= t + 1
@@ -54,18 +53,20 @@ def test_age_recurrence_on_random_trace():
 def test_closed_form_age_equals_per_slot_sum(steps, tail):
     # each step: a delivery `wait` slots after the previous one, of a packet
     # `lag` slots old (clamped so g stays in [lam, t]); ages are summed
-    # slot by slot next to the closed form accrued only at deliveries
+    # slot by slot next to the closed form, folded as one batch
     m = make()
     per_slot = 0
     lam = t = 0
+    gs, ts = [], []
     for lag, wait in steps:
         for s in range(t + 1, t + wait + 1):
             per_slot += s - lam
         t += wait
         g = max(lam, t - lag)
-        m.accrue_age(t)
-        m.on_delivery(g=g, t=t)
+        gs.append(g)
+        ts.append(t)
         lam = g
+    m.on_delivery(g=gs, t=ts)
     for s in range(t + 1, t + tail + 1):
         per_slot += s - lam
     m.accrue_age(t + tail)
@@ -76,26 +77,28 @@ def test_closed_form_age_equals_per_slot_sum(steps, tail):
 
 def test_latency_floor_is_one_slot():
     m = make()
-    m.on_delivery(g=3, t=3)
+    m.on_delivery(g=[3], t=[3])
     assert m.latency_sum_delivered == 1
 
 
 def test_latency_direct():
     m = make()
-    m.on_delivery(g=3, t=6)
+    m.on_delivery(g=[3], t=[6])
     assert m.latency_sum_delivered == 4
 
 
 def test_delivery_before_arrival_rejected():
-    m = make()
-    with pytest.raises(ValueError):
-        m.on_delivery(g=7, t=6)
+    for cls in UeClass:
+        m = make(cls)
+        with pytest.raises(ValueError, match="g=7 > t=6"):
+            m.on_delivery(g=[7], t=[6])
+        with pytest.raises(ValueError, match="g=7 > t=6"):
+            m.on_delivery(g=[2, 7, 8], t=[3, 6, 9])  # one bad pair in a batch
 
 
 def test_spacing_samples_between_consecutive_deliveries():
     m = make()
-    m.on_delivery(g=10, t=10)
-    m.on_delivery(g=17, t=18)
+    m.on_delivery(g=[10, 17], t=[10, 18])
     assert m.n_samples == 1
     assert m.sample_sum == 7
 
@@ -103,26 +106,149 @@ def test_spacing_samples_between_consecutive_deliveries():
 def test_spacing_sum_telescopes():
     m = make()
     for g in (4, 9, 11, 20):
-        m.on_delivery(g=g, t=g + 1)
+        m.on_delivery(g=[g], t=[g + 1])
     assert m.sample_sum == 20 - 4
     assert m.n_samples == 3
 
 
 def test_lambda_nondecreasing_under_out_of_order_deliveries():
     m = make(UeClass.LATENCY)
-    m.on_arrival(3)
-    m.on_arrival(5)
-    m.on_delivery(g=5, t=6)   # newest served first
-    m.on_delivery(g=3, t=7)
+    m.on_arrival([3, 5])
+    m.on_delivery(g=[5, 3], t=[6, 7])   # newest served first
     assert m.lam == 5
+
+
+# -- batch folds ------------------------------------------------------------------
+
+class OneByOne:
+    """The per-event arithmetic that folding a batch must reproduce bit for
+    bit: Python ints, float accumulators, one event at a time."""
+
+    def __init__(self, cls):
+        self.is_aoi = cls is UeClass.AOI
+        self.track_pending = cls is UeClass.LATENCY
+        self.lam = self.aoi_sum = self.aged = 0
+        self.arrivals = self.deliveries = self.latency_sum_delivered = 0
+        self.pending_count = self.pending_g_sum = self.n_samples = 0
+        self.sample_sum = self.sample_sumsq = self.sum_spacing_wait = 0.0
+        self.g_prev = None
+
+    def on_arrival(self, t):
+        self.arrivals += 1
+        if self.track_pending:
+            self.pending_count += 1
+            self.pending_g_sum += t
+
+    def accrue_age(self, t):
+        for s in range(self.aged + 1, t + 1):
+            self.aoi_sum += s - self.lam
+        self.aged = t
+
+    def on_delivery(self, g, t):
+        if self.is_aoi:
+            self.accrue_age(t)
+        self.deliveries += 1
+        self.latency_sum_delivered += t - g + 1
+        if self.track_pending:
+            self.pending_count -= 1
+            self.pending_g_sum -= g
+        self.lam = max(self.lam, g)
+        if self.g_prev is not None:
+            d = g - self.g_prev
+            self.n_samples += 1
+            self.sample_sum += d
+            self.sample_sumsq += d * d
+            if self.is_aoi:
+                self.sum_spacing_wait += d * (t - g)
+        self.g_prev = g
+
+    def latency_now(self, t):
+        if self.arrivals == 0:
+            return None
+        backlog = self.pending_count * (t + 1) - self.pending_g_sum
+        return (self.latency_sum_delivered + backlog) / self.arrivals
+
+    def reset_window(self):
+        self.aoi_sum = self.arrivals = self.deliveries = self.latency_sum_delivered = 0
+        self.n_samples = 0
+        self.sample_sum = self.sample_sumsq = self.sum_spacing_wait = 0.0
+        self.g_prev = None
+
+
+FOLDED = ("aoi_sum", "lam", "aged", "g_prev", "sample_sum", "sample_sumsq",
+          "sum_spacing_wait", "arrivals", "deliveries", "latency_sum_delivered",
+          "pending_count", "pending_g_sum", "n_samples")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(UeClass)),
+       st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(0, 4), st.booleans()),
+                min_size=1, max_size=60),
+       st.sets(st.integers(1, 60)), st.none() | st.integers(1, 60))
+@example(UeClass.AOI, [(True, False, 0, False), (True, True, 0, False),
+                       (False, True, 0, False), (True, True, 0, False)], set(), None)
+def test_batch_folds_equal_one_event_at_a_time(cls, slots, cuts, warm_end):
+    # each slot: (a packet arrives, one is delivered, which pending packet,
+    # a weight step reads latency_now at the start of the slot); the
+    # example delivers an AoI packet older than the one before it; the engine
+    # logs a block's events and folds them at the block's end (``cuts``)
+    # and after the warm-up's last slot
+    horizon = len(slots)
+    queue, events = [], []
+    for t, (arrives, serve, pick, _) in enumerate(slots, start=1):
+        arrives = arrives and cls is not UeClass.THROUGHPUT
+        if arrives:
+            queue.append(t)
+        g = None
+        if serve and cls is UeClass.THROUGHPUT:
+            g = t
+        elif serve and queue:
+            g = queue.pop(-1 - pick % len(queue))  # pick 0: the newest
+        events.append((t, arrives, g))
+    warm_end = warm_end if warm_end is not None and warm_end < horizon else None
+    ends = sorted({c for c in cuts if c <= horizon} | {horizon + 1})
+
+    def drive(m, log):
+        latencies, start = [], 1
+        for end in ends:
+            if log:
+                m.log_arrivals(np.array([t for t, a, _ in events[start - 1:end - 1] if a],
+                                        dtype=np.int64))
+            for t, arrived, g in events[start - 1:end - 1]:
+                if slots[t - 1][3]:
+                    latencies.append(m.latency_now(t))
+                if arrived and not log:
+                    m.on_arrival([t] if isinstance(m, UeMetrics) else t)
+                if g is not None:
+                    if log:
+                        m.dg.append(g)
+                        m.dt.append(t)
+                    elif isinstance(m, UeMetrics):
+                        m.on_delivery([g], [t])
+                    else:
+                        m.on_delivery(g, t)
+                if t == warm_end:
+                    if log:
+                        m.fold(t + 1)
+                    m.accrue_age(t)
+                    m.reset_window()
+            if log:
+                m.fold(end)
+            start = end
+        m.accrue_age(horizon)
+        return latencies, [repr(getattr(m, name)) for name in FOLDED]
+
+    reference = drive(OneByOne(cls), log=False)
+    assert drive(UeMetrics(1, cls), log=False) == reference
+    assert drive(UeMetrics(1, cls), log=True) == reference
 
 
 # -- finalisation -----------------------------------------------------------------
 
 def test_finalize_throughput_ratio():
     m = make()
-    for k in range(200):
-        m.on_delivery(g=5 * k + 1, t=5 * k + 1)
+    slots = [5 * k + 1 for k in range(200)]
+    m.on_delivery(g=slots, t=slots)
     stats = m.finalize(10 ** 3)
     assert stats.throughput == 200 / 10 ** 3
     assert stats.deliveries == 200
@@ -130,8 +256,8 @@ def test_finalize_throughput_ratio():
 
 def test_finalize_constant_spacing_has_zero_variance():
     m = make()
-    for k in range(100):
-        m.on_delivery(g=5 * k + 3, t=5 * k + 3)
+    slots = [5 * k + 3 for k in range(100)]
+    m.on_delivery(g=slots, t=slots)
     stats = m.finalize(600)
     assert stats.t_bar == pytest.approx(5.0)
     assert stats.delta_sq == pytest.approx(0.0, abs=1e-12)
@@ -148,10 +274,12 @@ def test_finalize_threshold_gated_arrival_spacing_statistics():
     last = 0
     horizon = 2 * 10 ** 6
     arrivals = rng.random(horizon) < q
+    delivered = []
     for t in range(1, horizon):
         if arrivals[t] and t - last > gap:
-            m.on_delivery(g=t, t=t)
+            delivered.append(t)
             last = t
+    m.on_delivery(g=delivered, t=delivered)
     stats = m.finalize(horizon)
     predicted_mean = gap + 1 / q
     predicted_var = (1 - q) / q ** 2
@@ -169,9 +297,8 @@ def test_finalize_no_arrivals_reports_absent_latency():
 
 def test_finalize_backlog_counts_as_delivered_at_horizon():
     m = make(UeClass.LATENCY)
-    m.on_arrival(4)
-    m.on_arrival(8)
-    m.on_delivery(g=4, t=5)      # latency 2
+    m.on_arrival([4, 8])
+    m.on_delivery(g=[4], t=[5])      # latency 2
     stats = m.finalize(10)
     # pending packet from slot 8 counts as delivered in slot 10: latency 3
     assert stats.avg_latency == pytest.approx((2 + 3) / 2)
@@ -179,22 +306,22 @@ def test_finalize_backlog_counts_as_delivered_at_horizon():
 
 def test_backlog_zero_when_queue_empty():
     m = make(UeClass.LATENCY)
-    m.on_arrival(4)
-    m.on_delivery(g=4, t=5)
+    m.on_arrival([4])
+    m.on_delivery(g=[4], t=[5])
     assert m.backlog_age_sum(9) == 0
     with_backlog = m.latency_now(9)
     m2 = make(UeClass.LATENCY)
-    m2.on_arrival(4)
-    m2.on_delivery(g=4, t=5)
-    m2.on_arrival(7)
+    m2.on_arrival([4])
+    m2.on_delivery(g=[4], t=[5])
+    m2.on_arrival([7])
     assert m2.latency_now(9) >= with_backlog  # backlog can only raise it
 
 
 def test_finalize_extra_pending_for_retained_packet():
     m = make()
-    m.on_arrival(2)
-    m.on_delivery(g=2, t=2)
-    m.on_arrival(6)
+    m.on_arrival([2])
+    m.on_delivery(g=[2], t=[2])
+    m.on_arrival([6])
     stats = m.finalize(9, extra_pending=(6,))
     # delivered latency 1 plus retained packet counted to the horizon (4)
     assert stats.avg_latency == pytest.approx((1 + 4) / 2)
@@ -202,7 +329,7 @@ def test_finalize_extra_pending_for_retained_packet():
 
 def test_throughput_class_reports_no_latency():
     m = make(UeClass.THROUGHPUT)
-    m.on_delivery(g=5, t=5)
+    m.on_delivery(g=[5], t=[5])
     stats = m.finalize(10)
     assert stats.avg_latency is None
     assert stats.arrivals == 10  # synthetic backlog: one packet per slot
@@ -215,9 +342,7 @@ def test_audit_exact_on_deterministic_trace():
     # age runs 1,2,3 | 1,2,3 | 1,2,3 so the average is exactly 2, and the
     # spacing form gives (3 + 0/3 + 1)/2 = 2 with no waiting term
     m = make()
-    for t in (3, 6, 9):
-        m.accrue_age(t)
-        m.on_delivery(g=t, t=t)
+    m.on_delivery(g=[3, 6, 9], t=[3, 6, 9])
     stats = m.finalize(9)
     assert stats.avg_aoi == pytest.approx(2.0)
     assert stats.t_bar == pytest.approx(3.0)
@@ -229,9 +354,7 @@ def test_audit_exact_on_deterministic_trace():
 def test_audit_exact_with_waiting_term():
     # same arrivals but delivery lags: arrival 3 delivered at 4, arrival 6 at 8
     m = make()
-    for g, t in ((3, 4), (6, 8), (9, 9)):
-        m.accrue_age(t)
-        m.on_delivery(g=g, t=t)
+    m.on_delivery(g=[3, 6, 9], t=[4, 8, 9])
     stats = m.finalize(9)
     # direct ages: 1,2,3,4,2,3,4,5,3 -> 27/9 (the slot-9 delivery only
     # lowers the age from slot 10 onward)
@@ -244,8 +367,7 @@ def test_audit_exact_with_waiting_term():
 
 def test_audit_skipped_with_single_delivery():
     m = make()
-    m.accrue_age(1)
-    m.on_delivery(g=1, t=1)
+    m.on_delivery(g=[1], t=[1])
     stats = m.finalize(1)
     assert aoi_decomposition_audit(stats, 1) is None
 

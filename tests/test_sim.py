@@ -3,10 +3,10 @@ import tracemalloc
 
 import pytest
 
-from aoisched.metrics import report_rows
+from aoisched.metrics import UeMetrics, report_rows
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.rng import derive_seed, rng_contract, substreams
-from aoisched.sim import CHUNK, PolicySpec, RunConfig, run, sweep
+from aoisched.sim import CHUNK, PolicySpec, RunConfig, lower_bound, run, sweep
 from aoisched.solver import SolverError
 
 
@@ -77,6 +77,20 @@ def test_policy_variant_mismatch_rejected():
 def test_vw_weight_period_below_one_rejected(f):
     with pytest.raises(ScenarioError, match="weight period"):
         run(cfg(constrained(), policy="vw", horizon=40000, f=f))
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.1, math.nan, math.inf])
+def test_vw_weight_step_must_be_positive_and_finite(eta):
+    with pytest.raises(ScenarioError, match="weight step eta"):
+        run(cfg(constrained(), policy="vw", horizon=40000, f=1000, eta=eta))
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_seeds_below_one_rejected(seeds):
+    with pytest.raises(ScenarioError, match="seeds must be >= 1"):
+        sweep(cfg(weighted(), horizon=1000), "alpha", [0.1], seeds=seeds)
+    with pytest.raises(ScenarioError, match="seeds must be >= 1"):
+        lower_bound(weighted(), horizon=1000, seed=1, seeds=seeds)
 
 
 def test_no_budget_for_aoi_traffic_rejected():
@@ -233,6 +247,25 @@ def test_memory_stays_flat_as_the_horizon_grows():
     short = peak(2 * CHUNK)
     growth = (peak(4 * CHUNK) - short) / (2 * CHUNK)
     assert growth < 1.0, f"{growth:.1f} B per extra slot"
+
+
+def test_metric_hooks_fold_per_block_not_per_event(monkeypatch):
+    # the slot loop only logs events; each UE's statistics are folded once
+    # per block, at the warm-up boundary and as a weight step reads them,
+    # however many packets arrive and are delivered
+    calls = {"on_arrival": {}, "on_delivery": {}}
+    for name, seen in calls.items():
+        def counted(self, *args, _fold=getattr(UeMetrics, name), _seen=seen):
+            _seen[self.ue_id] = _seen.get(self.ue_id, 0) + 1
+            return _fold(self, *args)
+        monkeypatch.setattr(UeMetrics, name, counted)
+    horizon, f = 3 * CHUNK + 5, 5000
+    report = run(RunConfig(scenario=constrained(), policy=PolicySpec("vw", f=f),
+                           horizon=horizon, seed=2, warmup=CHUNK + 7))
+    bound = -(-(horizon + 1) // CHUNK) + horizon // f + 2
+    assert sum(s.deliveries for s in report.per_ue.values()) > 10 * 3 * bound
+    for name, seen in calls.items():
+        assert seen and max(seen.values()) <= bound, (name, seen, bound)
 
 
 def test_rd_consumes_draw_every_slot():
