@@ -25,8 +25,6 @@ import numpy as np
 
 from .model import Scenario, UeClass, Variant
 
-_NO_SLOTS = memoryview(array("q"))
-
 
 class UeMetrics:
     """Accumulators for one UE.  One instance per UE per run.
@@ -68,7 +66,7 @@ class UeMetrics:
         self.sample_sumsq = 0.0
         self.g_prev = None
         self.sum_spacing_wait = 0.0  # sum over delivered packets of T_i * (L_i - 1)
-        self.arrived = _NO_SLOTS  # arrival slots not yet folded, ascending
+        self.arrived = ()  # arrival slots not yet folded, ascending
         self.dg = array("q")  # arrival slot of each delivered packet not yet folded
         self.dt = array("q")  # and its delivery slot
         # deliveries latency_now has read since the last fold: count, sum of
@@ -78,7 +76,7 @@ class UeMetrics:
     def log_arrivals(self, slots) -> None:
         """Take a block's arrival slots (an ascending int64 buffer), to be
         folded by ``fold`` or ``latency_now``."""
-        self.arrived = memoryview(slots) if len(slots) else _NO_SLOTS
+        self.arrived = memoryview(slots) if len(slots) else ()
 
     def fold(self, end: int) -> None:
         """Fold the logged arrivals before slot ``end`` and every logged delivery."""
@@ -93,7 +91,7 @@ class UeMetrics:
         if arrived and arrived[0] < end:
             k = bisect_left(arrived, end)
             self.on_arrival(arrived[:k])
-            self.arrived = arrived[k:] if k < len(arrived) else _NO_SLOTS
+            self.arrived = arrived[k:] if k < len(arrived) else ()
 
     def on_arrival(self, slots: Sequence[int]) -> None:
         """Fold a batch of arrivals, given their arrival slots."""
