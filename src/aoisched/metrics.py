@@ -144,23 +144,15 @@ class UeMetrics:
         if self.track_pending:
             self.pending_count -= n
             self.pending_g_sum -= int(g.sum())
-        # spacing samples: one per delivery after the window's first
-        d = g[1:] - g[:-1]
-        sumsq = int(d @ d)
-        spacing_wait = int(d @ wait[1:]) if self.is_aoi else 0
-        samples = n - 1
-        prev = self.g_prev
-        if prev is None:
-            prev = g0
-        else:
-            samples += 1
-            sumsq += (g0 - prev) ** 2
-            spacing_wait += (g0 - prev) * int(wait[0])
-        self.n_samples += samples
+        # a spacing sample per delivery after the window's first, whose d is 0
+        first = self.g_prev is None
+        prev = g0 if first else self.g_prev
+        d = g - np.concatenate(([prev], g[:-1]))
+        self.n_samples += n - first
         self.sample_sum += g_last - prev
-        self.sample_sumsq += sumsq
+        self.sample_sumsq += int(d @ d)
         if self.is_aoi:
-            self.sum_spacing_wait += spacing_wait
+            self.sum_spacing_wait += int(d @ wait)
         self.g_prev = g_last
 
     def backlog_age_sum(self, t: int) -> int:
