@@ -29,10 +29,10 @@ from .model import Scenario, UeClass, Variant
 class UeMetrics:
     """Accumulators for one UE.  One instance per UE per run.
 
-    Events are not folded one at a time.  The engine hands over each
-    block's arrival slots (``log_arrivals``) and appends each delivery to
-    the ``dg``/``dt`` buffers; ``fold`` then folds the whole batch at once,
-    once per block and at the warm-up boundary.  Every statistic is a sum
+    Events are folded in batches, not one at a time.  The engine hands
+    over each block's arrival slots (``log_arrivals``) and appends each
+    delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
+    per block and at the warm-up boundary.  Every statistic is a sum
     of integers, exact in int64 and, as a float, below 2**53 for horizons
     up to about 9 * 10**7 slots, so a batch fold gives the same bits as
     folding the events one by one.

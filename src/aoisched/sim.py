@@ -187,9 +187,8 @@ def run(config: RunConfig) -> RunReport:
             if b - 1 == warm_end:
                 for m in metrics:
                     m.fold(b)
-                for m in aoi_ms:
-                    m.accrue_age(warm_end)
-                for m in metrics:
+                    if m.is_aoi:
+                        m.accrue_age(warm_end)
                     m.reset_window()
         for m in metrics:
             m.fold(start + n)
