@@ -14,6 +14,12 @@ times per run.  ``VW_GOLDEN`` adds ``vw`` at other weight periods: a step
 every slot (``f=1``), every 7th slot, and warm-ups whose last slot is a
 weight-step slot, one of them also the first slot of a block (16384 with
 ``f=4096``), one the last slot of the block before it (16383).
+``CMU_GOLDEN`` adds ``cmu`` on latency-only systems that stress a queue
+engine: tied ``rho*p/q`` (the tie breaks toward the lower position) with a
+UE whose ``p`` is 1, a total load of 0.97 (queues carry across blocks), an
+overloaded system (load 1.10, which ``validate`` flags and ``run`` still
+runs), and warm-ups ending on the last slot of the first block of draws
+(``CHUNK - 1``) and on the first slot of the next (``CHUNK``).
 
 Re-record only when output changes on purpose:
 ``python tests/test_engine_golden.py`` prints the current table.
@@ -27,8 +33,8 @@ import pytest
 
 from aoisched import presets
 from aoisched.metrics import CSV_COLUMNS, report_rows
-from aoisched.model import Scenario, UeClass, UeConfig, Variant
-from aoisched.sim import PolicySpec, RunConfig, run
+from aoisched.model import Scenario, UeClass, UeConfig, Variant, validate
+from aoisched.sim import CHUNK, PolicySpec, RunConfig, run
 
 HORIZON = 3 * 2 ** 14 + 123
 WARMUPS = (0, 2 ** 14 + 777)
@@ -61,10 +67,26 @@ SYSTEMS = {
 }
 
 
-def engine_digest(system: str, policy: str, seed: int, warmup: int,
-                  f: int = VW_PERIOD) -> str:
-    spec = PolicySpec(policy, f=f) if policy == "vw" else PolicySpec(policy)
-    report = run(RunConfig(scenario=SYSTEMS[system][policy], policy=spec,
+def latency_only(*ues: tuple[float, float, float]) -> Scenario:
+    """Weighted latency UEs with ids 1, 2, ... from (q, p, rho) triples."""
+    return Scenario(ues=tuple(UeConfig(id=i, cls=UeClass.LATENCY, q=q, p=p, rho=rho)
+                              for i, (q, p, rho) in enumerate(ues, 1)),
+                    variant=Variant.LATENCY_WEIGHTED)
+
+
+CMU_SYSTEMS = {
+    # rho*p/q is 5.0 for ids 1-3 (id 2 has p = 1) and 9.0 for id 4
+    "tie": latency_only((0.1, 0.5, 1.0), (0.2, 1.0, 1.0), (0.1, 0.5, 1.0),
+                        (0.05, 0.9, 0.5)),
+    "heavy": latency_only((0.3, 0.8, 1.0), (0.2, 0.5, 2.0), (0.13, 0.67, 0.5)),
+    "over": latency_only((0.4, 0.6, 1.0), (0.3, 0.7, 3.0)),
+}
+CMU_WARMUPS = (0, CHUNK - 1, CHUNK)
+CMU_SEEDS = (1, 42)
+
+
+def run_digest(scenario: Scenario, spec: PolicySpec, seed: int, warmup: int) -> str:
+    report = run(RunConfig(scenario=scenario, policy=spec,
                            horizon=HORIZON, seed=seed, warmup=warmup))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -72,6 +94,16 @@ def engine_digest(system: str, policy: str, seed: int, warmup: int,
     writer.writerows(report_rows(report, f"{report.policy}-h{HORIZON}-s{seed}"))
     buf.write(repr({k: report.extras.get(k) for k in EXTRAS}))
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def engine_digest(system: str, policy: str, seed: int, warmup: int,
+                  f: int = VW_PERIOD) -> str:
+    spec = PolicySpec(policy, f=f) if policy == "vw" else PolicySpec(policy)
+    return run_digest(SYSTEMS[system][policy], spec, seed, warmup)
+
+
+def cmu_digest(system: str, seed: int, warmup: int) -> str:
+    return run_digest(CMU_SYSTEMS[system], PolicySpec("cmu"), seed, warmup)
 
 
 # (system, policy, seed, warmup): sha256
@@ -166,6 +198,29 @@ VW_GOLDEN = {
 }
 
 
+# (system, seed, warmup): sha256
+CMU_GOLDEN = {
+    ('tie', 1, 0): '185fd92f651b718f0bef41ea174dfcd10e07df1ccf2f0e40b8bdd5ba95a3a182',
+    ('tie', 1, 8191): '25d3dbbdbe5ae3e11e0b57bf8ceedc37c435202984e678dde3f5522b313c839b',
+    ('tie', 1, 8192): '13a144f1a1271097c3336e6683c552adf3cbed3565620bb53cec4f452c3cd4a7',
+    ('tie', 42, 0): '4311a7be488b1e4d17f663cbcc7857dbe4fc9cb074cb47ba9f44b6f9e8b9b60f',
+    ('tie', 42, 8191): 'd6b0f6a22bc5b23a5428c8af2b14d9482dd54c560f7e30189f2c73c2670d7211',
+    ('tie', 42, 8192): 'cbc77e2db0a8df005895ec478256d775a31e1eac4e8a6eed9a2f8d0111d109aa',
+    ('heavy', 1, 0): '5f59ef76f43e4e3dcc8202285c137125883a764331e9f6ba66bb9973ba99d055',
+    ('heavy', 1, 8191): '7a871b72d74a12e2ac2e598b653d71d016edb692228e1a533f4240385034a267',
+    ('heavy', 1, 8192): '0affd26478ea305b82643ca14a41177d9c8613e500dfb002ddcc46d637d63e17',
+    ('heavy', 42, 0): '7a6fc12b1562e654be0c0649d068796b156c952af21c89191e2239a6e7c1c76f',
+    ('heavy', 42, 8191): 'fd56aa66fcfb4beb41d591882ce2224a4daae73ca0d57078ed0ca94511d3f3c7',
+    ('heavy', 42, 8192): '667692ea019f0ea4f93cd46c3ada43e970d1c4b787bcfc2cea8d7001958c3882',
+    ('over', 1, 0): '74c1e80ff276ac9726291cf4d0c566452ee4612ee8ebfe54fe45ea470d23b69d',
+    ('over', 1, 8191): '6811b962771c8b77db6559c25aa13b7d0907b227a29aca60171678bce255ae51',
+    ('over', 1, 8192): '47bd27ab744540bcf9d7cbb66ba6c72149dccfad35b81e55d325603e4185749d',
+    ('over', 42, 0): '1a610bc1d8009b2a0f2e902d43aca51aa5a5547239c09995d09153f748f0c94f',
+    ('over', 42, 8191): '330afffb20e359174eb6bba9a0f1f5630b0e91542f7975d537bc84d339790ad9',
+    ('over', 42, 8192): 'e69b3f2c49750a402e5b2f7bcc013ff8447252e2c99b5288b984175d963e6a52',
+}
+
+
 @pytest.mark.parametrize("system,policy,seed,warmup", sorted(GOLDEN))
 def test_engine_output_is_pinned(system, policy, seed, warmup):
     assert engine_digest(system, policy, seed, warmup) == GOLDEN[system, policy, seed, warmup]
@@ -176,11 +231,27 @@ def test_vw_weight_periods_are_pinned(system, f, seed, warmup):
     assert engine_digest(system, "vw", seed, warmup, f) == VW_GOLDEN[system, f, seed, warmup]
 
 
+@pytest.mark.parametrize("system,seed,warmup", sorted(CMU_GOLDEN))
+def test_cmu_queue_systems_are_pinned(system, seed, warmup):
+    assert cmu_digest(system, seed, warmup) == CMU_GOLDEN[system, seed, warmup]
+
+
+def test_cmu_systems_have_the_stated_shape():
+    index = [u.rho * u.p / u.q for u in CMU_SYSTEMS["tie"].ues]
+    assert index[0] == index[1] == index[2] < index[3]
+    assert CMU_SYSTEMS["tie"].ues[1].p == 1.0
+    assert 0.96 < validate(CMU_SYSTEMS["heavy"]).load < 0.98
+    over = validate(CMU_SYSTEMS["over"])
+    assert over.load > 1 and not over.feasible
+
+
 def test_matrix_is_complete():
     assert set(GOLDEN) == {(s, p, seed, w) for s in SYSTEMS for p in POLICIES
                            for seed in SEEDS for w in WARMUPS}
     assert set(VW_GOLDEN) == {(s, f, seed, w) for s in SYSTEMS for f, w in VW_RUNS
                               for seed in VW_SEEDS}
+    assert set(CMU_GOLDEN) == {(s, seed, w) for s in CMU_SYSTEMS for seed in CMU_SEEDS
+                               for w in CMU_WARMUPS}
 
 
 if __name__ == "__main__":
@@ -196,3 +267,8 @@ if __name__ == "__main__":
             for seed in VW_SEEDS:
                 key = (system, f, seed, warmup)
                 print(f"    {key!r}: {engine_digest(system, 'vw', seed, warmup, f)!r},")
+    print()
+    for system in CMU_SYSTEMS:
+        for seed in CMU_SEEDS:
+            for warmup in CMU_WARMUPS:
+                print(f"    {(system, seed, warmup)!r}: {cmu_digest(system, seed, warmup)!r},")
