@@ -32,10 +32,11 @@ class UeMetrics:
     Events are folded in batches, not one at a time.  The engine hands
     over each block's arrival slots (``log_arrivals``) and appends each
     delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
-    per block and at the warm-up boundary.  Every statistic is a sum
-    of integers, exact in int64 and, as a float, below 2**53 for horizons
-    up to about 9 * 10**7 slots, so a batch fold gives the same bits as
-    folding the events one by one.
+    per block and at the warm-up boundary.  A segment served as a whole
+    (``cmu``) hands its deliveries to ``on_delivery`` directly.  Every
+    statistic is a sum of integers, exact in int64 and, as a float, below
+    2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
+    the same bits as folding the events one by one.
     """
 
     __slots__ = (

@@ -1,17 +1,19 @@
 """Scheduling policies.
 
-All policies share the same per-slot shape: an index update fed with the
-slot's arrivals, a selection step returning at most one transmission, and
-an outcome hook.  The hierarchical policies keep a pool of retained
+The two-tier policies share the same per-slot shape: an index update fed
+with the slot's arrivals, a selection step returning at most one
+transmission, and an outcome hook.  The weighted-rate rule (``cmu``) has
+the same three steps over a segment of slots at a time (see
+``CmuPolicy``).  The hierarchical policies keep a pool of retained
 high-priority packets (at most one per AoI UE, the whole queue per latency
 UE); whenever that pool is nonempty its best-index packet is sent, and
 only an empty pool lets the throughput tier transmit.  Ties break toward
 the lowest UE id everywhere, which keeps runs reproducible.
 
 State is indexed by UE *position*: the UE's index in the scenario's UEs
-sorted by ascending id.  ``update_index`` takes the positions that saw an
-arrival, in ascending order, and may be skipped on slots without arrivals;
-``select(t, draw)`` gets the slot's policy uniform, or None for policies
+sorted by ascending id.  In the two-tier policies ``update_index`` takes
+the positions that saw an arrival, in ascending order, and may be skipped
+on slots without arrivals; ``select(t, draw)`` gets the slot's policy uniform, or None for policies
 that take none (``needs_draw``), and returns at most one transmission, a
 ``(position, g)`` tuple, ``g`` being the arrival slot of the packet sent.
 ``on_outcome`` changes nothing on a failed AoI or latency attempt, so it
@@ -30,9 +32,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import deque
 from heapq import heapreplace
 from typing import Sequence
+
+import numpy as np
 
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
@@ -311,12 +314,29 @@ class RandomizedPolicy(_TwoTier):
             self._partition()
 
 
+_EMPTY = np.empty(0, np.int64)
+
+
 class CmuPolicy:
-    """Weighted-rate rule over latency UEs only: serve the nonempty queue
-    with the largest rho*p/q, oldest packet first."""
+    """Weighted-rate rule over latency UEs only: in every slot, serve the
+    nonempty queue with the largest rho*p/q (ties toward the lower
+    position), oldest packet first.
+
+    The rule is a strict priority over FIFO queues, so it is served a
+    segment of slots at a time, not slot by slot.  ``update_index``
+    enqueues a block's arrival slots, ``select`` serves slots [a, b) and
+    ``on_outcome`` pops the packets delivered there.  Queues are taken in
+    priority order.  Queue i may use the slots ``free`` of every higher
+    queue; it attempts in such a slot when it is nonempty after the slot's
+    arrivals, and succeeds when the slot's success uniform is also below
+    its p.  Its length then follows the Lindley recursion
+    L[t] = max(0, L[t-1] + A[t] - c[t]), with A its arrivals and c the free
+    slots whose uniform is below p, which cumulative sums solve exactly:
+    with X = L[a-1] + cumsum(A - c), L = X - min(0, cummin X).  FIFO order
+    means the k successes of a segment deliver the k oldest packets.
+    """
 
     name = "cmu"
-    needs_draw = False
 
     def __init__(self, scenario: Scenario):
         lat = scenario.latency_ues
@@ -325,32 +345,65 @@ class CmuPolicy:
         if scenario.variant is not Variant.LATENCY_WEIGHTED:
             raise ScenarioError("weighted-rate rule needs latency weights (rho)")
         ues = sorted(lat, key=lambda u: u.id)
-        order = sorted(range(len(ues)), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
-        self.order = order                          # positions, service priority first
-        self._rank_of = {i: r for r, i in enumerate(order)}
-        self.queues: list[deque[int]] = [deque() for _ in ues]
-        self._ready: list[int] = []                 # ranks of nonempty queues, ascending
+        self.order = sorted(range(len(ues)), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
+        self._p = [u.p for u in ues]
+        # arrival slots of each queue's packets not yet delivered, ascending,
+        # from index head[i] on; those at or after the current segment have
+        # not arrived yet
+        self.queues = [_EMPTY] * len(ues)
+        self._head = [0] * len(ues)
 
-    def update_index(self, t: int, arrived: Sequence[int]) -> None:
-        for i in arrived:
-            queue = self.queues[i]
-            if not queue:
-                insort(self._ready, self._rank_of[i])
-            queue.append(t)
+    def update_index(self, start: int, arrived: Sequence[np.ndarray]) -> None:
+        """Enqueue a block's arrivals: ``arrived[i]`` holds position i's
+        arrival slots from ``start`` on, ascending."""
+        for i, slots in enumerate(arrived):
+            queue, head = self.queues[i], self._head[i]
+            if len(slots):
+                self.queues[i] = np.concatenate((queue[head:], slots))
+                self._head[i] = 0
 
-    def select(self, t: int, draw: float | None = None) -> tuple[int, int] | None:
-        if not self._ready:
-            return None
-        i = self.order[self._ready[0]]
-        return i, self.queues[i][0]
+    def select(self, a: int, b: int, u: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+        """Serve slots [a, b), whose success uniforms are ``u``.  Returns
+        each position's attempts and its success slots, ascending."""
+        n = b - a
+        attempts = [0] * len(self.queues)
+        successes = [_EMPTY] * len(self.queues)
+        free = np.ones(n, bool)
+        for i in self.order:
+            queue = self.queues[i][self._head[i]:]
+            waiting, end = queue.searchsorted((a, b))
+            if end == 0:
+                continue  # empty all segment: it takes no slot
+            arrived = np.zeros(n, bool)
+            arrived[queue[waiting:end] - a] = True
+            c = u < self._p[i]
+            c &= free
+            length = np.subtract(arrived, c, dtype=np.int64)
+            np.cumsum(length, out=length)
+            length += int(waiting)
+            floor = np.minimum.accumulate(length)
+            np.minimum(floor, 0, out=floor)
+            length -= floor
+            # nonempty after the slot's arrivals: L[t-1] + A[t] > 0
+            busy = arrived
+            busy[0] |= waiting > 0
+            busy[1:] |= length[:-1] > 0
+            attempts[i] = int(np.count_nonzero(busy & free))
+            c &= busy
+            successes[i] = np.flatnonzero(c) + a
+            free &= ~busy
+        return attempts, successes
 
-    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
-        if success:
-            i = action[0]
-            queue = self.queues[i]
-            queue.popleft()
-            if not queue:
-                self._ready.remove(self._rank_of[i])
+    def on_outcome(self, successes: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Pop as many packets from each queue as it had successes; return
+        their arrival slots, oldest first."""
+        delivered = []
+        for i, slots in enumerate(successes):
+            head = self._head[i]
+            self._head[i] = head + len(slots)
+            delivered.append(self.queues[i][head:head + len(slots)])
+        return delivered
 
     def pending_aoi_packets(self) -> dict[int, int]:
         return {}
+

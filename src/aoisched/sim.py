@@ -11,14 +11,23 @@ Per-slot order of operations (normative):
    policy outcome hook; a success is logged for the metrics.
 
 Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
-the horizon.  The per-UE statistics are not updated slot by slot: each
-block's arrivals and logged deliveries are folded once per block, and at
-the warm-up boundary, in slot order (see ``metrics.UeMetrics``); a weight
-step reads the folded totals plus the events logged since.  Age only
-changes course at an AoI delivery, so it is summed in closed form between
-deliveries.  The engine calls a policy hook only where it has work: the
-index update on slots with arrivals, the outcome hook on successes and
-throughput attempts.
+the horizon.  Each block is cut into segments at weight steps and at the
+warm-up's last slot.  The per-UE statistics are not updated slot by slot:
+each block's arrivals and logged deliveries are folded once per block, and
+at the warm-up boundary, in slot order (see ``metrics.UeMetrics``); a
+weight step reads the folded totals plus the events logged since.  Age
+only changes course at an AoI delivery, so it is summed in closed form
+between deliveries.
+
+The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
+and the engine calls a policy hook only where it has work: the index
+update on slots with arrivals, the outcome hook on successes and
+throughput attempts.  ``cmu`` is served a segment at a time (see
+``policies.CmuPolicy``): per block its queues take the block's arrival
+slots, per segment it returns each UE's attempts and success slots and the
+arrival slots of the packets those successes deliver.  It follows the same
+per-slot order, so it reads the same draws and gives the same report as a
+slot-by-slot run.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -91,22 +100,31 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
+def _arrival_slots(n: int, start: int, streams):
+    """Each stream's position and arrival slots in the ``n`` slots from
+    ``start`` on, ascending; the slots also go to the UE's metrics, to be
+    folded later.  Slot 0 is left out."""
+    for pos, gen, q, m in streams:
+        hit = np.flatnonzero(gen.random(n) < q)
+        if start == 0:
+            hit = hit[hit.searchsorted(1):]
+        hit += start
+        m.log_arrivals(hit)
+        yield pos, hit
+
+
 def _arrivals(n: int, start: int, streams) -> list[Sequence[int] | None]:
     """Positions arriving in each of the ``n`` slots from ``start`` on,
-    ascending, or None; each stream's arrival slots also go to its UE's
-    metrics, to be folded later.  Slot 0 is left out.
+    ascending, or None (see ``_arrival_slots``).
 
     A slot with one arrival shares its stream's 1-tuple, so the block costs
     about a pointer per slot.  Slots with more arrivals get lists: freed
     tuples stay cached by the interpreter, lists do not.
     """
     slots: list[Sequence[int] | None] = [None] * n
-    for pos, gen, q, m in streams:
+    for pos, hit in _arrival_slots(n, start, streams):
         alone = (pos,)
-        hit = np.flatnonzero(gen.random(n) < q)
-        if start == 0:
-            hit = hit[hit.searchsorted(1):]
-        for s in hit.tolist():
+        for s in (hit - start).tolist():
             at = slots[s]
             if at is None:
                 slots[s] = alone
@@ -114,8 +132,6 @@ def _arrivals(n: int, start: int, streams) -> list[Sequence[int] | None]:
                 slots[s] = [at[0], pos]
             else:
                 at.append(pos)
-        hit += start
-        m.log_arrivals(hit)
     return slots
 
 
@@ -153,6 +169,7 @@ def run(config: RunConfig) -> RunReport:
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
     streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
+    by_segment = isinstance(policy, CmuPolicy)
     virtual = config.policy.name == "vw"
     every = config.policy.f if virtual else 0
     warm_end = config.warmup
@@ -161,29 +178,40 @@ def run(config: RunConfig) -> RunReport:
     for start in range(0, horizon + 1, CHUNK):
         n = min(CHUNK, horizon + 1 - start)
         arrivals = success_u = policy_u = None  # free the last block first
-        arrivals = _arrivals(n, start, streams)
-        success_u = success_gen.random(n).tolist()
-        policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
+        if by_segment:
+            update_index(start, [hit for _, hit in _arrival_slots(n, start, streams)])
+            success_u = success_gen.random(n)
+        else:
+            arrivals = _arrivals(n, start, streams)
+            success_u = success_gen.random(n).tolist()
+            policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
             if every and a % every == 0:
                 policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
             lo, hi = a - start, b - start
-            draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
-            for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
-                                           success_u[lo:hi], draws):
-                if arrived is not None:
-                    update_index(t, arrived)
-                action = select(t, draw)
-                if action is None:
-                    continue
-                i, g = action
-                metrics[i].attempts += 1
-                if u < p_of[i]:
-                    log_g[i](g)
-                    log_t[i](t)
-                    on_outcome(action, True, t)
-                elif is_thr[i]:
-                    on_outcome(action, False, t)
+            if by_segment:
+                attempts, successes = select(a, b, success_u[lo:hi])
+                for m, k, g, t in zip(metrics, attempts, on_outcome(successes), successes):
+                    m.attempts += k
+                    if len(t):
+                        m.on_delivery(g, t)
+            else:
+                draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
+                for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
+                                               success_u[lo:hi], draws):
+                    if arrived is not None:
+                        update_index(t, arrived)
+                    action = select(t, draw)
+                    if action is None:
+                        continue
+                    i, g = action
+                    metrics[i].attempts += 1
+                    if u < p_of[i]:
+                        log_g[i](g)
+                        log_t[i](t)
+                        on_outcome(action, True, t)
+                    elif is_thr[i]:
+                        on_outcome(action, False, t)
             if b - 1 == warm_end:
                 for m in metrics:
                     m.fold(b)
@@ -258,9 +286,12 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     Grid values that leave no attempt budget for AoI traffic are reported
     as infeasible points, not silently skipped.  Points still runnable
     (for instance a latency ceiling below its queueing floor) run normally
-    and carry their feasibility flags.
+    and carry their feasibility flags.  At most ``jobs`` worker processes
+    run them, and never more than there are runnable points.
     """
     _check_seeds(seeds)
+    if jobs < 1:
+        raise ScenarioError(f"jobs must be >= 1, got {jobs}")
     target = sweep_target(base.scenario, param, ue_id)
     points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
     for i, value in enumerate(grid):
@@ -273,8 +304,9 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
             points.append((i, value, r, cfg, feas))
 
     configs = [cfg for _, _, _, cfg, _ in points if cfg is not None]
-    if jobs > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_worker, configs))
     else:
         reports = [run(cfg) for cfg in configs]

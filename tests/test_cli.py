@@ -198,6 +198,20 @@ def test_cli_seeds_below_one_exits_1(scenario_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1,0.2", "--seeds", "1"],
+    ["reproduce", "fig4", "--seeds", "1"],
+], ids=["sweep", "reproduce"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_jobs_below_one_exits_1(scenario_file, tmp_path, capsys, argv, jobs):
+    out = tmp_path / "out.csv"
+    argv = [a.format(scenario=scenario_file) for a in argv]
+    assert main([*argv, "--jobs", jobs, "--horizon", "1000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "jobs must be >= 1" in err
+    assert not out.exists()
+
+
 def test_cli_run_byte_identical(scenario_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["run", str(scenario_file), "--horizon", "20000", "--out", str(a)])

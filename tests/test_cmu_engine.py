@@ -1,0 +1,72 @@
+"""The segment-at-a-time ``cmu`` engine against its slot-by-slot reference.
+
+``sim.run`` serves ``cmu`` with a priority Lindley recursion over whole
+segments; ``cmu_oracle.run_slots`` walks the same draws one slot at a time.
+The two must write the same CSV cells on any latency-only system: ties in
+``rho*p/q``, UEs with ``p = 1``, loads above 1, horizons on either side of
+a block edge and any warm-up.  The reference itself must reproduce every
+pinned ``cmu`` digest.
+"""
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from aoisched.metrics import report_rows
+from aoisched.model import Scenario, UeClass, UeConfig, Variant
+from aoisched.sim import CHUNK, PolicySpec, RunConfig, run
+from cmu_oracle import run_slots
+from test_engine_golden import (CMU_GOLDEN, CMU_SYSTEMS, GOLDEN, HORIZON, SYSTEMS,
+                                run_digest)
+
+
+@st.composite
+def latency_systems(draw):
+    """1-8 weighted latency UEs at a total load of 0.05-1.3; a UE may copy
+    an earlier UE's (share, p, rho), which ties their rho*p/q exactly."""
+    load = draw(st.floats(0.05, 1.3))
+    picks = []
+    for _ in range(draw(st.integers(1, 8))):
+        if picks and draw(st.booleans()):
+            picks.append(draw(st.sampled_from(picks)))
+        else:
+            picks.append((draw(st.floats(0.05, 1.0)),
+                          draw(st.just(1.0) | st.floats(0.2, 1.0)),
+                          draw(st.floats(0.2, 3.0))))
+    total = sum(share for share, _, _ in picks)
+    ues = tuple(UeConfig(id=i, cls=UeClass.LATENCY, q=min(1.0, load * share / total * p),
+                         p=p, rho=rho)
+                for i, (share, p, rho) in enumerate(picks, 1))
+    return Scenario(ues=ues, variant=Variant.LATENCY_WEIGHTED)
+
+
+@st.composite
+def horizons_and_warmups(draw):
+    """A horizon within 3 slots of one or two whole blocks, and a warm-up in it."""
+    horizon = draw(st.integers(1, 2)) * CHUNK + draw(st.integers(-3, 3))
+    return horizon, draw(st.integers(0, horizon - 1))
+
+
+# The reference walks every slot in Python, so examples stay few and short.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(scenario=latency_systems(), span=horizons_and_warmups(), seed=st.integers(0, 2 ** 31))
+def test_segment_engine_matches_slot_reference(scenario, span, seed):
+    horizon, warmup = span
+    config = RunConfig(scenario=scenario, policy=PolicySpec("cmu"), horizon=horizon,
+                       seed=seed, warmup=warmup)
+    assert report_rows(run(config), "x") == report_rows(run_slots(config), "x")
+
+
+CMU_CASES = sorted([(SYSTEMS[s]["cmu"], seed, w, digest)
+                    for (s, p, seed, w), digest in GOLDEN.items() if p == "cmu"]
+                   + [(CMU_SYSTEMS[s], seed, w, digest)
+                      for (s, seed, w), digest in CMU_GOLDEN.items()],
+                   key=lambda case: case[3])
+
+
+@pytest.mark.parametrize("scenario,seed,warmup,digest", CMU_CASES,
+                         ids=[case[3][:12] for case in CMU_CASES])
+def test_slot_reference_reproduces_the_pinned_digests(scenario, seed, warmup, digest):
+    assert HORIZON > 3 * CHUNK
+    assert run_digest(scenario, PolicySpec("cmu"), seed, warmup, run_slots) == digest

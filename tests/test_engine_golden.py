@@ -85,9 +85,10 @@ CMU_WARMUPS = (0, CHUNK - 1, CHUNK)
 CMU_SEEDS = (1, 42)
 
 
-def run_digest(scenario: Scenario, spec: PolicySpec, seed: int, warmup: int) -> str:
-    report = run(RunConfig(scenario=scenario, policy=spec,
-                           horizon=HORIZON, seed=seed, warmup=warmup))
+def run_digest(scenario: Scenario, spec: PolicySpec, seed: int, warmup: int,
+               engine=run) -> str:
+    report = engine(RunConfig(scenario=scenario, policy=spec,
+                              horizon=HORIZON, seed=seed, warmup=warmup))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
@@ -354,19 +355,22 @@ def cmu_scenario():
 
 def test_cmu_serves_highest_weighted_rate():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(1, [0, 1])
-    assert p.select(1)[0] == 0
+    p.update_index(0, [np.array([1]), np.array([1])])
+    attempts, successes = p.select(1, 2, np.array([0.99]))   # the attempt fails
+    assert attempts == [1, 0]
+    assert [s.tolist() for s in successes] == [[], []]
 
 
 def test_cmu_work_conserving_fifo():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(1, [1])
-    p.update_index(2, [1])
-    assert p.select(2) == (1, 1)   # ue 2, oldest first
-    p.on_outcome(p.select(2), success=True, t=2)
-    assert p.select(3) == (1, 2)
-    p.on_outcome(p.select(3), success=True, t=3)
-    assert p.select(4) is None             # idle only when all queues empty
+    p.update_index(0, [np.array([], np.int64), np.array([1, 2])])
+    # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
+    attempts, successes = p.select(2, 5, np.zeros(3))
+    assert attempts == [0, 2]
+    assert [s.tolist() for s in successes] == [[], [2, 3]]
+    delivered = p.on_outcome(successes)
+    assert [g.tolist() for g in delivered] == [[], [1, 2]]   # oldest first
+    assert p.select(5, 6, np.zeros(1))[0] == [0, 0]          # both queues empty
 
 
 def test_cmu_rejects_mixed_scenarios():

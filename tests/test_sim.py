@@ -3,8 +3,10 @@ import tracemalloc
 
 import pytest
 
+from aoisched import sim
 from aoisched.metrics import UeMetrics, report_rows
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
+from aoisched.policies import CmuPolicy
 from aoisched.rng import derive_seed, rng_contract, substreams
 from aoisched.sim import CHUNK, PolicySpec, RunConfig, lower_bound, run, sweep
 from aoisched.solver import SolverError
@@ -24,6 +26,13 @@ def constrained(beta=2.0):
         UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, beta=beta),
         UeConfig(id=3, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.2),
     ), variant=Variant.LATENCY_CONSTRAINED)
+
+
+def latency_only():
+    return Scenario(ues=(
+        UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, rho=1.0),
+        UeConfig(id=4, cls=UeClass.LATENCY, q=0.3, p=0.9, rho=2.0),
+    ), variant=Variant.LATENCY_WEIGHTED)
 
 
 def cfg(scenario, policy="hier", horizon=10 ** 5, seed=1, **kw):
@@ -230,12 +239,11 @@ def test_adaptive_weights_leave_throughput_unchanged():
         assert abs(rh.per_ue[ue].throughput - rv.per_ue[ue].throughput) <= 0.005
 
 
-def test_memory_stays_flat_as_the_horizon_grows():
-    # rd draws success and policy uniforms as well as arrivals; with draws
-    # taken in blocks of CHUNK slots, doubling a run of whole blocks must
-    # not raise its allocation peak by a byte per extra slot
+def _alloc_growth_per_slot(scenario, policy):
+    """Growth of one run's allocation peak per extra slot, from two whole
+    blocks of draws to four."""
     def peak(horizon):
-        config = cfg(constrained(), policy="rd", horizon=horizon, seed=3)
+        config = cfg(scenario, policy=policy, horizon=horizon, seed=3)
         tracemalloc.start()
         try:
             run(config)
@@ -243,10 +251,43 @@ def test_memory_stays_flat_as_the_horizon_grows():
         finally:
             tracemalloc.stop()
 
-    run(cfg(constrained(), policy="rd", horizon=10))   # first-call imports
+    run(cfg(scenario, policy=policy, horizon=10))   # first-call imports
     short = peak(2 * CHUNK)
-    growth = (peak(4 * CHUNK) - short) / (2 * CHUNK)
+    return (peak(4 * CHUNK) - short) / (2 * CHUNK)
+
+
+def test_memory_stays_flat_as_the_horizon_grows():
+    # rd draws success and policy uniforms as well as arrivals; with draws
+    # taken in blocks of CHUNK slots, doubling a run of whole blocks must
+    # not raise its allocation peak by a byte per extra slot
+    growth = _alloc_growth_per_slot(constrained(), "rd")
     assert growth < 1.0, f"{growth:.1f} B per extra slot"
+
+
+def test_cmu_memory_stays_flat_as_the_horizon_grows():
+    # cmu serves a segment at a time: its temporaries last one segment and
+    # its queues hold only undelivered packets
+    growth = _alloc_growth_per_slot(latency_only(), "cmu")
+    assert growth < 1.0, f"{growth:.1f} B per extra slot"
+
+
+def test_cmu_policy_is_called_per_block_not_per_slot(monkeypatch):
+    # cmu is served a segment at a time: each of its methods runs once per
+    # block or per segment (blocks, plus one for the warm-up boundary),
+    # however many slots, arrivals and attempts the run has
+    calls = {}
+    for name in ("update_index", "select", "on_outcome"):
+        def counted(self, *args, _method=getattr(CmuPolicy, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, *args)
+        monkeypatch.setattr(CmuPolicy, name, counted)
+    horizon = 3 * CHUNK + 5
+    report = run(RunConfig(scenario=latency_only(), policy=PolicySpec("cmu"),
+                           horizon=horizon, seed=2, warmup=CHUNK + 7))
+    bound = -(-(horizon + 1) // CHUNK) + 2
+    assert sum(s.attempts for s in report.per_ue.values()) > 10 * 3 * bound
+    assert set(calls) == {"update_index", "select", "on_outcome"}
+    assert max(calls.values()) <= bound, (calls, bound)
 
 
 def test_metric_hooks_fold_per_block_not_per_event(monkeypatch):
@@ -303,6 +344,46 @@ def test_sweep_parallel_matches_sequential():
     seq = sweep(cfg(weighted(), horizon=10 ** 4), "alpha", [0.1, 0.3], seeds=2, jobs=1)
     par = sweep(cfg(weighted(), horizon=10 ** 4), "alpha", [0.1, 0.3], seeds=2, jobs=2)
     assert seq == par
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for and maps in this process, so no worker is started."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("grid,jobs,asked", [
+    ([0.1, 0.2], 64, [2]),        # two runnable points: two workers, not 64
+    ([0.1, 0.72], 64, []),        # one runnable point runs in this process
+    ([0.1, 0.2, 0.3], 2, [2]),
+    ([0.1, 0.2], 1, []),
+])
+def test_sweep_workers_capped_at_runnable_points(monkeypatch, grid, jobs, asked):
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    points = sweep(cfg(weighted(), horizon=1000), "alpha", grid, seeds=1, jobs=jobs)
+    assert _RecordingPool.asked == asked
+    serial = sweep(cfg(weighted(), horizon=1000), "alpha", grid, seeds=1)
+    assert points == serial
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_jobs_below_one_rejected(jobs):
+    with pytest.raises(ScenarioError, match="jobs must be >= 1"):
+        sweep(cfg(weighted(), horizon=1000), "alpha", [0.1], seeds=1, jobs=jobs)
 
 
 def test_sweep_needs_unambiguous_target():
