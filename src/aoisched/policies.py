@@ -13,9 +13,10 @@ the lowest UE id everywhere, which keeps runs reproducible.
 State is indexed by UE *position*: the UE's index in the scenario's UEs
 sorted by ascending id.  In the two-tier policies ``update_index`` takes
 the positions that saw an arrival, in ascending order, and may be skipped
-on slots without arrivals; ``select(t, draw)`` gets the slot's policy uniform, or None for policies
-that take none (``needs_draw``), and returns at most one transmission, a
-``(position, g)`` tuple, ``g`` being the arrival slot of the packet sent.
+on slots without arrivals; ``select(t, draw)`` gets the slot's policy
+uniform, or None for policies that take none (``needs_draw``), and
+returns at most one transmission, a ``(position, g)`` tuple, ``g`` being
+the arrival slot of the packet sent.
 ``on_outcome`` changes nothing on a failed AoI or latency attempt, so it
 may be skipped then.  Indices change only on these events, so each policy
 keeps its argmax cached and ``select`` does no work that grows with the
@@ -353,13 +354,12 @@ class CmuPolicy:
         self.queues = [_EMPTY] * len(ues)
         self._head = [0] * len(ues)
 
-    def update_index(self, start: int, arrived: Sequence[np.ndarray]) -> None:
+    def update_index(self, arrived: Sequence[np.ndarray]) -> None:
         """Enqueue a block's arrivals: ``arrived[i]`` holds position i's
-        arrival slots from ``start`` on, ascending."""
+        arrival slots, ascending."""
         for i, slots in enumerate(arrived):
-            queue, head = self.queues[i], self._head[i]
             if len(slots):
-                self.queues[i] = np.concatenate((queue[head:], slots))
+                self.queues[i] = np.concatenate((self.queues[i][self._head[i]:], slots))
                 self._head[i] = 0
 
     def select(self, a: int, b: int, u: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
@@ -384,10 +384,13 @@ class CmuPolicy:
             floor = np.minimum.accumulate(length)
             np.minimum(floor, 0, out=floor)
             length -= floor
-            # nonempty after the slot's arrivals: L[t-1] + A[t] > 0
+            # nonempty after the slot's arrivals: L[t-1] + A[t] > 0.  As
+            # L >= 0, a cast to bool reads L > 0; numpy's first comparison of
+            # an int64 array with a scalar takes 128 KB of scratch memory,
+            # which would raise the process's peak RSS
             busy = arrived
             busy[0] |= waiting > 0
-            busy[1:] |= length[:-1] > 0
+            busy[1:] |= length[:-1].astype(bool)
             attempts[i] = int(np.count_nonzero(busy & free))
             c &= busy
             successes[i] = np.flatnonzero(c) + a

@@ -179,7 +179,7 @@ def run(config: RunConfig) -> RunReport:
         n = min(CHUNK, horizon + 1 - start)
         arrivals = success_u = policy_u = None  # free the last block first
         if by_segment:
-            update_index(start, [hit for _, hit in _arrival_slots(n, start, streams)])
+            update_index([hit for _, hit in _arrival_slots(n, start, streams)])
             success_u = success_gen.random(n)
         else:
             arrivals = _arrivals(n, start, streams)

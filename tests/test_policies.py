@@ -355,7 +355,7 @@ def cmu_scenario():
 
 def test_cmu_serves_highest_weighted_rate():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(0, [np.array([1]), np.array([1])])
+    p.update_index([np.array([1]), np.array([1])])
     attempts, successes = p.select(1, 2, np.array([0.99]))   # the attempt fails
     assert attempts == [1, 0]
     assert [s.tolist() for s in successes] == [[], []]
@@ -363,7 +363,7 @@ def test_cmu_serves_highest_weighted_rate():
 
 def test_cmu_work_conserving_fifo():
     p = CmuPolicy(cmu_scenario())
-    p.update_index(0, [np.array([], np.int64), np.array([1, 2])])
+    p.update_index([np.array([], np.int64), np.array([1, 2])])
     # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
     attempts, successes = p.select(2, 5, np.zeros(3))
     assert attempts == [0, 2]

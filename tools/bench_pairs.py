@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a base commit against the working tree.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_8.json \\
+        --pairs ref_long=10 --pairs wide48_hier=6 --pairs fig5_sweep=6
+
+The base commit is extracted with ``git archive`` into a temporary
+directory (no worktree is registered), and ``perfbench/run.py --trace 0``
+runs once on each side per pair, in one process at a time; which side runs
+first alternates from pair to pair.  The output holds, per workload and
+end-to-end metric (as ``BENCHMARK.json`` lists them): every run's value,
+each side's median and quartiles, how many pairs each side won (ties count
+for neither), the change of the median relative to the base, and whether
+the pairs show a gain (the change wins at least 9 in 10 pairs and its
+median beats the base's by more than the base's interquartile range) or a
+regression beyond the metric's bound, read as a fraction of the base
+median.  Each run's ``failed``/``attempted`` counts are kept as well.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def extract(rev: str, into: Path) -> None:
+    """Write the files of commit ``rev`` under ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+
+
+def bench_once(checkout: Path, command: list[str], workload: str, seed: int,
+               seconds: float) -> dict:
+    """One ``--trace 0`` run in ``checkout``; its result line."""
+    argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(metric: dict, base: list[float], change: list[float]) -> dict:
+    """Per-metric verdict over the pairs ``zip(base, change)``."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    b, c = summary(base), summary(change)
+    gain = sign * (c["median"] - b["median"])
+    return {
+        "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+        "base": {**b, "runs": base}, "change": {**c, "runs": change},
+        "change_wins": wins, "base_wins": losses, "ties": len(base) - wins - losses,
+        "median_change_rel": (c["median"] - b["median"]) / b["median"],
+        "gain_shown": wins >= 0.9 * len(base) and gain > b["q3"] - b["q1"],
+        "worse_than_bound": -gain > metric["bound"] * b["median"],
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/bench_pairs.py")
+    parser.add_argument("--base", required=True, help="commit to compare against")
+    parser.add_argument("--pairs", action="append", required=True, metavar="WORKLOAD=N",
+                        help="pairs to run on a workload; repeat for more workloads")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float,
+                        help="--seconds of each run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    plan = []
+    for item in args.pairs:
+        workload, _, n = item.partition("=")
+        if int(n) < 2:
+            parser.error(f"--pairs {item}: quartiles need at least 2 pairs")
+        plan.append((workload, int(n)))
+
+    base_sha = git("rev-parse", args.base)
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    out: dict = {
+        "base": base_sha, "change": git("rev-parse", "HEAD") + ("+dirty" if dirty else ""),
+        "command": spec["command"] + ["--seed", str(args.seed), "--seconds", str(seconds),
+                                      "--trace", "0"],
+        "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                 "numpy": np.__version__},
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        checkouts = {"base": Path(tmp), "change": ROOT}
+        extract(base_sha, checkouts["base"])
+        for workload, n in plan:
+            runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+            for i in range(n):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    runs[side].append(bench_once(checkouts[side], spec["command"], workload,
+                                                 args.seed, seconds))
+                print(f"{workload}: pair {i + 1}/{n} done", file=sys.stderr)
+            out["workloads"][workload] = {
+                "pairs": n,
+                "first": [SIDES[i % 2] for i in range(n)],
+                "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
+                "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
+                "metrics": {
+                    m["name"]: compare(m, *[[r["metrics"][m["name"]]["value"] for r in runs[side]]
+                                            for side in SIDES])
+                    for m in spec["end_to_end"]},
+            }
+            Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
