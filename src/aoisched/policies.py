@@ -318,6 +318,35 @@ class RandomizedPolicy(_TwoTier):
 _EMPTY = np.empty(0, np.int64)
 
 
+def _serve(arrivals: np.ndarray, waiting: int, c: np.ndarray,
+           free: np.ndarray) -> tuple[int, np.ndarray]:
+    """Serve one FIFO queue in the ``free`` slots of a segment, given the
+    offsets of its arrivals there, the packets ``waiting`` at its start and
+    ``c``, whether each slot's success uniform is below its p.  Returns its
+    attempts and success offsets, and takes the slots it was nonempty in
+    out of ``free``."""
+    arrived = np.zeros(len(free), bool)
+    arrived[arrivals] = True
+    c &= free
+    length = np.subtract(arrived, c, dtype=np.int64)
+    np.cumsum(length, out=length)
+    length += waiting
+    floor = np.minimum.accumulate(length)
+    np.minimum(floor, 0, out=floor)
+    length -= floor
+    # nonempty after the slot's arrivals: L[t-1] + A[t] > 0.  As L >= 0, a
+    # cast to bool reads L > 0; numpy's first comparison of an int64 array
+    # with a scalar takes 128 KB of scratch memory, which would raise the
+    # process's peak RSS
+    busy = arrived
+    busy[0] |= waiting > 0
+    busy[1:] |= length[:-1].astype(bool)
+    attempts = int(np.count_nonzero(busy & free))
+    c &= busy
+    free &= ~busy
+    return attempts, np.flatnonzero(c)
+
+
 class CmuPolicy:
     """Weighted-rate rule over latency UEs only: in every slot, serve the
     nonempty queue with the largest rho*p/q (ties toward the lower
@@ -365,36 +394,16 @@ class CmuPolicy:
     def select(self, a: int, b: int, u: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
         """Serve slots [a, b), whose success uniforms are ``u``.  Returns
         each position's attempts and its success slots, ascending."""
-        n = b - a
         attempts = [0] * len(self.queues)
         successes = [_EMPTY] * len(self.queues)
-        free = np.ones(n, bool)
+        free = np.ones(b - a, bool)
         for i in self.order:
             queue = self.queues[i][self._head[i]:]
             waiting, end = queue.searchsorted((a, b))
-            if end == 0:
-                continue  # empty all segment: it takes no slot
-            arrived = np.zeros(n, bool)
-            arrived[queue[waiting:end] - a] = True
-            c = u < self._p[i]
-            c &= free
-            length = np.subtract(arrived, c, dtype=np.int64)
-            np.cumsum(length, out=length)
-            length += int(waiting)
-            floor = np.minimum.accumulate(length)
-            np.minimum(floor, 0, out=floor)
-            length -= floor
-            # nonempty after the slot's arrivals: L[t-1] + A[t] > 0.  As
-            # L >= 0, a cast to bool reads L > 0; numpy's first comparison of
-            # an int64 array with a scalar takes 128 KB of scratch memory,
-            # which would raise the process's peak RSS
-            busy = arrived
-            busy[0] |= waiting > 0
-            busy[1:] |= length[:-1].astype(bool)
-            attempts[i] = int(np.count_nonzero(busy & free))
-            c &= busy
-            successes[i] = np.flatnonzero(c) + a
-            free &= ~busy
+            if end:  # else empty all segment: it takes no slot
+                attempts[i], successes[i] = _serve(queue[waiting:end] - a, int(waiting),
+                                                   u < self._p[i], free)
+                successes[i] += a
         return attempts, successes
 
     def on_outcome(self, successes: Sequence[np.ndarray]) -> list[np.ndarray]:
