@@ -23,7 +23,7 @@ The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
 and the engine calls a policy hook only where it has work: the index
 update on slots with arrivals, the outcome hook on successes and
 throughput attempts.  ``cmu`` is served a segment at a time (see
-``policies.CmuPolicy``): per block its queues take the block's arrival
+``cmu.CmuPolicy``): per block its queues take the block's arrival
 slots, per segment it returns each UE's attempts and success slots and the
 arrival slots of the packets those successes deliver.  It follows the same
 per-slot order, so it reads the same draws and gives the same report as a
