@@ -17,7 +17,8 @@ from pathlib import Path
 from .metrics import CSV_COLUMNS, _fmt, report_rows, ue_cells
 from .model import ScenarioError, load_scenario, replace_param, validate
 from .presets import LATENCY_UE, PRESETS, RATE_TOL
-from .sim import POLICY_NAMES, PolicySpec, RunConfig, lower_bound, run, sweep, sweep_target
+from .sim import (POLICY_NAMES, PolicySpec, RunConfig, check_counts, lower_bound, run, sweep,
+                  sweep_target)
 from .solver import SolverError, compute_t_star, hier_threshold, spacing_bound
 
 
@@ -221,6 +222,7 @@ RUNNERS = {"alpha": _reproduce_alpha, "beta": _reproduce_beta,
 
 
 def cmd_reproduce(args) -> int:
+    check_counts(seeds=args.seeds, jobs=args.jobs)
     preset = PRESETS[args.preset]
     horizon = preset.horizon if args.horizon is None else args.horizon
     rows, results = RUNNERS[preset.shape](preset, horizon, args)

@@ -11,13 +11,16 @@ Per-slot order of operations (normative):
    policy outcome hook; a success is logged for the metrics.
 
 Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
-the horizon.  Each block is cut into segments at weight steps and at the
-warm-up's last slot.  The per-UE statistics are not updated slot by slot:
-each block's arrivals and logged deliveries are folded once per block, and
-at the warm-up boundary, in slot order (see ``metrics.UeMetrics``); a
-weight step reads the folded totals plus the events logged since.  Age
-only changes course at an AoI delivery, so it is summed in closed form
-between deliveries.
+the horizon.  A block's draws stay in numpy buffers, read in place: the
+two-tier loop walks memoryviews of the success and policy uniforms, and a
+table that points each slot to a tuple of the positions arriving there,
+shared among slots.  Each block is cut into segments at weight steps and at
+the warm-up's last slot.  The per-UE statistics are not updated slot by
+slot: each block's arrivals and logged deliveries are folded once per
+block, and at the warm-up boundary, in slot order (see
+``metrics.UeMetrics``); a weight step reads the folded totals plus the
+events logged since.  Age only changes course at an AoI delivery, so it is
+summed in closed form between deliveries.
 
 The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
 and the engine calls a policy hook only where it has work: the index
@@ -37,7 +40,6 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
@@ -113,25 +115,20 @@ def _arrival_slots(n: int, start: int, streams):
         yield pos, hit
 
 
-def _arrivals(n: int, start: int, streams) -> list[Sequence[int] | None]:
+def _arrivals(n: int, start: int, streams) -> list[tuple[int, ...] | None]:
     """Positions arriving in each of the ``n`` slots from ``start`` on,
     ascending, or None (see ``_arrival_slots``).
 
-    A slot with one arrival shares its stream's 1-tuple, so the block costs
-    about a pointer per slot.  Slots with more arrivals get lists: freed
-    tuples stay cached by the interpreter, lists do not.
+    Slots that see the same positions share one tuple, so the block costs
+    about a pointer per slot.
     """
-    slots: list[Sequence[int] | None] = [None] * n
+    slots: list[tuple[int, ...] | None] = [None] * n
     for pos, hit in _arrival_slots(n, start, streams):
         alone = (pos,)
-        for s in (hit - start).tolist():
+        grown: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for s in memoryview(hit - start):
             at = slots[s]
-            if at is None:
-                slots[s] = alone
-            elif at.__class__ is tuple:
-                slots[s] = [at[0], pos]
-            else:
-                at.append(pos)
+            slots[s] = alone if at is None else grown.get(at) or grown.setdefault(at, at + alone)
     return slots
 
 
@@ -182,23 +179,24 @@ def run(config: RunConfig) -> RunReport:
             update_index([hit for _, hit in _arrival_slots(n, start, streams)])
             success_u = success_gen.random(n)
         else:
-            arrivals = _arrivals(n, start, streams)
-            success_u = success_gen.random(n).tolist()
-            policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
+            # one pass over the block's buffers: each segment's zip takes the
+            # next b - a slots (range comes first, so it stops before the rest)
+            arrivals = iter(_arrivals(n, start, streams))
+            success_u = iter(memoryview(success_gen.random(n)))
+            policy_u = iter(memoryview(policy_gen.random(n)) if policy.needs_draw else repeat(None))
+            if start == 0:
+                next(arrivals), next(success_u), next(policy_u)
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
             if every and a % every == 0:
                 policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
-            lo, hi = a - start, b - start
             if by_segment:
-                attempts, successes = select(a, b, success_u[lo:hi])
+                attempts, successes = select(a, b, success_u[a - start:b - start])
                 for m, k, g, t in zip(metrics, attempts, on_outcome(successes), successes):
                     m.attempts += k
                     if len(t):
                         m.on_delivery(g, t)
             else:
-                draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
-                for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
-                                               success_u[lo:hi], draws):
+                for t, arrived, u, draw in zip(range(a, b), arrivals, success_u, policy_u):
                     if arrived is not None:
                         update_index(t, arrived)
                     action = select(t, draw)
@@ -270,9 +268,11 @@ def sweep_target(scenario: Scenario, param: str, ue_id: int | None) -> int:
     return candidates[0]
 
 
-def _check_seeds(seeds: int) -> None:
-    if seeds < 1:
-        raise ScenarioError(f"seeds must be >= 1, got {seeds}")
+def check_counts(**counts: int) -> None:
+    """Reject a replicate or worker count (``seeds``, ``jobs``) below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ScenarioError(f"{name} must be >= 1, got {value}")
 
 
 def _run_worker(config: RunConfig) -> RunReport:
@@ -289,9 +289,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     and carry their feasibility flags.  At most ``jobs`` worker processes
     run them, and never more than there are runnable points.
     """
-    _check_seeds(seeds)
-    if jobs < 1:
-        raise ScenarioError(f"jobs must be >= 1, got {jobs}")
+    check_counts(seeds=seeds, jobs=jobs)
     target = sweep_target(base.scenario, param, ue_id)
     points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
     for i, value in enumerate(grid):
@@ -344,7 +342,7 @@ def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> 
     depends only on the latency UEs, ``horizon``, ``seed`` and ``seeds``,
     never on a throughput UE's ``alpha``.
     """
-    _check_seeds(seeds)
+    check_counts(seeds=seeds)
     lb_f1 = spacing_bound(scenario)
     lb_f2 = 0.0
     lat = scenario.latency_ues

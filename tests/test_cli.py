@@ -187,7 +187,9 @@ def test_cli_vw_weight_step_not_positive_exits_1(constrained_file, tmp_path, cap
     ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1", "--seeds", "0"],
     ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1", "--seeds", "-1"],
     ["reproduce", "fig4", "--seeds", "0"],
-], ids=["lb", "sweep-0", "sweep-neg", "reproduce"])
+    ["reproduce", "fig5_weights", "--seeds", "0"],
+    ["reproduce", "fig5_weights", "--seeds", "-3"],
+], ids=["lb", "sweep-0", "sweep-neg", "reproduce", "fig5_weights-0", "fig5_weights-neg"])
 def test_cli_seeds_below_one_exits_1(scenario_file, tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     argv = [a.format(scenario=scenario_file) for a in argv]
@@ -201,7 +203,8 @@ def test_cli_seeds_below_one_exits_1(scenario_file, tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1,0.2", "--seeds", "1"],
     ["reproduce", "fig4", "--seeds", "1"],
-], ids=["sweep", "reproduce"])
+    ["reproduce", "fig5_weights"],
+], ids=["sweep", "reproduce", "fig5_weights"])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_cli_jobs_below_one_exits_1(scenario_file, tmp_path, capsys, argv, jobs):
     out = tmp_path / "out.csv"

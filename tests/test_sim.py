@@ -239,21 +239,23 @@ def test_adaptive_weights_leave_throughput_unchanged():
         assert abs(rh.per_ue[ue].throughput - rv.per_ue[ue].throughput) <= 0.005
 
 
+def _alloc_peak(scenario, policy, horizon):
+    """Allocation peak of one run, after a short run has done the first-call
+    imports."""
+    run(cfg(scenario, policy=policy, horizon=10))
+    tracemalloc.start()
+    try:
+        run(cfg(scenario, policy=policy, horizon=horizon, seed=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _alloc_growth_per_slot(scenario, policy):
     """Growth of one run's allocation peak per extra slot, from two whole
     blocks of draws to four."""
-    def peak(horizon):
-        config = cfg(scenario, policy=policy, horizon=horizon, seed=3)
-        tracemalloc.start()
-        try:
-            run(config)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    run(cfg(scenario, policy=policy, horizon=10))   # first-call imports
-    short = peak(2 * CHUNK)
-    return (peak(4 * CHUNK) - short) / (2 * CHUNK)
+    short = _alloc_peak(scenario, policy, 2 * CHUNK)
+    return (_alloc_peak(scenario, policy, 4 * CHUNK) - short) / (2 * CHUNK)
 
 
 def test_memory_stays_flat_as_the_horizon_grows():
@@ -262,6 +264,16 @@ def test_memory_stays_flat_as_the_horizon_grows():
     # not raise its allocation peak by a byte per extra slot
     growth = _alloc_growth_per_slot(constrained(), "rd")
     assert growth < 1.0, f"{growth:.1f} B per extra slot"
+
+
+@pytest.mark.parametrize("policy", ["hier", "vw", "rd"])
+def test_one_block_costs_under_64_bytes_per_slot(policy):
+    # slots 0..CHUNK-1 are one block.  Its draws stay in numpy buffers read
+    # in place, and its arrival table shares tuples; holding the block's
+    # uniforms and arrival slots as Python lists cost 91 B/slot (rd: 131)
+    scenario = weighted() if policy == "hier" else constrained()
+    per_slot = _alloc_peak(scenario, policy, CHUNK - 1) / (CHUNK - 1)
+    assert per_slot < 64, f"{per_slot:.1f} B per slot"
 
 
 def test_cmu_memory_stays_flat_as_the_horizon_grows():

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_8.json \\
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_9.json \\
         --pairs ref_long=10 --pairs wide48_hier=6 --pairs fig5_sweep=6
 
 The base commit is extracted with ``git archive`` into a temporary
@@ -16,7 +16,14 @@ for neither), the change of the median relative to the base, and whether
 the pairs show a gain (the change wins at least 9 in 10 pairs and its
 median beats the base's by more than the base's interquartile range) or a
 regression beyond the metric's bound, read as a fraction of the base
-median.  Each run's ``failed``/``attempted`` counts are kept as well.
+median.  Each run's ``failed``/``attempted`` counts are kept as well, and
+its round count: how many times the workload ran within ``--seconds``, read
+from the ``.perfbench/<workload>-s<seed>-t0.json`` the run left in its
+checkout.  The benchmark keeps every round until the run ends, so
+``peak_rss_mb`` grows with the round count and a faster side fits more
+rounds; ``peak_rss_mb_same_rounds`` gives both sides' medians over only the
+pairs whose two runs ran the same number of rounds, which tells a change in
+the program's memory apart from that effect.
 """
 
 from __future__ import annotations
@@ -58,7 +65,10 @@ def bench_once(checkout: Path, command: list[str], workload: str, seed: int,
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    saved = json.loads((checkout / ".perfbench" / f"{workload}-s{seed}-t0.json").read_text())
+    result["rounds"] = len(saved["raw"]["wall_s"])
+    return result
 
 
 def summary(values: list[float]) -> dict:
@@ -81,6 +91,17 @@ def compare(metric: dict, base: list[float], change: list[float]) -> dict:
         "gain_shown": wins >= 0.9 * len(base) and gain > b["q3"] - b["q1"],
         "worse_than_bound": -gain > metric["bound"] * b["median"],
     }
+
+
+def same_rounds(rounds: dict[str, list[int]], rss: dict[str, list[float]]) -> dict:
+    """``peak_rss_mb`` medians over the pairs whose runs fit the same number of rounds."""
+    same = [i for i, (b, c) in enumerate(zip(rounds["base"], rounds["change"])) if b == c]
+    out: dict = {"pairs": len(same)}
+    if same:
+        medians = {side: statistics.median(rss[side][i] for i in same) for side in SIDES}
+        out.update(medians, median_change_rel=(medians["change"] - medians["base"])
+                   / medians["base"])
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,11 +145,16 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side].append(bench_once(checkouts[side], spec["command"], workload,
                                                  args.seed, seconds))
                 print(f"{workload}: pair {i + 1}/{n} done", file=sys.stderr)
+            rounds = {side: [r["rounds"] for r in runs[side]] for side in SIDES}
             out["workloads"][workload] = {
                 "pairs": n,
                 "first": [SIDES[i % 2] for i in range(n)],
                 "failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
                 "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES},
+                "rounds": rounds,
+                "peak_rss_mb_same_rounds": same_rounds(rounds, {
+                    side: [r["metrics"]["peak_rss_mb"]["value"] for r in runs[side]]
+                    for side in SIDES}),
                 "metrics": {
                     m["name"]: compare(m, *[[r["metrics"][m["name"]]["value"] for r in runs[side]]
                                             for side in SIDES])
