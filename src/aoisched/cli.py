@@ -343,8 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int,
                    help="slots per run (default: the preset's, 10^6 or 2*10^6)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seeds", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seeds", type=int, default=5,
+                   help="replicate seeds averaged per grid point (default 5); "
+                        "fig5_weights ignores it and runs --seed alone")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the sweeps (default 1); "
+                        "fig5_weights ignores it and runs serially")
     p.add_argument("--out", help="CSV output path (default: <preset>.csv)")
     p.set_defaults(fn=cmd_reproduce)
 

@@ -215,6 +215,15 @@ def test_cli_jobs_below_one_exits_1(scenario_file, tmp_path, capsys, argv, jobs)
     assert not out.exists()
 
 
+def test_reproduce_help_says_fig5_weights_ignores_seeds_and_jobs(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["reproduce", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "fig5_weights ignores it and runs --seed alone" in text
+    assert "fig5_weights ignores it and runs serially" in text
+
+
 def test_cli_run_byte_identical(scenario_file, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     main(["run", str(scenario_file), "--horizon", "20000", "--out", str(a)])

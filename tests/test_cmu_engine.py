@@ -22,11 +22,12 @@ from test_engine_golden import (CMU_GOLDEN, CMU_SYSTEMS, GOLDEN, HORIZON, SYSTEM
 
 @st.composite
 def latency_systems(draw):
-    """1-8 weighted latency UEs at a total load of 0.05-1.3; a UE may copy
-    an earlier UE's (share, p, rho), which ties their rho*p/q exactly."""
+    """1-16 weighted latency UEs (16 is ``wide48_hier``'s ``cmu`` system) at
+    a total load of 0.05-1.3; a UE may copy an earlier UE's (share, p, rho),
+    which ties their rho*p/q exactly."""
     load = draw(st.floats(0.05, 1.3))
     picks = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 16))):
         if picks and draw(st.booleans()):
             picks.append(draw(st.sampled_from(picks)))
         else:
@@ -70,3 +71,22 @@ CMU_CASES = sorted([(SYSTEMS[s]["cmu"], seed, w, digest)
 def test_slot_reference_reproduces_the_pinned_digests(scenario, seed, warmup, digest):
     assert HORIZON > 3 * CHUNK
     assert run_digest(scenario, PolicySpec("cmu"), seed, warmup, run_slots) == digest
+
+
+def test_lower_queues_starve_behind_an_overloaded_top_queue():
+    """The top queue (rho*p/q = 9) gets 0.9 packets per slot and serves 0.5,
+    so after its first slots it never empties: the two lower queues get no
+    slot for whole segments, and their packets only pile up."""
+    scenario = Scenario(ues=(
+        UeConfig(id=1, cls=UeClass.LATENCY, q=0.3, p=0.6, rho=0.5),
+        UeConfig(id=2, cls=UeClass.LATENCY, q=0.9, p=0.5, rho=16.2),
+        UeConfig(id=3, cls=UeClass.LATENCY, q=0.2, p=1.0, rho=0.1),
+    ), variant=Variant.LATENCY_WEIGHTED)
+    config = RunConfig(scenario=scenario, policy=PolicySpec("cmu"), horizon=3 * CHUNK + 5,
+                       seed=11, warmup=CHUNK // 2)
+    report = run(config)
+    assert report_rows(report, "x") == report_rows(run_slots(config), "x")
+    top, low = report.per_ue[2], [report.per_ue[1], report.per_ue[3]]
+    assert top.attempts == config.horizon - config.warmup
+    assert [s.attempts for s in low] == [0, 0] and [s.deliveries for s in low] == [0, 0]
+    assert all(s.arrivals > 0 for s in low)

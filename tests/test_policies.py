@@ -373,6 +373,15 @@ def test_cmu_work_conserving_fifo():
     assert p.select(5, 6, np.zeros(1))[0] == [0, 0]          # both queues empty
 
 
+def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
+    p = CmuPolicy(cmu_scenario())
+    with pytest.raises(ValueError, match="need 2 success uniforms"):
+        p.select(1, 3, np.zeros(1))
+    p.update_index([np.array([1.0]), np.array([], np.int64)])
+    with pytest.raises(TypeError, match="float64"):
+        p.select(1, 2, np.zeros(1))
+
+
 def test_cmu_rejects_mixed_scenarios():
     with pytest.raises(ScenarioError):
         CmuPolicy(weighted_scenario())

@@ -7,9 +7,12 @@ Run from the repository root:
         --pairs ref_long=10 --pairs wide48_hier=6 --pairs fig5_sweep=6
 
 The base commit is extracted with ``git archive`` into a temporary
-directory (no worktree is registered), and ``perfbench/run.py --trace 0``
-runs once on each side per pair, in one process at a time; which side runs
-first alternates from pair to pair.  The output holds, per workload and
+directory (no worktree is registered), and each side's checkout imports
+``aoisched`` once before the first pair, so that a build of its C kernel
+(a compiler child, whose peak RSS would count in ``peak_rss_mb``) falls in
+no measured run.  Then ``perfbench/run.py --trace 0`` runs once on each
+side per pair, in one process at a time; which side runs first alternates
+from pair to pair.  The output holds, per workload and
 end-to-end metric (as ``BENCHMARK.json`` lists them): every run's value,
 each side's median and quartiles, how many pairs each side won (ties count
 for neither), the change of the median relative to the base, and whether
@@ -57,6 +60,12 @@ def extract(rev: str, into: Path) -> None:
                              capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into, filter="data")
+
+
+def warm(checkout: Path) -> None:
+    """Import ``aoisched`` from ``checkout``'s ``src/``, building what its import builds."""
+    code = "import sys; sys.path.insert(0, 'src'); import aoisched"
+    subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True)
 
 
 def bench_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -137,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         checkouts = {"base": Path(tmp), "change": ROOT}
         extract(base_sha, checkouts["base"])
+        for checkout in checkouts.values():
+            warm(checkout)
         for workload, n in plan:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i in range(n):
