@@ -3,11 +3,10 @@ with ctypes.
 
 The source is compiled with the C compiler Python was built with
 (sysconfig's ``CC``) into ``__pycache__/_kernel-<key>.so`` next to this
-module, where ``<key>`` is the CRC-32 of the source, the compiler command
-and flags, and the interpreter's cache tag; a later import with the same
-key loads that file without building.  The build writes a temporary file
-and renames it into place, so processes importing at once never load a
-partial library.  There is no pure-Python fallback: without a working
+module, where ``<key>`` is the CRC-32 of the source, the compiler flags and
+the interpreter's cache tag; a later import with the same key loads that
+file without building.  The build writes a temporary file and renames it
+into place, so processes importing at once never load a partial library.  There is no pure-Python fallback: without a working
 compiler, importing this module raises ``ImportError``.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import shlex
 import subprocess
 import sys
 import sysconfig
@@ -30,12 +28,13 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 def _build() -> Path:
     """Path of the built library, compiling ``SOURCE`` if it is not cached."""
-    command = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS]
-    key = zlib.crc32(b"\0".join((SOURCE.read_bytes(), " ".join(command).encode(),
+    key = zlib.crc32(b"\0".join((SOURCE.read_bytes(), " ".join(FLAGS).encode(),
                                  sys.implementation.cache_tag.encode())))
     target = SOURCE.parent / "__pycache__" / f"_kernel-{key:08x}.so"
     if target.exists():
         return target
+    # read only to build: loading sysconfig's data would cost every import ~2 ms
+    command = [*(sysconfig.get_config_var("CC") or "cc").split(), *FLAGS]
     target.parent.mkdir(exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=f"{target.stem}.", suffix=".tmp", dir=target.parent)
     os.close(fd)

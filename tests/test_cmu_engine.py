@@ -1,11 +1,12 @@
 """The segment-at-a-time ``cmu`` engine against its slot-by-slot reference.
 
-``sim.run`` serves ``cmu`` with a priority Lindley recursion over whole
-segments; ``cmu_oracle.run_slots`` walks the same draws one slot at a time.
-The two must write the same CSV cells on any latency-only system: ties in
-``rho*p/q``, UEs with ``p = 1``, loads above 1, horizons on either side of
-a block edge and any warm-up.  The reference itself must reproduce every
-pinned ``cmu`` digest.
+``sim.run`` serves ``cmu`` a whole segment per call of the compiled
+``kernel.cmu_serve``; ``cmu_oracle.run_slots`` walks the same draws one
+slot at a time in Python.  The two must write the same CSV cells on any
+latency-only system of up to 16 UEs: ties in ``rho*p/q``, UEs with
+``p = 1``, loads above 1, horizons on either side of a block edge and any
+warm-up.  The reference itself must reproduce every pinned ``cmu``
+digest.
 """
 
 import pytest

@@ -5,7 +5,6 @@ library cached next to the package under test is never touched.
 """
 
 import os
-import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "aoisched"
-COMPILER = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+COMPILER = (sysconfig.get_config_var("CC") or "cc").split()[0]
 
 
 @pytest.fixture
