@@ -6,8 +6,9 @@ The source is compiled with the C compiler Python was built with
 module, where ``<key>`` is the CRC-32 of the source, the compiler flags and
 the interpreter's cache tag; a later import with the same key loads that
 file without building.  The build writes a temporary file and renames it
-into place, so processes importing at once never load a partial library.  There is no pure-Python fallback: without a working
-compiler, importing this module raises ``ImportError``.
+into place, so processes importing at once never load a partial library.
+There is no pure-Python fallback: without a working compiler, importing
+this module raises ``ImportError``.
 """
 
 from __future__ import annotations
