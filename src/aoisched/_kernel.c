@@ -5,55 +5,70 @@
 
 #include <stdint.h>
 
+/* A queue's sums over a segment, in the order of its row of ``sums``. */
+enum { ATTEMPTS, DELIVERIES, LATENCY, SAMPLES, SPACING, SPACING_SQ, NSUMS };
+
 /* Serve slots [a, a + n) under the weighted-rate rule (see cmu.CmuPolicy).
 
-   Queue j (a position) holds len[j] undelivered packets, whose arrival
-   slots ascend from queue[j]; a packet whose slot is after t has not yet
-   arrived in slot t.  FIFO service means queue j's k-th success in the
-   segment delivers queue[j][k], so the queue is nonempty in slot t, after
-   the slot's arrivals, iff k < len[j] and queue[j][k] <= t.  In each slot
-   the queues are taken in ``order``; the first nonempty one attempts, and
-   succeeds iff u[t - a] < p[j].
+   Queue j (a position) holds the arrival slots queue[head[j]:end[j]],
+   ascending: its undelivered packets, of which one whose slot is after t
+   has not yet arrived in slot t.  So queue j is nonempty in slot t, after
+   the slot's arrivals, iff head[j] < end[j] and queue[head[j]] <= t.  In
+   each slot the queues are taken in ``order``; the first nonempty one
+   attempts and succeeds iff u[t - a] < p[j], which delivers its oldest
+   packet and advances head[j].  A slot where every queue is empty jumps
+   to the earliest slot at which a queued packet arrives, or to the
+   segment's end.
 
-   Writes each queue's attempts, and its success slots, ascending, to
-   out[end[j - 1]:end[j]] (with end[-1] = 0).  ``oldest`` (nq entries) and
-   ``who`` (n entries) are scratch. */
+   Writes queue j's sums over the segment to sums[j * NSUMS:], in the
+   enum's order: attempts, deliveries, the latency t - g + 1 of each packet
+   that arrived in slot g and was delivered in slot t, and the count, sum
+   and sum of squares of the spacing samples d = g - g_prev, g_prev being
+   the arrival slot of the queue's previous delivery (-1 until its first,
+   which takes no sample).  g_prev[j] carries over to the next segment.
+   ``oldest`` (nq entries) is scratch. */
 void cmu_serve(int64_t a, int64_t n, const double *u, int64_t nq,
-               const int64_t *order, const double *p,
-               const int64_t *const *queue, const int64_t *len,
-               int64_t *attempts, int64_t *end, int64_t *oldest,
-               int32_t *who, int64_t *out)
+               const int64_t *queue, const int64_t *order, const double *p,
+               int64_t *head, const int64_t *end, int64_t *g_prev, int64_t *sums,
+               int64_t *oldest)
 {
     /* oldest[r]: arrival slot of the oldest undelivered packet of the queue
-       of rank r, or INT64_MAX if it has none; end[j] counts queue j's
-       successes until the offsets are laid out */
+       of rank r, or INT64_MAX if it has none */
     for (int64_t r = 0; r < nq; r++) {
         int64_t j = order[r];
-        attempts[j] = end[j] = 0;
-        oldest[r] = len[j] ? queue[j][0] : INT64_MAX;
+        oldest[r] = head[j] < end[j] ? queue[head[j]] : INT64_MAX;
     }
-    for (int64_t s = 0; s < n; s++) {
+    for (int64_t k = 0; k < nq * NSUMS; k++)
+        sums[k] = 0;
+    const int64_t stop = a + n;
+    for (int64_t t = a; t < stop; t++) {
         int64_t r = 0;
-        while (r < nq && oldest[r] > a + s)
+        while (r < nq && oldest[r] > t)
             r++;
-        who[s] = -1;
-        if (r == nq)
+        if (r == nq) {
+            int64_t next = stop;
+            for (r = 0; r < nq; r++)
+                if (oldest[r] < next)
+                    next = oldest[r];
+            t = next - 1;
             continue;
+        }
         int64_t j = order[r];
-        attempts[j]++;
-        if (u[s] < p[j]) {
-            int64_t k = ++end[j];
-            oldest[r] = k < len[j] ? queue[j][k] : INT64_MAX;
-            who[s] = (int32_t)j;
+        int64_t *s = sums + j * NSUMS;
+        s[ATTEMPTS]++;
+        if (u[t - a] < p[j]) {
+            int64_t g = oldest[r];
+            s[DELIVERIES]++;
+            s[LATENCY] += t - g + 1;
+            if (g_prev[j] >= 0) {
+                int64_t d = g - g_prev[j];
+                s[SAMPLES]++;
+                s[SPACING] += d;
+                s[SPACING_SQ] += d * d;
+            }
+            g_prev[j] = g;
+            int64_t h = ++head[j];
+            oldest[r] = h < end[j] ? queue[h] : INT64_MAX;
         }
     }
-    int64_t start = 0;
-    for (int64_t j = 0; j < nq; j++) {
-        int64_t count = end[j];
-        end[j] = start;
-        start += count;
-    }
-    for (int64_t s = 0; s < n; s++)
-        if (who[s] >= 0)
-            out[end[who[s]]++] = a + s;
 }

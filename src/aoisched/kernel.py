@@ -61,4 +61,4 @@ _lib = ctypes.CDLL(str(_build()))
 cmu_serve = _lib.cmu_serve
 cmu_serve.restype = None
 cmu_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                      *[ctypes.c_void_p] * 9]
+                      *[ctypes.c_void_p] * 8]

@@ -32,11 +32,12 @@ class UeMetrics:
     Events are folded in batches, not one at a time.  The engine hands
     over each block's arrival slots (``log_arrivals``) and appends each
     delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
-    per block and at the warm-up boundary.  A segment served as a whole
-    (``cmu``) hands its deliveries to ``on_delivery`` directly.  Every
-    statistic is a sum of integers, exact in int64 and, as a float, below
-    2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
-    the same bits as folding the events one by one.
+    per block and at the warm-up boundary.  ``cmu`` adds its own sums per
+    segment (``CmuPolicy.on_outcome``) and its backlog at the end, so its
+    arrivals are only counted.  Every statistic is a sum of integers, exact
+    in int64 and, as a float, below 2**53 for horizons up to about
+    9 * 10**7 slots, so a batch fold gives the same bits as folding the
+    events one by one.
     """
 
     __slots__ = (
@@ -48,11 +49,12 @@ class UeMetrics:
         "arrived", "dg", "dt", "_seen", "_tail_t", "_tail_g",
     )
 
-    def __init__(self, ue_id: int, cls: UeClass):
+    def __init__(self, ue_id: int, cls: UeClass, track_pending: bool = True):
         self.ue_id = ue_id
         self.cls = cls
         self.is_aoi = cls is UeClass.AOI
-        self.track_pending = cls is UeClass.LATENCY  # the queue's own backlog
+        # a latency UE's backlog, unless the caller sets it at the end (cmu)
+        self.track_pending = track_pending and cls is UeClass.LATENCY
         self.lam = 0
         self.aoi_sum = 0
         self.aged = 0  # last slot whose age is in aoi_sum
@@ -205,7 +207,7 @@ class UeMetrics:
         metrics object was not tracking itself (an AoI scheduler's retained
         packet).
         """
-        backlog = self.backlog_age_sum(t) if self.track_pending else 0
+        backlog = self.backlog_age_sum(t)
         arrivals = self.arrivals
         for g in extra_pending:
             backlog += t - g + 1

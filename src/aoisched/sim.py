@@ -25,12 +25,11 @@ summed in closed form between deliveries.
 The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
 and the engine calls a policy hook only where it has work: the index
 update on slots with arrivals, the outcome hook on successes and
-throughput attempts.  ``cmu`` is served a segment at a time (see
-``cmu.CmuPolicy``): per block its queues take the block's arrival
-slots, per segment it returns each UE's attempts and success slots and the
-arrival slots of the packets those successes deliver.  It follows the same
-per-slot order, so it reads the same draws and gives the same report as a
-slot-by-slot run.
+throughput attempts.  ``cmu`` is served a segment at a time by a compiled
+pass in the same per-slot order, so it reads the same draws and gives the
+same report as a slot-by-slot run; it sums each UE's deliveries itself and
+its queues hold the backlog, so the metrics only count its arrivals (see
+``cmu.CmuPolicy``).
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -147,14 +146,16 @@ def _segments(lo: int, hi: int, every: int, warm_end: int):
 def run(config: RunConfig) -> RunReport:
     scenario = config.scenario
     horizon = config.horizon
+    check_counts(seed=config.seed)
     if horizon < 1:
         raise ScenarioError(f"horizon must be >= 1, got {horizon}")
     if not 0 <= config.warmup < horizon:
         raise ScenarioError(f"warmup must be in [0, horizon), got {config.warmup}")
     policy, extras = build_policy(config)
+    by_segment = isinstance(policy, CmuPolicy)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
-    metrics = [UeMetrics(u.id, u.cls) for u in ues]
+    metrics = [UeMetrics(u.id, u.cls, track_pending=not by_segment) for u in ues]
     p_of = [u.p for u in ues]
     log_g = [m.dg.append for m in metrics]
     log_t = [m.dt.append for m in metrics]
@@ -166,7 +167,6 @@ def run(config: RunConfig) -> RunReport:
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
     streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
-    by_segment = isinstance(policy, CmuPolicy)
     virtual = config.policy.name == "vw"
     every = config.policy.f if virtual else 0
     warm_end = config.warmup
@@ -190,11 +190,8 @@ def run(config: RunConfig) -> RunReport:
             if every and a % every == 0:
                 policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
             if by_segment:
-                attempts, successes = select(a, b, success_u[a - start:b - start])
-                for m, k, g, t in zip(metrics, attempts, on_outcome(successes), successes):
-                    m.attempts += k
-                    if len(t):
-                        m.on_delivery(g, t)
+                select(a, b, success_u[a - start:b - start])
+                on_outcome(metrics)
             else:
                 for t, arrived, u, draw in zip(range(a, b), arrivals, success_u, policy_u):
                     if arrived is not None:
@@ -216,24 +213,26 @@ def run(config: RunConfig) -> RunReport:
                     if m.is_aoi:
                         m.accrue_age(warm_end)
                     m.reset_window()
+                if by_segment:  # no spacing sample spans the boundary
+                    policy.g_prev.fill(-1)
         for m in metrics:
             m.fold(start + n)
     for m in aoi_ms:
         m.accrue_age(horizon)
+    if by_segment:  # cmu's queues hold the backlog
+        for m, (count, g_sum) in zip(metrics, policy.backlog()):
+            m.pending_count, m.pending_g_sum = count, g_sum
 
     effective = horizon - config.warmup
-    retained = policy.pending_aoi_packets()
+    retained = {} if by_segment else policy.pending_aoi_packets()
     per_ue = {}
     for i, u in enumerate(ues):
         extra = (retained[i],) if i in retained else ()
         per_ue[u.id] = metrics[i].finalize(effective, extra_pending=extra)
 
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
-    audit = {}
-    for u in scenario.aoi_ues:
-        res = aoi_decomposition_audit(per_ue[u.id], effective)
-        if res is not None:
-            audit[u.id] = res
+    audit = {u.id: res for u in scenario.aoi_ues
+             if (res := aoi_decomposition_audit(per_ue[u.id], effective)) is not None}
     if virtual:
         extras["weight_log"] = list(policy.weight_log)
     return RunReport(policy=policy.name, seed=config.seed, horizon=horizon,
@@ -268,8 +267,10 @@ def sweep_target(scenario: Scenario, param: str, ue_id: int | None) -> int:
     return candidates[0]
 
 
-def check_counts(**counts: int) -> None:
-    """Reject a replicate or worker count (``seeds``, ``jobs``) below 1."""
+def check_counts(seed: int = 0, **counts: int) -> None:
+    """Reject a negative ``seed``, or a count (``seeds``, ``jobs``) below 1."""
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
     for name, value in counts.items():
         if value < 1:
             raise ScenarioError(f"{name} must be >= 1, got {value}")
@@ -289,7 +290,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     and carry their feasibility flags.  At most ``jobs`` worker processes
     run them, and never more than there are runnable points.
     """
-    check_counts(seeds=seeds, jobs=jobs)
+    check_counts(seed=base.seed, seeds=seeds, jobs=jobs)
     target = sweep_target(base.scenario, param, ue_id)
     points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
     for i, value in enumerate(grid):
@@ -342,7 +343,7 @@ def lower_bound(scenario: Scenario, horizon: int, seed: int, seeds: int = 1) -> 
     depends only on the latency UEs, ``horizon``, ``seed`` and ``seeds``,
     never on a throughput UE's ``alpha``.
     """
-    check_counts(seeds=seeds)
+    check_counts(seed=seed, seeds=seeds)
     lb_f1 = spacing_bound(scenario)
     lb_f2 = 0.0
     lat = scenario.latency_ues

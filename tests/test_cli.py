@@ -201,6 +201,24 @@ def test_cli_seeds_below_one_exits_1(scenario_file, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "{scenario}"],
+    ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1", "--seeds", "1"],
+    ["lb", "{scenario}"],
+    ["reproduce", "fig5_cost", "--seeds", "1"],
+], ids=["run", "sweep", "lb", "fig5_cost"])
+def test_cli_negative_seed_exits_1(scenario_file, tmp_path, capsys, argv):
+    # numpy's SeedSequence takes no negative entropy: the seed is checked
+    # before any stream is derived from it
+    out = tmp_path / "out.csv"
+    argv = [a.format(scenario=scenario_file) for a in argv]
+    flag = "--csv" if argv[0] == "lb" else "--out"
+    assert main([*argv, "--seed", "-1", "--horizon", "1000", flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["sweep", "{scenario}", "--param", "alpha", "--grid", "0.1,0.2", "--seeds", "1"],
     ["reproduce", "fig4", "--seeds", "1"],
     ["reproduce", "fig5_weights"],

@@ -1,16 +1,18 @@
 """The segment-at-a-time ``cmu`` engine against its slot-by-slot reference.
 
 ``sim.run`` serves ``cmu`` a whole segment per call of the compiled
-``kernel.cmu_serve``; ``cmu_oracle.run_slots`` walks the same draws one
-slot at a time in Python.  The two must write the same CSV cells on any
+``kernel.cmu_serve``, which jumps over slots where every queue is empty
+and sums each queue's delivery statistics itself; ``cmu_oracle.run_slots``
+walks the same draws one slot at a time in Python and folds every event
+into ``UeMetrics``.  The two must write the same CSV cells on any
 latency-only system of up to 16 UEs: ties in ``rho*p/q``, UEs with
-``p = 1``, loads above 1, horizons on either side of a block edge and any
-warm-up.  The reference itself must reproduce every pinned ``cmu``
-digest.
+``p = 1``, loads from 10^-4 (whole blocks with empty queues) to above 1,
+horizons on either side of a block edge and any warm-up.  The reference
+itself must reproduce every pinned ``cmu`` digest.
 """
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from aoisched.metrics import report_rows
@@ -24,9 +26,10 @@ from test_engine_golden import (CMU_GOLDEN, CMU_SYSTEMS, GOLDEN, HORIZON, SYSTEM
 @st.composite
 def latency_systems(draw):
     """1-16 weighted latency UEs (16 is ``wide48_hier``'s ``cmu`` system) at
-    a total load of 0.05-1.3; a UE may copy an earlier UE's (share, p, rho),
-    which ties their rho*p/q exactly."""
-    load = draw(st.floats(0.05, 1.3))
+    a total load of 0.05-1.3, or of 10^-4 to 0.05, spread over its orders
+    of magnitude; a UE may copy an earlier UE's (share, p, rho), which ties
+    their rho*p/q exactly."""
+    load = draw(st.floats(0.05, 1.3) | st.floats(-4.0, -1.3).map(lambda e: 10.0 ** e))
     picks = []
     for _ in range(draw(st.integers(1, 16))):
         if picks and draw(st.booleans()):
@@ -53,6 +56,13 @@ def horizons_and_warmups(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           phases=[Phase.explicit, Phase.generate])
 @given(scenario=latency_systems(), span=horizons_and_warmups(), seed=st.integers(0, 2 ** 31))
+# slot CHUNK is a block, and a segment, of its own, right after the warm-up:
+# both queues are empty before it and ue 2 has an arrival there, which it
+# delivers at once, its first delivery since the warm-up
+@example(scenario=Scenario(ues=(
+    UeConfig(id=1, cls=UeClass.LATENCY, q=0.02, p=0.9, rho=1.0),
+    UeConfig(id=2, cls=UeClass.LATENCY, q=0.03, p=0.6, rho=1.0),
+), variant=Variant.LATENCY_WEIGHTED), span=(CHUNK, CHUNK - 1), seed=153)
 def test_segment_engine_matches_slot_reference(scenario, span, seed):
     horizon, warmup = span
     config = RunConfig(scenario=scenario, policy=PolicySpec("cmu"), horizon=horizon,

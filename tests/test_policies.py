@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aoisched.metrics import UeMetrics
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
 
@@ -353,33 +354,43 @@ def cmu_scenario():
     ), variant=Variant.LATENCY_WEIGHTED)
 
 
+def cmu_metrics():
+    return [UeMetrics(1, UeClass.LATENCY), UeMetrics(2, UeClass.LATENCY)]
+
+
 def test_cmu_serves_highest_weighted_rate():
-    p = CmuPolicy(cmu_scenario())
+    p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
     p.update_index([np.array([1]), np.array([1])])
-    attempts, successes = p.select(1, 2, np.array([0.99]))   # the attempt fails
-    assert attempts == [1, 0]
-    assert [s.tolist() for s in successes] == [[], []]
+    p.select(1, 2, np.array([0.99]))   # the attempt fails
+    p.on_outcome(metrics)
+    assert [m.attempts for m in metrics] == [1, 0]
+    assert [m.deliveries for m in metrics] == [0, 0]
+    assert p.backlog() == [(1, 1), (1, 1)]
 
 
 def test_cmu_work_conserving_fifo():
-    p = CmuPolicy(cmu_scenario())
+    p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
     p.update_index([np.array([], np.int64), np.array([1, 2])])
     # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
-    attempts, successes = p.select(2, 5, np.zeros(3))
-    assert attempts == [0, 2]
-    assert [s.tolist() for s in successes] == [[], [2, 3]]
-    delivered = p.on_outcome(successes)
-    assert [g.tolist() for g in delivered] == [[], [1, 2]]   # oldest first
-    assert p.select(5, 6, np.zeros(1))[0] == [0, 0]          # both queues empty
+    p.select(2, 5, np.zeros(3))
+    p.on_outcome(metrics)
+    assert [m.attempts for m in metrics] == [0, 2]
+    lat = metrics[1]
+    assert lat.deliveries == 2 and lat.latency_sum_delivered == (2 - 1 + 1) + (3 - 2 + 1)
+    # oldest first: arrival slot 1, then 2, so the one spacing sample is +1
+    assert (lat.n_samples, lat.sample_sum, lat.sample_sumsq) == (1, 1.0, 1.0)
+    assert p.backlog() == [(0, 0), (0, 0)]
+    p.select(5, 6, np.zeros(1))                                 # both queues empty
+    assert p.sums.tolist() == [[0] * 6, [0] * 6]
 
 
 def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
     p = CmuPolicy(cmu_scenario())
     with pytest.raises(ValueError, match="need 2 success uniforms"):
         p.select(1, 3, np.zeros(1))
-    p.update_index([np.array([1.0]), np.array([], np.int64)])
+    # the queues it serves are checked as they take each block's arrivals
     with pytest.raises(TypeError, match="float64"):
-        p.select(1, 2, np.zeros(1))
+        p.update_index([np.array([1.0]), np.array([], np.int64)])
 
 
 def test_cmu_rejects_mixed_scenarios():

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from aoisched import sim
+from aoisched import metrics, sim
 from aoisched.metrics import UeMetrics, report_rows
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy
@@ -319,6 +319,28 @@ def test_metric_hooks_fold_per_block_not_per_event(monkeypatch):
     assert sum(s.deliveries for s in report.per_ue.values()) > 10 * 3 * bound
     for name, seen in calls.items():
         assert seen and max(seen.values()) <= bound, (name, seen, bound)
+
+
+def test_cmu_statistics_bypass_the_metric_folds(monkeypatch):
+    # cmu's kernel sums each queue's deliveries and its queues hold the
+    # backlog, so a cmu run folds no delivery in Python, and folding its
+    # arrivals only counts them: no arrival slot is summed
+    calls = {"on_arrival": 0, "on_delivery": 0, "sum": 0}
+    for name in ("on_arrival", "on_delivery"):
+        def counted(self, *args, _fold=getattr(UeMetrics, name), _name=name):
+            calls[_name] += 1
+            return _fold(self, *args)
+        monkeypatch.setattr(UeMetrics, name, counted)
+
+    def counted_sum(*args):
+        calls["sum"] += 1
+        return sum(*args)
+    monkeypatch.setattr(metrics, "sum", counted_sum, raising=False)
+    report = run(RunConfig(scenario=latency_only(), policy=PolicySpec("cmu"),
+                           horizon=3 * CHUNK + 5, seed=2, warmup=CHUNK + 7))
+    assert sum(s.deliveries for s in report.per_ue.values()) > 1000
+    assert calls["on_arrival"] > 0
+    assert calls["on_delivery"] == calls["sum"] == 0, calls
 
 
 def test_rd_consumes_draw_every_slot():
