@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -31,18 +32,28 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
 
 
 def parse_grid(text: str) -> list[float]:
-    """Grid syntax: 'a:b:step' (inclusive within half a step) or 'v1,v2,...'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+    """Grid syntax: 'a:b:step' (inclusive within half a step) or 'v1,v2,...'
+    of finite numbers, holding at least one value."""
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ScenarioError(f"grid {text!r} holds a value that is not a number") from None
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"grid {text!r} holds a value that is not finite")
+    if ranged:
+        if len(values) != 3:
             raise ScenarioError(f"grid must be a:b:step, got {text!r}")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = values
         if step <= 0:
             raise ScenarioError("grid step must be positive")
         n = int(round((b - a) / step))
-        values = [round(a + i * step, 12) for i in range(n + 1)]
-        return [v for v in values if v <= b + step * 0.5]
-    return [float(p) for p in text.split(",") if p.strip()]
+        values = [v for v in (round(a + i * step, 12) for i in range(n + 1))
+                  if v <= b + step * 0.5]
+    if not values:
+        raise ScenarioError(f"grid {text!r} holds no values")
+    return values
 
 
 def cmd_validate(args) -> int:

@@ -58,6 +58,11 @@ def _build() -> Path:
 
 _lib = ctypes.CDLL(str(_build()))
 
+cmu_enqueue = _lib.cmu_enqueue
+cmu_enqueue.restype = ctypes.c_int64
+cmu_enqueue.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                        ctypes.c_int64, *[ctypes.c_void_p] * 4]
+
 cmu_serve = _lib.cmu_serve
 cmu_serve.restype = None
 cmu_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,

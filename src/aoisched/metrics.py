@@ -32,12 +32,12 @@ class UeMetrics:
     Events are folded in batches, not one at a time.  The engine hands
     over each block's arrival slots (``log_arrivals``) and appends each
     delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
-    per block and at the warm-up boundary.  ``cmu`` adds its own sums per
-    segment (``CmuPolicy.on_outcome``) and its backlog at the end, so its
-    arrivals are only counted.  Every statistic is a sum of integers, exact
-    in int64 and, as a float, below 2**53 for horizons up to about
-    9 * 10**7 slots, so a batch fold gives the same bits as folding the
-    events one by one.
+    per block and at the warm-up boundary.  A ``cmu`` run uses none of
+    these: it adds its own sums per segment, arrivals included
+    (``CmuPolicy.on_outcome``), and sets its backlog at the end.  Every
+    statistic is a sum of integers, exact in int64 and, as a float, below
+    2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
+    the same bits as folding the events one by one.
     """
 
     __slots__ = (
@@ -49,12 +49,11 @@ class UeMetrics:
         "arrived", "dg", "dt", "_seen", "_tail_t", "_tail_g",
     )
 
-    def __init__(self, ue_id: int, cls: UeClass, track_pending: bool = True):
+    def __init__(self, ue_id: int, cls: UeClass):
         self.ue_id = ue_id
         self.cls = cls
         self.is_aoi = cls is UeClass.AOI
-        # a latency UE's backlog, unless the caller sets it at the end (cmu)
-        self.track_pending = track_pending and cls is UeClass.LATENCY
+        self.track_pending = cls is UeClass.LATENCY
         self.lam = 0
         self.aoi_sum = 0
         self.aged = 0  # last slot whose age is in aoi_sum

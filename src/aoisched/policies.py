@@ -4,12 +4,12 @@ The two-tier policies share the same per-slot shape: an index update fed
 with the slot's arrivals, a selection step returning at most one
 transmission, and an outcome hook.  The weighted-rate rule
 (``CmuPolicy``, defined in ``cmu`` and imported here with the others) has
-the same three steps over a segment of slots at a time.  The hierarchical
-policies keep a pool of retained high-priority packets (at most one per
-AoI UE, the whole queue per latency UE); whenever that pool is nonempty
-its best-index packet is sent, and only an empty pool lets the throughput
-tier transmit.  Ties break toward the lowest UE id everywhere, which keeps
-runs reproducible.
+the same three steps, each over a block or a segment of slots.  The
+hierarchical policies keep a pool of retained high-priority packets (at
+most one per AoI UE, the whole queue per latency UE); whenever that pool
+is nonempty its best-index packet is sent, and only an empty pool lets the
+throughput tier transmit.  Ties break toward the lowest UE id everywhere,
+which keeps runs reproducible.
 
 State is indexed by UE *position*: the UE's index in the scenario's UEs
 sorted by ascending id.  In the two-tier policies ``update_index`` takes

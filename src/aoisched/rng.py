@@ -43,8 +43,3 @@ def substreams(seed: int, n_arrival_streams: int):
     return (arrival_gens,
             np.random.Generator(np.random.PCG64(policy_child)),
             np.random.Generator(np.random.PCG64(success_child)))
-
-
-def rng_contract() -> str:
-    """The reproducibility contract, as prose."""
-    return __doc__

@@ -25,11 +25,13 @@ summed in closed form between deliveries.
 The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
 and the engine calls a policy hook only where it has work: the index
 update on slots with arrivals, the outcome hook on successes and
-throughput attempts.  ``cmu`` is served a segment at a time by a compiled
-pass in the same per-slot order, so it reads the same draws and gives the
-same report as a slot-by-slot run; it sums each UE's deliveries itself and
-its queues hold the backlog, so the metrics only count its arrivals (see
-``cmu.CmuPolicy``).
+throughput attempts.  ``cmu`` runs in compiled code in the same per-slot
+order, so it reads the same draws and gives the same report as a
+slot-by-slot run (see ``cmu.CmuPolicy``): each block's arrival uniforms are
+drawn into one reused buffer, a stream at a time, and enqueued; its success
+uniforms are drawn into the same buffer and served a segment at a time.
+It counts each UE's arrivals and sums its deliveries itself, and its queues
+hold the backlog, so no ``UeMetrics`` fold runs.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -47,11 +49,11 @@ from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
                     Variant, replace_param, validate)
 from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
                        thresholds_for)
-from .rng import derive_seed, rng_contract, substreams
+from .rng import derive_seed, substreams
 from .solver import spacing_bound
 
 __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep",
-           "sweep_target", "lower_bound", "derive_seed", "rng_contract"]
+           "sweep_target", "lower_bound", "derive_seed"]
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
 
@@ -101,31 +103,23 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
-def _arrival_slots(n: int, start: int, streams):
-    """Each stream's position and arrival slots in the ``n`` slots from
-    ``start`` on, ascending; the slots also go to the UE's metrics, to be
-    folded later.  Slot 0 is left out."""
-    for pos, gen, q, m in streams:
-        hit = np.flatnonzero(gen.random(n) < q)
-        if start == 0:
-            hit = hit[hit.searchsorted(1):]
-        hit += start
-        m.log_arrivals(hit)
-        yield pos, hit
-
-
 def _arrivals(n: int, start: int, streams) -> list[tuple[int, ...] | None]:
     """Positions arriving in each of the ``n`` slots from ``start`` on,
-    ascending, or None (see ``_arrival_slots``).
+    ascending, or None; slot 0 is left out.  Each stream's arrival slots
+    also go to its UE's metrics, to be folded later.
 
     Slots that see the same positions share one tuple, so the block costs
     about a pointer per slot.
     """
     slots: list[tuple[int, ...] | None] = [None] * n
-    for pos, hit in _arrival_slots(n, start, streams):
+    for pos, gen, q, m in streams:
+        hit = np.flatnonzero(gen.random(n) < q)
+        if start == 0:
+            hit = hit[hit.searchsorted(1):]
+        m.log_arrivals(hit + start)
         alone = (pos,)
         grown: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for s in memoryview(hit - start):
+        for s in memoryview(hit):
             at = slots[s]
             slots[s] = alone if at is None else grown.get(at) or grown.setdefault(at, at + alone)
     return slots
@@ -155,7 +149,7 @@ def run(config: RunConfig) -> RunReport:
     by_segment = isinstance(policy, CmuPolicy)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
-    metrics = [UeMetrics(u.id, u.cls, track_pending=not by_segment) for u in ues]
+    metrics = [UeMetrics(u.id, u.cls) for u in ues]
     p_of = [u.p for u in ues]
     log_g = [m.dg.append for m in metrics]
     log_t = [m.dt.append for m in metrics]
@@ -172,27 +166,38 @@ def run(config: RunConfig) -> RunReport:
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
-    for start in range(0, horizon + 1, CHUNK):
-        n = min(CHUNK, horizon + 1 - start)
-        arrivals = success_u = policy_u = None  # free the last block first
-        if by_segment:
-            update_index([hit for _, hit in _arrival_slots(n, start, streams)])
-            success_u = success_gen.random(n)
-        else:
+    if by_segment:
+        # each block's arrival uniforms are drawn into one buffer, a stream at
+        # a time, and enqueued; then its success uniforms, to be served
+        block = np.empty(CHUNK)
+        for start in range(0, horizon + 1, CHUNK):
+            u = block[:min(CHUNK, horizon + 1 - start)]
+            update_index(start, u, arrival_gens)
+            success_gen.random(out=u)
+            for a, b in _segments(max(start, 1), start + len(u), 0, warm_end):
+                select(a, b, u[a - start:b - start])
+                on_outcome(metrics)
+                if b - 1 == warm_end:
+                    for m in metrics:
+                        m.reset_window()
+                    policy.g_prev.fill(-1)  # no spacing sample spans the boundary
+        for m, (count, g_sum) in zip(metrics, policy.backlog()):  # the queues hold it
+            m.pending_count, m.pending_g_sum = count, g_sum
+    else:
+        for start in range(0, horizon + 1, CHUNK):
+            n = min(CHUNK, horizon + 1 - start)
+            arrivals = success_u = policy_u = None  # free the last block first
             # one pass over the block's buffers: each segment's zip takes the
             # next b - a slots (range comes first, so it stops before the rest)
             arrivals = iter(_arrivals(n, start, streams))
             success_u = iter(memoryview(success_gen.random(n)))
-            policy_u = iter(memoryview(policy_gen.random(n)) if policy.needs_draw else repeat(None))
+            policy_u = iter(memoryview(policy_gen.random(n)) if policy.needs_draw
+                            else repeat(None))
             if start == 0:
                 next(arrivals), next(success_u), next(policy_u)
-        for a, b in _segments(max(start, 1), start + n, every, warm_end):
-            if every and a % every == 0:
-                policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
-            if by_segment:
-                select(a, b, success_u[a - start:b - start])
-                on_outcome(metrics)
-            else:
+            for a, b in _segments(max(start, 1), start + n, every, warm_end):
+                if every and a % every == 0:
+                    policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
                 for t, arrived, u, draw in zip(range(a, b), arrivals, success_u, policy_u):
                     if arrived is not None:
                         update_index(t, arrived)
@@ -207,21 +212,16 @@ def run(config: RunConfig) -> RunReport:
                         on_outcome(action, True, t)
                     elif is_thr[i]:
                         on_outcome(action, False, t)
-            if b - 1 == warm_end:
-                for m in metrics:
-                    m.fold(b)
-                    if m.is_aoi:
-                        m.accrue_age(warm_end)
-                    m.reset_window()
-                if by_segment:  # no spacing sample spans the boundary
-                    policy.g_prev.fill(-1)
-        for m in metrics:
-            m.fold(start + n)
+                if b - 1 == warm_end:
+                    for m in metrics:
+                        m.fold(b)
+                        if m.is_aoi:
+                            m.accrue_age(warm_end)
+                        m.reset_window()
+            for m in metrics:
+                m.fold(start + n)
     for m in aoi_ms:
         m.accrue_age(horizon)
-    if by_segment:  # cmu's queues hold the backlog
-        for m, (count, g_sum) in zip(metrics, policy.backlog()):
-            m.pending_count, m.pending_g_sum = count, g_sum
 
     effective = horizon - config.warmup
     retained = {} if by_segment else policy.pending_aoi_packets()

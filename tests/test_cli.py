@@ -90,6 +90,26 @@ def test_parse_grid_forms():
         parse_grid("1:2")
 
 
+@pytest.mark.parametrize("grid,reason", [
+    ("0:1:nan", "not finite"),
+    ("0:inf:0.1", "not finite"),
+    ("0.1,abc", "not a number"),
+    ("x:1:0.1", "not a number"),
+    ("0.5:0.1:0.1", "no values"),
+    ("", "no values"),
+])
+def test_cli_malformed_grid_exits_1(scenario_file, tmp_path, capsys, grid, reason):
+    # each ended in a ValueError or OverflowError traceback, or (the last
+    # two) in a header-only CSV and exit 0
+    out = tmp_path / "out.csv"
+    argv = ["sweep", str(scenario_file), "--param", "alpha", "--grid", grid, "--seeds", "1",
+            "--horizon", "1000", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert not out.exists()
+
+
 # -- subcommands -----------------------------------------------------------------
 
 def test_cli_validate(scenario_file, capsys):

@@ -1,14 +1,17 @@
 """The segment-at-a-time ``cmu`` engine against its slot-by-slot reference.
 
-``sim.run`` serves ``cmu`` a whole segment per call of the compiled
+``sim.run`` enqueues each block's ``cmu`` arrivals with the compiled
+``kernel.cmu_enqueue``, into queues that grow by doubling and are
+compacted in place, and serves a whole segment per call of
 ``kernel.cmu_serve``, which jumps over slots where every queue is empty
-and sums each queue's delivery statistics itself; ``cmu_oracle.run_slots``
-walks the same draws one slot at a time in Python and folds every event
-into ``UeMetrics``.  The two must write the same CSV cells on any
-latency-only system of up to 16 UEs: ties in ``rho*p/q``, UEs with
-``p = 1``, loads from 10^-4 (whole blocks with empty queues) to above 1,
-horizons on either side of a block edge and any warm-up.  The reference
-itself must reproduce every pinned ``cmu`` digest.
+and sums each queue's arrivals and delivery statistics itself;
+``cmu_oracle.run_slots`` walks the same draws one slot at a time in Python
+and folds every event into ``UeMetrics``.  The two must write the same CSV
+cells on any latency-only system of up to 16 UEs: ties in ``rho*p/q``, UEs
+with ``p = 1``, loads from 10^-4 (whole blocks with empty queues) to above
+1 (backlogs that grow over up to four blocks), horizons on either side of
+a block edge and any warm-up.  The reference itself must reproduce every
+pinned ``cmu`` digest.
 """
 
 import pytest
@@ -46,25 +49,29 @@ def latency_systems(draw):
 
 
 @st.composite
-def horizons_and_warmups(draw):
-    """A horizon within 3 slots of one or two whole blocks, and a warm-up in it."""
-    horizon = draw(st.integers(1, 2)) * CHUNK + draw(st.integers(-3, 3))
-    return horizon, draw(st.integers(0, horizon - 1))
+def runs(draw):
+    """A latency system, a horizon within 3 slots of 1-2 whole blocks, or
+    of 1-4 above load 1, so that overloaded queues grow and are compacted
+    across blocks, and a warm-up in it."""
+    scenario = draw(latency_systems())
+    blocks = 4 if sum(u.q / u.p for u in scenario.ues) > 1 else 2
+    horizon = draw(st.integers(1, blocks)) * CHUNK + draw(st.integers(-3, 3))
+    return scenario, horizon, draw(st.integers(0, horizon - 1))
 
 
 # The reference walks every slot in Python, so examples stay few and short.
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           phases=[Phase.explicit, Phase.generate])
-@given(scenario=latency_systems(), span=horizons_and_warmups(), seed=st.integers(0, 2 ** 31))
+@given(case=runs(), seed=st.integers(0, 2 ** 31))
 # slot CHUNK is a block, and a segment, of its own, right after the warm-up:
 # both queues are empty before it and ue 2 has an arrival there, which it
 # delivers at once, its first delivery since the warm-up
-@example(scenario=Scenario(ues=(
+@example(case=(Scenario(ues=(
     UeConfig(id=1, cls=UeClass.LATENCY, q=0.02, p=0.9, rho=1.0),
     UeConfig(id=2, cls=UeClass.LATENCY, q=0.03, p=0.6, rho=1.0),
-), variant=Variant.LATENCY_WEIGHTED), span=(CHUNK, CHUNK - 1), seed=153)
-def test_segment_engine_matches_slot_reference(scenario, span, seed):
-    horizon, warmup = span
+), variant=Variant.LATENCY_WEIGHTED), CHUNK, CHUNK - 1), seed=153)
+def test_segment_engine_matches_slot_reference(case, seed):
+    scenario, horizon, warmup = case
     config = RunConfig(scenario=scenario, policy=PolicySpec("cmu"), horizon=horizon,
                        seed=seed, warmup=warmup)
     assert report_rows(run(config), "x") == report_rows(run_slots(config), "x")

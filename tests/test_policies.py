@@ -358,11 +358,26 @@ def cmu_metrics():
     return [UeMetrics(1, UeClass.LATENCY), UeMetrics(2, UeClass.LATENCY)]
 
 
+class Arrivals:
+    """Stands in for a position's arrival generator over the block from
+    slot ``start``: its draws are 0 in ``slots`` (an arrival at any q) and
+    1 elsewhere (none)."""
+
+    def __init__(self, start, *slots):
+        self.start, self.slots = start, slots
+
+    def random(self, out):
+        out[:] = 1.0
+        out[[s - self.start for s in self.slots]] = 0.0
+        return out
+
+
 def test_cmu_serves_highest_weighted_rate():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    p.update_index([np.array([1]), np.array([1])])
+    p.update_index(0, np.empty(2), [Arrivals(0, 1), Arrivals(0, 1)])
     p.select(1, 2, np.array([0.99]))   # the attempt fails
     p.on_outcome(metrics)
+    assert [m.arrivals for m in metrics] == [1, 1]
     assert [m.attempts for m in metrics] == [1, 0]
     assert [m.deliveries for m in metrics] == [0, 0]
     assert p.backlog() == [(1, 1), (1, 1)]
@@ -370,27 +385,53 @@ def test_cmu_serves_highest_weighted_rate():
 
 def test_cmu_work_conserving_fifo():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    p.update_index([np.array([], np.int64), np.array([1, 2])])
+    # slot 0 takes no arrival, even with a draw below q
+    p.update_index(0, np.empty(3), [Arrivals(0, 0), Arrivals(0, 0, 1, 2)])
     # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
     p.select(2, 5, np.zeros(3))
     p.on_outcome(metrics)
     assert [m.attempts for m in metrics] == [0, 2]
     lat = metrics[1]
+    assert lat.arrivals == 1                            # slot 1's arrived before the segment
     assert lat.deliveries == 2 and lat.latency_sum_delivered == (2 - 1 + 1) + (3 - 2 + 1)
     # oldest first: arrival slot 1, then 2, so the one spacing sample is +1
     assert (lat.n_samples, lat.sample_sum, lat.sample_sumsq) == (1, 1.0, 1.0)
     assert p.backlog() == [(0, 0), (0, 0)]
     p.select(5, 6, np.zeros(1))                                 # both queues empty
-    assert p.sums.tolist() == [[0] * 6, [0] * 6]
+    assert p.sums.tolist() == [[0] * 7, [0] * 7]
+
+
+def test_cmu_queues_grow_and_compact_across_blocks():
+    # ue 1 has an arrival in every slot and delivers it at once: its
+    # storage, grown to hold the first block's arrivals, has its head past
+    # the midpoint at every later block and is compacted in place; ue 2 is
+    # never served, so its storage keeps doubling
+    p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
+    caps, heads, storage = [], [], []
+    for start in range(0, 48, 8):
+        slots = range(max(start, 1), start + 8)
+        p.update_index(start, np.empty(8), [Arrivals(start, *slots), Arrivals(start, *slots)])
+        p.select(slots[0], start + 8, np.zeros(len(slots)))
+        p.on_outcome(metrics)
+        caps.append(p.cap.tolist())
+        heads.append(int(p.head[0]))
+        storage.append(p.queues[0])
+    assert caps == [[8, 8], [8, 16], [8, 32], [8, 32], [8, 64], [8, 64]]
+    assert heads == [7, 8, 8, 8, 8, 8]
+    assert all(queue is storage[0] for queue in storage)
+    assert [m.arrivals for m in metrics] == [47, 47]
+    assert [m.deliveries for m in metrics] == [47, 0]
+    assert p.backlog() == [(0, 0), (47, sum(range(1, 48)))]
 
 
 def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
     p = CmuPolicy(cmu_scenario())
     with pytest.raises(ValueError, match="need 2 success uniforms"):
         p.select(1, 3, np.zeros(1))
-    # the queues it serves are checked as they take each block's arrivals
-    with pytest.raises(TypeError, match="float64"):
-        p.update_index([np.array([1.0]), np.array([], np.int64)])
+    # the arrival uniforms it enqueues from are checked as each block is drawn
+    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
+        with pytest.raises(TypeError, match="contiguous float64"):
+            p.update_index(1, u, [Arrivals(1), Arrivals(1)])
 
 
 def test_cmu_rejects_mixed_scenarios():

@@ -3,13 +3,14 @@ import tracemalloc
 
 import pytest
 
-from aoisched import metrics, sim
+from aoisched import metrics, rng, sim
 from aoisched.metrics import UeMetrics, report_rows
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy
-from aoisched.rng import derive_seed, rng_contract, substreams
+from aoisched.rng import derive_seed, substreams
 from aoisched.sim import CHUNK, PolicySpec, RunConfig, lower_bound, run, sweep
 from aoisched.solver import SolverError
+from cmu_oracle import run_slots
 
 
 def weighted(alpha=0.2):
@@ -150,7 +151,7 @@ def test_seed_derivation_is_stable_and_spread():
 
 
 def test_rng_contract_is_documented():
-    text = rng_contract()
+    text = rng.__doc__
     assert "arrivals" in text and "success" in text
 
 
@@ -322,11 +323,11 @@ def test_metric_hooks_fold_per_block_not_per_event(monkeypatch):
 
 
 def test_cmu_statistics_bypass_the_metric_folds(monkeypatch):
-    # cmu's kernel sums each queue's deliveries and its queues hold the
-    # backlog, so a cmu run folds no delivery in Python, and folding its
-    # arrivals only counts them: no arrival slot is summed
-    calls = {"on_arrival": 0, "on_delivery": 0, "sum": 0}
-    for name in ("on_arrival", "on_delivery"):
+    # cmu's kernels count each queue's arrivals and sum its deliveries, and
+    # its queues hold the backlog, so a cmu run folds nothing in Python and
+    # sums no arrival slot, yet reports the arrivals a slot-by-slot run does
+    calls = {"on_arrival": 0, "on_delivery": 0, "fold": 0, "sum": 0}
+    for name in ("on_arrival", "on_delivery", "fold"):
         def counted(self, *args, _fold=getattr(UeMetrics, name), _name=name):
             calls[_name] += 1
             return _fold(self, *args)
@@ -336,11 +337,36 @@ def test_cmu_statistics_bypass_the_metric_folds(monkeypatch):
         calls["sum"] += 1
         return sum(*args)
     monkeypatch.setattr(metrics, "sum", counted_sum, raising=False)
-    report = run(RunConfig(scenario=latency_only(), policy=PolicySpec("cmu"),
-                           horizon=3 * CHUNK + 5, seed=2, warmup=CHUNK + 7))
+    config = RunConfig(scenario=latency_only(), policy=PolicySpec("cmu"),
+                       horizon=3 * CHUNK + 5, seed=2, warmup=CHUNK + 7)
+    report = run(config)
     assert sum(s.deliveries for s in report.per_ue.values()) > 1000
-    assert calls["on_arrival"] > 0
-    assert calls["on_delivery"] == calls["sum"] == 0, calls
+    assert calls == {"on_arrival": 0, "on_delivery": 0, "fold": 0, "sum": 0}
+    expected = run_slots(config).per_ue
+    assert [s.arrivals for s in report.per_ue.values()] == \
+        [s.arrivals for s in expected.values()]
+
+
+def test_cmu_queue_writes_stay_linear_in_the_arrivals(monkeypatch):
+    # a queue at load 1.3 grows all run; enqueueing a block must cost its
+    # arrivals, not the backlog.  Count the elements written into queue
+    # storage: a block's arrivals, plus the live packets a growth copies or
+    # a compaction moves (when the storage or its head changes)
+    written = []
+
+    def counted(self, *args, _method=CmuPolicy.update_index):
+        before = [(queue, h, e) for queue, h, e in zip(self.queues, self.head, self.end)]
+        _method(self, *args)
+        for (queue, h, e), queue_now, h_now, e_now in zip(before, self.queues, self.head,
+                                                         self.end):
+            moved = queue_now is not queue or h_now != h
+            written.append(int(e_now if moved else e_now - e))
+    monkeypatch.setattr(CmuPolicy, "update_index", counted)
+    scenario = Scenario(ues=(UeConfig(id=1, cls=UeClass.LATENCY, q=0.65, p=0.5, rho=1.0),),
+                        variant=Variant.LATENCY_WEIGHTED)
+    stats = run(cfg(scenario, policy="cmu", horizon=64 * CHUNK)).per_ue[1]
+    assert stats.arrivals - stats.deliveries > 8 * CHUNK
+    assert sum(written) <= 2 * stats.arrivals, (sum(written), stats.arrivals)
 
 
 def test_rd_consumes_draw_every_slot():
