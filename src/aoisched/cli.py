@@ -252,14 +252,20 @@ def cmd_reproduce(args) -> int:
 
 def cmd_report(args) -> int:
     path = Path(args.csv)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            print(f"# {path.name}\n\n(empty)")
-            return 0
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not a text file ({exc})") from None
+    if not rows:
+        print(f"# {path.name}\n\n(empty)")
+        return 0
+    header, *rows = rows
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ScenarioError(f"{path}: row {k} has {len(row)} cells, the header "
+                                f"{len(header)}")
+    verdicts = _report_verdicts(header, rows)
     print(f"# {path.name}\n")
     if not rows:
         print("(no data rows)")
@@ -268,7 +274,6 @@ def cmd_report(args) -> int:
     print("|" + "|".join("---" for _ in header) + "|")
     for row in rows:
         print("| " + " | ".join(row) + " |")
-    verdicts = _report_verdicts(header, rows)
     if verdicts:
         print("\n## Checks\n")
         for line in verdicts:
@@ -276,11 +281,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _throughput(row: list[str], col: int) -> float:
+    try:
+        return float(row[col])
+    except ValueError:
+        raise ScenarioError(f"throughput {row[col]!r} is not a number") from None
+
+
 def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
     out = []
     cols = {name: i for i, name in enumerate(header)}
     if {"alpha", "ue_id", "throughput"} <= set(header):
-        r2 = [float(r[cols["throughput"]]) for r in rows if r[cols["ue_id"]] == str(LATENCY_UE)]
+        r2 = [_throughput(r, cols["throughput"]) for r in rows
+              if r[cols["ue_id"]] == str(LATENCY_UE)]
         if r2:
             flat = max(r2) - min(r2) < RATE_TOL
             out.append(f"- latency-ue throughput flat across alpha (spread "
@@ -289,7 +302,7 @@ def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
         by_key: dict[tuple[str, str], list[float]] = {}
         for r in rows:
             by_key.setdefault((r[cols["policy"]], r[cols["ue_id"]]), []).append(
-                float(r[cols["throughput"]]))
+                _throughput(r, cols["throughput"]))
         worst = max((max(v) - min(v) for v in by_key.values()), default=0.0)
         out.append(f"- max per-ue throughput spread across beta = {worst:.4f}: "
                    f"{'PASS' if worst < RATE_TOL else 'FAIL'}")
@@ -375,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, SolverError, FileNotFoundError) as exc:
+    except (ScenarioError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,6 +30,7 @@ class CmuPolicy:
     """
 
     name = "cmu"
+    needs_draw = False
 
     def __init__(self, scenario: Scenario):
         lat = scenario.latency_ues

@@ -67,3 +67,8 @@ cmu_serve = _lib.cmu_serve
 cmu_serve.restype = None
 cmu_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                       *[ctypes.c_void_p] * 8]
+
+rd_serve = _lib.rd_serve
+rd_serve.restype = None
+rd_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 2,
+                     *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 6]

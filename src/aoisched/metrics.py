@@ -32,9 +32,9 @@ class UeMetrics:
     Events are folded in batches, not one at a time.  The engine hands
     over each block's arrival slots (``log_arrivals``) and appends each
     delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
-    per block and at the warm-up boundary.  A ``cmu`` run uses none of
-    these: it adds its own sums per segment, arrivals included
-    (``CmuPolicy.on_outcome``), and sets its backlog at the end.  Every
+    per block and at the warm-up boundary.  An ``rd`` or ``cmu`` run uses
+    none of these: its policy adds its own sums per segment, arrivals
+    included (``on_outcome``), and sets its backlog at the end.  Every
     statistic is a sum of integers, exact in int64 and, as a float, below
     2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
     the same bits as folding the events one by one.

@@ -243,7 +243,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not a text file ({exc})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

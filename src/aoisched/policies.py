@@ -1,27 +1,28 @@
 """Scheduling policies.
 
-The two-tier policies share the same per-slot shape: an index update fed
-with the slot's arrivals, a selection step returning at most one
-transmission, and an outcome hook.  The weighted-rate rule
-(``CmuPolicy``, defined in ``cmu`` and imported here with the others) has
-the same three steps, each over a block or a segment of slots.  The
-hierarchical policies keep a pool of retained high-priority packets (at
-most one per AoI UE, the whole queue per latency UE); whenever that pool
-is nonempty its best-index packet is sent, and only an empty pool lets the
-throughput tier transmit.  Ties break toward the lowest UE id everywhere,
-which keeps runs reproducible.
+``hier`` and ``vw`` (``HierarchicalPolicy``) share a per-slot shape: an
+index update fed with the slot's arrivals, a selection step returning at
+most one transmission, and an outcome hook.  The randomised policy
+(``RandomizedPolicy``, ``rd``) and the weighted-rate rule (``CmuPolicy``,
+defined in ``cmu`` and imported here with the others) have the same three
+steps, each over a block or a segment of slots, and serve in compiled code
+(``kernel``).  The two-tier policies keep a pool of retained
+high-priority packets (at most one per AoI UE; under ``hier``/``vw`` also
+the whole queue per latency UE); whenever that pool is nonempty its
+best-index packet is sent, and only an empty pool lets the throughput tier
+transmit (``rd`` first gives each queued latency UE its probability
+share).  Ties break toward the lowest UE id everywhere, which keeps runs
+reproducible.
 
 State is indexed by UE *position*: the UE's index in the scenario's UEs
-sorted by ascending id.  In the two-tier policies ``update_index`` takes
+sorted by ascending id.  In ``HierarchicalPolicy`` ``update_index`` takes
 the positions that saw an arrival, in ascending order, and may be skipped
-on slots without arrivals; ``select(t, draw)`` gets the slot's policy
-uniform, or None for policies that take none (``needs_draw``), and
-returns at most one transmission, a ``(position, g)`` tuple, ``g`` being
-the arrival slot of the packet sent.
-``on_outcome`` changes nothing on a failed AoI or latency attempt, so it
-may be skipped then.  Indices change only on these events, so each policy
-keeps its argmax cached and ``select`` does no work that grows with the
-number of UEs (the throughput tier's, with the number of distinct
+on slots without arrivals; ``select(t)`` returns at most one transmission,
+a ``(position, g)`` tuple, ``g`` being the arrival slot of the packet
+sent.  ``on_outcome`` changes nothing on a failed AoI or latency attempt,
+so it may be skipped then.  Indices change only on these events, so the
+policy keeps its argmax cached and ``select`` does no work that grows with
+the number of UEs (the throughput tier's, with the number of distinct
 ``(alpha, p)`` pairs).
 
 AoI eligibility is gated by a counter: an arrival in slot t bumps the
@@ -33,11 +34,14 @@ arrival replaces the retained packet (fresher data supersedes older).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
 from heapq import heapreplace
 from typing import Sequence
 
+import numpy as np
+
+from . import kernel
 from .cmu import CmuPolicy
+from .metrics import UeMetrics
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
 
@@ -240,14 +244,42 @@ class HierarchicalPolicy(_TwoTier):
             self._release(i)
 
 
-class RandomizedPolicy(_TwoTier):
-    """Two-tier selection for AoI/throughput plus randomised latency service.
+# One UE's state under ``rd``, laid out as ``_kernel.c``'s ``struct ue``:
+# the address and depth of a latency UE's stack, the AoI gate, the
+# throughput tier's tries and group, then the doubles.
+UE_STATE = np.dtype([("stack", np.uintp)]
+                    + [(name, np.int64) for name in (
+                        "depth", "threshold", "bump", "counter", "delivered", "packet",
+                        "lam", "aged", "g_prev", "tries", "group")]
+                    + [(name, np.float64) for name in ("p", "weight", "index")])
 
-    Each latency UE with a queued packet is served with its fixed
-    probability share; the leftover goes to the deterministic candidate.
-    If the queued shares exceed the whole slot they are scaled down
-    proportionally (the latency ceilings are then unattainable and the
-    leftover share is zero).
+
+def _grown(buffer: np.ndarray, need: int, keep: int) -> np.ndarray:
+    """Storage of the least power of two >= ``need`` elements (so at least
+    twice ``buffer``'s, a power of two too), starting with ``buffer[:keep]``."""
+    grown = np.empty(1 << (need - 1).bit_length(), np.int64)
+    grown[:keep] = buffer[:keep]
+    return grown
+
+
+class RandomizedPolicy:
+    """Two-tier selection for AoI/throughput plus randomised latency
+    service, served a block of slots at a time.
+
+    In every slot the policy uniform picks a latency UE with a queued
+    packet by its fixed probability share theta: the shares of the queued
+    UEs, in ascending position, partition [0, 1), and if they exceed the
+    whole slot they are scaled down proportionally (the latency ceilings
+    are then unattainable and the leftover share is zero).  The chosen UE
+    sends its newest packet.  A draw in the leftover goes to the
+    deterministic candidate: the retained AoI packet with the largest
+    ``rho*p*(t - lam)``, else the throughput UE with the largest
+    ``alpha*t/p - attempts``, lowest position on ties.
+
+    ``update_index`` draws a block's arrivals and lists each stream's
+    arrival slots, ``select`` serves slots [a, b) in one call of
+    ``kernel.rd_serve``, and ``on_outcome`` adds each position's sums over
+    them to its UE's metrics.
     """
 
     name = "rd"
@@ -256,60 +288,105 @@ class RandomizedPolicy(_TwoTier):
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
         if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
             raise ScenarioError("randomised policy needs latency ceilings (beta)")
-        super().__init__(scenario, thresholds)
-        self.theta = [theta_j(u.q, u.p, u.beta) if u.cls is UeClass.LATENCY else None
-                      for u in self.ues]
-        self._queued: list[int] = []    # latency positions with a packet, ascending
-        self._cum: list[float] = []     # upper ends of their service intervals
+        ues = sorted(scenario.ues, key=lambda u: u.id)
+        n = len(ues)
+        aoi = [i for i, u in enumerate(ues) if u.cls is UeClass.AOI]
+        lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
+        groups: dict[tuple[float, float], list[int]] = {}
+        for i, u in enumerate(ues):
+            if u.cls is UeClass.THROUGHPUT:
+                groups.setdefault((u.alpha, u.p), []).append(i)
+        ue = np.zeros(n, UE_STATE)
+        ue["packet"] = ue["g_prev"] = -1
+        ue["p"] = [u.p for u in ues]
+        for i in aoi:
+            ue["threshold"][i] = thresholds[ues[i].id]
+            ue["weight"][i] = ues[i].rho * ues[i].p
+        for i in lat:
+            ue["weight"][i] = theta_j(ues[i].q, ues[i].p, ues[i].beta)
+        for group, members in enumerate(groups.values()):
+            for i in members:
+                ue["group"][i], ue["weight"][i] = group, ues[i].alpha
+        self.ue = ue
+        # each AoI and latency UE's arrival slots in the block being served,
+        # arrived[i][head[i]:end[i]] yet to come, in storage of cap[i]
+        # elements; a latency UE's stack, with room for the block's arrivals
+        self._arriving = sorted(aoi + lat)
+        self._q = [ues[i].q for i in self._arriving]
+        self._lat = lat
+        self.arrived = [np.empty(0, np.int64)] * n
+        self.stacks = [np.empty(0, np.int64)] * n
+        self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
+        self._at = np.zeros(n, np.uintp)
+        # each position's last delivered arrival slot (-1: none since the
+        # run or the warm-up began), and its sums over the last segment
+        self.g_prev = ue["g_prev"]
+        self.sums = np.zeros((n, 9), np.int64)
+        members = np.array(aoi + lat + [i for m in groups.values() for i in m], np.int64)
+        self._buffers = (members, self._at, self.head, self.end, ue, self.sums)
+        self._serve_args = [len(aoi), len(lat), n - len(aoi) - len(lat),
+                            *[x.ctypes.data for x in self._buffers]]
+        self._enqueue_args = [x.ctypes.data for x in (self._at, self.cap, self.head, self.end)]
 
-    def _partition(self) -> None:
-        queued = self._queued
-        total = sum(self.theta[j] for j in queued)
-        scale = 1.0 if total <= 1.0 else 1.0 / total
-        acc = 0.0
-        cum = []
-        for j in queued:
-            acc += self.theta[j] * scale
-            cum.append(acc)
-        self._cum = cum
+    def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
+        """List a block's arrivals, drawing each stream's in turn into
+        ``u``: the k-th AoI or latency position (ascending) has an arrival
+        in slot start + j, for j < len(u), iff draw j of ``gens[k]`` is
+        below its q (slot 0 has none).  ``kernel.cmu_enqueue`` turns the
+        uniforms into arrival slots."""
+        if u.dtype != np.float64 or not u.flags.c_contiguous:
+            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
+        n, at = len(u), u.ctypes.data
+        self.head.fill(0)
+        self.end.fill(0)
+        for i, gen, q in zip(self._arriving, gens, self._q):
+            gen.random(out=u)
+            need = kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
+            if need:
+                grown = _grown(self.arrived[i], need, 0)
+                self.arrived[i], self._at[i], self.cap[i] = grown, grown.ctypes.data, len(grown)
+                kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
+        depth, stack_at = self.ue["depth"].tolist(), self.ue["stack"]
+        for i in self._lat:
+            need = depth[i] + int(self.end[i])
+            if need > len(self.stacks[i]):
+                self.stacks[i] = grown = _grown(self.stacks[i], need, depth[i])
+                stack_at[i] = grown.ctypes.data
 
-    def update_index(self, t: int, arrived: Sequence[int]) -> None:
-        regroup = False
-        for i in arrived:
-            queue = self.queues[i]
-            if queue is None:
-                self._aoi_arrival(i, t)
+    def select(self, a: int, b: int, u: np.ndarray, draws: np.ndarray) -> None:
+        """Serve slots [a, b), whose success uniforms are ``u`` and policy
+        uniforms ``draws``, leaving each position's sums over them in its
+        row of ``sums``."""
+        u, draws = (np.ascontiguousarray(x, np.float64) for x in (u, draws))
+        if u.shape != (b - a,) or draws.shape != (b - a,):
+            raise ValueError(f"slots [{a}, {b}) need {b - a} success and policy uniforms, "
+                             f"got {u.shape} and {draws.shape}")
+        kernel.rd_serve(a, b - a, u.ctypes.data, draws.ctypes.data, *self._serve_args)
+
+    def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
+        """Add each position's sums over the last segment to its metrics:
+        the integers ``UeMetrics.on_delivery`` adds, so floats round alike,
+        and for AoI UEs the age of the segment's slots."""
+        for m, (arrivals, attempts, n, latency, samples, spacing, spacing_sq, spacing_wait,
+                age) in zip(metrics, self.sums.tolist()):
+            m.arrivals += arrivals
+            m.attempts += attempts
+            m.deliveries += n
+            m.latency_sum_delivered += latency
+            m.n_samples += samples
+            m.sample_sum += spacing
+            m.sample_sumsq += spacing_sq
+            m.sum_spacing_wait += spacing_wait
+            m.aoi_sum += age
+
+    def backlog(self) -> list[tuple[int, int]]:
+        """Each position's count and sum of arrival slots of undelivered
+        packets: a latency UE's queue, an AoI UE's retained packet."""
+        out = []
+        for stack, depth, packet in zip(self.stacks, self.ue["depth"].tolist(),
+                                        self.ue["packet"].tolist()):
+            if depth:
+                out.append((depth, int(stack[:depth].sum())))
             else:
-                if not queue:
-                    insort(self._queued, i)
-                    regroup = True
-                queue.append(t)
-        if regroup:
-            self._partition()
-
-    def select(self, t: int, draw: float) -> tuple[int, int] | None:
-        k = bisect_right(self._cum, draw)
-        if k < len(self._cum):
-            j = self._queued[k]
-            return j, self.queues[j][-1]
-        best = self._best
-        if best is not None:
-            return best, self.s_packet[best]
-        k = self._throughput_best(t)
-        return (k, t) if k is not None else None
-
-    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
-        i, g = action
-        if i in self._thr_heap:
-            self._throughput_attempted(i)
-            return
-        if not success:
-            return
-        queue = self.queues[i]
-        if queue is None:
-            self._aoi_delivered(i, g)
-            return
-        queue.pop()
-        if not queue:
-            self._queued.remove(i)
-            self._partition()
+                out.append((1, packet) if packet >= 0 else (0, 0))
+        return out

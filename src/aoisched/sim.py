@@ -11,36 +11,38 @@ Per-slot order of operations (normative):
    policy outcome hook; a success is logged for the metrics.
 
 Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
-the horizon.  A block's draws stay in numpy buffers, read in place: the
-two-tier loop walks memoryviews of the success and policy uniforms, and a
-table that points each slot to a tuple of the positions arriving there,
-shared among slots.  Each block is cut into segments at weight steps and at
-the warm-up's last slot.  The per-UE statistics are not updated slot by
-slot: each block's arrivals and logged deliveries are folded once per
-block, and at the warm-up boundary, in slot order (see
+the horizon.  Each block is cut into segments at weight steps and at the
+warm-up's last slot.
+
+``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
+buffers, read in place: the loop walks a memoryview of the success
+uniforms and a table that points each slot to a tuple of the positions
+arriving there, shared among slots.  The engine calls a policy hook only
+where it has work: the index update on slots with arrivals, the outcome
+hook on successes and throughput attempts.  The per-UE statistics are not
+updated slot by slot: each block's arrivals and logged deliveries are
+folded once per block, and at the warm-up boundary, in slot order (see
 ``metrics.UeMetrics``); a weight step reads the folded totals plus the
 events logged since.  Age only changes course at an AoI delivery, so it is
 summed in closed form between deliveries.
 
-The two-tier policies (``hier``, ``vw``, ``rd``) are driven slot by slot,
-and the engine calls a policy hook only where it has work: the index
-update on slots with arrivals, the outcome hook on successes and
-throughput attempts.  ``cmu`` runs in compiled code in the same per-slot
-order, so it reads the same draws and gives the same report as a
-slot-by-slot run (see ``cmu.CmuPolicy``): each block's arrival uniforms are
-drawn into one reused buffer, a stream at a time, and enqueued; its success
-uniforms are drawn into the same buffer and served a segment at a time.
-It counts each UE's arrivals and sums its deliveries itself, and its queues
-hold the backlog, so no ``UeMetrics`` fold runs.
+``rd`` and ``cmu`` run in compiled code in the same per-slot order, so they
+read the same draws and give the same report as a slot-by-slot run (see
+``policies.RandomizedPolicy`` and ``cmu.CmuPolicy``).  Each block's
+arrival uniforms are drawn into one reused buffer, a stream at a time, and
+turned into arrival slots; then its success uniforms, and ``rd``'s policy
+uniforms into a second buffer, are served a segment at a time.  The
+kernels count each UE's arrivals and sum its deliveries (and, under
+``rd``, its age) themselves, and their queues and retained packets hold
+the backlog, so no ``UeMetrics`` fold runs.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -146,7 +148,7 @@ def run(config: RunConfig) -> RunReport:
     if not 0 <= config.warmup < horizon:
         raise ScenarioError(f"warmup must be in [0, horizon), got {config.warmup}")
     policy, extras = build_policy(config)
-    by_segment = isinstance(policy, CmuPolicy)
+    by_segment = not isinstance(policy, HierarchicalPolicy)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
@@ -168,14 +170,17 @@ def run(config: RunConfig) -> RunReport:
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
     if by_segment:
         # each block's arrival uniforms are drawn into one buffer, a stream at
-        # a time, and enqueued; then its success uniforms, to be served
-        block = np.empty(CHUNK)
+        # a time, and enqueued; then its success uniforms, and rd's policy
+        # uniforms into a second buffer, to be served a segment at a time
+        block = np.empty((1 + policy.needs_draw, CHUNK))
         for start in range(0, horizon + 1, CHUNK):
-            u = block[:min(CHUNK, horizon + 1 - start)]
-            update_index(start, u, arrival_gens)
-            success_gen.random(out=u)
-            for a, b in _segments(max(start, 1), start + len(u), 0, warm_end):
-                select(a, b, u[a - start:b - start])
+            u = block[:, :min(CHUNK, horizon + 1 - start)]
+            update_index(start, u[0], arrival_gens)
+            success_gen.random(out=u[0])
+            if policy.needs_draw:
+                policy_gen.random(out=u[1])
+            for a, b in _segments(max(start, 1), start + u.shape[1], 0, warm_end):
+                select(a, b, *u[:, a - start:b - start])
                 on_outcome(metrics)
                 if b - 1 == warm_end:
                     for m in metrics:
@@ -186,22 +191,20 @@ def run(config: RunConfig) -> RunReport:
     else:
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
-            arrivals = success_u = policy_u = None  # free the last block first
+            arrivals = success_u = None  # free the last block first
             # one pass over the block's buffers: each segment's zip takes the
             # next b - a slots (range comes first, so it stops before the rest)
             arrivals = iter(_arrivals(n, start, streams))
             success_u = iter(memoryview(success_gen.random(n)))
-            policy_u = iter(memoryview(policy_gen.random(n)) if policy.needs_draw
-                            else repeat(None))
             if start == 0:
-                next(arrivals), next(success_u), next(policy_u)
+                next(arrivals), next(success_u)
             for a, b in _segments(max(start, 1), start + n, every, warm_end):
                 if every and a % every == 0:
                     policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
-                for t, arrived, u, draw in zip(range(a, b), arrivals, success_u, policy_u):
+                for t, arrived, u in zip(range(a, b), arrivals, success_u):
                     if arrived is not None:
                         update_index(t, arrived)
-                    action = select(t, draw)
+                    action = select(t)
                     if action is None:
                         continue
                     i, g = action
@@ -220,8 +223,8 @@ def run(config: RunConfig) -> RunReport:
                         m.reset_window()
             for m in metrics:
                 m.fold(start + n)
-    for m in aoi_ms:
-        m.accrue_age(horizon)
+        for m in aoi_ms:
+            m.accrue_age(horizon)
 
     effective = horizon - config.warmup
     retained = {} if by_segment else policy.pending_aoi_packets()
@@ -305,7 +308,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     configs = [cfg for _, _, _, cfg, _ in points if cfg is not None]
     workers = min(jobs, len(configs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_worker, configs))
     else:
         reports = [run(cfg) for cfg in configs]

@@ -321,3 +321,40 @@ def test_cli_report_fig8_style_verdict(tmp_path, capsys):
 
 def test_cli_unknown_scenario_file(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 1
+
+
+def test_cli_unreadable_or_unwritable_paths_exit_1(scenario_file, tmp_path, capsys):
+    # paths that exist but are a directory, or a scenario that is not
+    # UTF-8 text, end in exit 1 with a message, not a traceback
+    directory, binary = tmp_path / "dir", tmp_path / "binary.json"
+    directory.mkdir()
+    binary.write_bytes(b'{"variant": "\xff"}')
+    short = ["--horizon", "100", "--seeds", "1"]
+    for argv in (["validate", str(directory)], ["tstar", str(directory)],
+                 ["report", str(directory)], ["validate", str(binary)],
+                 ["run", str(scenario_file), "--horizon", "100", "--out", str(directory)],
+                 ["sweep", str(scenario_file), "--param", "alpha", "--grid", "0.1", *short,
+                  "--out", str(directory)],
+                 ["lb", str(scenario_file), *short, "--csv", str(directory)]):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("lines", [
+    ["beta,policy,ue_id,throughput", "1.5,vw,3,0.26", "2.0,vw,3,high"],   # not a number
+    ["alpha,ue_id,throughput", "0.1,2,0.2", "0.2,2"],                    # a short row
+], ids=["not-a-number", "short-row"])
+def test_cli_report_rejects_a_malformed_csv(tmp_path, capsys, lines):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_cli_report_rejects_a_file_that_is_not_text(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"alpha,ue_id,throughput\n0.1,2,\xff\xfe\n")
+    assert main(["report", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

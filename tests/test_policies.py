@@ -273,43 +273,68 @@ def rd(beta=2.0):
     return RandomizedPolicy(constrained_scenario(beta=beta), {1: 2})
 
 
+def rd_served(policy, draws, arrivals=(), succeed=()):
+    """Serve slots 1..len(draws) one segment each, with policy uniform
+    ``draws[t - 1]`` in slot t, after enqueueing the block from slot 0 in
+    which the k-th AoI or latency position (ascending) has arrivals in
+    ``arrivals[k]``.  The attempt in slot t succeeds iff t is in
+    ``succeed``.  Returns the position that attempted in each slot, or
+    None."""
+    streams = [Arrivals(0, *slots) for slots in arrivals]
+    streams += [Arrivals(0)] * (len(policy._arriving) - len(streams))
+    policy.update_index(0, np.empty(len(draws) + 1), streams)
+    served = []
+    for t, draw in enumerate(draws, 1):
+        policy.select(t, t + 1, np.array([0.0 if t in succeed else 1.0]), np.array([draw]))
+        attempts = policy.sums[:, 1]
+        served.append(int(attempts.argmax()) if attempts.any() else None)
+    return served
+
+
 def test_rd_probability_partition():
     # theta for (q=0.2, p=0.8, beta=2) is 0.75; the latency interval comes
     # first, the deterministic candidate takes the remainder
     p = rd(beta=2.0)
-    p.update_index(1, [LAT])
-    assert p.select(1, draw=0.5) == (LAT, 1)
-    assert p.select(1, draw=0.74) == (LAT, 1)
-    assert p.select(1, draw=0.76)[0] == THR
-    assert p.select(1, draw=0.9)[0] == THR
+    theta = p.ue["weight"][LAT]
+    assert theta == pytest.approx(0.75)
+    # an interval holds its lower end, not its upper one
+    assert rd_served(p, [0.5, 0.74, theta, 0.76, 0.9], arrivals=[(), (1,)]) == \
+        [LAT, LAT, THR, THR, THR]
 
 
 def test_rd_empty_latency_queue_gives_candidate_probability_one():
-    p = rd()
-    assert p.select(1, draw=0.0)[0] == THR
-    assert p.select(1, draw=0.999)[0] == THR
+    assert rd_served(rd(), [0.0, 0.999]) == [THR, THR]
 
 
 def test_rd_aoi_candidate_outranks_throughput():
+    # threshold 2: the first bump is at slot 3, and its packet is retained
     p = rd()
-    for t in (1, 2, 3):
-        p.update_index(t, [AOI])
-    action = p.select(3, draw=0.99)
-    assert action == (AOI, 3)
+    assert rd_served(p, [0.99] * 3, arrivals=[(1, 2, 3)]) == [THR, THR, AOI]
+    assert p.ue["packet"][AOI] == 3
 
 
 def test_rd_never_idles_with_throughput_ues():
-    p = rd()
-    assert p.select(1, draw=0.5) is not None
+    assert rd_served(rd(), [0.5]) == [THR]
+
+
+def test_rd_attempt_fails_at_a_uniform_equal_to_p():
+    # every tier delivers iff the success uniform is below the ue's p: slots
+    # 1-2 go to the throughput ue (p 0.9), slot 3 to the latency ue (0.8),
+    # slot 4 to the aoi ue (0.7), its packet of slot 3 eligible
+    p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
+    p.update_index(0, np.empty(5), [Arrivals(0, 1, 2, 3), Arrivals(0, 3)])
+    p.select(1, 5, np.array([0.9, 0.9, 0.8, 0.7]), np.array([0.5, 0.5, 0.5, 0.99]))
+    p.on_outcome(metrics)
+    assert [m.attempts for m in metrics] == [1, 1, 2]
+    assert [m.deliveries for m in metrics] == [0, 0, 0]
 
 
 def test_rd_share_clamped_when_ceiling_unattainable():
     # beta below the queueing floor pushes theta above 1; the share clamps
     # so the latency ue is served whenever it has a packet
     p = rd(beta=1.2)
-    assert p.theta[LAT] > 1.0
-    p.update_index(1, [LAT])
-    assert p.select(1, draw=0.999999) == (LAT, 1)
+    assert p.ue["weight"][LAT] > 1.0
+    assert rd_served(p, [0.999999], arrivals=[(), (1,)]) == [LAT]
 
 
 def test_rd_partition_orders_latency_ues_by_id():
@@ -319,30 +344,56 @@ def test_rd_partition_orders_latency_ues_by_id():
         UeConfig(id=5, cls=UeClass.LATENCY, q=0.1, p=0.9, beta=10.0),  # share 0.2
     ), variant=Variant.LATENCY_CONSTRAINED)
     p = RandomizedPolicy(scn, {})
-    p.update_index(1, [0, 2])                  # ues 2 and 5
-    assert p.select(1, draw=0.4)[0] == 0       # ue 2: [0, 0.75)
-    assert p.select(1, draw=0.80)[0] == 2      # ue 5: [0.75, 0.95)
-    assert p.select(1, draw=0.97)[0] == 1      # leftover to the candidate, ue 3
+    # ue 2: [0, 0.75), ue 5: [0.75, 0.95), the leftover to the candidate, ue 3
+    assert rd_served(p, [0.4, 0.80, 0.97], arrivals=[(1,), (1,)]) == [0, 2, 1]
 
 
 def test_rd_latency_ues_have_no_index():
     p = rd()
-    p.update_index(1, [LAT])
-    assert p.W[LAT] == 0.0 and LAT not in p.pool
+    rd_served(p, [0.99], arrivals=[(), (1,)])
+    assert p.ue["index"][LAT] == 0.0 and p.ue["packet"][LAT] == -1
+    assert p.ue["depth"][LAT] == 1
 
 
 def test_rd_success_clears_aoi_candidate_only():
+    p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
+    served = rd_served(p, [0.99, 0.99, 0.99, 0.2], arrivals=[(1, 2, 3), (1, 2, 3)],
+                       succeed=(3, 4))
+    assert served == [THR, THR, AOI, LAT]   # aoi candidate in 3, latency interval in 4
+    assert p.ue["packet"][AOI] == -1
+    p.on_outcome(metrics)                    # the last segment's sums: slot 4's
+    assert [m.deliveries for m in metrics] == [0, 1, 0]
+    assert metrics[LAT].latency_sum_delivered == 4 - 3 + 1   # newest first
+    # slots 1 and 2 stay queued; the delivered aoi packet leaves no backlog
+    assert p.backlog() == [(0, 0), (2, 1 + 2), (0, 0)]
+
+
+def test_rd_latency_stack_grows_across_blocks():
+    # the latency ue has an arrival in every slot, and every draw falls in
+    # the leftover (theta 0.75), so its stack keeps every packet: its
+    # storage grows to the next power of two holding the block's arrivals
+    # on top of the stack, keeping what it held
+    p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
+    caps = []
+    for start in range(0, 48, 8):
+        slots = range(max(start, 1), start + 8)
+        p.update_index(start, np.empty(8), [Arrivals(start), Arrivals(start, *slots)])
+        p.select(slots[0], start + 8, np.zeros(len(slots)), np.full(len(slots), 0.99))
+        p.on_outcome(metrics)
+        caps.append(len(p.stacks[LAT]))
+    assert caps == [8, 16, 32, 32, 64, 64]
+    assert [m.attempts for m in metrics] == [0, 0, 47]
+    assert metrics[LAT].arrivals == 47 and metrics[LAT].deliveries == 0
+    assert p.backlog()[LAT] == (47, sum(range(1, 48)))
+
+
+def test_rd_select_checks_the_buffers_it_hands_the_kernel():
     p = rd()
-    for t in (1, 2, 3):
-        p.update_index(t, [AOI, LAT])
-    action = p.select(3, draw=0.99)   # aoi candidate
-    assert action[0] == AOI
-    p.on_outcome(action, success=True, t=3)
-    assert p.s_packet[AOI] is None and p.W[AOI] == 0.0
-    action = p.select(4, draw=0.2)    # latency interval
-    assert action[0] == LAT
-    p.on_outcome(action, success=True, t=4)
-    assert len(p.queues[LAT]) == 2
+    with pytest.raises(ValueError, match="need 2 success and policy uniforms"):
+        p.select(1, 3, np.zeros(2), np.zeros(1))
+    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
+        with pytest.raises(TypeError, match="contiguous float64"):
+            p.update_index(1, u, [Arrivals(1), Arrivals(1)])
 
 
 # -- weighted-rate rule -------------------------------------------------------------

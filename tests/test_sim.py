@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -433,7 +434,7 @@ class _RecordingPool:
 ])
 def test_sweep_workers_capped_at_runnable_points(monkeypatch, grid, jobs, asked):
     monkeypatch.setattr(_RecordingPool, "asked", [])
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     points = sweep(cfg(weighted(), horizon=1000), "alpha", grid, seeds=1, jobs=jobs)
     assert _RecordingPool.asked == asked
     serial = sweep(cfg(weighted(), horizon=1000), "alpha", grid, seeds=1)

@@ -5,21 +5,106 @@ This module keeps the block loop as it ran before that, so tests can
 compare the two: ``run_blocks`` turns each block's success and policy
 uniforms into Python float lists and each stream's arrival slots into an
 int list (``.tolist()``), gives a slot with several arrivals a list of
-its own, and slices all of them per segment.  The policies, the metrics
-and the report are ``aoisched``'s own; only the loop that feeds them the
-draws lives here.
+its own, and slices all of them per segment.  For ``hier`` and ``vw`` the
+policies, the metrics and the report are ``aoisched``'s own; only the
+loop that feeds them the draws lives here.  ``sim.run`` serves ``rd`` a
+segment at a time in compiled code (``policies.RandomizedPolicy``), so
+its per-slot form lives here too: ``SlotRandomizedPolicy``, the class as
+the engine ran it before.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
 from aoisched.metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
-from aoisched.model import ScenarioError, UeClass
+from aoisched.model import Scenario, ScenarioError, UeClass, Variant, theta_j
+from aoisched.policies import _TwoTier
 from aoisched.rng import substreams
 from aoisched.sim import CHUNK, RunConfig, build_policy
+
+
+class SlotRandomizedPolicy(_TwoTier):
+    """Two-tier selection for AoI/throughput plus randomised latency
+    service, one slot at a time (``policies.RandomizedPolicy`` serves a
+    segment per call).
+
+    Each latency UE with a queued packet is served with its fixed
+    probability share; the leftover goes to the deterministic candidate.
+    If the queued shares exceed the whole slot they are scaled down
+    proportionally (the latency ceilings are then unattainable and the
+    leftover share is zero).
+    """
+
+    name = "rd"
+    needs_draw = True
+
+    def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
+        if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
+            raise ScenarioError("randomised policy needs latency ceilings (beta)")
+        super().__init__(scenario, thresholds)
+        self.theta = [theta_j(u.q, u.p, u.beta) if u.cls is UeClass.LATENCY else None
+                      for u in self.ues]
+        self._queued: list[int] = []    # latency positions with a packet, ascending
+        self._cum: list[float] = []     # upper ends of their service intervals
+
+    def _partition(self) -> None:
+        queued = self._queued
+        total = 0.0
+        for j in queued:  # in order: from Python 3.12, sum() compensates
+            total += self.theta[j]
+        scale = 1.0 if total <= 1.0 else 1.0 / total
+        acc = 0.0
+        cum = []
+        for j in queued:
+            acc += self.theta[j] * scale
+            cum.append(acc)
+        self._cum = cum
+
+    def update_index(self, t: int, arrived: Sequence[int]) -> None:
+        regroup = False
+        for i in arrived:
+            queue = self.queues[i]
+            if queue is None:
+                self._aoi_arrival(i, t)
+            else:
+                if not queue:
+                    insort(self._queued, i)
+                    regroup = True
+                queue.append(t)
+        if regroup:
+            self._partition()
+
+    def select(self, t: int, draw: float) -> tuple[int, int] | None:
+        k = bisect_right(self._cum, draw)
+        if k < len(self._cum):
+            j = self._queued[k]
+            return j, self.queues[j][-1]
+        best = self._best
+        if best is not None:
+            return best, self.s_packet[best]
+        k = self._throughput_best(t)
+        return (k, t) if k is not None else None
+
+    def on_outcome(self, action: tuple[int, int], success: bool, t: int) -> None:
+        i, g = action
+        if i in self._thr_heap:
+            self._throughput_attempted(i)
+            return
+        if not success:
+            return
+        queue = self.queues[i]
+        if queue is None:
+            self._aoi_delivered(i, g)
+            return
+        queue.pop()
+        if not queue:
+            self._queued.remove(i)
+            self._partition()
 
 
 def _arrivals(n: int, start: int, streams) -> list:
@@ -63,6 +148,8 @@ def run_blocks(config: RunConfig) -> RunReport:
     policy, extras = build_policy(config)
     if policy.name not in ("hier", "vw", "rd"):
         raise ScenarioError(f"{policy.name!r} is not a two-tier policy")
+    if policy.name == "rd":
+        policy = SlotRandomizedPolicy(scenario, extras.get("thresholds", {}))
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
