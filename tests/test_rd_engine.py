@@ -6,8 +6,8 @@ in place, and sums each UE's statistics itself;
 ``two_tier_oracle.run_blocks`` walks the same draws one slot at a time
 through ``SlotRandomizedPolicy``, the per-slot class the engine ran before,
 and folds every delivery into ``UeMetrics``.  The two must write the same
-CSV cells on systems of 1-16 UEs per class: theta sums on either side of
-1 (above it the partition is scaled to fill the slot), throughput UEs that
+CSV cells on systems of up to 16 UEs per class, at least one of them a
+latency UE: theta sums on either side of 1 (above it the partition is scaled to fill the slot), throughput UEs that
 share ``(alpha, p)`` (one group, ranked by fewest attempts), AoI UEs whose
 indices tie, latency queues that empty and refill across block edges,
 horizons over up to four blocks and warm-ups ending at ``CHUNK - 1`` or

@@ -2,8 +2,10 @@
 
 ``sim.run`` walks each block's draws in place, through memoryviews of
 their numpy buffers, and shares one tuple among the slots that see the
-same arrivals; ``two_tier_oracle.run_blocks`` runs the same block loop
-over ``.tolist()`` copies, with a list per multi-arrival slot.  The two
+same arrivals (``hier``, ``vw``), or serves them in compiled code
+(``rd``); ``two_tier_oracle.run_blocks`` runs the block loop over
+``.tolist()`` copies, with a list per multi-arrival slot, and ``rd``
+through its slot-by-slot class.  The two
 must write the same CSV cells and the same ``vw`` weight log for
 ``hier``, ``rd`` (with at least two latency queues) and ``vw`` at weight
 periods 1, 7 and 1000, with warm-ups ending on either side of the first
