@@ -19,6 +19,21 @@ static inline int64_t append(int64_t *queue, int64_t e, int64_t c, int64_t slot,
     return e + arrived;
 }
 
+/* Two doubles, the vector width of the baseline x86-64 (SSE2) and AArch64
+   instruction sets: the library is cached by source and flags only, so it
+   must run on any host of the architecture, and one instruction still
+   compares two uniforms. */
+typedef double pair_d __attribute__((vector_size(2 * sizeof(double))));
+typedef int64_t pair_i __attribute__((vector_size(2 * sizeof(int64_t))));
+
+/* u[0] < q[0] and u[1] < q[1]: -1 where it holds, 0 where not. */
+static inline pair_i below(const double *u, pair_d q)
+{
+    pair_d x;
+    memcpy(&x, u, sizeof x);
+    return x < q;
+}
+
 /* Append to queue j the block's arrival slots: slot start + k arrives iff
    u[k] < q, for k < n (slot 0 has none).
 
@@ -42,14 +57,25 @@ int64_t cmu_enqueue(const double *restrict u, int64_t n, double q, int64_t start
         head[j] = h = 0;
     }
     int64_t k = start == 0;
-    /* Below q = 1/32, seven fours of slots in eight hold no arrival, so a
-       branch per four skips them at few mispredictions; above, a branch on
-       the draws costs more than it skips. */
+    const pair_d qq = {q, q};
+    /* Below q = 1/32, three in four runs of eight slots hold no arrival, so one
+       branch per eight, on four pairs compared at once, skips them at few
+       mispredictions; above, a branch on the draws costs more than it
+       skips, and each pair's comparisons are appended without one. */
     if (q < 1.0 / 32)
-        for (; k + 4 <= n; k += 4)
-            if ((u[k] < q) | (u[k + 1] < q) | (u[k + 2] < q) | (u[k + 3] < q))
-                for (int64_t i = k; i < k + 4; i++)
+        for (; k + 8 <= n; k += 8) {
+            const pair_i any = below(u + k, qq) | below(u + k + 2, qq)
+                             | below(u + k + 4, qq) | below(u + k + 6, qq);
+            if (any[0] | any[1])
+                for (int64_t i = k; i < k + 8; i++)
                     e = append(queue, e, c, start + i, u[i] < q);
+        }
+    else
+        for (; k + 2 <= n; k += 2) {
+            const pair_i hit = below(u + k, qq);
+            e = append(queue, e, c, start + k, (int)(hit[0] & 1));
+            e = append(queue, e, c, start + k + 1, (int)(hit[1] & 1));
+        }
     for (; k < n; k++)
         e = append(queue, e, c, start + k, u[k] < q);
     if (e > c)
@@ -201,7 +227,6 @@ struct ue {
     int64_t aged;     /* last slot whose age is summed */
     int64_t g_prev;   /* arrival slot of the window's last delivery, or -1 */
     int64_t tries;    /* throughput: attempts so far */
-    int64_t group;    /* throughput: its group of UEs sharing (alpha, p) */
     double p;         /* success probability */
     double weight;    /* AoI: rho*p; latency: theta; throughput: alpha */
     double index;     /* AoI: rho*p*(g - lam) of the retained packet g */
@@ -211,71 +236,123 @@ struct ue {
    the wait t - g of each AoI delivery, and the AoI age of every slot. */
 enum { SPACING_WAIT = NSUMS, AGE, NSUMS_RD };
 
-/* The theta partition of [0, 1) among the latency queues that hold a
-   packet, in ascending position: queued[k] has [cum[k-1], cum[k]).
-   Shares that sum above 1 are scaled to fill it; the rest of [0, 1) is
-   the leftover.  Returns how many queues hold a packet. */
-static int64_t partition(int64_t nlat, const int64_t *lat, const struct ue *ue,
-                         int64_t *queued, double *cum)
+/* List the block's arrivals in slot order, for rd_serve to walk with one
+   cursor.  Stream k (k < ns) is members[k]'s: its arrival slots in the
+   block, from start on, are arrived[members[k]][0:end[members[k]]],
+   ascending.  An arrival of stream k in slot t is listed as t * ns + k, so
+   the list ascends, and within a slot it follows members' order; a last
+   entry INT64_MAX ends it.  A stable counting sort by slot: count[s]
+   (n entries of scratch, s < n) first counts slot start + s's arrivals,
+   then holds where they go. */
+void rd_list(int64_t start, int64_t n, int64_t ns, const int64_t *restrict members,
+             int64_t *const *restrict arrived, const int64_t *restrict end,
+             int64_t *restrict list, int64_t *restrict count)
 {
-    int64_t nq = 0;
-    double total = 0.0;
-    for (int64_t k = 0; k < nlat; k++)
-        if (ue[lat[k]].depth) {
-            queued[nq++] = lat[k];
-            total += ue[lat[k]].weight;
+    memset(count, 0, (size_t)n * sizeof *count);
+    for (int64_t k = 0; k < ns; k++) {
+        const int64_t i = members[k];
+        for (int64_t h = 0; h < end[i]; h++)
+            count[arrived[i][h] - start]++;
+    }
+    int64_t total = 0;
+    for (int64_t s = 0; s < n; s++) {
+        const int64_t here = count[s];
+        count[s] = total;
+        total += here;
+    }
+    for (int64_t k = 0; k < ns; k++) {
+        const int64_t i = members[k];
+        for (int64_t h = 0; h < end[i]; h++) {
+            const int64_t t = arrived[i][h];
+            list[count[t - start]++] = t * ns + k;
         }
+    }
+    list[total] = INT64_MAX;
+}
+
+/* The theta partition of [0, 1) among the nq latency queues that hold a
+   packet, queued[0:nq] in ascending position: queued[k] has
+   [cum[k-1], cum[k]).  Shares that sum above 1 are scaled to fill it; the
+   rest of [0, 1) is the leftover. */
+static void partition(int64_t nq, const int64_t *queued, const struct ue *ue, double *cum)
+{
+    double total = 0.0;
+    for (int64_t k = 0; k < nq; k++)
+        total += ue[queued[k]].weight;
     const double scale = total <= 1.0 ? 1.0 : 1.0 / total;
     double acc = 0.0;
     for (int64_t k = 0; k < nq; k++)
         cum[k] = acc += ue[queued[k]].weight * scale;
-    return nq;
 }
 
-/* Gate an AoI arrival in slot t; retain it while the counter is ahead. */
-static inline void aoi_arrival(struct ue *x, int64_t t, int64_t *pooled)
+/* Whether AoI UE i's retained packet outranks UE j's: a larger index, or
+   the same one at a lower position. */
+static inline int outranks(const struct ue *ue, int64_t i, int64_t j)
 {
+    return ue[i].index > ue[j].index || (ue[i].index == ue[j].index && i < j);
+}
+
+/* The AoI UE of pool[0:np] (those holding a packet, in any order) whose
+   packet outranks the others', or -1 if np is 0. */
+static int64_t pool_best(int64_t np, const int64_t *pool, const struct ue *ue)
+{
+    int64_t best = -1;
+    for (int64_t k = 0; k < np; k++)
+        if (best < 0 || outranks(ue, pool[k], best))
+            best = pool[k];
+    return best;
+}
+
+/* Gate AoI UE i's arrival in slot t; retain it while the counter is ahead,
+   adding i to pool[0:*np] if it held no packet and keeping *best the
+   pool's argmax.  A UE's index only grows while it holds a packet (t
+   grows, lam stays), so the best stays best until its packet is
+   delivered, and only a retained packet can take its place. */
+static inline void aoi_arrival(struct ue *ue, int64_t i, int64_t t, int64_t *pool,
+                               int64_t *np, int64_t *best)
+{
+    struct ue *x = &ue[i];
     if (t - x->bump > x->threshold) {
         x->bump = t;
         x->counter++;
     }
     if (x->counter > x->delivered) {
-        *pooled += x->packet < 0;
+        if (x->packet < 0)
+            pool[(*np)++] = i;
         x->packet = t;
         x->index = x->weight * (double)(t - x->lam);
+        if (*best < 0 || outranks(ue, i, *best))
+            *best = i;
     }
 }
 
-/* The AoI UE whose retained packet has the largest index, lowest position
-   on ties. */
-static int64_t aoi_best(int64_t naoi, const int64_t *aoi, const struct ue *ue)
+/* Where group[0:size]'s candidate stands: the member with the fewest
+   tries, lowest position first.  Only a candidate attempts, and every
+   member starts at 0, so the members' tries differ by at most one and
+   those with fewer follow those with more: the candidate is the first
+   member with fewer tries than the one before it, else the first, and
+   after each attempt it is the next member, round the group. */
+static int64_t turn_of(const int64_t *group, int64_t size, const struct ue *ue)
 {
-    int64_t best = -1;
-    for (int64_t k = 0; k < naoi; k++) {
-        const int64_t i = aoi[k];
-        if (ue[i].packet >= 0 && (best < 0 || ue[i].index > ue[best].index))
-            best = i;
-    }
-    return best;
+    for (int64_t j = 1; j < size; j++)
+        if (ue[group[j]].tries < ue[group[j - 1]].tries)
+            return j;
+    return 0;
 }
 
-/* The throughput UE with the largest alpha*t/p - tries in slot t.  thr
-   lists each group's members together, in ascending position; a group's
-   candidate is its member with the fewest tries, lowest position first, and
-   ties between groups go to the lowest position. */
-static int64_t throughput_best(int64_t t, int64_t nthr, const int64_t *thr, const struct ue *ue)
+/* The group whose candidate thr[groups[g] + turn[g]] has the largest
+   alpha*t/p - tries in slot t, ties to the lowest position. */
+static int64_t throughput_best(int64_t t, int64_t ngroups, const int64_t *groups,
+                               const int64_t *turn, const int64_t *thr, const struct ue *ue)
 {
-    int64_t best = -1;
+    int64_t best = -1, best_i = -1;
     double best_y = -INFINITY;
-    for (int64_t k = 0; k < nthr;) {
-        int64_t i = thr[k];
-        const int64_t group = ue[i].group;
-        for (k++; k < nthr && ue[thr[k]].group == group; k++)
-            if (ue[thr[k]].tries < ue[i].tries)
-                i = thr[k];
+    for (int64_t g = 0; g < ngroups; g++) {
+        const int64_t i = thr[groups[g] + turn[g]];
         const double y = ue[i].weight * (double)t / ue[i].p - (double)ue[i].tries;
-        if (y > best_y || (y == best_y && i < best)) {
-            best = i;
+        if (y > best_y || (y == best_y && i < best_i)) {
+            best = g;
+            best_i = i;
             best_y = y;
         }
     }
@@ -312,67 +389,72 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    policies.RandomizedPolicy), in the engine's per-slot order: the slot's
    arrivals, then one selection, then the outcome.
 
-   members lists the AoI positions, then the latency ones, each ascending,
-   then the throughput ones grouped as throughput_best reads them.  An AoI
-   or latency UE i's arrival slots in the block are arrived[i][0:end[i]],
-   ascending, of which those before head[i] have been served; head[i]
-   advances here.  In slot t, the policy uniform draws[t - a] picks the
-   latency queue whose partition interval holds it, which sends its newest
-   packet; a draw in the leftover goes to the retained AoI packet with the
-   largest index, and without one to throughput_best, g = t.  The attempt
-   succeeds iff u[t - a] < p.  Each latency stack has room for the block's
-   arrivals.
+   members lists the AoI positions, then the latency ones, then the
+   throughput ones group after group, each ascending; groups[g] is where
+   group g starts among the throughput ones (ngroups + 1 entries).  list
+   is rd_list's for the block, of which the entries before *cursor have
+   been served; segments come in order, each starting where the last
+   ended, and *cursor advances here.  In slot t, the policy uniform
+   draws[t - a] picks the latency queue whose partition interval holds
+   it, which sends its newest packet; a draw in the leftover goes to the
+   retained AoI packet with the largest index, and without one to the
+   best throughput candidate, g = t.  The attempt succeeds iff
+   u[t - a] < p.  Each latency stack has room for the block's arrivals.
+
+   No step of a slot walks every UE: its arrivals are the list's next
+   entries; the AoI UEs holding a packet are listed, and their argmax is
+   kept as packets are retained and found again among them only when it is
+   delivered; each group's candidate is kept by turn_of's rule; and the
+   queued latency UEs are kept in order, so a partition sums only their
+   shares.
 
    Writes each UE's sums over the segment to sums[i * NSUMS_RD:], as
    cmu_serve does (arrivals, attempts, deliveries, latency, spacing
    samples), then, for AoI UEs, the spacing times wait and the age. */
 void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *restrict draws,
-              int64_t naoi, int64_t nlat, int64_t nthr, const int64_t *restrict members,
-              int64_t *const *restrict arrived, int64_t *restrict head,
-              const int64_t *restrict end, struct ue *restrict ue, int64_t *restrict sums)
+              int64_t naoi, int64_t nlat, int64_t ngroups, const int64_t *restrict members,
+              const int64_t *restrict groups, int64_t *restrict cursor,
+              struct ue *restrict ue, int64_t *restrict sums, const int64_t *restrict list)
 {
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
-    const int64_t nstreams = naoi + nlat, stop = a + n;
-    int64_t queued[nlat + 1];
+    const int64_t ns = naoi + nlat, stop = a + n;
+    const int64_t *next = list + *cursor;
+    int64_t queued[nlat + 1], pool[naoi + 1], turn[ngroups + 1], nq = 0, np = 0;
     double cum[nlat + 1];
-    int64_t nq = partition(nlat, lat, ue, queued, cum);
-    /* AoI UEs with a retained packet, and the next slot with an arrival */
-    int64_t pooled = 0, next = INT64_MAX;
-    for (int64_t k = 0; k < nstreams + nthr; k++)
-        memset(sums + members[k] * NSUMS_RD, 0, NSUMS_RD * sizeof *sums);
+    for (int64_t k = 0; k < nlat; k++)
+        if (ue[lat[k]].depth)
+            queued[nq++] = lat[k];
+    partition(nq, queued, ue, cum);
+    for (int64_t g = 0; g < ngroups; g++)
+        turn[g] = turn_of(thr + groups[g], groups[g + 1] - groups[g], ue);
     for (int64_t k = 0; k < naoi; k++)
-        pooled += ue[aoi[k]].packet >= 0;
-    for (int64_t k = 0; k < nstreams; k++) {
-        const int64_t i = members[k];
-        if (head[i] < end[i] && arrived[i][head[i]] < next)
-            next = arrived[i][head[i]];
-    }
+        if (ue[aoi[k]].packet >= 0)
+            pool[np++] = aoi[k];
+    int64_t best = pool_best(np, pool, ue);
+    memset(sums, 0, (size_t)(ns + groups[ngroups]) * NSUMS_RD * sizeof *sums);
     for (int64_t t = a; t < stop; t++) {
-        if (t == next) {
+        const int64_t slot = t * ns;
+        if (*next < slot + ns) {
             int regroup = 0;
-            next = INT64_MAX;
-            for (int64_t k = 0; k < nstreams; k++) {
-                const int64_t i = members[k];
-                int64_t h = head[i];
-                if (h == end[i])
-                    continue;
-                if (arrived[i][h] == t) {
-                    sums[i * NSUMS_RD + ARRIVALS]++;
-                    if (k < naoi)
-                        aoi_arrival(&ue[i], t, &pooled);
-                    else {
-                        regroup |= !ue[i].depth;
-                        ue[i].stack[ue[i].depth++] = t;
+            do {
+                const int64_t k = *next++ - slot, i = members[k];
+                struct ue *x = &ue[i];
+                sums[i * NSUMS_RD + ARRIVALS]++;
+                if (k < naoi)
+                    aoi_arrival(ue, i, t, pool, &np, &best);
+                else {
+                    if (!x->depth) {  /* into queued, ascending */
+                        int64_t j = nq++;
+                        for (; j && queued[j - 1] > i; j--)
+                            queued[j] = queued[j - 1];
+                        queued[j] = i;
+                        regroup = 1;
                     }
-                    head[i] = ++h;
-                    if (h == end[i])
-                        continue;
+                    x->stack[x->depth++] = t;
                 }
-                if (arrived[i][h] < next)
-                    next = arrived[i][h];
-            }
+            } while (*next < slot + ns);
             if (regroup)
-                nq = partition(nlat, lat, ue, queued, cum);
+                partition(nq, queued, ue, cum);
         }
         const double draw = draws[t - a];
         int64_t k = 0;
@@ -385,13 +467,14 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             s[ATTEMPTS]++;
             if (u[t - a] < x->p) {
                 record(s, x, x->stack[--x->depth], t);
-                if (!x->depth)
-                    nq = partition(nlat, lat, ue, queued, cum);
+                if (!x->depth) {
+                    memmove(queued + k, queued + k + 1, (size_t)(--nq - k) * sizeof *queued);
+                    partition(nq, queued, ue, cum);
+                }
             }
-        } else if (pooled) {
-            const int64_t i = aoi_best(naoi, aoi, ue);
-            struct ue *x = &ue[i];
-            int64_t *s = sums + i * NSUMS_RD;
+        } else if (best >= 0) {
+            struct ue *x = &ue[best];
+            int64_t *s = sums + best * NSUMS_RD;
             s[ATTEMPTS]++;
             if (u[t - a] < x->p) {
                 const int64_t g = x->packet;
@@ -401,18 +484,26 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
                     x->lam = g;
                 x->delivered++;
                 x->packet = -1;
-                pooled--;
+                int64_t j = 0;
+                while (pool[j] != best)
+                    j++;
+                pool[j] = pool[--np];
+                best = pool_best(np, pool, ue);
             }
-        } else if (nthr) {
-            const int64_t i = throughput_best(t, nthr, thr, ue);
+        } else if (ngroups) {
+            const int64_t g = throughput_best(t, ngroups, groups, turn, thr, ue);
+            const int64_t i = thr[groups[g] + turn[g]];
             struct ue *x = &ue[i];
             int64_t *s = sums + i * NSUMS_RD;
             s[ATTEMPTS]++;
             x->tries++;
+            if (++turn[g] == groups[g + 1] - groups[g])
+                turn[g] = 0;
             if (u[t - a] < x->p)
                 record(s, x, t, t);
         }
     }
+    *cursor = next - list;
     for (int64_t k = 0; k < naoi; k++)
         accrue(sums + aoi[k] * NSUMS_RD, &ue[aoi[k]], stop - 1);
 }

@@ -68,6 +68,10 @@ cmu_serve.restype = None
 cmu_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                       *[ctypes.c_void_p] * 8]
 
+rd_list = _lib.rd_list
+rd_list.restype = None
+rd_list.argtypes = [*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 5]
+
 rd_serve = _lib.rd_serve
 rd_serve.restype = None
 rd_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 2,

@@ -240,7 +240,7 @@ class UeMetrics:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerUeStats:
     ue_id: int
     ue_class: UeClass
@@ -257,7 +257,7 @@ class PerUeStats:
     sum_spacing_wait: float       # sum of T_i * (L_i - 1) over delivered packets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunReport:
     policy: str
     seed: int

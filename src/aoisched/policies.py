@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapreplace
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -174,7 +175,6 @@ class HierarchicalPolicy(_TwoTier):
     """
 
     name = "hier"
-    needs_draw = False
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int],
                  f: int | None = None, eta: float = 0.1):
@@ -220,7 +220,7 @@ class HierarchicalPolicy(_TwoTier):
                 queue.append(t)
                 self._retain(i, self.virtual_rho[i] * self._p[i] / self._q[i])
 
-    def select(self, t: int, draw: float | None = None) -> tuple[int, int] | None:
+    def select(self, t: int) -> tuple[int, int] | None:
         best = self._best
         if best is not None:
             queue = self.queues[best]
@@ -246,11 +246,11 @@ class HierarchicalPolicy(_TwoTier):
 
 # One UE's state under ``rd``, laid out as ``_kernel.c``'s ``struct ue``:
 # the address and depth of a latency UE's stack, the AoI gate, the
-# throughput tier's tries and group, then the doubles.
+# throughput tier's tries, then the doubles.
 UE_STATE = np.dtype([("stack", np.uintp)]
                     + [(name, np.int64) for name in (
                         "depth", "threshold", "bump", "counter", "delivered", "packet",
-                        "lam", "aged", "g_prev", "tries", "group")]
+                        "lam", "aged", "g_prev", "tries")]
                     + [(name, np.float64) for name in ("p", "weight", "index")])
 
 
@@ -276,10 +276,13 @@ class RandomizedPolicy:
     ``rho*p*(t - lam)``, else the throughput UE with the largest
     ``alpha*t/p - attempts``, lowest position on ties.
 
-    ``update_index`` draws a block's arrivals and lists each stream's
-    arrival slots, ``select`` serves slots [a, b) in one call of
-    ``kernel.rd_serve``, and ``on_outcome`` adds each position's sums over
-    them to its UE's metrics.
+    ``update_index`` draws a block's arrivals and lists them in slot order
+    (``kernel.rd_list``), ``select`` serves slots [a, b) in one call of
+    ``kernel.rd_serve`` and ``on_outcome`` adds each position's sums over
+    them to its UE's metrics.  Like ``_TwoTier`` in Python, the kernel
+    keeps the pool's argmax as packets are retained and each throughput
+    group's candidate as its members attempt, so no step of a slot walks
+    every UE.
     """
 
     name = "rd"
@@ -304,13 +307,15 @@ class RandomizedPolicy:
             ue["weight"][i] = ues[i].rho * ues[i].p
         for i in lat:
             ue["weight"][i] = theta_j(ues[i].q, ues[i].p, ues[i].beta)
-        for group, members in enumerate(groups.values()):
+        for members in groups.values():
             for i in members:
-                ue["group"][i], ue["weight"][i] = group, ues[i].alpha
+                ue["weight"][i] = ues[i].alpha
         self.ue = ue
-        # each AoI and latency UE's arrival slots in the block being served,
-        # arrived[i][head[i]:end[i]] yet to come, in storage of cap[i]
-        # elements; a latency UE's stack, with room for the block's arrivals
+        # each AoI and latency UE's arrival slots in the block, in
+        # arrived[i][0:end[i]] of cap[i] elements (head stays 0: cmu_enqueue's
+        # compaction never runs), then all of them in slot order in ``_list``,
+        # served up to ``_cursor``; a latency UE's stack, with room for the
+        # block's arrivals
         self._arriving = sorted(aoi + lat)
         self._q = [ues[i].q for i in self._arriving]
         self._lat = lat
@@ -318,26 +323,36 @@ class RandomizedPolicy:
         self.stacks = [np.empty(0, np.int64)] * n
         self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
         self._at = np.zeros(n, np.uintp)
+        self._list = np.empty(0, np.int64)
+        self._cursor = np.zeros(1, np.int64)
         # each position's last delivered arrival slot (-1: none since the
         # run or the warm-up began), and its sums over the last segment
         self.g_prev = ue["g_prev"]
         self.sums = np.zeros((n, 9), np.int64)
-        members = np.array(aoi + lat + [i for m in groups.values() for i in m], np.int64)
-        self._buffers = (members, self._at, self.head, self.end, ue, self.sums)
-        self._serve_args = [len(aoi), len(lat), n - len(aoi) - len(lat),
-                            *[x.ctypes.data for x in self._buffers]]
-        self._enqueue_args = [x.ctypes.data for x in (self._at, self.cap, self.head, self.end)]
+        # AoI, latency, then each throughput group's members, ascending,
+        # and where each group starts among the throughput ones
+        thr = list(groups.values())
+        self._members = np.array(aoi + lat + [i for m in thr for i in m], np.int64)
+        self._groups = np.array([0, *accumulate(len(m) for m in thr)], np.int64)
+        # the kernels' buffers, by address: the arrival list's comes last in
+        # both lists, to be replaced as the list grows
+        at, _, _, end = self._enqueue_args = [
+            x.ctypes.data for x in (self._at, self.cap, self.head, self.end)]
+        members, arrivals = self._members.ctypes.data, self._list.ctypes.data
+        self._list_args = [len(self._arriving), members, at, end, arrivals]
+        self._serve_args = [len(aoi), len(lat), len(thr), members, *[x.ctypes.data for x in (
+            self._groups, self._cursor, ue, self.sums)], arrivals]
 
     def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
         """List a block's arrivals, drawing each stream's in turn into
         ``u``: the k-th AoI or latency position (ascending) has an arrival
         in slot start + j, for j < len(u), iff draw j of ``gens[k]`` is
-        below its q (slot 0 has none).  ``kernel.cmu_enqueue`` turns the
-        uniforms into arrival slots."""
+        below its q (slot 0 has none).  ``kernel.cmu_enqueue`` turns each
+        stream's uniforms into arrival slots, and ``kernel.rd_list`` sorts
+        them all by slot, counting in ``u`` once its uniforms are spent."""
         if u.dtype != np.float64 or not u.flags.c_contiguous:
             raise TypeError("arrival uniforms must be one contiguous float64 buffer")
         n, at = len(u), u.ctypes.data
-        self.head.fill(0)
         self.end.fill(0)
         for i, gen, q in zip(self._arriving, gens, self._q):
             gen.random(out=u)
@@ -346,6 +361,12 @@ class RandomizedPolicy:
                 grown = _grown(self.arrived[i], need, 0)
                 self.arrived[i], self._at[i], self.cap[i] = grown, grown.ctypes.data, len(grown)
                 kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
+        need = int(self.end.sum()) + 1
+        if need > len(self._list):
+            self._list = _grown(self._list, need, 0)
+            self._list_args[-1] = self._serve_args[-1] = self._list.ctypes.data
+        kernel.rd_list(start, n, *self._list_args, at)
+        self._cursor[0] = 0
         depth, stack_at = self.ue["depth"].tolist(), self.ue["stack"]
         for i in self._lat:
             need = depth[i] + int(self.end[i])

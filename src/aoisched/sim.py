@@ -30,11 +30,12 @@ summed in closed form between deliveries.
 read the same draws and give the same report as a slot-by-slot run (see
 ``policies.RandomizedPolicy`` and ``cmu.CmuPolicy``).  Each block's
 arrival uniforms are drawn into one reused buffer, a stream at a time, and
-turned into arrival slots; then its success uniforms, and ``rd``'s policy
-uniforms into a second buffer, are served a segment at a time.  The
-kernels count each UE's arrivals and sum its deliveries (and, under
-``rd``, its age) themselves, and their queues and retained packets hold
-the backlog, so no ``UeMetrics`` fold runs.
+turned into arrival slots (under ``rd``, then merged into one list in slot
+order); then its success uniforms, and ``rd``'s policy uniforms into a
+second buffer, are served a segment at a time.  The kernels count each
+UE's arrivals and sum its deliveries (and, under ``rd``, its age)
+themselves, and their queues and retained packets hold the backlog, so no
+``UeMetrics`` fold runs.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """

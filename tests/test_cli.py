@@ -253,6 +253,18 @@ def test_cli_jobs_below_one_exits_1(scenario_file, tmp_path, capsys, argv, jobs)
     assert not out.exists()
 
 
+def test_cli_sweep_bytes_equal_across_jobs(constrained_file, tmp_path, capsys):
+    # worker processes send back pickled reports of frozen, slotted dataclasses
+    outs = []
+    for jobs in "1", "2":
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", str(constrained_file), "--policy", "rd", "--param", "beta",
+                     "--grid", "2,3", "--seeds", "2", "--horizon", "5000", "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_reproduce_help_says_fig5_weights_ignores_seeds_and_jobs(capsys):
     with pytest.raises(SystemExit) as exit_:
         main(["reproduce", "--help"])

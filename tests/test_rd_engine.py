@@ -14,7 +14,7 @@ horizons over up to four blocks and warm-ups ending at ``CHUNK - 1`` or
 anywhere else.
 """
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from aoisched.metrics import report_rows
@@ -68,10 +68,21 @@ def runs(draw):
     return scenario, horizon, min(warmup, horizon - 1)
 
 
+# The benchmark's 48-UE constrained system: identical AoI UEs, whose indices
+# tie, and one throughput group of 16, over two blocks with a warm-up
+# ending at the first block's last slot.
+WIDE48 = Scenario(ues=tuple(
+    [UeConfig(id=i, cls=UeClass.AOI, q=0.3 / 16, p=0.7, rho=1.0) for i in range(1, 17)]
+    + [UeConfig(id=i, cls=UeClass.LATENCY, q=0.01, p=0.8, beta=30.0) for i in range(17, 33)]
+    + [UeConfig(id=i, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.15 / 16) for i in range(33, 49)]),
+    variant=Variant.LATENCY_CONSTRAINED)
+
+
 # The reference walks every slot in Python, so examples stay few.
 @settings(max_examples=80, deadline=None, derandomize=True, database=None,
           phases=[Phase.explicit, Phase.generate])
 @given(case=runs(), seed=st.integers(0, 2 ** 31))
+@example(case=(WIDE48, 2 * CHUNK, CHUNK - 1), seed=1)
 def test_kernel_matches_slot_reference(case, seed):
     scenario, horizon, warmup = case
     config = RunConfig(scenario=scenario, policy=PolicySpec("rd"), horizon=horizon,

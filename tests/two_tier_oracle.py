@@ -23,7 +23,7 @@ import numpy as np
 
 from aoisched.metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from aoisched.model import Scenario, ScenarioError, UeClass, Variant, theta_j
-from aoisched.policies import _TwoTier
+from aoisched.policies import RandomizedPolicy, _TwoTier
 from aoisched.rng import substreams
 from aoisched.sim import CHUNK, RunConfig, build_policy
 
@@ -41,7 +41,6 @@ class SlotRandomizedPolicy(_TwoTier):
     """
 
     name = "rd"
-    needs_draw = True
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
         if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
@@ -148,7 +147,8 @@ def run_blocks(config: RunConfig) -> RunReport:
     policy, extras = build_policy(config)
     if policy.name not in ("hier", "vw", "rd"):
         raise ScenarioError(f"{policy.name!r} is not a two-tier policy")
-    if policy.name == "rd":
+    randomized = isinstance(policy, RandomizedPolicy)
+    if randomized:
         policy = SlotRandomizedPolicy(scenario, extras.get("thresholds", {}))
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
@@ -166,7 +166,7 @@ def run_blocks(config: RunConfig) -> RunReport:
         n = min(CHUNK, horizon + 1 - start)
         arrivals = _arrivals(n, start, streams)
         success_u = success_gen.random(n).tolist()
-        policy_u = policy_gen.random(n).tolist() if policy.needs_draw else None
+        policy_u = policy_gen.random(n).tolist() if randomized else None
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
             if every and a % every == 0:
                 policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
@@ -176,7 +176,7 @@ def run_blocks(config: RunConfig) -> RunReport:
                                            success_u[lo:hi], draws):
                 if arrived is not None:
                     policy.update_index(t, arrived)
-                action = policy.select(t, draw)
+                action = policy.select(t, draw) if randomized else policy.select(t)
                 if action is None:
                     continue
                 i, g = action
