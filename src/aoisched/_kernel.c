@@ -7,8 +7,35 @@
 #include <stdint.h>
 #include <string.h>
 
-/* A queue's sums over a segment, in the order of its row of ``sums``. */
-enum { ARRIVALS, ATTEMPTS, DELIVERIES, LATENCY, SAMPLES, SPACING, SPACING_SQ, NSUMS };
+/* A UE's sums over a segment, in the order of its row of ``sums``, one
+   layout for both policies (metrics.add_sums unpacks it): its arrivals,
+   attempts and deliveries, the latency t - g + 1 of each packet that
+   arrived in slot g and was delivered in slot t, the count, sum and sum of
+   squares of the spacing samples d = g - g_prev (g_prev being the arrival
+   slot of its previous delivery, -1 until its first, which takes no
+   sample), then, for AoI UEs under rd, the sum of each sample times its
+   wait t - g and the age of every slot.  cmu leaves the last two 0. */
+enum { ARRIVALS, ATTEMPTS, DELIVERIES, LATENCY, SAMPLES, SPACING, SPACING_SQ, SPACING_WAIT, AGE,
+       NSUMS };
+
+/* Add to row s the delivery in slot t of the packet that arrived in slot
+   g, *g_prev being the arrival slot of the previous delivery (or -1).
+   Returns its spacing sample g - *g_prev, or 0 for the first delivery,
+   which takes none. */
+static inline int64_t record(int64_t *s, int64_t *g_prev, int64_t g, int64_t t)
+{
+    int64_t d = 0;
+    s[DELIVERIES]++;
+    s[LATENCY] += t - g + 1;
+    if (*g_prev >= 0) {
+        d = g - *g_prev;
+        s[SAMPLES]++;
+        s[SPACING] += d;
+        s[SPACING_SQ] += d * d;
+    }
+    *g_prev = g;
+    return d;
+}
 
 /* Write slot at queue[e] if the storage has room (c elements), and move
    past it if it is an arrival: no branch on the draws. */
@@ -42,8 +69,8 @@ static inline pair_i below(const double *u, pair_d q)
    the midpoint, the live part is first moved to the front.  One pass then
    appends the arrivals while there is room.  Returns 0 once they are
    appended; if they do not fit, it leaves end[j] as it was and returns the
-   length the queue needs, for the caller to grow its storage and call
-   again. */
+   length the queue needs, for the caller (kernel.QueueStore) to grow its
+   storage and call again. */
 int64_t cmu_enqueue(const double *restrict u, int64_t n, double q, int64_t start,
                     int64_t j, int64_t *const *restrict queues,
                     const int64_t *restrict cap, int64_t *restrict head,
@@ -97,24 +124,6 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
     return lo;
 }
 
-/* The sums of the queue being served, and its last delivered arrival slot,
-   held in local variables while it keeps the slots. */
-struct served { int64_t attempts, deliveries, latency, samples, spacing, spacing_sq, prev; };
-
-/* Deliver in slot t the packet that arrived in slot g. */
-static inline void deliver(struct served *s, int64_t g, int64_t t)
-{
-    s->deliveries++;
-    s->latency += t - g + 1;
-    if (s->prev >= 0) {
-        int64_t d = g - s->prev;
-        s->samples++;
-        s->spacing += d;
-        s->spacing_sq += d * d;
-    }
-    s->prev = g;
-}
-
 /* Serve slots [a, a + n) under the weighted-rate rule (see cmu.CmuPolicy).
 
    The queues are laid out as for cmu_enqueue: queue j's undelivered
@@ -129,18 +138,15 @@ static inline void deliver(struct served *s, int64_t g, int64_t t)
    The first nonempty queue keeps the slots until a queue ranked above it
    has an arrival, or until it empties; the lowest-ranked queue keeps them
    across its empty slots too, which then are idle.  Those slots are served
-   in a loop that keeps the queue's sums in local variables: slot by slot,
+   in a loop that keeps the queue's sums in a local row, which the
+   compiler holds in registers, and adds it to the queue's: slot by slot,
    or, for the lowest-ranked queue, packet by packet, each packet's failed
    attempts being the draws up to its first success.
 
-   Writes queue j's sums over the segment to sums[j * NSUMS:], in the
-   enum's order: arrivals (every packet that arrives in the segment is
-   still queued when it starts), attempts, deliveries, the latency
-   t - g + 1 of each packet that arrived in slot g and was delivered in
-   slot t, and the count, sum and sum of squares of the spacing samples
-   d = g - g_prev, g_prev being the arrival slot of the queue's previous
-   delivery (-1 until its first, which takes no sample).  g_prev[j] carries
-   over to the next segment.  ``oldest`` (nq entries) is scratch. */
+   Writes queue j's sums over the segment to its row, sums[j * NSUMS:]
+   (every packet that arrives in the segment is still queued when it
+   starts, so its arrivals are counted there); g_prev[j] carries over to
+   the next segment.  ``oldest`` (nq entries) is scratch. */
 void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
                int64_t *const *restrict queues, const int64_t *restrict order,
                const double *restrict p, int64_t *restrict head,
@@ -174,7 +180,7 @@ void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
         const int64_t *queue = queues[j];
         const double pj = p[j];
         int64_t h = head[j];
-        struct served s = {.prev = g_prev[j]};
+        int64_t s[NSUMS] = {0}, prev = g_prev[j];
         if (r + 1 == nq) {
             for (; h < e; h++) {
                 const int64_t g = queue[h];
@@ -187,28 +193,28 @@ void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
                 const int64_t from = t;
                 while (t < wake && !(u[t - a] < pj))
                     t++;
-                s.attempts += t - from;
+                s[ATTEMPTS] += t - from;
                 if (t == wake)
                     break;
-                s.attempts++;
-                deliver(&s, g, t++);
+                s[ATTEMPTS]++;
+                record(s, &prev, g, t++);
             }
         } else {
             const int64_t from = t;
             for (; t < wake && h < e && queue[h] <= t; t++)
                 if (u[t - a] < pj)
-                    deliver(&s, queue[h++], t);
-            s.attempts = t - from;
+                    record(s, &prev, queue[h++], t);
+            s[ATTEMPTS] += t - from;
         }
         int64_t *sum = sums + j * NSUMS;
-        sum[ATTEMPTS] += s.attempts;
-        sum[DELIVERIES] += s.deliveries;
-        sum[LATENCY] += s.latency;
-        sum[SAMPLES] += s.samples;
-        sum[SPACING] += s.spacing;
-        sum[SPACING_SQ] += s.spacing_sq;
+        sum[ATTEMPTS] += s[ATTEMPTS];
+        sum[DELIVERIES] += s[DELIVERIES];
+        sum[LATENCY] += s[LATENCY];
+        sum[SAMPLES] += s[SAMPLES];
+        sum[SPACING] += s[SPACING];
+        sum[SPACING_SQ] += s[SPACING_SQ];
         head[j] = h;
-        g_prev[j] = s.prev;
+        g_prev[j] = prev;
         oldest[r] = h < e ? queue[h] : INT64_MAX;
     }
 }
@@ -231,10 +237,6 @@ struct ue {
     double weight;    /* AoI: rho*p; latency: theta; throughput: alpha */
     double index;     /* AoI: rho*p*(g - lam) of the retained packet g */
 };
-
-/* rd's sums over a segment extend a row of cmu's: the spacing sample times
-   the wait t - g of each AoI delivery, and the AoI age of every slot. */
-enum { SPACING_WAIT = NSUMS, AGE, NSUMS_RD };
 
 /* List the block's arrivals in slot order, for rd_serve to walk with one
    cursor.  Stream k (k < ns) is members[k]'s: its arrival slots in the
@@ -359,24 +361,6 @@ static int64_t throughput_best(int64_t t, int64_t ngroups, const int64_t *groups
     return best;
 }
 
-/* Add to row s the delivery in slot t of x's packet that arrived in slot
-   g.  Returns its spacing sample g - g_prev, or 0 for the window's first
-   delivery, which takes none. */
-static inline int64_t record(int64_t *s, struct ue *x, int64_t g, int64_t t)
-{
-    int64_t d = 0;
-    s[DELIVERIES]++;
-    s[LATENCY] += t - g + 1;
-    if (x->g_prev >= 0) {
-        d = g - x->g_prev;
-        s[SAMPLES]++;
-        s[SPACING] += d;
-        s[SPACING_SQ] += d * d;
-    }
-    x->g_prev = g;
-    return d;
-}
-
 /* Add the age s - lam of AoI slots s in (aged, t] to row s: lam only moves
    at a delivery, so this runs before each and at the segment's end. */
 static inline void accrue(int64_t *s, struct ue *x, int64_t t)
@@ -408,9 +392,8 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    queued latency UEs are kept in order, so a partition sums only their
    shares.
 
-   Writes each UE's sums over the segment to sums[i * NSUMS_RD:], as
-   cmu_serve does (arrivals, attempts, deliveries, latency, spacing
-   samples), then, for AoI UEs, the spacing times wait and the age. */
+   Writes each UE's sums over the segment to its row, sums[i * NSUMS:],
+   the AoI UEs' spacing times wait and age included. */
 void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *restrict draws,
               int64_t naoi, int64_t nlat, int64_t ngroups, const int64_t *restrict members,
               const int64_t *restrict groups, int64_t *restrict cursor,
@@ -431,7 +414,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
         if (ue[aoi[k]].packet >= 0)
             pool[np++] = aoi[k];
     int64_t best = pool_best(np, pool, ue);
-    memset(sums, 0, (size_t)(ns + groups[ngroups]) * NSUMS_RD * sizeof *sums);
+    memset(sums, 0, (size_t)(ns + groups[ngroups]) * NSUMS * sizeof *sums);
     for (int64_t t = a; t < stop; t++) {
         const int64_t slot = t * ns;
         if (*next < slot + ns) {
@@ -439,7 +422,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             do {
                 const int64_t k = *next++ - slot, i = members[k];
                 struct ue *x = &ue[i];
-                sums[i * NSUMS_RD + ARRIVALS]++;
+                sums[i * NSUMS + ARRIVALS]++;
                 if (k < naoi)
                     aoi_arrival(ue, i, t, pool, &np, &best);
                 else {
@@ -463,10 +446,10 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
         if (k < nq) {
             const int64_t i = queued[k];
             struct ue *x = &ue[i];
-            int64_t *s = sums + i * NSUMS_RD;
+            int64_t *s = sums + i * NSUMS;
             s[ATTEMPTS]++;
             if (u[t - a] < x->p) {
-                record(s, x, x->stack[--x->depth], t);
+                record(s, &x->g_prev, x->stack[--x->depth], t);
                 if (!x->depth) {
                     memmove(queued + k, queued + k + 1, (size_t)(--nq - k) * sizeof *queued);
                     partition(nq, queued, ue, cum);
@@ -474,12 +457,12 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             }
         } else if (best >= 0) {
             struct ue *x = &ue[best];
-            int64_t *s = sums + best * NSUMS_RD;
+            int64_t *s = sums + best * NSUMS;
             s[ATTEMPTS]++;
             if (u[t - a] < x->p) {
                 const int64_t g = x->packet;
                 accrue(s, x, t);
-                s[SPACING_WAIT] += record(s, x, g, t) * (t - g);
+                s[SPACING_WAIT] += record(s, &x->g_prev, g, t) * (t - g);
                 if (x->lam < g)
                     x->lam = g;
                 x->delivered++;
@@ -494,16 +477,16 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             const int64_t g = throughput_best(t, ngroups, groups, turn, thr, ue);
             const int64_t i = thr[groups[g] + turn[g]];
             struct ue *x = &ue[i];
-            int64_t *s = sums + i * NSUMS_RD;
+            int64_t *s = sums + i * NSUMS;
             s[ATTEMPTS]++;
             x->tries++;
             if (++turn[g] == groups[g + 1] - groups[g])
                 turn[g] = 0;
             if (u[t - a] < x->p)
-                record(s, x, t, t);
+                record(s, &x->g_prev, t, t);
         }
     }
     *cursor = next - list;
     for (int64_t k = 0; k < naoi; k++)
-        accrue(sums + aoi[k] * NSUMS_RD, &ue[aoi[k]], stop - 1);
+        accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], stop - 1);
 }

@@ -311,13 +311,10 @@ def _report_verdicts(header: list[str], rows: list[list[str]]) -> list[str]:
 
 # -- argument parsing --------------------------------------------------------
 
-def _add_run_args(p: argparse.ArgumentParser, with_policy: bool = True) -> None:
-    if with_policy:
-        p.add_argument("--policy", choices=POLICY_NAMES, default="hier")
-        p.add_argument("--f", type=int, default=10000,
-                       help="virtual-weight update period (vw)")
-        p.add_argument("--eta", type=float, default=0.1,
-                       help="virtual-weight step size (vw)")
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--policy", choices=POLICY_NAMES, default="hier")
+    p.add_argument("--f", type=int, default=10000, help="virtual-weight update period (vw)")
+    p.add_argument("--eta", type=float, default=0.1, help="virtual-weight step size (vw)")
     p.add_argument("--horizon", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--warmup", type=int, default=0)

@@ -2,12 +2,12 @@
 
 ``CmuPolicy`` is a strict priority over first-in-first-out latency queues,
 so unlike the two-tier policies it needs no per-slot call.  In each block,
-one compiled call per queue (``kernel.cmu_enqueue``) appends its arrival
-slots, and one compiled pass per segment (``kernel.cmu_serve``) serves all
-queues and sums each queue's arrivals and delivery statistics.  A queue's
-storage grows by doubling and is compacted in place whenever its head has
-passed the midpoint, so enqueueing a block costs its arrivals, not the
-backlog.
+one compiled call per queue (``kernel.QueueStore.enqueue``) appends its
+arrival slots, and one compiled pass per segment (``kernel.cmu_serve``)
+serves all queues and sums each queue's arrivals and delivery statistics.
+A queue's storage grows by doubling and is compacted in place whenever its
+head has passed the midpoint, so enqueueing a block costs its arrivals,
+not the backlog.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .metrics import UeMetrics
+from .metrics import UeMetrics, add_sums
 from .model import Scenario, ScenarioError, Variant
 
 
@@ -42,40 +42,24 @@ class CmuPolicy:
         n = len(ues)
         self.q = [u.q for u in ues]
         self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
-        # the arrival slots of each queue's undelivered packets, ascending:
-        # queue i's are queues[i][head[i]:end[i]] of cap[i] elements, and
-        # those after the segment being served have not arrived yet; a
-        # queue's storage address is 0 until it first holds a packet
-        self.queues = [np.empty(0, np.int64)] * n
-        self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
-        self._at = np.zeros(n, np.uintp)
+        # the arrival slots of each queue's undelivered packets, of which
+        # those after the segment being served have not arrived yet
+        self.store = kernel.QueueStore(n)
         # each queue's last delivered arrival slot (-1: none since the run or
         # the warm-up began), and its sums over the last segment served
         self.g_prev = np.full(n, -1, np.int64)
-        self.sums = np.zeros((n, 7), np.int64)
-        # the kernels' arguments after the block's, passed by address
+        self.sums = np.zeros((n, kernel.NSUMS), np.int64)
+        # the kernel's arguments after the block's, passed by address
+        store = self.store
         self._buffers = (np.array(self.order, np.int64), np.array([u.p for u in ues]),
-                         self.head, self.end, self.g_prev, self.sums, np.zeros(n, np.int64))
-        self._serve_args = [x.ctypes.data for x in (self._at, *self._buffers)]
-        self._enqueue_args = [x.ctypes.data for x in (self._at, self.cap, self.head, self.end)]
+                         store.head, store.end, self.g_prev, self.sums, np.zeros(n, np.int64))
+        self._serve_args = [x.ctypes.data for x in (store.at, *self._buffers)]
 
     def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
         """Enqueue a block's arrivals, drawing each stream's in turn into
         ``u``: position i has an arrival in slot start + k, for k < len(u),
         iff draw k of ``gens[i]`` is below its q (slot 0 has none)."""
-        if u.dtype != np.float64 or not u.flags.c_contiguous:
-            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
-        n, at = len(u), u.ctypes.data
-        for i, (gen, q) in enumerate(zip(gens, self.q)):
-            gen.random(out=u)
-            need = kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
-            if need:  # move the queue, packets first, to storage twice as large or more
-                h, e = int(self.head[i]), int(self.end[i])
-                grown = np.empty(max(2 * int(self.cap[i]), 1 << (need - 1).bit_length()), np.int64)
-                grown[:e - h] = self.queues[i][h:e]
-                self.queues[i], self._at[i] = grown, grown.ctypes.data
-                self.head[i], self.end[i], self.cap[i] = 0, e - h, len(grown)
-                kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
+        self.store.enqueue(start, u, zip(range(len(self.q)), gens, self.q))
 
     def select(self, a: int, b: int, u: np.ndarray) -> None:
         """Serve slots [a, b), whose success uniforms are ``u``, leaving
@@ -86,19 +70,11 @@ class CmuPolicy:
         kernel.cmu_serve(a, b - a, u.ctypes.data, len(self.order), *self._serve_args)
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums over the last segment to its metrics:
-        the integers ``UeMetrics.on_delivery`` adds, so floats round alike."""
-        for m, (arrivals, attempts, n, latency, samples, spacing, spacing_sq) in zip(
-                metrics, self.sums.tolist()):
-            m.arrivals += arrivals
-            m.attempts += attempts
-            m.deliveries += n
-            m.latency_sum_delivered += latency
-            m.n_samples += samples
-            m.sample_sum += spacing
-            m.sample_sumsq += spacing_sq
+        """Add each position's sums over the last segment to its metrics."""
+        add_sums(metrics, self.sums.tolist())
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each queue's count and sum of arrival slots of undelivered packets."""
+        store = self.store
         return [(e - h, int(queue[h:e].sum()))
-                for queue, h, e in zip(self.queues, self.head.tolist(), self.end.tolist())]
+                for queue, h, e in zip(store.queues, store.head.tolist(), store.end.tolist())]

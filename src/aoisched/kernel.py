@@ -9,6 +9,10 @@ file without building.  The build writes a temporary file and renames it
 into place, so processes importing at once never load a partial library.
 There is no pure-Python fallback: without a working compiler, importing
 this module raises ``ImportError``.
+
+``QueueStore`` holds the queues of arrival slots that ``cmu_enqueue``
+appends to, and ``grown`` is the one growth rule of every buffer the
+kernels write.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import sysconfig
 import tempfile
 import zlib
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # no -ffast-math, and no fused multiply-add: arithmetic rounds as in Python
@@ -76,3 +82,45 @@ rd_serve = _lib.rd_serve
 rd_serve.restype = None
 rd_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 2,
                      *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 6]
+
+# columns of a UE's row of sums: the enum of _kernel.c, unpacked by
+# metrics.add_sums
+NSUMS = 9
+
+
+def grown(buffer: np.ndarray, need: int, h: int = 0, e: int = 0) -> np.ndarray:
+    """Storage of the least power of two >= max(``need``, 2 * len(``buffer``))
+    elements, starting with ``buffer[h:e]``."""
+    grown = np.empty(1 << (max(need, 2 * len(buffer)) - 1).bit_length(), np.int64)
+    grown[:e - h] = buffer[h:e]
+    return grown
+
+
+class QueueStore:
+    """Queues of arrival slots, ascending: queue j's are ``queues[j][head[j]:end[j]]``
+    of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one)."""
+
+    def __init__(self, n: int):
+        self.queues = [np.empty(0, np.int64)] * n
+        self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
+        self.at = np.zeros(n, np.uintp)
+        self._args = [x.ctypes.data for x in (self.at, self.cap, self.head, self.end)]
+
+    def enqueue(self, start: int, u: np.ndarray, streams) -> None:
+        """Append a block's arrivals, drawing each stream's in turn into
+        ``u``: for each ``(j, gen, q)`` of ``streams``, queue j has an
+        arrival in slot start + k, for k < len(u), iff draw k of ``gen`` is
+        below q (slot 0 has none).  A queue they do not fit in moves,
+        packets first, to ``grown`` storage, and ``cmu_enqueue`` runs again."""
+        if u.dtype != np.float64 or not u.flags.c_contiguous:
+            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
+        n, at = len(u), u.ctypes.data
+        for j, gen, q in streams:
+            gen.random(out=u)
+            need = cmu_enqueue(at, n, q, start, j, *self._args)
+            if need:
+                h, e = int(self.head[j]), int(self.end[j])
+                self.queues[j] = queue = grown(self.queues[j], need, h, e)
+                self.at[j], self.cap[j], self.head[j], self.end[j] = (
+                    queue.ctypes.data, len(queue), 0, e - h)
+                cmu_enqueue(at, n, q, start, j, *self._args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,15 +33,17 @@ class UeMetrics:
     over each block's arrival slots (``log_arrivals``) and appends each
     delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
     per block and at the warm-up boundary.  An ``rd`` or ``cmu`` run uses
-    none of these: its policy adds its own sums per segment, arrivals
-    included (``on_outcome``), and sets its backlog at the end.  Every
+    none of these: its policy sums each segment, arrivals included, and
+    ``add_sums`` adds its rows.  No backlog is tracked here: the policy
+    holds the undelivered packets, and the engine sets ``pending_count``
+    and ``pending_g_sum`` from its ``backlog()`` at the horizon.  Every
     statistic is a sum of integers, exact in int64 and, as a float, below
     2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
     the same bits as folding the events one by one.
     """
 
     __slots__ = (
-        "ue_id", "cls", "is_aoi", "track_pending",
+        "ue_id", "cls", "is_aoi",
         "lam", "aoi_sum", "aged", "arrivals", "deliveries", "attempts",
         "latency_sum_delivered", "pending_count", "pending_g_sum",
         "n_samples", "sample_sum", "sample_sumsq", "g_prev",
@@ -53,7 +55,6 @@ class UeMetrics:
         self.ue_id = ue_id
         self.cls = cls
         self.is_aoi = cls is UeClass.AOI
-        self.track_pending = cls is UeClass.LATENCY
         self.lam = 0
         self.aoi_sum = 0
         self.aged = 0  # last slot whose age is in aoi_sum
@@ -61,8 +62,8 @@ class UeMetrics:
         self.deliveries = 0
         self.attempts = 0
         self.latency_sum_delivered = 0
-        self.pending_count = 0
-        self.pending_g_sum = 0
+        self.pending_count = 0  # undelivered packets at the horizon
+        self.pending_g_sum = 0  # and the sum of their arrival slots
         self.n_samples = 0
         self.sample_sum = 0.0
         self.sample_sumsq = 0.0
@@ -97,11 +98,7 @@ class UeMetrics:
 
     def on_arrival(self, slots: Sequence[int]) -> None:
         """Fold a batch of arrivals, given their arrival slots."""
-        n = len(slots)
-        self.arrivals += n
-        if self.track_pending:
-            self.pending_count += n
-            self.pending_g_sum += sum(slots)
+        self.arrivals += len(slots)
 
     def accrue_age(self, t: int) -> None:
         """Add the age of slots (aged, t] to ``aoi_sum``.
@@ -143,9 +140,6 @@ class UeMetrics:
             self.lam = max(self.lam, int(g.max()))
         self.deliveries += n
         self.latency_sum_delivered += int(wait.sum()) + n
-        if self.track_pending:
-            self.pending_count -= n
-            self.pending_g_sum -= int(g.sum())
         # a spacing sample per delivery after the window's first, whose d is 0
         first = self.g_prev is None
         prev = g0 if first else self.g_prev
@@ -158,16 +152,17 @@ class UeMetrics:
         self.g_prev = g_last
 
     def backlog_age_sum(self, t: int) -> int:
-        """Total latency the currently pending packets would log at time t."""
+        """Total latency the pending packets would log at time t."""
         return self.pending_count * (t + 1) - self.pending_g_sum
 
-    def latency_now(self, t: int) -> float | None:
-        """Running average latency at slot t, pending backlog included.
+    def latency_now(self, t: int, pending: Sequence[int]) -> float | None:
+        """Running average latency at slot t, the packets still queued
+        (``pending``, their arrival slots) counted as delivered in slot t.
 
         Folds the arrivals before t, then adds the deliveries logged since
         the last fold; those already read by an earlier call are kept as
         running sums, so each call costs plain-Python work in the number of
-        new events.
+        new events and queued packets.
         """
         arrived = self.arrived
         if arrived and arrived[0] < t:
@@ -179,10 +174,8 @@ class UeMetrics:
             self._tail_t += sum(self.dt[seen:])
             self._tail_g += sum(self.dg[seen:])
             self._seen = n
-        latency = self.latency_sum_delivered + self._tail_t - self._tail_g + n
-        if self.track_pending:
-            latency += ((self.pending_count - n) * (t + 1)
-                        - (self.pending_g_sum - self._tail_g))
+        latency = (self.latency_sum_delivered + self._tail_t - self._tail_g + n
+                   + len(pending) * (t + 1) - sum(pending))
         return latency / self.arrivals
 
     def reset_window(self) -> None:
@@ -199,17 +192,11 @@ class UeMetrics:
         self.g_prev = None
         self.sum_spacing_wait = 0.0
 
-    def finalize(self, t: int, extra_pending: Iterable[int] = ()) -> "PerUeStats":
-        """Close the books at horizon t.
-
-        ``extra_pending`` carries arrival slots of undelivered packets the
-        metrics object was not tracking itself (an AoI scheduler's retained
-        packet).
-        """
+    def finalize(self, t: int) -> "PerUeStats":
+        """Close the books at horizon t, the pending packets counted as
+        delivered in slot t."""
         backlog = self.backlog_age_sum(t)
         arrivals = self.arrivals
-        for g in extra_pending:
-            backlog += t - g + 1
         avg_aoi = self.aoi_sum / t if self.is_aoi else None
         if self.cls is UeClass.THROUGHPUT:
             arrivals = t  # synthetic backlog: one fresh packet per slot
@@ -238,6 +225,23 @@ class UeMetrics:
             latency_total=self.latency_sum_delivered + backlog,
             sum_spacing_wait=self.sum_spacing_wait,
         )
+
+
+def add_sums(metrics: Sequence[UeMetrics], rows: list[list[int]]) -> None:
+    """Add each UE's row of sums over a segment, ``rd``'s or ``cmu``'s (as
+    ``_kernel.c``'s enum lays it out), to its metrics: the integers
+    ``on_delivery`` adds, so floats round alike, and an AoI UE's age."""
+    for m, (arrivals, attempts, deliveries, latency, samples, spacing, spacing_sq,
+            spacing_wait, age) in zip(metrics, rows):
+        m.arrivals += arrivals
+        m.attempts += attempts
+        m.deliveries += deliveries
+        m.latency_sum_delivered += latency
+        m.n_samples += samples
+        m.sample_sum += spacing
+        m.sample_sumsq += spacing_sq
+        m.sum_spacing_wait += spacing_wait
+        m.aoi_sum += age
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,9 @@ the whole queue per latency UE); whenever that pool is nonempty its
 best-index packet is sent, and only an empty pool lets the throughput tier
 transmit (``rd`` first gives each queued latency UE its probability
 share).  Ties break toward the lowest UE id everywhere, which keeps runs
-reproducible.
+reproducible.  Every policy is the only holder of its undelivered
+packets: ``backlog()`` gives each position's count and sum of their
+arrival slots, for the engine to hand to the metrics at the horizon.
 
 State is indexed by UE *position*: the UE's index in the scenario's UEs
 sorted by ascending id.  In ``HierarchicalPolicy`` ``update_index`` takes
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import kernel
 from .cmu import CmuPolicy
-from .metrics import UeMetrics
+from .metrics import UeMetrics, add_sums
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
 
@@ -64,7 +66,8 @@ class _TwoTier:
       retained packet ``s_packet``.
     * The index ``W`` of every ``pool`` member, and the cached pool
       argmax (largest index, lowest position on ties).
-    * The latency ``queues`` (``None`` for other classes).
+    * The latency ``queues``: the arrival slots of each latency UE's
+      undelivered packets, newest last (``None`` for other classes).
     * The throughput tier: argmax of ``alpha*t/p - attempts``.  UEs that
       share ``(alpha, p)`` share ``alpha*t/p``, and below 2**52 distinct
       attempt counts never round to the same index, so within such a
@@ -156,9 +159,11 @@ class _TwoTier:
         assert top == i, "only the throughput argmax is ever attempted"
         heapreplace(heap, (n + 1, i))
 
-    def pending_aoi_packets(self) -> dict[int, int]:
-        """Arrival slot of each retained AoI packet, by position."""
-        return {i: g for i, g in enumerate(self.s_packet) if g is not None}
+    def backlog(self) -> list[tuple[int, int]]:
+        """Each position's count and sum of arrival slots of undelivered
+        packets: a latency UE's queue, an AoI UE's retained packet."""
+        return [(len(queue), sum(queue)) if queue is not None else (0, 0) if g is None else (1, g)
+                for queue, g in zip(self.queues, self.s_packet)]
 
 
 class HierarchicalPolicy(_TwoTier):
@@ -254,14 +259,6 @@ UE_STATE = np.dtype([("stack", np.uintp)]
                     + [(name, np.float64) for name in ("p", "weight", "index")])
 
 
-def _grown(buffer: np.ndarray, need: int, keep: int) -> np.ndarray:
-    """Storage of the least power of two >= ``need`` elements (so at least
-    twice ``buffer``'s, a power of two too), starting with ``buffer[:keep]``."""
-    grown = np.empty(1 << (need - 1).bit_length(), np.int64)
-    grown[:keep] = buffer[:keep]
-    return grown
-
-
 class RandomizedPolicy:
     """Two-tier selection for AoI/throughput plus randomised latency
     service, served a block of slots at a time.
@@ -311,24 +308,21 @@ class RandomizedPolicy:
             for i in members:
                 ue["weight"][i] = ues[i].alpha
         self.ue = ue
-        # each AoI and latency UE's arrival slots in the block, in
-        # arrived[i][0:end[i]] of cap[i] elements (head stays 0: cmu_enqueue's
-        # compaction never runs), then all of them in slot order in ``_list``,
-        # served up to ``_cursor``; a latency UE's stack, with room for the
-        # block's arrivals
+        # each AoI and latency UE's arrival slots in the block, queue i of
+        # ``store`` (its head stays 0, so cmu_enqueue never compacts it),
+        # then all of them in slot order in ``_list``, served up to
+        # ``_cursor``; a latency UE's stack, with room for the block's arrivals
         self._arriving = sorted(aoi + lat)
         self._q = [ues[i].q for i in self._arriving]
         self._lat = lat
-        self.arrived = [np.empty(0, np.int64)] * n
+        self.store = kernel.QueueStore(n)
         self.stacks = [np.empty(0, np.int64)] * n
-        self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
-        self._at = np.zeros(n, np.uintp)
         self._list = np.empty(0, np.int64)
         self._cursor = np.zeros(1, np.int64)
         # each position's last delivered arrival slot (-1: none since the
         # run or the warm-up began), and its sums over the last segment
         self.g_prev = ue["g_prev"]
-        self.sums = np.zeros((n, 9), np.int64)
+        self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         # AoI, latency, then each throughput group's members, ascending,
         # and where each group starts among the throughput ones
         thr = list(groups.values())
@@ -336,9 +330,8 @@ class RandomizedPolicy:
         self._groups = np.array([0, *accumulate(len(m) for m in thr)], np.int64)
         # the kernels' buffers, by address: the arrival list's comes last in
         # both lists, to be replaced as the list grows
-        at, _, _, end = self._enqueue_args = [
-            x.ctypes.data for x in (self._at, self.cap, self.head, self.end)]
         members, arrivals = self._members.ctypes.data, self._list.ctypes.data
+        at, end = self.store.at.ctypes.data, self.store.end.ctypes.data
         self._list_args = [len(self._arriving), members, at, end, arrivals]
         self._serve_args = [len(aoi), len(lat), len(thr), members, *[x.ctypes.data for x in (
             self._groups, self._cursor, ue, self.sums)], arrivals]
@@ -347,32 +340,23 @@ class RandomizedPolicy:
         """List a block's arrivals, drawing each stream's in turn into
         ``u``: the k-th AoI or latency position (ascending) has an arrival
         in slot start + j, for j < len(u), iff draw j of ``gens[k]`` is
-        below its q (slot 0 has none).  ``kernel.cmu_enqueue`` turns each
-        stream's uniforms into arrival slots, and ``kernel.rd_list`` sorts
-        them all by slot, counting in ``u`` once its uniforms are spent."""
-        if u.dtype != np.float64 or not u.flags.c_contiguous:
-            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
-        n, at = len(u), u.ctypes.data
-        self.end.fill(0)
-        for i, gen, q in zip(self._arriving, gens, self._q):
-            gen.random(out=u)
-            need = kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
-            if need:
-                grown = _grown(self.arrived[i], need, 0)
-                self.arrived[i], self._at[i], self.cap[i] = grown, grown.ctypes.data, len(grown)
-                kernel.cmu_enqueue(at, n, q, start, i, *self._enqueue_args)
-        need = int(self.end.sum()) + 1
+        below its q (slot 0 has none).  ``store`` turns each stream's
+        uniforms into arrival slots, and ``kernel.rd_list`` sorts them all
+        by slot, counting in ``u`` once its uniforms are spent."""
+        self.store.end.fill(0)
+        self.store.enqueue(start, u, zip(self._arriving, gens, self._q))
+        need = int(self.store.end.sum()) + 1
         if need > len(self._list):
-            self._list = _grown(self._list, need, 0)
+            self._list = kernel.grown(self._list, need)
             self._list_args[-1] = self._serve_args[-1] = self._list.ctypes.data
-        kernel.rd_list(start, n, *self._list_args, at)
+        kernel.rd_list(start, len(u), *self._list_args, u.ctypes.data)
         self._cursor[0] = 0
         depth, stack_at = self.ue["depth"].tolist(), self.ue["stack"]
         for i in self._lat:
-            need = depth[i] + int(self.end[i])
+            need = depth[i] + int(self.store.end[i])
             if need > len(self.stacks[i]):
-                self.stacks[i] = grown = _grown(self.stacks[i], need, depth[i])
-                stack_at[i] = grown.ctypes.data
+                self.stacks[i] = stack = kernel.grown(self.stacks[i], need, 0, depth[i])
+                stack_at[i] = stack.ctypes.data
 
     def select(self, a: int, b: int, u: np.ndarray, draws: np.ndarray) -> None:
         """Serve slots [a, b), whose success uniforms are ``u`` and policy
@@ -385,29 +369,12 @@ class RandomizedPolicy:
         kernel.rd_serve(a, b - a, u.ctypes.data, draws.ctypes.data, *self._serve_args)
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums over the last segment to its metrics:
-        the integers ``UeMetrics.on_delivery`` adds, so floats round alike,
-        and for AoI UEs the age of the segment's slots."""
-        for m, (arrivals, attempts, n, latency, samples, spacing, spacing_sq, spacing_wait,
-                age) in zip(metrics, self.sums.tolist()):
-            m.arrivals += arrivals
-            m.attempts += attempts
-            m.deliveries += n
-            m.latency_sum_delivered += latency
-            m.n_samples += samples
-            m.sample_sum += spacing
-            m.sample_sumsq += spacing_sq
-            m.sum_spacing_wait += spacing_wait
-            m.aoi_sum += age
+        """Add each position's sums over the last segment to its metrics."""
+        add_sums(metrics, self.sums.tolist())
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each position's count and sum of arrival slots of undelivered
         packets: a latency UE's queue, an AoI UE's retained packet."""
-        out = []
-        for stack, depth, packet in zip(self.stacks, self.ue["depth"].tolist(),
-                                        self.ue["packet"].tolist()):
-            if depth:
-                out.append((depth, int(stack[:depth].sum())))
-            else:
-                out.append((1, packet) if packet >= 0 else (0, 0))
-        return out
+        depth, packet = self.ue["depth"].tolist(), self.ue["packet"].tolist()
+        return [(d, int(stack[:d].sum())) if d else (1, g) if g >= 0 else (0, 0)
+                for stack, d, g in zip(self.stacks, depth, packet)]

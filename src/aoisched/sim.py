@@ -23,8 +23,9 @@ hook on successes and throughput attempts.  The per-UE statistics are not
 updated slot by slot: each block's arrivals and logged deliveries are
 folded once per block, and at the warm-up boundary, in slot order (see
 ``metrics.UeMetrics``); a weight step reads the folded totals plus the
-events logged since.  Age only changes course at an AoI delivery, so it is
-summed in closed form between deliveries.
+events logged since, and the latency queues from the policy.  Age only
+changes course at an AoI delivery, so it is summed in closed form between
+deliveries.
 
 ``rd`` and ``cmu`` run in compiled code in the same per-slot order, so they
 read the same draws and give the same report as a slot-by-slot run (see
@@ -34,8 +35,11 @@ turned into arrival slots (under ``rd``, then merged into one list in slot
 order); then its success uniforms, and ``rd``'s policy uniforms into a
 second buffer, are served a segment at a time.  The kernels count each
 UE's arrivals and sum its deliveries (and, under ``rd``, its age)
-themselves, and their queues and retained packets hold the backlog, so no
+themselves, a row per UE that ``metrics.add_sums`` adds, so no
 ``UeMetrics`` fold runs.
+
+Under every policy the queues and retained packets hold the backlog: after
+either loop the engine hands the policy's ``backlog()`` to the metrics.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -187,8 +191,6 @@ def run(config: RunConfig) -> RunReport:
                     for m in metrics:
                         m.reset_window()
                     policy.g_prev.fill(-1)  # no spacing sample spans the boundary
-        for m, (count, g_sum) in zip(metrics, policy.backlog()):  # the queues hold it
-            m.pending_count, m.pending_g_sum = count, g_sum
     else:
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
@@ -201,7 +203,8 @@ def run(config: RunConfig) -> RunReport:
                 next(arrivals), next(success_u)
             for a, b in _segments(max(start, 1), start + n, every, warm_end):
                 if every and a % every == 0:
-                    policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
+                    policy.update_virtual_weights(
+                        {i: metrics[i].latency_now(a, policy.queues[i]) for i in lat_pos})
                 for t, arrived, u in zip(range(a, b), arrivals, success_u):
                     if arrived is not None:
                         update_index(t, arrived)
@@ -227,12 +230,10 @@ def run(config: RunConfig) -> RunReport:
         for m in aoi_ms:
             m.accrue_age(horizon)
 
+    for m, (count, g_sum) in zip(metrics, policy.backlog()):  # the policy holds it
+        m.pending_count, m.pending_g_sum = count, g_sum
     effective = horizon - config.warmup
-    retained = {} if by_segment else policy.pending_aoi_packets()
-    per_ue = {}
-    for i, u in enumerate(ues):
-        extra = (retained[i],) if i in retained else ()
-        per_ue[u.id] = metrics[i].finalize(effective, extra_pending=extra)
+    per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
 
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {u.id: res for u in scenario.aoi_ues

@@ -5,7 +5,8 @@ rule in its plain per-slot form, as the engine ran it before, so tests can
 compare the two: ``SlotCmuPolicy`` holds one deque per latency UE, and
 ``run_slots`` draws the same streams as ``sim.run`` (one arrival stream
 per UE, the success stream; no policy stream) and walks every slot,
-folding each arrival and delivery into ``UeMetrics`` as it happens.
+folding each arrival and delivery into ``UeMetrics`` as it happens and
+handing it the backlog of its own queues at the end.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def run_slots(config: RunConfig) -> RunReport:
             for m in metrics:
                 m.reset_window()
 
+    for m, queue in zip(metrics, policy.queues):
+        m.pending_count, m.pending_g_sum = len(queue), sum(queue)
     effective = horizon - warmup
     per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)

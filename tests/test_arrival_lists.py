@@ -7,8 +7,10 @@ through whole runs.  Here it must list exactly ``np.flatnonzero(u < q)``
 ``q``, at ``q`` = 0 and 1, on either side of 1/32 (where it switches from
 appending every pair to skipping runs of eight without an arrival), for
 lengths that are not a multiple of eight, and through the grow-and-retry
-protocol.  ``kernel.rd_list`` merges the streams' lists into one, slot by
-slot, in stream order within a slot.
+protocol, which ``kernel.QueueStore`` runs with ``kernel.grown``'s rule
+for ``cmu``'s queues and ``rd``'s arrival lists alike.  ``kernel.rd_list``
+merges the streams' lists into one, slot by slot, in stream order within a
+slot.
 """
 
 import numpy as np
@@ -108,3 +110,38 @@ def test_rd_list_orders_arrivals_by_slot_then_stream(start, n, data):
     want = sorted((t, k) for k, slots in enumerate(streams) for t in slots)
     assert arrivals[:total].tolist() == [t * ns + k for t, k in want]
     assert arrivals[total] == np.iinfo(np.int64).max and arrivals[total + 1] == -1
+
+
+class Draws:
+    """Stands in for an arrival generator whose next draws are ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[:] = self.u
+        return out
+
+
+def test_store_grows_a_queue_whose_head_sits_at_the_midpoint():
+    # head 4 of 8: 2 * head == cap, so cmu_enqueue does not compact; the
+    # four live packets and the block's one arrival need 5 <= 8 elements
+    # but do not fit after the head, so the queue moves to storage twice as
+    # large, packets first, and keeps every packet
+    store = kernel.QueueStore(1)
+    store.queues[0] = queue = np.array([-1, -1, -1, -1, 5, 6, 7, 8], np.int64)
+    store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 8, 4, 8
+    store.enqueue(100, np.empty(4), [(0, Draws([1.0, 1.0, 0.0, 1.0]), 0.5)])
+    assert store.cap.tolist() == [16] and len(store.queues[0]) == 16
+    assert store.at[0] == store.queues[0].ctypes.data
+    assert (store.head[0], store.end[0]) == (0, 5)
+    assert store.queues[0][:5].tolist() == [5, 6, 7, 8, 102]
+
+
+@pytest.mark.parametrize("cap, need, size", [(0, 1, 1), (0, 5, 8), (8, 5, 16), (8, 9, 16),
+                                             (8, 17, 32), (16, 16, 32)])
+def test_growth_is_the_least_power_of_two_at_least_need_and_twice_the_storage(cap, need, size):
+    buffer = np.arange(cap, dtype=np.int64)
+    grown = kernel.grown(buffer, need, cap // 2, cap)
+    assert len(grown) == size
+    assert grown[:cap - cap // 2].tolist() == buffer[cap // 2:].tolist()

@@ -72,3 +72,9 @@ def test_import_graph_has_no_cycle():
 
     for module in MODULES:
         walk(module, [])
+
+
+def test_metrics_imports_only_the_model():
+    # the statistics never reach packets or kernels: the policies hold the
+    # backlog and hand it over, so metrics needs nothing but the model
+    assert GRAPH["metrics"][0] == {"model"}

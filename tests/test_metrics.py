@@ -126,18 +126,13 @@ class OneByOne:
 
     def __init__(self, cls):
         self.is_aoi = cls is UeClass.AOI
-        self.track_pending = cls is UeClass.LATENCY
         self.lam = self.aoi_sum = self.aged = 0
-        self.arrivals = self.deliveries = self.latency_sum_delivered = 0
-        self.pending_count = self.pending_g_sum = self.n_samples = 0
+        self.arrivals = self.deliveries = self.latency_sum_delivered = self.n_samples = 0
         self.sample_sum = self.sample_sumsq = self.sum_spacing_wait = 0.0
         self.g_prev = None
 
     def on_arrival(self, t):
         self.arrivals += 1
-        if self.track_pending:
-            self.pending_count += 1
-            self.pending_g_sum += t
 
     def accrue_age(self, t):
         for s in range(self.aged + 1, t + 1):
@@ -149,9 +144,6 @@ class OneByOne:
             self.accrue_age(t)
         self.deliveries += 1
         self.latency_sum_delivered += t - g + 1
-        if self.track_pending:
-            self.pending_count -= 1
-            self.pending_g_sum -= g
         self.lam = max(self.lam, g)
         if self.g_prev is not None:
             d = g - self.g_prev
@@ -162,10 +154,10 @@ class OneByOne:
                 self.sum_spacing_wait += d * (t - g)
         self.g_prev = g
 
-    def latency_now(self, t):
+    def latency_now(self, t, pending):
         if self.arrivals == 0:
             return None
-        backlog = self.pending_count * (t + 1) - self.pending_g_sum
+        backlog = sum(t + 1 - g for g in pending)
         return (self.latency_sum_delivered + backlog) / self.arrivals
 
     def reset_window(self):
@@ -176,8 +168,7 @@ class OneByOne:
 
 
 FOLDED = ("aoi_sum", "lam", "aged", "g_prev", "sample_sum", "sample_sumsq",
-          "sum_spacing_wait", "arrivals", "deliveries", "latency_sum_delivered",
-          "pending_count", "pending_g_sum", "n_samples")
+          "sum_spacing_wait", "arrivals", "deliveries", "latency_sum_delivered", "n_samples")
 
 
 @settings(max_examples=300, deadline=None)
@@ -209,16 +200,21 @@ def test_batch_folds_equal_one_event_at_a_time(cls, slots, cuts, warm_end):
     ends = sorted({c for c in cuts if c <= horizon} | {horizon + 1})
 
     def drive(m, log):
-        latencies, start = [], 1
+        # the queue a policy would hold: the packets arrived, not yet delivered
+        latencies, start, pending = [], 1, []
         for end in ends:
             if log:
                 m.log_arrivals(np.array([t for t, a, _ in events[start - 1:end - 1] if a],
                                         dtype=np.int64))
             for t, arrived, g in events[start - 1:end - 1]:
                 if slots[t - 1][3]:
-                    latencies.append(m.latency_now(t))
+                    latencies.append(m.latency_now(t, pending))
+                if arrived:
+                    pending.append(t)
                 if arrived and not log:
                     m.on_arrival([t] if isinstance(m, UeMetrics) else t)
+                if g is not None and g in pending:
+                    pending.remove(g)
                 if g is not None:
                     if log:
                         m.dg.append(g)
@@ -299,6 +295,7 @@ def test_finalize_backlog_counts_as_delivered_at_horizon():
     m = make(UeClass.LATENCY)
     m.on_arrival([4, 8])
     m.on_delivery(g=[4], t=[5])      # latency 2
+    m.pending_count, m.pending_g_sum = 1, 8   # the policy's backlog, as sim.run sets it
     stats = m.finalize(10)
     # pending packet from slot 8 counts as delivered in slot 10: latency 3
     assert stats.avg_latency == pytest.approx((2 + 3) / 2)
@@ -308,13 +305,14 @@ def test_backlog_zero_when_queue_empty():
     m = make(UeClass.LATENCY)
     m.on_arrival([4])
     m.on_delivery(g=[4], t=[5])
+    m.pending_count, m.pending_g_sum = 0, 0   # an empty queue, as sim.run sets it
     assert m.backlog_age_sum(9) == 0
-    with_backlog = m.latency_now(9)
+    with_backlog = m.latency_now(9, [])
     m2 = make(UeClass.LATENCY)
     m2.on_arrival([4])
     m2.on_delivery(g=[4], t=[5])
     m2.on_arrival([7])
-    assert m2.latency_now(9) >= with_backlog  # backlog can only raise it
+    assert m2.latency_now(9, [7]) >= with_backlog  # backlog can only raise it
 
 
 def test_finalize_extra_pending_for_retained_packet():
@@ -322,7 +320,8 @@ def test_finalize_extra_pending_for_retained_packet():
     m.on_arrival([2])
     m.on_delivery(g=[2], t=[2])
     m.on_arrival([6])
-    stats = m.finalize(9, extra_pending=(6,))
+    m.pending_count, m.pending_g_sum = 1, 6   # the retained packet, as sim.run sets it
+    stats = m.finalize(9)
     # delivered latency 1 plus retained packet counted to the horizon (4)
     assert stats.avg_latency == pytest.approx((1 + 4) / 2)
 

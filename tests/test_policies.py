@@ -121,6 +121,18 @@ def test_counter_bump_timing_follows_a_not_retained_packet():
     assert p.a[AOI] == 6
 
 
+def test_hier_backlog_is_its_queues_and_retained_packets():
+    # a latency queue reports (count, slot sum), a retained aoi packet (1, g)
+    p = hier()
+    assert p.backlog() == [(0, 0), (0, 0), (0, 0)]
+    for t in (2, 3, 5):
+        p.update_index(t, [AOI, LAT])  # the first bump, at slot 3, retains
+    assert p.backlog() == [(1, 5), (3, 2 + 3 + 5), (0, 0)]
+    p.on_outcome(p.select(5), success=True, t=5)  # the newest latency packet
+    p.on_outcome((AOI, 5), success=True, t=6)
+    assert p.backlog() == [(0, 0), (2, 2 + 3), (0, 0)]
+
+
 # -- selection ----------------------------------------------------------------
 
 def test_argmax_selects_highest_index():
@@ -449,7 +461,7 @@ def test_cmu_work_conserving_fifo():
     assert (lat.n_samples, lat.sample_sum, lat.sample_sumsq) == (1, 1.0, 1.0)
     assert p.backlog() == [(0, 0), (0, 0)]
     p.select(5, 6, np.zeros(1))                                 # both queues empty
-    assert p.sums.tolist() == [[0] * 7, [0] * 7]
+    assert p.sums.tolist() == [[0] * 9, [0] * 9]
 
 
 def test_cmu_queues_grow_and_compact_across_blocks():
@@ -464,9 +476,9 @@ def test_cmu_queues_grow_and_compact_across_blocks():
         p.update_index(start, np.empty(8), [Arrivals(start, *slots), Arrivals(start, *slots)])
         p.select(slots[0], start + 8, np.zeros(len(slots)))
         p.on_outcome(metrics)
-        caps.append(p.cap.tolist())
-        heads.append(int(p.head[0]))
-        storage.append(p.queues[0])
+        caps.append(p.store.cap.tolist())
+        heads.append(int(p.store.head[0]))
+        storage.append(p.store.queues[0])
     assert caps == [[8, 8], [8, 16], [8, 32], [8, 32], [8, 64], [8, 64]]
     assert heads == [7, 8, 8, 8, 8, 8]
     assert all(queue is storage[0] for queue in storage)

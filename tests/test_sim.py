@@ -356,10 +356,11 @@ def test_cmu_queue_writes_stay_linear_in_the_arrivals(monkeypatch):
     written = []
 
     def counted(self, *args, _method=CmuPolicy.update_index):
-        before = [(queue, h, e) for queue, h, e in zip(self.queues, self.head, self.end)]
+        store = self.store
+        before = [(queue, h, e) for queue, h, e in zip(store.queues, store.head, store.end)]
         _method(self, *args)
-        for (queue, h, e), queue_now, h_now, e_now in zip(before, self.queues, self.head,
-                                                         self.end):
+        for (queue, h, e), queue_now, h_now, e_now in zip(before, store.queues, store.head,
+                                                         store.end):
             moved = queue_now is not queue or h_now != h
             written.append(int(e_now if moved else e_now - e))
     monkeypatch.setattr(CmuPolicy, "update_index", counted)

@@ -169,7 +169,8 @@ def run_blocks(config: RunConfig) -> RunReport:
         policy_u = policy_gen.random(n).tolist() if randomized else None
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
             if every and a % every == 0:
-                policy.update_virtual_weights({i: metrics[i].latency_now(a) for i in lat_pos})
+                policy.update_virtual_weights(
+                    {i: metrics[i].latency_now(a, policy.queues[i]) for i in lat_pos})
             lo, hi = a - start, b - start
             draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
             for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
@@ -199,10 +200,10 @@ def run_blocks(config: RunConfig) -> RunReport:
         if m.is_aoi:
             m.accrue_age(horizon)
 
+    for m, (count, g_sum) in zip(metrics, policy.backlog()):
+        m.pending_count, m.pending_g_sum = count, g_sum
     effective = horizon - warm_end
-    retained = policy.pending_aoi_packets()
-    per_ue = {u.id: m.finalize(effective, extra_pending=(retained[i],) if i in retained else ())
-              for i, (u, m) in enumerate(zip(ues, metrics))}
+    per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {}
     for u in scenario.aoi_ues:
