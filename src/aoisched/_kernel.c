@@ -124,7 +124,7 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
     return lo;
 }
 
-/* Serve slots [a, a + n) under the weighted-rate rule (see cmu.CmuPolicy).
+/* Serve slots [a, a + n) under the weighted-rate rule (see policies.CmuPolicy).
 
    The queues are laid out as for cmu_enqueue: queue j's undelivered
    packets, of which one whose slot is after t has not yet arrived in slot

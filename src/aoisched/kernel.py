@@ -10,9 +10,9 @@ into place, so processes importing at once never load a partial library.
 There is no pure-Python fallback: without a working compiler, importing
 this module raises ``ImportError``.
 
-``QueueStore`` holds the queues of arrival slots that ``cmu_enqueue``
-appends to, and ``grown`` is the one growth rule of every buffer the
-kernels write.
+``QueueStore``, every policy's arrival lister, holds the queues of
+arrival slots that ``cmu_enqueue`` appends to, and ``grown`` is the one
+growth rule of every buffer the kernels write.
 """
 
 from __future__ import annotations

@@ -31,12 +31,14 @@ class UeMetrics:
 
     Events are folded in batches, not one at a time.  The engine hands
     over each block's arrival slots (``log_arrivals``) and appends each
-    delivery to the ``dg``/``dt`` buffers; ``fold`` folds the batch, once
-    per block and at the warm-up boundary.  An ``rd`` or ``cmu`` run uses
-    none of these: its policy sums each segment, arrivals included, and
-    ``add_sums`` adds its rows.  No backlog is tracked here: the policy
-    holds the undelivered packets, and the engine sets ``pending_count``
-    and ``pending_g_sum`` from its ``backlog()`` at the horizon.  Every
+    delivery to the ``dg``/``dt`` buffers; ``fold(end)`` folds the batch,
+    once per block and at the warm-up boundary, and sums an AoI UE's age
+    through slot end - 1.  ``latency_now`` only reads: it counts the
+    arrivals logged before its slot without folding them.  An ``rd`` or
+    ``cmu`` run uses none of these: its policy sums each segment, arrivals
+    and age included, and ``add_sums`` adds its rows.  No backlog is
+    tracked here: the policy holds the undelivered packets, and
+    ``finalize`` takes their count and sum of arrival slots.  Every
     statistic is a sum of integers, exact in int64 and, as a float, below
     2**53 for horizons up to about 9 * 10**7 slots, so a batch fold gives
     the same bits as folding the events one by one.
@@ -45,10 +47,10 @@ class UeMetrics:
     __slots__ = (
         "ue_id", "cls", "is_aoi",
         "lam", "aoi_sum", "aged", "arrivals", "deliveries", "attempts",
-        "latency_sum_delivered", "pending_count", "pending_g_sum",
+        "latency_sum_delivered",
         "n_samples", "sample_sum", "sample_sumsq", "g_prev",
         "sum_spacing_wait",
-        "arrived", "dg", "dt", "_seen", "_tail_t", "_tail_g",
+        "arrived", "dg", "dt", "_counted", "_seen", "_tail_t", "_tail_g",
     )
 
     def __init__(self, ue_id: int, cls: UeClass):
@@ -62,8 +64,6 @@ class UeMetrics:
         self.deliveries = 0
         self.attempts = 0
         self.latency_sum_delivered = 0
-        self.pending_count = 0  # undelivered packets at the horizon
-        self.pending_g_sum = 0  # and the sum of their arrival slots
         self.n_samples = 0
         self.sample_sum = 0.0
         self.sample_sumsq = 0.0
@@ -72,29 +72,30 @@ class UeMetrics:
         self.arrived = ()  # arrival slots not yet folded, ascending
         self.dg = array("q")  # arrival slot of each delivered packet not yet folded
         self.dt = array("q")  # and its delivery slot
-        # deliveries latency_now has read since the last fold: count, sum of
-        # delivery slots, sum of arrival slots
-        self._seen = self._tail_t = self._tail_g = 0
+        # what latency_now has read since the last fold: the logged arrivals
+        # it counted, then the deliveries' count, sum of delivery slots and
+        # sum of arrival slots
+        self._counted = self._seen = self._tail_t = self._tail_g = 0
 
     def log_arrivals(self, slots) -> None:
         """Take a block's arrival slots (an ascending int64 buffer), to be
-        folded by ``fold`` or ``latency_now``."""
+        folded by ``fold`` and counted by ``latency_now``."""
         self.arrived = memoryview(slots) if len(slots) else ()
 
     def fold(self, end: int) -> None:
-        """Fold the logged arrivals before slot ``end`` and every logged delivery."""
-        self._fold_arrivals(end)
-        if self.dt:
-            self.on_delivery(np.frombuffer(self.dg, np.int64), np.frombuffer(self.dt, np.int64))
-            del self.dg[:], self.dt[:]
-        self._seen = self._tail_t = self._tail_g = 0
-
-    def _fold_arrivals(self, end: int) -> None:
+        """Fold the logged arrivals before slot ``end`` and every logged
+        delivery, and, for an AoI UE, sum the age through slot end - 1."""
         arrived = self.arrived
         if arrived and arrived[0] < end:
             k = bisect_left(arrived, end)
             self.on_arrival(arrived[:k])
             self.arrived = arrived[k:] if k < len(arrived) else ()
+        if self.dt:
+            self.on_delivery(np.frombuffer(self.dg, np.int64), np.frombuffer(self.dt, np.int64))
+            del self.dg[:], self.dt[:]
+        self._counted = self._seen = self._tail_t = self._tail_g = 0
+        if self.is_aoi:
+            self.accrue_age(end - 1)
 
     def on_arrival(self, slots: Sequence[int]) -> None:
         """Fold a batch of arrivals, given their arrival slots."""
@@ -151,23 +152,21 @@ class UeMetrics:
             self.sum_spacing_wait += int(d @ wait)
         self.g_prev = g_last
 
-    def backlog_age_sum(self, t: int) -> int:
-        """Total latency the pending packets would log at time t."""
-        return self.pending_count * (t + 1) - self.pending_g_sum
-
     def latency_now(self, t: int, pending: Sequence[int]) -> float | None:
         """Running average latency at slot t, the packets still queued
         (``pending``, their arrival slots) counted as delivered in slot t.
 
-        Folds the arrivals before t, then adds the deliveries logged since
-        the last fold; those already read by an earlier call are kept as
-        running sums, so each call costs plain-Python work in the number of
-        new events and queued packets.
+        Counts the logged arrivals before t and adds the deliveries logged
+        since the last fold, without folding either.  What an earlier call
+        read (t does not fall between folds) is kept as running sums, so
+        each call costs plain-Python work in the number of new events and
+        queued packets.
         """
-        arrived = self.arrived
-        if arrived and arrived[0] < t:
-            self._fold_arrivals(t)
-        if self.arrivals == 0:
+        arrived, k = self.arrived, self._counted
+        if k < len(arrived) and arrived[k] < t:
+            k = self._counted = bisect_left(arrived, t, k)
+        arrivals = self.arrivals + k
+        if arrivals == 0:
             return None
         seen, n = self._seen, len(self.dt)
         if seen < n:
@@ -176,11 +175,11 @@ class UeMetrics:
             self._seen = n
         latency = (self.latency_sum_delivered + self._tail_t - self._tail_g + n
                    + len(pending) * (t + 1) - sum(pending))
-        return latency / self.arrivals
+        return latency / arrivals
 
     def reset_window(self) -> None:
-        """Drop accumulated sums (warm-up): pending backlog, lam and the
-        aged-through slot survive, so accrue age up to the boundary first."""
+        """Drop accumulated sums (warm-up): lam and the aged-through slot
+        survive, so fold up to the boundary first."""
         self.aoi_sum = 0
         self.arrivals = 0
         self.deliveries = 0
@@ -192,10 +191,12 @@ class UeMetrics:
         self.g_prev = None
         self.sum_spacing_wait = 0.0
 
-    def finalize(self, t: int) -> "PerUeStats":
-        """Close the books at horizon t, the pending packets counted as
+    def finalize(self, t: int, pending: tuple[int, int]) -> "PerUeStats":
+        """Close the books at horizon t.  ``pending`` is the count and sum of
+        arrival slots of the packets the policy still holds, which count as
         delivered in slot t."""
-        backlog = self.backlog_age_sum(t)
+        count, g_sum = pending
+        backlog = count * (t + 1) - g_sum
         arrivals = self.arrivals
         avg_aoi = self.aoi_sum / t if self.is_aoi else None
         if self.cls is UeClass.THROUGHPUT:

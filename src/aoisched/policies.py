@@ -3,18 +3,18 @@
 ``hier`` and ``vw`` (``HierarchicalPolicy``) share a per-slot shape: an
 index update fed with the slot's arrivals, a selection step returning at
 most one transmission, and an outcome hook.  The randomised policy
-(``RandomizedPolicy``, ``rd``) and the weighted-rate rule (``CmuPolicy``,
-defined in ``cmu`` and imported here with the others) have the same three
-steps, each over a block or a segment of slots, and serve in compiled code
-(``kernel``).  The two-tier policies keep a pool of retained
-high-priority packets (at most one per AoI UE; under ``hier``/``vw`` also
-the whole queue per latency UE); whenever that pool is nonempty its
-best-index packet is sent, and only an empty pool lets the throughput tier
-transmit (``rd`` first gives each queued latency UE its probability
-share).  Ties break toward the lowest UE id everywhere, which keeps runs
-reproducible.  Every policy is the only holder of its undelivered
-packets: ``backlog()`` gives each position's count and sum of their
-arrival slots, for the engine to hand to the metrics at the horizon.
+(``RandomizedPolicy``, ``rd``) and the weighted-rate rule (``CmuPolicy``)
+have the same three steps, each over a block or a segment of slots, and
+serve in compiled code (``kernel``).  The two-tier policies keep a pool of
+retained high-priority packets (at most one per AoI UE; under
+``hier``/``vw`` also the whole queue per latency UE); whenever that pool is
+nonempty its best-index packet is sent, and only an empty pool lets the
+throughput tier transmit (``rd`` first gives each queued latency UE its
+probability share).  Ties break toward the lowest UE id everywhere, which
+keeps runs reproducible.  Every policy is the only holder of its
+undelivered packets: ``backlog()`` gives each position's count and sum of
+their arrival slots, for the engine to pass to ``UeMetrics.finalize`` at
+the horizon.
 
 State is indexed by UE *position*: the UE's index in the scenario's UEs
 sorted by ascending id.  In ``HierarchicalPolicy`` ``update_index`` takes
@@ -43,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .cmu import CmuPolicy
 from .metrics import UeMetrics, add_sums
 from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
@@ -378,3 +377,69 @@ class RandomizedPolicy:
         depth, packet = self.ue["depth"].tolist(), self.ue["packet"].tolist()
         return [(d, int(stack[:d].sum())) if d else (1, g) if g >= 0 else (0, 0)
                 for stack, d, g in zip(self.stacks, depth, packet)]
+
+
+class CmuPolicy:
+    """Weighted-rate rule over latency UEs only: in every slot, serve the
+    nonempty queue with the largest rho*p/q (ties toward the lower
+    position), oldest packet first, served a block of slots at a time.
+
+    A strict priority over first-in-first-out queues needs no per-slot
+    call.  ``update_index`` draws and enqueues a block's arrivals, one
+    compiled call per queue (``kernel.QueueStore.enqueue``), ``select``
+    serves slots [a, b) in one compiled pass (``kernel.cmu_serve``) and
+    ``on_outcome`` adds each queue's sums over them, its arrivals included,
+    to its UE's metrics.  A queue's storage grows by doubling and is
+    compacted in place whenever its head has passed the midpoint, so
+    enqueueing a block costs its arrivals, not the backlog.
+    """
+
+    name = "cmu"
+    needs_draw = False
+
+    def __init__(self, scenario: Scenario):
+        lat = scenario.latency_ues
+        if len(lat) != len(scenario.ues):
+            raise ScenarioError("weighted-rate rule runs on latency-only scenarios")
+        if scenario.variant is not Variant.LATENCY_WEIGHTED:
+            raise ScenarioError("weighted-rate rule needs latency weights (rho)")
+        ues = sorted(lat, key=lambda u: u.id)
+        n = len(ues)
+        self.q = [u.q for u in ues]
+        self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
+        # the arrival slots of each queue's undelivered packets, of which
+        # those after the segment being served have not arrived yet
+        self.store = kernel.QueueStore(n)
+        # each queue's last delivered arrival slot (-1: none since the run or
+        # the warm-up began), and its sums over the last segment served
+        self.g_prev = np.full(n, -1, np.int64)
+        self.sums = np.zeros((n, kernel.NSUMS), np.int64)
+        # the kernel's arguments after the block's, passed by address
+        store = self.store
+        self._buffers = (np.array(self.order, np.int64), np.array([u.p for u in ues]),
+                         store.head, store.end, self.g_prev, self.sums, np.zeros(n, np.int64))
+        self._serve_args = [x.ctypes.data for x in (store.at, *self._buffers)]
+
+    def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
+        """Enqueue a block's arrivals, drawing each stream's in turn into
+        ``u``: position i has an arrival in slot start + k, for k < len(u),
+        iff draw k of ``gens[i]`` is below its q (slot 0 has none)."""
+        self.store.enqueue(start, u, zip(range(len(self.q)), gens, self.q))
+
+    def select(self, a: int, b: int, u: np.ndarray) -> None:
+        """Serve slots [a, b), whose success uniforms are ``u``, leaving
+        each position's sums over them in its row of ``sums``."""
+        u = np.ascontiguousarray(u, np.float64)
+        if u.shape != (b - a,):
+            raise ValueError(f"slots [{a}, {b}) need {b - a} success uniforms, got {u.shape}")
+        kernel.cmu_serve(a, b - a, u.ctypes.data, len(self.order), *self._serve_args)
+
+    def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
+        """Add each position's sums over the last segment to its metrics."""
+        add_sums(metrics, self.sums.tolist())
+
+    def backlog(self) -> list[tuple[int, int]]:
+        """Each queue's count and sum of arrival slots of undelivered packets."""
+        store = self.store
+        return [(e - h, int(queue[h:e].sum()))
+                for queue, h, e in zip(store.queues, store.head.tolist(), store.end.tolist())]

@@ -14,6 +14,10 @@ Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
 the horizon.  Each block is cut into segments at weight steps and at the
 warm-up's last slot.
 
+Under every policy, each block's arrival uniforms are drawn into one
+reused buffer, a stream at a time, and turned into arrival slots by one
+compiled call per stream (``kernel.QueueStore.enqueue``).
+
 ``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
 buffers, read in place: the loop walks a memoryview of the success
 uniforms and a table that points each slot to a tuple of the positions
@@ -21,25 +25,23 @@ arriving there, shared among slots.  The engine calls a policy hook only
 where it has work: the index update on slots with arrivals, the outcome
 hook on successes and throughput attempts.  The per-UE statistics are not
 updated slot by slot: each block's arrivals and logged deliveries are
-folded once per block, and at the warm-up boundary, in slot order (see
-``metrics.UeMetrics``); a weight step reads the folded totals plus the
-events logged since, and the latency queues from the policy.  Age only
-changes course at an AoI delivery, so it is summed in closed form between
-deliveries.
+folded once per block, and at the warm-up boundary, in slot order, and
+each fold closes an AoI UE's age up to its end (see ``metrics.UeMetrics``);
+a weight step reads the folded totals plus the events logged since, and
+the latency queues from the policy.
 
 ``rd`` and ``cmu`` run in compiled code in the same per-slot order, so they
 read the same draws and give the same report as a slot-by-slot run (see
-``policies.RandomizedPolicy`` and ``cmu.CmuPolicy``).  Each block's
-arrival uniforms are drawn into one reused buffer, a stream at a time, and
-turned into arrival slots (under ``rd``, then merged into one list in slot
-order); then its success uniforms, and ``rd``'s policy uniforms into a
-second buffer, are served a segment at a time.  The kernels count each
-UE's arrivals and sum its deliveries (and, under ``rd``, its age)
-themselves, a row per UE that ``metrics.add_sums`` adds, so no
-``UeMetrics`` fold runs.
+``policies.RandomizedPolicy`` and ``policies.CmuPolicy``).  Under ``rd``
+the arrival slots are merged into one list in slot order; then the
+block's success uniforms, and ``rd``'s policy uniforms into a second
+buffer, are served a segment at a time.  The kernels count each UE's
+arrivals and sum its deliveries (and, under ``rd``, its age) themselves,
+a row per UE that ``metrics.add_sums`` adds, so no ``UeMetrics`` fold
+runs.
 
 Under every policy the queues and retained packets hold the backlog: after
-either loop the engine hands the policy's ``backlog()`` to the metrics.
+either loop the engine passes the policy's ``backlog()`` to ``finalize``.
 
 Identical ``RunConfig`` values produce bit-identical reports.
 """
@@ -51,6 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernel
 from .metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
                     Variant, replace_param, validate)
@@ -110,23 +113,19 @@ def build_policy(config: RunConfig):
     return RandomizedPolicy(scenario, thresholds), extras
 
 
-def _arrivals(n: int, start: int, streams) -> list[tuple[int, ...] | None]:
+def _arrivals(n: int, start: int, lists) -> list[tuple[int, ...] | None]:
     """Positions arriving in each of the ``n`` slots from ``start`` on,
-    ascending, or None; slot 0 is left out.  Each stream's arrival slots
-    also go to its UE's metrics, to be folded later.
+    ascending, or None, from each ``(position, arrival slots)`` of
+    ``lists``.
 
     Slots that see the same positions share one tuple, so the block costs
     about a pointer per slot.
     """
     slots: list[tuple[int, ...] | None] = [None] * n
-    for pos, gen, q, m in streams:
-        hit = np.flatnonzero(gen.random(n) < q)
-        if start == 0:
-            hit = hit[hit.searchsorted(1):]
-        m.log_arrivals(hit + start)
+    for pos, hit in lists:
         alone = (pos,)
         grown: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for s in memoryview(hit):
+        for s in memoryview(hit - start):
             at = slots[s]
             slots[s] = alone if at is None else grown.get(at) or grown.setdefault(at, at + alone)
     return slots
@@ -163,10 +162,8 @@ def run(config: RunConfig) -> RunReport:
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
     lat_pos = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
-    aoi_ms = [m for m in metrics if m.is_aoi]
 
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
-    streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
     virtual = config.policy.name == "vw"
     every = config.policy.f if virtual else 0
@@ -192,13 +189,23 @@ def run(config: RunConfig) -> RunReport:
                         m.reset_window()
                     policy.g_prev.fill(-1)  # no spacing sample spans the boundary
     else:
+        # each block's arrival uniforms are drawn into one buffer, a stream at
+        # a time, and listed as queue i of ``store`` (its head stays 0, as
+        # under rd); then its success uniforms, into the same buffer
+        buffer = np.empty(CHUNK)
+        store = kernel.QueueStore(len(ues))
+        streams = [(i, gen, ues[i].q) for i, gen in zip(arriving, arrival_gens)]
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
-            arrivals = success_u = None  # free the last block first
+            store.end.fill(0)
+            store.enqueue(start, buffer[:n], streams)
+            lists = [(i, store.queues[i][:store.end[i]]) for i in arriving]
+            for i, hit in lists:
+                metrics[i].log_arrivals(hit)
             # one pass over the block's buffers: each segment's zip takes the
             # next b - a slots (range comes first, so it stops before the rest)
-            arrivals = iter(_arrivals(n, start, streams))
-            success_u = iter(memoryview(success_gen.random(n)))
+            arrivals = iter(_arrivals(n, start, lists))
+            success_u = iter(memoryview(success_gen.random(out=buffer[:n])))
             if start == 0:
                 next(arrivals), next(success_u)
             for a, b in _segments(max(start, 1), start + n, every, warm_end):
@@ -222,18 +229,13 @@ def run(config: RunConfig) -> RunReport:
                 if b - 1 == warm_end:
                     for m in metrics:
                         m.fold(b)
-                        if m.is_aoi:
-                            m.accrue_age(warm_end)
                         m.reset_window()
             for m in metrics:
                 m.fold(start + n)
-        for m in aoi_ms:
-            m.accrue_age(horizon)
 
-    for m, (count, g_sum) in zip(metrics, policy.backlog()):  # the policy holds it
-        m.pending_count, m.pending_g_sum = count, g_sum
     effective = horizon - config.warmup
-    per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
+    per_ue = {u.id: m.finalize(effective, pending)
+              for u, m, pending in zip(ues, metrics, policy.backlog())}
 
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {u.id: res for u in scenario.aoi_ues
@@ -281,10 +283,6 @@ def check_counts(seed: int = 0, **counts: int) -> None:
             raise ScenarioError(f"{name} must be >= 1, got {value}")
 
 
-def _run_worker(config: RunConfig) -> RunReport:
-    return run(config)
-
-
 def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
           ue_id: int | None = None, jobs: int = 1) -> list[SweepPoint]:
     """Grid x replicates of runs; reports merge in grid order.
@@ -311,7 +309,7 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     workers = min(jobs, len(configs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_worker, configs))
+            reports = list(pool.map(run, configs))
     else:
         reports = [run(cfg) for cfg in configs]
 

@@ -88,10 +88,9 @@ def run_slots(config: RunConfig) -> RunReport:
             for m in metrics:
                 m.reset_window()
 
-    for m, queue in zip(metrics, policy.queues):
-        m.pending_count, m.pending_g_sum = len(queue), sum(queue)
     effective = horizon - warmup
-    per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
+    per_ue = {u.id: m.finalize(effective, (len(queue), sum(queue)))
+              for u, m, queue in zip(ues, metrics, policy.queues)}
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     return RunReport(policy="cmu", seed=config.seed, horizon=horizon, per_ue=per_ue,
                      cost_objective=cost, f1=f1, f2=f2)

@@ -183,7 +183,8 @@ def test_batch_folds_equal_one_event_at_a_time(cls, slots, cuts, warm_end):
     # a weight step reads latency_now at the start of the slot); the
     # example delivers an AoI packet older than the one before it; the engine
     # logs a block's events and folds them at the block's end (``cuts``)
-    # and after the warm-up's last slot
+    # and after the warm-up's last slot, each fold closing an AoI UE's age,
+    # which the one-event-at-a-time sides close by hand
     horizon = len(slots)
     queue, events = [], []
     for t, (arrives, serve, pick, _) in enumerate(slots, start=1):
@@ -226,17 +227,45 @@ def test_batch_folds_equal_one_event_at_a_time(cls, slots, cuts, warm_end):
                 if t == warm_end:
                     if log:
                         m.fold(t + 1)
-                    m.accrue_age(t)
+                    elif m.is_aoi:
+                        m.accrue_age(t)
                     m.reset_window()
             if log:
                 m.fold(end)
             start = end
-        m.accrue_age(horizon)
+        if m.is_aoi and not log:
+            m.accrue_age(horizon)
         return latencies, [repr(getattr(m, name)) for name in FOLDED]
 
     reference = drive(OneByOne(cls), log=False)
     assert drive(UeMetrics(1, cls), log=False) == reference
     assert drive(UeMetrics(1, cls), log=True) == reference
+
+
+def test_latency_now_only_reads(monkeypatch):
+    # a weight step reads the running latency: the logged arrivals before
+    # its slot count, but stay unfolded, and no folded statistic moves
+    calls = []
+
+    def counted(self, slots, _fold=UeMetrics.on_arrival):
+        calls.append(list(slots))
+        return _fold(self, slots)
+    monkeypatch.setattr(UeMetrics, "on_arrival", counted)
+    m = make(UeClass.LATENCY)
+    m.on_arrival([2])
+    m.on_delivery(g=[2], t=[3])                  # latency 2
+    m.log_arrivals(np.array([4, 6, 9], dtype=np.int64))
+    m.dg.append(4)
+    m.dt.append(5)                               # latency 2, not folded yet
+    calls.clear()
+    folded = [repr(getattr(m, name)) for name in FOLDED]
+    # arrivals 2, 4 and 6 precede slot 7; the queued packet from slot 6
+    # counts as delivered in slot 7 (latency 2)
+    assert m.latency_now(7, [6]) == (2 + 2 + 2) / 3
+    assert [repr(getattr(m, name)) for name in FOLDED] == folded
+    assert list(m.arrived) == [4, 6, 9] and calls == []
+    m.fold(10)
+    assert m.arrivals == 4 and calls == [[4, 6, 9]]
 
 
 # -- finalisation -----------------------------------------------------------------
@@ -245,7 +274,7 @@ def test_finalize_throughput_ratio():
     m = make()
     slots = [5 * k + 1 for k in range(200)]
     m.on_delivery(g=slots, t=slots)
-    stats = m.finalize(10 ** 3)
+    stats = m.finalize(10 ** 3, (0, 0))
     assert stats.throughput == 200 / 10 ** 3
     assert stats.deliveries == 200
 
@@ -254,7 +283,7 @@ def test_finalize_constant_spacing_has_zero_variance():
     m = make()
     slots = [5 * k + 3 for k in range(100)]
     m.on_delivery(g=slots, t=slots)
-    stats = m.finalize(600)
+    stats = m.finalize(600, (0, 0))
     assert stats.t_bar == pytest.approx(5.0)
     assert stats.delta_sq == pytest.approx(0.0, abs=1e-12)
 
@@ -276,7 +305,7 @@ def test_finalize_threshold_gated_arrival_spacing_statistics():
             delivered.append(t)
             last = t
     m.on_delivery(g=delivered, t=delivered)
-    stats = m.finalize(horizon)
+    stats = m.finalize(horizon, (0, 0))
     predicted_mean = gap + 1 / q
     predicted_var = (1 - q) / q ** 2
     assert stats.t_bar == pytest.approx(predicted_mean, rel=0.02)
@@ -286,7 +315,7 @@ def test_finalize_threshold_gated_arrival_spacing_statistics():
 
 def test_finalize_no_arrivals_reports_absent_latency():
     m = make(UeClass.LATENCY)
-    stats = m.finalize(100)
+    stats = m.finalize(100, (0, 0))
     assert stats.avg_latency is None
     assert stats.throughput == 0.0
 
@@ -295,8 +324,7 @@ def test_finalize_backlog_counts_as_delivered_at_horizon():
     m = make(UeClass.LATENCY)
     m.on_arrival([4, 8])
     m.on_delivery(g=[4], t=[5])      # latency 2
-    m.pending_count, m.pending_g_sum = 1, 8   # the policy's backlog, as sim.run sets it
-    stats = m.finalize(10)
+    stats = m.finalize(10, (1, 8))   # the policy's backlog, as sim.run passes it
     # pending packet from slot 8 counts as delivered in slot 10: latency 3
     assert stats.avg_latency == pytest.approx((2 + 3) / 2)
 
@@ -305,8 +333,8 @@ def test_backlog_zero_when_queue_empty():
     m = make(UeClass.LATENCY)
     m.on_arrival([4])
     m.on_delivery(g=[4], t=[5])
-    m.pending_count, m.pending_g_sum = 0, 0   # an empty queue, as sim.run sets it
-    assert m.backlog_age_sum(9) == 0
+    # an empty queue, as sim.run passes it, adds no latency
+    assert m.finalize(9, (0, 0)).latency_total == m.latency_sum_delivered
     with_backlog = m.latency_now(9, [])
     m2 = make(UeClass.LATENCY)
     m2.on_arrival([4])
@@ -320,8 +348,7 @@ def test_finalize_extra_pending_for_retained_packet():
     m.on_arrival([2])
     m.on_delivery(g=[2], t=[2])
     m.on_arrival([6])
-    m.pending_count, m.pending_g_sum = 1, 6   # the retained packet, as sim.run sets it
-    stats = m.finalize(9)
+    stats = m.finalize(9, (1, 6))   # the retained packet, as sim.run passes it
     # delivered latency 1 plus retained packet counted to the horizon (4)
     assert stats.avg_latency == pytest.approx((1 + 4) / 2)
 
@@ -329,7 +356,7 @@ def test_finalize_extra_pending_for_retained_packet():
 def test_throughput_class_reports_no_latency():
     m = make(UeClass.THROUGHPUT)
     m.on_delivery(g=[5], t=[5])
-    stats = m.finalize(10)
+    stats = m.finalize(10, (0, 0))
     assert stats.avg_latency is None
     assert stats.arrivals == 10  # synthetic backlog: one packet per slot
 
@@ -342,7 +369,7 @@ def test_audit_exact_on_deterministic_trace():
     # spacing form gives (3 + 0/3 + 1)/2 = 2 with no waiting term
     m = make()
     m.on_delivery(g=[3, 6, 9], t=[3, 6, 9])
-    stats = m.finalize(9)
+    stats = m.finalize(9, (0, 0))
     assert stats.avg_aoi == pytest.approx(2.0)
     assert stats.t_bar == pytest.approx(3.0)
     assert stats.delta_sq == pytest.approx(0.0, abs=1e-12)
@@ -354,7 +381,7 @@ def test_audit_exact_with_waiting_term():
     # same arrivals but delivery lags: arrival 3 delivered at 4, arrival 6 at 8
     m = make()
     m.on_delivery(g=[3, 6, 9], t=[4, 8, 9])
-    stats = m.finalize(9)
+    stats = m.finalize(9, (0, 0))
     # direct ages: 1,2,3,4,2,3,4,5,3 -> 27/9 (the slot-9 delivery only
     # lowers the age from slot 10 onward)
     assert stats.avg_aoi == pytest.approx(3.0)
@@ -367,7 +394,7 @@ def test_audit_exact_with_waiting_term():
 def test_audit_skipped_with_single_delivery():
     m = make()
     m.on_delivery(g=[1], t=[1])
-    stats = m.finalize(1)
+    stats = m.finalize(1, (0, 0))
     assert aoi_decomposition_audit(stats, 1) is None
 
 

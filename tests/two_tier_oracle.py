@@ -200,10 +200,9 @@ def run_blocks(config: RunConfig) -> RunReport:
         if m.is_aoi:
             m.accrue_age(horizon)
 
-    for m, (count, g_sum) in zip(metrics, policy.backlog()):
-        m.pending_count, m.pending_g_sum = count, g_sum
     effective = horizon - warm_end
-    per_ue = {u.id: m.finalize(effective) for u, m in zip(ues, metrics)}
+    per_ue = {u.id: m.finalize(effective, pending)
+              for u, m, pending in zip(ues, metrics, policy.backlog())}
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {}
     for u in scenario.aoi_ues:
