@@ -393,17 +393,20 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    shares.
 
    Writes each UE's sums over the segment to its row, sums[i * NSUMS:],
-   the AoI UEs' spacing times wait and age included. */
+   the AoI UEs' spacing times wait and age included.  queued and cum (nlat
+   entries), pool (naoi) and turn (ngroups) are the caller's scratch, so
+   the stack holds none of them however many UEs there are. */
 void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *restrict draws,
               int64_t naoi, int64_t nlat, int64_t ngroups, const int64_t *restrict members,
               const int64_t *restrict groups, int64_t *restrict cursor,
-              struct ue *restrict ue, int64_t *restrict sums, const int64_t *restrict list)
+              struct ue *restrict ue, int64_t *restrict sums, int64_t *restrict queued,
+              double *restrict cum, int64_t *restrict pool, int64_t *restrict turn,
+              const int64_t *restrict list)
 {
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
     const int64_t ns = naoi + nlat, stop = a + n;
     const int64_t *next = list + *cursor;
-    int64_t queued[nlat + 1], pool[naoi + 1], turn[ngroups + 1], nq = 0, np = 0;
-    double cum[nlat + 1];
+    int64_t nq = 0, np = 0;
     for (int64_t k = 0; k < nlat; k++)
         if (ue[lat[k]].depth)
             queued[nq++] = lat[k];

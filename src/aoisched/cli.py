@@ -220,7 +220,7 @@ def _reproduce_weights(preset, horizon: int, args):
     for beta in preset.grid:
         config = RunConfig(scenario=replace_param(preset.scenario, target, beta=beta),
                            policy=PolicySpec(policy), horizon=horizon, seed=args.seed)
-        trajectory = [entry[target] for entry in run(config).extras["weight_log"]]
+        trajectory = run(config).extras["weight_log"][target]
         for i, rho in enumerate(trajectory, start=1):
             cells = {"beta": beta, "update_index": i, "rho": rho}
             rows.append([_fmt(cells[c]) for c in preset.header])

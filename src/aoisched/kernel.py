@@ -2,11 +2,13 @@
 with ctypes.
 
 The source is compiled with the C compiler Python was built with
-(sysconfig's ``CC``) into ``__pycache__/_kernel-<key>.so`` next to this
-module, where ``<key>`` is the CRC-32 of the source, the compiler flags and
-the interpreter's cache tag; a later import with the same key loads that
-file without building.  The build writes a temporary file and renames it
-into place, so processes importing at once never load a partial library.
+(sysconfig's ``CC``) into ``__pycache__/_kernel.<tag>-<key>.so`` next to
+this module, where ``<tag>`` is the interpreter's cache tag and ``<key>``
+the CRC-32 of the source and the compiler flags; a later import with the
+same key loads that file without building.  The build writes a temporary
+file and renames it into place, so processes importing at once never load
+a partial library, and then deletes the tag's libraries of other keys (a
+process that has loaded one keeps its mapping).
 There is no pure-Python fallback: without a working compiler, importing
 this module raises ``ImportError``.
 
@@ -35,9 +37,9 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 def _build() -> Path:
     """Path of the built library, compiling ``SOURCE`` if it is not cached."""
-    key = zlib.crc32(b"\0".join((SOURCE.read_bytes(), " ".join(FLAGS).encode(),
-                                 sys.implementation.cache_tag.encode())))
-    target = SOURCE.parent / "__pycache__" / f"_kernel-{key:08x}.so"
+    tag = sys.implementation.cache_tag
+    key = zlib.crc32(SOURCE.read_bytes() + b"\0" + " ".join(FLAGS).encode())
+    target = SOURCE.parent / "__pycache__" / f"_kernel.{tag}-{key:08x}.so"
     if target.exists():
         return target
     # read only to build: loading sysconfig's data would cost every import ~2 ms
@@ -59,6 +61,9 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in target.parent.glob(f"_kernel.{tag}-*.so"):
+        if old != target:
+            old.unlink(missing_ok=True)
     return target
 
 
@@ -81,7 +86,7 @@ rd_list.argtypes = [*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 5]
 rd_serve = _lib.rd_serve
 rd_serve.restype = None
 rd_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 2,
-                     *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 6]
+                     *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 10]
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by
 # metrics.add_sums

@@ -36,6 +36,7 @@ arrival replaces the retained packet (fresher data supersedes older).
 from __future__ import annotations
 
 import math
+from array import array
 from heapq import heapreplace
 from itertools import accumulate
 from typing import Sequence
@@ -175,7 +176,9 @@ class HierarchicalPolicy(_TwoTier):
     by ``eta`` (finite, > 0) times the gap between the UE's running average
     latency and its ceiling, floored at zero.  A latency UE's index is set
     from its weight when a packet arrives, so a weight step reaches the
-    index at the UE's next arrival.
+    index at the UE's next arrival.  ``weight_log`` maps each latency UE's
+    id, ascending, to the ``array('d')`` of its weight after every step:
+    8 bytes per latency UE per step.
     """
 
     name = "hier"
@@ -201,19 +204,19 @@ class HierarchicalPolicy(_TwoTier):
             self.name = "vw"
             self.eta = eta
             self.virtual_rho = [1.0 if u.cls is UeClass.LATENCY else None for u in ues]
-            self.weight_log: list[dict[int, float]] = []
+            self.weight_log = {ues[j].id: array("d") for j in self.lat}
         self._p = [u.p for u in ues]
         self._q = [u.q for u in ues]
 
-    def update_virtual_weights(self, latency_now: dict[int, float | None]) -> None:
-        """One weight step from each latency UE's running latency, by position."""
+    def update_virtual_weights(self, latencies: Sequence[float | None]) -> None:
+        """One weight step from each latency UE's running latency, in ``lat``
+        order (None: no arrival yet, so the weight stays), appending each
+        weight to the UE's array in ``weight_log``."""
         rho = self.virtual_rho
-        for j in self.lat:
-            lbar = latency_now.get(j)
-            if lbar is None:
-                continue
-            rho[j] = max(0.0, rho[j] - self.eta * (self.ues[j].beta - lbar))
-        self.weight_log.append({self.ues[j].id: rho[j] for j in self.lat})
+        for j, lbar, log in zip(self.lat, latencies, self.weight_log.values(), strict=True):
+            if lbar is not None:
+                rho[j] = max(0.0, rho[j] - self.eta * (self.ues[j].beta - lbar))
+            log.append(rho[j])
 
     def update_index(self, t: int, arrived: Sequence[int]) -> None:
         for i in arrived:
@@ -278,7 +281,8 @@ class RandomizedPolicy:
     them to its UE's metrics.  Like ``_TwoTier`` in Python, the kernel
     keeps the pool's argmax as packets are retained and each throughput
     group's candidate as its members attempt, so no step of a slot walks
-    every UE.
+    every UE.  The kernel's per-UE scratch is allocated here, once, so the
+    C stack holds none of it at any number of UEs.
     """
 
     name = "rd"
@@ -327,13 +331,17 @@ class RandomizedPolicy:
         thr = list(groups.values())
         self._members = np.array(aoi + lat + [i for m in thr for i in m], np.int64)
         self._groups = np.array([0, *accumulate(len(m) for m in thr)], np.int64)
+        # rd_serve's scratch: the queued latency UEs and their partition,
+        # the AoI UEs holding a packet and each group's turn
+        self._scratch = (np.empty(len(lat), np.int64), np.empty(len(lat)),
+                         np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64))
         # the kernels' buffers, by address: the arrival list's comes last in
         # both lists, to be replaced as the list grows
         members, arrivals = self._members.ctypes.data, self._list.ctypes.data
         at, end = self.store.at.ctypes.data, self.store.end.ctypes.data
         self._list_args = [len(self._arriving), members, at, end, arrivals]
         self._serve_args = [len(aoi), len(lat), len(thr), members, *[x.ctypes.data for x in (
-            self._groups, self._cursor, ue, self.sums)], arrivals]
+            self._groups, self._cursor, ue, self.sums, *self._scratch)], arrivals]
 
     def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
         """List a block's arrivals, drawing each stream's in turn into

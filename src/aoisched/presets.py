@@ -11,7 +11,7 @@ verdicts.  Every ``reproduce`` threshold is declared in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .model import Scenario, UeClass, UeConfig, Variant
 from .solver import geo_geo1_latency
@@ -84,7 +84,7 @@ def check_fig5_cost(means: dict) -> Iterator[Verdict]:
            f"gap@{first}={gap[first]:.3f} gap@{last}={gap[last]:.3f}")
 
 
-def check_fig5_weights(trajectories: dict[float, list[float]]) -> Iterator[Verdict]:
+def check_fig5_weights(trajectories: dict[float, Sequence[float]]) -> Iterator[Verdict]:
     """``trajectories[beta]``: the latency UE's virtual weight after each update."""
     rising = trajectories[1.0]
     over = next((i for i, r in enumerate(rising, 1) if r > WEIGHT_CEILING), None)

@@ -28,7 +28,9 @@ updated slot by slot: each block's arrivals and logged deliveries are
 folded once per block, and at the warm-up boundary, in slot order, and
 each fold closes an AoI UE's age up to its end (see ``metrics.UeMetrics``);
 a weight step reads the folded totals plus the events logged since, and
-the latency queues from the policy.
+the latency queues from the policy, and hands the latencies to the policy
+in its ``lat`` order; the policy appends each new weight to that UE's
+``array('d')``, the report's ``extras["weight_log"]``.
 
 ``rd`` and ``cmu`` run in compiled code in the same per-slot order, so they
 read the same draws and give the same report as a slot-by-slot run (see
@@ -92,7 +94,8 @@ class RunConfig:
 
 
 def build_policy(config: RunConfig):
-    """Construct the policy plus solver metadata for the report."""
+    """Construct the policy plus the report's extras: solver metadata and,
+    under ``vw``, the policy's live ``weight_log``."""
     scenario = config.scenario
     spec = config.policy
     if spec.name not in POLICY_NAMES:
@@ -109,7 +112,9 @@ def build_policy(config: RunConfig):
     if spec.name == "hier":
         return HierarchicalPolicy(scenario, thresholds), extras
     if spec.name == "vw":
-        return HierarchicalPolicy(scenario, thresholds, f=spec.f, eta=spec.eta), extras
+        policy = HierarchicalPolicy(scenario, thresholds, f=spec.f, eta=spec.eta)
+        extras["weight_log"] = policy.weight_log
+        return policy, extras
     return RandomizedPolicy(scenario, thresholds), extras
 
 
@@ -161,12 +166,10 @@ def run(config: RunConfig) -> RunReport:
     log_t = [m.dt.append for m in metrics]
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
-    lat_pos = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
 
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
-    virtual = config.policy.name == "vw"
-    every = config.policy.f if virtual else 0
+    every = config.policy.f if policy.name == "vw" else 0
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
@@ -211,7 +214,7 @@ def run(config: RunConfig) -> RunReport:
             for a, b in _segments(max(start, 1), start + n, every, warm_end):
                 if every and a % every == 0:
                     policy.update_virtual_weights(
-                        {i: metrics[i].latency_now(a, policy.queues[i]) for i in lat_pos})
+                        [metrics[i].latency_now(a, policy.queues[i]) for i in policy.lat])
                 for t, arrived, u in zip(range(a, b), arrivals, success_u):
                     if arrived is not None:
                         update_index(t, arrived)
@@ -240,8 +243,6 @@ def run(config: RunConfig) -> RunReport:
     cost, f1, f2 = assemble_cost(per_ue, scenario, effective)
     audit = {u.id: res for u in scenario.aoi_ues
              if (res := aoi_decomposition_audit(per_ue[u.id], effective)) is not None}
-    if virtual:
-        extras["weight_log"] = list(policy.weight_log)
     return RunReport(policy=policy.name, seed=config.seed, horizon=horizon,
                      per_ue=per_ue, cost_objective=cost, f1=f1, f2=f2,
                      audit=audit, extras=extras)

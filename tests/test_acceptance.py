@@ -70,7 +70,7 @@ def weight_trajectories():
             config = RunConfig(scenario=scn, policy=PolicySpec("vw"),
                                horizon=2 * 10 ** 6, seed=derive_seed(BASE_SEED, 0, rep))
             report = run(config)
-            runs.append([entry[2] for entry in report.extras["weight_log"]])
+            runs.append(report.extras["weight_log"][2])
         out[beta] = runs
     return out
 

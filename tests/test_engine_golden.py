@@ -3,7 +3,7 @@
 Each case runs ``sim.run`` once and pins the SHA-256 of the CSV bytes that
 ``aoisched run`` would write for it, followed by the ``repr`` of the solver
 and weight-step extras (``t_star``, ``mu``, ``thresholds``,
-``weight_log``).  The matrix covers all four policies, three seeds, the
+``weight_log``, as one ``{ue_id: weight}`` dict per weight step).  The matrix covers all four policies, three seeds, the
 three-UE reference system and a 12-UE system (4 UEs per class), with and
 without a warm-up.  The horizon, ``3 * 2**14 + 123`` slots, and the warm-up
 end, ``2**14 + 777``, are not multiples of a power of two, so an engine that
@@ -93,7 +93,12 @@ def run_digest(scenario: Scenario, spec: PolicySpec, seed: int, warmup: int,
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(report_rows(report, f"{report.policy}-h{HORIZON}-s{seed}"))
-    buf.write(repr({k: report.extras.get(k) for k in EXTRAS}))
+    extras = {k: report.extras.get(k) for k in EXTRAS}
+    if extras["weight_log"] is not None:
+        # the digests were recorded from a list of one {ue_id: weight} dict per step
+        log = extras["weight_log"]
+        extras["weight_log"] = [dict(zip(log, step)) for step in zip(*log.values())]
+    buf.write(repr(extras))
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 

@@ -35,7 +35,7 @@ def _import(root: Path, path: str | None = None) -> subprocess.CompletedProcess:
 def _built(root: Path) -> dict[str, int]:
     """Name and mtime of each built library."""
     return {p.name: p.stat().st_mtime_ns
-            for p in (root / "aoisched" / "__pycache__").glob("_kernel-*.so")}
+            for p in (root / "aoisched" / "__pycache__").glob("_kernel.*.so")}
 
 
 def test_import_without_a_compiler_names_it(root):
@@ -62,5 +62,15 @@ def test_edited_source_gets_a_new_key(root):
     source = root / "aoisched" / "_kernel.c"
     source.write_text(source.read_text() + "\n/* edited */\n")
     assert _import(root).returncode == 0
-    built = _built(root)
-    assert len(built) == 2 and old in built
+    (new,) = _built(root)  # the old key's library is deleted
+    assert new != old
+
+
+def test_a_build_keeps_other_interpreters_libraries(root):
+    # only libraries with this interpreter's cache tag are deleted
+    cache = root / "aoisched" / "__pycache__"
+    cache.mkdir()
+    other = cache / "_kernel.other-311-00000000.so"
+    other.write_bytes(b"")
+    assert _import(root).returncode == 0
+    assert other.name in _built(root) and len(_built(root)) == 2

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -243,22 +245,35 @@ def test_virtual_weights_start_at_one_and_follow_gradient():
     p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
     assert p.name == "vw"
     assert p.virtual_rho[LAT] == 1.0
-    p.update_virtual_weights({LAT: 1.4})
+    assert p.weight_log == {2: array("d")}   # one array per latency ue, by id
+    p.update_virtual_weights([1.4])
     # step: 1 - 0.1 * (5 - 1.4) = 0.64
     assert p.virtual_rho[LAT] == pytest.approx(0.64)
-    assert p.weight_log == [{2: p.virtual_rho[LAT]}]   # logged by ue id
+    assert p.weight_log == {2: array("d", [p.virtual_rho[LAT]])}
+
+
+def test_virtual_weight_stays_and_is_logged_before_any_arrival():
+    # a latency of None (no arrival yet) leaves the weight as it is, and the
+    # step still logs it
+    p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
+    p.update_virtual_weights([None])
+    assert p.virtual_rho[LAT] == 1.0
+    p.update_virtual_weights([1.4])
+    p.update_virtual_weights([None])
+    assert p.virtual_rho[LAT] == pytest.approx(0.64)
+    assert p.weight_log == {2: array("d", [1.0, p.virtual_rho[LAT], p.virtual_rho[LAT]])}
 
 
 def test_virtual_weight_zero_floor():
     p = HierarchicalPolicy(constrained_scenario(beta=5.0), {1: 2}, f=10000)
     p.virtual_rho[LAT] = 0.1
-    p.update_virtual_weights({LAT: 1.4})
+    p.update_virtual_weights([1.4])
     assert p.virtual_rho[LAT] == 0.0
 
 
 def test_virtual_weight_fixed_point():
     p = HierarchicalPolicy(constrained_scenario(beta=2.0), {1: 2}, f=10000)
-    p.update_virtual_weights({LAT: 2.0})
+    p.update_virtual_weights([2.0])
     assert p.virtual_rho[LAT] == 1.0
 
 
@@ -266,7 +281,7 @@ def test_virtual_weight_grows_when_infeasible():
     p = HierarchicalPolicy(constrained_scenario(beta=1.01), {1: 2}, f=10000)
     values = [1.0]
     for _ in range(5):
-        p.update_virtual_weights({LAT: 1.4})
+        p.update_virtual_weights([1.4])
         values.append(p.virtual_rho[LAT])
     assert all(b > a for a, b in zip(values, values[1:]))
 

@@ -11,12 +11,22 @@ latency UE: theta sums on either side of 1 (above it the partition is scaled to 
 share ``(alpha, p)`` (one group, ranked by fewest attempts), AoI UEs whose
 indices tie, latency queues that empty and refill across block edges,
 horizons over up to four blocks and warm-ups ending at ``CHUNK - 1`` or
-anywhere else.
+anywhere else.  A last test runs ``rd`` on tens of thousands of UEs under
+a small stack, which only works while the kernel keeps its per-UE scratch
+off the stack.
 """
+
+import csv
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+import aoisched
 from aoisched.metrics import report_rows
 from aoisched.model import Scenario, UeClass, UeConfig, Variant
 from aoisched.sim import CHUNK, PolicySpec, RunConfig, run
@@ -88,3 +98,51 @@ def test_kernel_matches_slot_reference(case, seed):
     config = RunConfig(scenario=scenario, policy=PolicySpec("rd"), horizon=horizon,
                        seed=seed, warmup=warmup)
     assert report_rows(run(config), "x") == report_rows(run_blocks(config), "x")
+
+
+# The reference system plus IDLE latency UEs that almost never see a packet.
+MANY_UES = """
+import csv, sys
+from aoisched.metrics import CSV_COLUMNS, report_rows
+from aoisched.model import Scenario, UeClass, UeConfig, Variant
+from aoisched.sim import PolicySpec, RunConfig, run
+ues = [UeConfig(id=1, cls=UeClass.AOI, q=0.9, p=0.7, rho=1.0),
+       UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, beta=30.0),
+       UeConfig(id=3, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.2)]
+ues += [UeConfig(id=i, cls=UeClass.LATENCY, q=1e-9, p=0.9, beta=30.0)
+        for i in range(4, 4 + IDLE)]
+scenario = Scenario(ues=tuple(ues), variant=Variant.LATENCY_CONSTRAINED)
+report = run(RunConfig(scenario=scenario, policy=PolicySpec("rd"), horizon=1000, seed=1))
+writer = csv.writer(sys.stdout, lineterminator="\\n")
+writer.writerow(CSV_COLUMNS)
+writer.writerows(report_rows(report, "many"))
+"""
+
+
+def test_many_latency_ues_run_on_a_small_stack():
+    # rd_serve's scratch is 16 B per latency UE, 8 per AoI UE and 8 per
+    # throughput group: 320 KB here, more than the 256 KiB stack
+    idle, stack = 20_000, 256 * 1024
+    env = {**os.environ, "PYTHONPATH": str(Path(aoisched.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", MANY_UES.replace("IDLE", str(idle))], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_STACK, (stack, stack)))
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    ue_rows = [r for r in rows if r["row_type"] == "ue"]
+    assert [int(r["ue_id"]) for r in ue_rows] == list(range(1, 4 + idle))
+
+    def cell(row, name):
+        return float(row[name]) if row[name] else None
+
+    # the README's conventions: age and latency >= 1 (an AoI UE's latency
+    # is ROADMAP item 4's known defect, xfailed in test_properties),
+    # delivery rate <= attempt share, and attempt shares summing to at most 1
+    assert cell(ue_rows[0], "avg_aoi") >= 1.0
+    assert cell(ue_rows[1], "avg_latency") >= 1.0
+    assert all(cell(r, "avg_latency") is None or cell(r, "avg_latency") >= 1.0
+               for r in ue_rows if r["class"] == "latency")
+    assert all(cell(r, "throughput") <= cell(r, "attempts_share") for r in ue_rows)
+    assert sum(cell(r, "attempts_share") for r in ue_rows) <= 1.0
+    assert all(cell(r, "throughput") > 0 for r in ue_rows[:3])

@@ -241,13 +241,13 @@ def test_adaptive_weights_leave_throughput_unchanged():
         assert abs(rh.per_ue[ue].throughput - rv.per_ue[ue].throughput) <= 0.005
 
 
-def _alloc_peak(scenario, policy, horizon):
-    """Allocation peak of one run, after a short run has done the first-call
-    imports."""
-    run(cfg(scenario, policy=policy, horizon=10))
+def _alloc_peak(scenario, policy, horizon, f=PolicySpec.f):
+    """Allocation peak of one run, with ``vw``'s weight period ``f``, after a
+    short run has done the first-call imports."""
+    run(cfg(scenario, policy=policy, horizon=10, f=f))
     tracemalloc.start()
     try:
-        run(cfg(scenario, policy=policy, horizon=horizon, seed=3))
+        run(cfg(scenario, policy=policy, horizon=horizon, seed=3, f=f))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -276,6 +276,19 @@ def test_one_block_costs_under_64_bytes_per_slot(policy):
     scenario = weighted() if policy == "hier" else constrained()
     per_slot = _alloc_peak(scenario, policy, CHUNK - 1) / (CHUNK - 1)
     assert per_slot < 64, f"{per_slot:.1f} B per slot"
+
+
+@pytest.mark.parametrize("f", [1, 10])
+def test_vw_weight_trace_costs_at_most_16_bytes_per_latency_ue_per_step(f):
+    # vw logs each latency UE's weight at every f-th slot, so its trace grows
+    # with the horizon: from two whole blocks to four, the allocation peak
+    # may grow by 16 B per latency UE per weight step, the weight's 8 and
+    # room for the latency beside it (a dict per step cost about 256 B)
+    scenario = constrained()
+    growth = (_alloc_peak(scenario, "vw", 4 * CHUNK, f)
+              - _alloc_peak(scenario, "vw", 2 * CHUNK, f))
+    per_step = growth / (len(scenario.latency_ues) * 2 * CHUNK / f)
+    assert per_step <= 16, f"{per_step:.1f} B per latency UE per weight step"
 
 
 def test_cmu_memory_stays_flat_as_the_horizon_grows():

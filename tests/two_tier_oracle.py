@@ -155,7 +155,6 @@ def run_blocks(config: RunConfig) -> RunReport:
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
-    lat_pos = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
 
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
     streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
@@ -170,7 +169,7 @@ def run_blocks(config: RunConfig) -> RunReport:
         for a, b in _segments(max(start, 1), start + n, every, warm_end):
             if every and a % every == 0:
                 policy.update_virtual_weights(
-                    {i: metrics[i].latency_now(a, policy.queues[i]) for i in lat_pos})
+                    [metrics[i].latency_now(a, policy.queues[i]) for i in policy.lat])
             lo, hi = a - start, b - start
             draws = policy_u[lo:hi] if policy_u is not None else repeat(None)
             for t, arrived, u, draw in zip(range(a, b), arrivals[lo:hi],
@@ -209,7 +208,5 @@ def run_blocks(config: RunConfig) -> RunReport:
         res = aoi_decomposition_audit(per_ue[u.id], effective)
         if res is not None:
             audit[u.id] = res
-    if every:
-        extras["weight_log"] = list(policy.weight_log)
     return RunReport(policy=policy.name, seed=config.seed, horizon=horizon, per_ue=per_ue,
                      cost_objective=cost, f1=f1, f2=f2, audit=audit, extras=extras)

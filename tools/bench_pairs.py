@@ -19,7 +19,9 @@ for neither), the change of the median relative to the base, and whether
 the pairs show a gain (the change wins at least 9 in 10 pairs and its
 median beats the base's by more than the base's interquartile range) or a
 regression beyond the metric's bound, read as a fraction of the base
-median.  Each run's ``failed``/``attempted`` counts are kept as well, and
+median.  ``src_lines`` gives each side's line counts of ``src/aoisched``,
+all lines and code lines for Python and for C, as ``tools/src_lines.py``
+counts them.  Each run's ``failed``/``attempted`` counts are kept as well, and
 its round count: how many times the workload ran within ``--seconds``, read
 from the ``.perfbench/<workload>-s<seed>-t0.json`` the run left in its
 checkout.  The benchmark keeps every round until the run ends, so
@@ -45,6 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
+from src_lines import counts
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
@@ -66,6 +70,13 @@ def warm(checkout: Path) -> None:
     """Import ``aoisched`` from ``checkout``'s ``src/``, building what its import builds."""
     code = "import sys; sys.path.insert(0, 'src'); import aoisched"
     subprocess.run([sys.executable, "-c", code], cwd=checkout, check=True)
+
+
+def line_counts(checkout: Path) -> dict:
+    """All and code lines of ``checkout``'s package, per language."""
+    _, totals = counts(checkout / "src" / "aoisched")
+    return {name.lstrip("*."): {"lines": lines, "code": code}
+            for name, lines, code in totals if name != "total"}
 
 
 def bench_once(checkout: Path, command: list[str], workload: str, seed: int,
@@ -148,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
         extract(base_sha, checkouts["base"])
         for checkout in checkouts.values():
             warm(checkout)
+        out["src_lines"] = {side: line_counts(checkouts[side]) for side in SIDES}
         for workload, n in plan:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i in range(n):

@@ -53,8 +53,9 @@ def c_code_lines(text: str) -> int:
     return sum(1 for line in C_TOKEN.sub(blank, text).splitlines() if line.strip())
 
 
-def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
+def counts(package: Path) -> tuple[list[tuple[str, int, int]], list[tuple[str, int, int]]]:
+    """``(name, lines, code lines)`` per module of ``package``, then the
+    ``*.py``, ``*.c`` and ``total`` rows."""
     rows = []
     for path in sorted([*package.glob("*.py"), *package.glob("*.c")]):
         text = path.read_text()
@@ -63,6 +64,11 @@ def main(argv: list[str]) -> int:
     totals = [(f"*{suffix}", *(sum(r[k] for r in rows if r[0].endswith(suffix)) for k in (1, 2)))
               for suffix in (".py", ".c")]
     totals.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    return rows, totals
+
+
+def main(argv: list[str]) -> int:
+    rows, totals = counts(Path(argv[0]) if argv else PACKAGE)
     width = max(len(name) for name, _, _ in rows + totals)
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
     for name, lines, code in rows + totals:
