@@ -17,10 +17,11 @@ from pathlib import Path
 
 from .metrics import CSV_COLUMNS, _fmt, report_rows, ue_cells
 from .model import ScenarioError, load_scenario, replace_param, validate
+from .policies import thresholds_for
 from .presets import LATENCY_UE, PRESETS, RATE_TOL
 from .sim import (POLICY_NAMES, PolicySpec, RunConfig, check_counts, lower_bound, run, sweep,
                   sweep_target)
-from .solver import SolverError, compute_t_star, hier_threshold, spacing_bound
+from .solver import SolverError, spacing_bound
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -70,17 +71,15 @@ def cmd_validate(args) -> int:
 
 def cmd_tstar(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = validate(scenario)
-    if not scenario.aoi_ues:
+    thresholds, sol = thresholds_for(scenario, validate(scenario).zeta)
+    if sol is None:
         print("no aoi ues; nothing to solve")
         return 0
-    sol = compute_t_star(scenario.aoi_ues, report.zeta)
     rows = []
-    for u in scenario.aoi_ues:
-        t = sol.t_star[u.id]
-        thr = hier_threshold(t, u.q)
-        print(f"ue {u.id}: t_star = {t!r}, threshold = {thr}")
-        rows.append([str(u.id), _fmt(t), str(thr), _fmt(sol.mu), str(sol.binding)])
+    for ue_id, thr in thresholds.items():
+        t = sol.t_star[ue_id]
+        print(f"ue {ue_id}: t_star = {t!r}, threshold = {thr}")
+        rows.append([str(ue_id), _fmt(t), str(thr), _fmt(sol.mu), str(sol.binding)])
     print(f"mu = {sol.mu!r}, binding = {sol.binding}")
     if args.csv:
         _write_csv(args.csv, ["ue_id", "t_star", "threshold", "mu", "binding"], rows)
@@ -99,14 +98,16 @@ def cmd_lb(args) -> int:
     return 0
 
 
+def _run_config(args) -> RunConfig:
+    """The config that the options of ``_add_run_args`` describe."""
+    return RunConfig(scenario=load_scenario(args.scenario),
+                     policy=PolicySpec(args.policy, f=args.f, eta=args.eta),
+                     horizon=args.horizon, seed=args.seed, warmup=args.warmup)
+
+
 def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    config = RunConfig(scenario=scenario,
-                       policy=PolicySpec(args.policy, f=args.f, eta=args.eta),
-                       horizon=args.horizon, seed=args.seed, warmup=args.warmup)
-    report = run(config)
-    run_id = f"{report.policy}-h{args.horizon}-s{args.seed}"
-    rows = report_rows(report, run_id)
+    report = run(_run_config(args))
+    rows = report_rows(report, f"{report.policy}-h{args.horizon}-s{args.seed}")
     _write_csv(args.out or None, CSV_COLUMNS, rows)
     if args.out:
         print(f"wrote {args.out}")
@@ -140,11 +141,7 @@ def sweep_rows(points) -> list[list[str]]:
 
 
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    base = RunConfig(scenario=scenario,
-                     policy=PolicySpec(args.policy, f=args.f, eta=args.eta),
-                     horizon=args.horizon, seed=args.seed, warmup=args.warmup)
-    points = sweep(base, args.param, parse_grid(args.grid), seeds=args.seeds,
+    points = sweep(_run_config(args), args.param, parse_grid(args.grid), seeds=args.seeds,
                    ue_id=args.ue, jobs=args.jobs)
     rows = sweep_rows(points)
     _write_csv(args.out, SWEEP_COLUMNS, rows)
@@ -242,7 +239,7 @@ def cmd_reproduce(args) -> int:
         failed += not ok
         suffix = f" ({detail})" if detail else ""
         print(f"[{'PASS' if ok else 'FAIL'}] {name}{suffix}")
-    out = args.out or f"{preset.name}.csv"
+    out = args.out or f"{args.preset}.csv"
     _write_csv(out, list(preset.header), rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 2 if failed else 0

@@ -7,8 +7,9 @@ this module, where ``<tag>`` is the interpreter's cache tag and ``<key>``
 the CRC-32 of the source and the compiler flags; a later import with the
 same key loads that file without building.  The build writes a temporary
 file and renames it into place, so processes importing at once never load
-a partial library, and then deletes the tag's libraries of other keys (a
-process that has loaded one keeps its mapping).
+a partial library, and then deletes the tag's libraries of other keys and
+the untagged ``_kernel-<key>.so`` of older builds (a process that has
+loaded one keeps its mapping).
 There is no pure-Python fallback: without a working compiler, importing
 this module raises ``ImportError``.
 
@@ -61,7 +62,7 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    for old in target.parent.glob(f"_kernel.{tag}-*.so"):
+    for old in [*target.parent.glob(f"_kernel.{tag}-*.so"), *target.parent.glob("_kernel-*.so")]:
         if old != target:
             old.unlink(missing_ok=True)
     return target

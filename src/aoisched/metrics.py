@@ -58,17 +58,8 @@ class UeMetrics:
         self.cls = cls
         self.is_aoi = cls is UeClass.AOI
         self.lam = 0
-        self.aoi_sum = 0
         self.aged = 0  # last slot whose age is in aoi_sum
-        self.arrivals = 0
-        self.deliveries = 0
-        self.attempts = 0
-        self.latency_sum_delivered = 0
-        self.n_samples = 0
-        self.sample_sum = 0.0
-        self.sample_sumsq = 0.0
-        self.g_prev = None
-        self.sum_spacing_wait = 0.0  # sum over delivered packets of T_i * (L_i - 1)
+        self.reset_window()
         self.arrived = ()  # arrival slots not yet folded, ascending
         self.dg = array("q")  # arrival slot of each delivered packet not yet folded
         self.dt = array("q")  # and its delivery slot
@@ -189,7 +180,7 @@ class UeMetrics:
         self.sample_sum = 0.0
         self.sample_sumsq = 0.0
         self.g_prev = None
-        self.sum_spacing_wait = 0.0
+        self.sum_spacing_wait = 0.0  # sum over delivered packets of T_i * (L_i - 1)
 
     def finalize(self, t: int, pending: tuple[int, int]) -> "PerUeStats":
         """Close the books at horizon t.  ``pending`` is the count and sum of
@@ -344,12 +335,14 @@ def ue_cells(s: PerUeStats) -> list[str]:
             _fmt(s.throughput), _fmt(s.t_bar), _fmt(s.delta_sq), _fmt(s.attempts_share)]
 
 
-def report_rows(report: RunReport, run_id: str, lb: float | None = None) -> list[list[str]]:
+def report_rows(report: RunReport, run_id: str) -> list[list[str]]:
+    """The run CSV's rows: one per UE, then the summary, whose ``lb`` cell
+    stays empty (the ``lb`` command computes the bound)."""
     rows = []
     base = [run_id, report.policy, str(report.seed), str(report.horizon)]
     for ue_id in sorted(report.per_ue):
         rows.append(base + ["ue", *ue_cells(report.per_ue[ue_id]), "", "", "", ""])
     rows.append(base + ["summary", "", "", "", "", "", "", "", "",
                         _fmt(report.cost_objective), _fmt(report.f1),
-                        _fmt(report.f2), _fmt(lb)])
+                        _fmt(report.f2), ""])
     return rows

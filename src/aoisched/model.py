@@ -27,7 +27,7 @@ import enum
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -260,15 +260,7 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
 
 def replace_param(scenario: Scenario, ue_id: int, **fields) -> Scenario:
     """Return a copy of the scenario with one UE's fields replaced."""
-    ues = []
-    found = False
-    for u in scenario.ues:
-        if u.id == ue_id:
-            found = True
-            merged = {k: getattr(u, k) for k in ("id", "cls", "p", "q", "rho", "beta", "alpha")}
-            merged.update(fields)
-            u = UeConfig(**merged)
-        ues.append(u)
-    if not found:
+    if ue_id not in {u.id for u in scenario.ues}:
         raise ScenarioError(f"no ue with id {ue_id}")
-    return Scenario(ues=tuple(ues), variant=scenario.variant)
+    return replace(scenario, ues=tuple(replace(u, **fields) if u.id == ue_id else u
+                                       for u in scenario.ues))

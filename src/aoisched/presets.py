@@ -10,10 +10,10 @@ verdicts.  Every ``reproduce`` threshold is declared in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from .model import Scenario, UeClass, UeConfig, Variant
+from .model import Scenario, UeClass, UeConfig, Variant, replace_param
 from .solver import geo_geo1_latency
 
 ALPHA_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
@@ -47,11 +47,9 @@ def reference_weighted(alpha: float = 0.2) -> Scenario:
 
 
 def reference_constrained(beta: float = 2.0, alpha: float = 0.2) -> Scenario:
-    return Scenario(ues=(
-        UeConfig(id=AOI_UE, cls=UeClass.AOI, q=0.9, p=0.7, rho=1.0),
-        UeConfig(id=LATENCY_UE, cls=UeClass.LATENCY, q=LATENCY_Q, p=LATENCY_P, beta=beta),
-        UeConfig(id=THROUGHPUT_UE, cls=UeClass.THROUGHPUT, p=0.9, alpha=alpha),
-    ), variant=Variant.LATENCY_CONSTRAINED)
+    """The same system with a latency ceiling ``beta`` in place of the weight."""
+    return replace(replace_param(reference_weighted(alpha), LATENCY_UE, rho=None, beta=beta),
+                   variant=Variant.LATENCY_CONSTRAINED)
 
 
 # Sweep checks get ``means[policy][value]`` from ``cli.sweep_means``; the
@@ -142,7 +140,6 @@ BETA_HEADER = ("beta", "policy", "ue_id", "avg_aoi", "avg_latency", "throughput"
 
 @dataclass(frozen=True)
 class ExperimentPreset:
-    name: str
     scenario: Scenario
     param: str
     grid: tuple[float, ...]
@@ -154,18 +151,16 @@ class ExperimentPreset:
 
 
 PRESETS = {
-    "fig4": ExperimentPreset("fig4", reference_weighted(), "alpha", tuple(ALPHA_GRID),
-                             ("hier",), "alpha", ALPHA_HEADER, check_fig4),
-    "fig5_cost": ExperimentPreset("fig5_cost", reference_weighted(), "alpha",
-                                  tuple(ALPHA_GRID), ("hier",), "alpha", ALPHA_HEADER,
-                                  check_fig5_cost),
+    "fig4": ExperimentPreset(reference_weighted(), "alpha", tuple(ALPHA_GRID), ("hier",),
+                             "alpha", ALPHA_HEADER, check_fig4),
+    "fig5_cost": ExperimentPreset(reference_weighted(), "alpha", tuple(ALPHA_GRID), ("hier",),
+                                  "alpha", ALPHA_HEADER, check_fig5_cost),
     # 2M slots: WEIGHT_UPDATES weight updates at the default period f = 10^4
-    "fig5_weights": ExperimentPreset("fig5_weights", reference_constrained(), "beta",
-                                     tuple(WEIGHT_BETAS), ("vw",), "weights",
-                                     ("beta", "update_index", "rho"), check_fig5_weights,
-                                     horizon=2 * 10 ** 6),
-    "fig6": ExperimentPreset("fig6", reference_constrained(), "beta", tuple(BETA_GRID),
-                             ("vw", "rd"), "beta", BETA_HEADER, check_fig6),
-    "fig8": ExperimentPreset("fig8", reference_constrained(), "beta", tuple(BETA_GRID),
-                             ("vw", "rd"), "beta", BETA_HEADER, check_fig8),
+    "fig5_weights": ExperimentPreset(reference_constrained(), "beta", tuple(WEIGHT_BETAS),
+                                     ("vw",), "weights", ("beta", "update_index", "rho"),
+                                     check_fig5_weights, horizon=2 * 10 ** 6),
+    "fig6": ExperimentPreset(reference_constrained(), "beta", tuple(BETA_GRID), ("vw", "rd"),
+                             "beta", BETA_HEADER, check_fig6),
+    "fig8": ExperimentPreset(reference_constrained(), "beta", tuple(BETA_GRID), ("vw", "rd"),
+                             "beta", BETA_HEADER, check_fig8),
 }

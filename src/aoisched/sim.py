@@ -296,33 +296,26 @@ def sweep(base: RunConfig, param: str, grid: list[float], seeds: int,
     """
     check_counts(seed=base.seed, seeds=seeds, jobs=jobs)
     target = sweep_target(base.scenario, param, ue_id)
-    points: list[tuple[int, float, int, RunConfig | None, FeasibilityReport]] = []
+    points: list[SweepPoint] = []
+    configs: list[RunConfig] = []
     for i, value in enumerate(grid):
         scn = replace_param(base.scenario, target, **{param: value})
         feas = validate(scn)
         runnable = feas.zeta > 0.0 or not scn.aoi_ues
         for r in range(seeds):
             seed = derive_seed(base.seed, i, r)
-            cfg = replace(base, scenario=scn, seed=seed) if runnable else None
-            points.append((i, value, r, cfg, feas))
+            points.append(SweepPoint(param, value, r, seed, feas, runnable, None))
+            if runnable:
+                configs.append(replace(base, scenario=scn, seed=seed))
 
-    configs = [cfg for _, _, _, cfg, _ in points if cfg is not None]
     workers = min(jobs, len(configs))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run, configs))
     else:
         reports = [run(cfg) for cfg in configs]
-
-    out: list[SweepPoint] = []
     it = iter(reports)
-    for i, value, r, cfg, feas in points:
-        report = next(it) if cfg is not None else None
-        out.append(SweepPoint(param=param, value=value, replicate=r,
-                              seed=cfg.seed if cfg else derive_seed(base.seed, i, r),
-                              feasibility=feas, runnable=cfg is not None,
-                              report=report))
-    return out
+    return [replace(pt, report=next(it)) if pt.runnable else pt for pt in points]
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,10 @@ def test_cli_tstar(scenario_file, capsys, tmp_path):
     rows = list(csv.reader(out_csv.open()))
     assert rows[0] == ["ue_id", "t_star", "threshold", "mu", "binding"]
     assert rows[1][0] == "1"
+    # the thresholds every run uses
+    report = run(RunConfig(scenario=load_scenario(scenario_file), policy=PolicySpec("hier"),
+                           horizon=10, seed=1))
+    assert {int(r[0]): int(r[2]) for r in rows[1:]} == report.extras["thresholds"]
 
 
 def test_cli_run_writes_csv(scenario_file, tmp_path):

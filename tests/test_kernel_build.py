@@ -67,10 +67,14 @@ def test_edited_source_gets_a_new_key(root):
 
 
 def test_a_build_keeps_other_interpreters_libraries(root):
-    # only libraries with this interpreter's cache tag are deleted
+    # of the tagged libraries only this interpreter's are deleted, and the
+    # untagged ones of older builds, which nothing loads, go too
     cache = root / "aoisched" / "__pycache__"
     cache.mkdir()
     other = cache / "_kernel.other-311-00000000.so"
+    untagged = cache / "_kernel-0123abcd.so"
     other.write_bytes(b"")
+    untagged.write_bytes(b"")
     assert _import(root).returncode == 0
     assert other.name in _built(root) and len(_built(root)) == 2
+    assert not untagged.exists()

@@ -455,11 +455,11 @@ def test_report_rows_schema_and_summary():
     }
     report = RunReport(policy="hier", seed=7, horizon=100, per_ue=scn_stats,
                        cost_objective=4.0, f1=2.0, f2=1.0)
-    rows = report_rows(report, "run-1", lb=3.5)
+    rows = report_rows(report, "run-1")
     assert len(rows) == 3
     assert rows[0][4] == "ue" and rows[-1][4] == "summary"
     assert rows[0][5] == "1" and rows[1][5] == "3"
     assert rows[-1][13] == "4.0"
-    assert rows[-1][16] == "3.5"
+    assert rows[-1][16] == ""  # run leaves lb empty; the lb command computes it
     # absent values serialise as empty strings
     assert rows[1][7] == ""

@@ -122,8 +122,8 @@ def test_identical_config_identical_report():
 def test_identical_config_byte_identical_csv():
     a = run(cfg(weighted(), horizon=2 * 10 ** 4))
     b = run(cfg(weighted(), horizon=2 * 10 ** 4))
-    rows_a = report_rows(a, "x", lb=None)
-    rows_b = report_rows(b, "x", lb=None)
+    rows_a = report_rows(a, "x")
+    rows_b = report_rows(b, "x")
     assert rows_a == rows_b
 
 
@@ -413,6 +413,7 @@ def test_sweep_reports_infeasible_rows():
     assert points[0].runnable and points[0].report is not None
     assert not points[1].feasibility.feasible
     assert not points[1].runnable and points[1].report is None
+    assert points[1].seed == derive_seed(1, 1, 0)  # derived as for a point that runs
 
 
 def test_sweep_parallel_matches_sequential():
