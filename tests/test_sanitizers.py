@@ -29,25 +29,6 @@ BOTH = ("test_arrival_lists.py",
         "test_cmu_engine.py::test_lower_queues_starve_behind_an_overloaded_top_queue")
 
 
-def _runtime(name: str) -> str:
-    return subprocess.run([COMPILER, f"-print-file-name={name}"], capture_output=True,
-                          text=True, check=True).stdout.strip()
-
-
-# per pass: the flags, the environment, the tests besides BOTH, and a symbol
-# every instrumented library holds
-PASSES = {
-    "undefined": (("-fsanitize=undefined", "-fno-sanitize-recover=all"), {},
-                  ("test_cmu_engine.py::test_segment_engine_matches_slot_reference",
-                   "test_rd_engine.py::test_many_latency_ues_run_on_a_small_stack"),
-                  b"__ubsan_handle_"),
-    "address": (("-fsanitize=address",),
-                {"LD_PRELOAD": _runtime("libasan.so"), "ASAN_OPTIONS": "detect_leaks=0"},
-                ("test_rd_engine.py::test_kernel_matches_slot_reference",),
-                b"__asan_report_"),
-}
-
-
 def _start(root: Path, flags: tuple[str, ...], env: dict[str, str],
            tests: tuple[str, ...]) -> subprocess.Popen:
     shutil.copytree(PACKAGE, root / "aoisched", ignore=shutil.ignore_patterns("__pycache__"))
@@ -64,15 +45,29 @@ def _start(root: Path, flags: tuple[str, ...], env: dict[str, str],
 
 
 def test_kernel_oracle_tests_pass_under_the_sanitizers(tmp_path):
+    libasan = subprocess.run([COMPILER, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True, check=True).stdout.strip()
+    # per pass: the flags, the environment, the tests besides BOTH, and a
+    # symbol every instrumented library holds
+    passes = {
+        "undefined": (("-fsanitize=undefined", "-fno-sanitize-recover=all"), {},
+                      ("test_cmu_engine.py::test_segment_engine_matches_slot_reference",
+                       "test_rd_engine.py::test_many_latency_ues_run_on_a_small_stack"),
+                      b"__ubsan_handle_"),
+        "address": (("-fsanitize=address",),
+                    {"LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"},
+                    ("test_rd_engine.py::test_kernel_matches_slot_reference",),
+                    b"__asan_report_"),
+    }
     procs = {name: _start(tmp_path / name, flags, env, tests)
-             for name, (flags, env, tests, _) in PASSES.items()}
+             for name, (flags, env, tests, _) in passes.items()}
     try:
         for name, proc in procs.items():
             out, _ = proc.communicate(timeout=300)
             assert proc.returncode == 0, f"{name} sanitizer:\n{out[-4000:]}"
             # the tests loaded the instrumented copy, not the package under test
             (library,) = (tmp_path / name / "aoisched" / "__pycache__").glob("_kernel.*.so")
-            assert PASSES[name][-1] in library.read_bytes()
+            assert passes[name][3] in library.read_bytes()
     finally:
         for proc in procs.values():
             proc.kill()
