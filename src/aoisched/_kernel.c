@@ -7,13 +7,14 @@
 #include <stdint.h>
 #include <string.h>
 
-/* A UE's sums over a segment, in the order of its row of ``sums``, one
-   layout for both policies (metrics.add_sums unpacks it): its arrivals,
-   attempts and deliveries, the latency t - g + 1 of each packet that
-   arrived in slot g and was delivered in slot t, the count, sum and sum of
-   squares of the spacing samples d = g - g_prev (g_prev being the arrival
-   slot of its previous delivery, -1 until its first, which takes no
-   sample), then, for AoI UEs under rd, the sum of each sample times its
+/* A UE's sums, in the order of its row of ``sums``, one layout for both
+   policies: the kernels add to them as they serve, and the engine hands
+   them to metrics.add_sums, which unpacks them, once per window.  Its
+   arrivals, attempts and deliveries, the latency t - g + 1 of each packet
+   that arrived in slot g and was delivered in slot t, the count, sum and
+   sum of squares of the spacing samples d = g - g_prev (g_prev being the
+   arrival slot of its previous delivery, -1 until its first, which takes
+   no sample), then, for AoI UEs under rd, the sum of each sample times its
    wait t - g and the age of every slot.  cmu leaves the last two 0. */
 enum { ARRIVALS, ATTEMPTS, DELIVERIES, LATENCY, SAMPLES, SPACING, SPACING_SQ, SPACING_WAIT, AGE,
        NSUMS };
@@ -61,23 +62,33 @@ static inline pair_i below(const double *u, pair_d q)
     return x < q;
 }
 
+/* A block's queues of arrival slots (kernel.QueueStore), bound once: u
+   holds the uniforms of slots [start, start + n), and queue j its
+   packets' arrival slots, ascending, in queues[j][head[j]:end[j]] of
+   cap[j] elements. */
+struct store {
+    double *u;
+    int64_t start, n;
+    int64_t *const *queues;
+    const int64_t *cap;
+    int64_t *head, *end;
+};
+
 /* Append to queue j the block's arrival slots: slot start + k arrives iff
    u[k] < q, for k < n (slot 0 has none).
 
-   Queue j holds its packets' arrival slots, ascending, in
-   queues[j][head[j]:end[j]] of cap[j] elements.  Once head[j] has passed
-   the midpoint, the live part is first moved to the front.  One pass then
-   appends the arrivals while there is room.  Returns 0 once they are
-   appended; if they do not fit, it leaves end[j] as it was and returns the
-   length the queue needs, for the caller (kernel.QueueStore) to grow its
-   storage and call again. */
-int64_t cmu_enqueue(const double *restrict u, int64_t n, double q, int64_t start,
-                    int64_t j, int64_t *const *restrict queues,
-                    const int64_t *restrict cap, int64_t *restrict head,
-                    int64_t *restrict end)
+   Once head[j] has passed the midpoint of queue j's storage, the live
+   part is first moved to the front.  One pass then appends the arrivals
+   while there is room.  Returns 0 once they are appended; if they do not
+   fit, it leaves end[j] as it was and returns the length the queue needs,
+   for the caller (kernel.QueueStore) to grow its storage and call again. */
+int64_t cmu_enqueue(const struct store *restrict store, int64_t j, double q)
 {
-    int64_t *queue = queues[j], h = head[j], e = end[j];
-    const int64_t c = cap[j];
+    const double *restrict u = store->u;
+    const int64_t start = store->start, n = store->n;
+    int64_t *restrict head = store->head, *restrict end = store->end;
+    int64_t *queue = store->queues[j], h = head[j], e = end[j];
+    const int64_t c = store->cap[j];
     if (2 * h > c) {
         memmove(queue, queue + h, (size_t)(e - h) * sizeof *queue);
         end[j] = e -= h;
@@ -124,16 +135,35 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
     return lo;
 }
 
-/* Serve slots [a, a + n) under the weighted-rate rule (see policies.CmuPolicy).
+/* cmu's state (policies.CmuPolicy), bound once: nq queues in the store,
+   taken in ``order``, queue j succeeding at p[j], each one's arrival slot
+   of its last delivery in g_prev[j] and its row of sums at
+   sums[j * NSUMS:], and room for cmu_serve's tree in tree[0:4 * nq]. */
+struct cmu {
+    const struct store *store;
+    int64_t nq;
+    const int64_t *order;
+    const double *p;
+    int64_t *g_prev, *sums, *tree;
+};
 
-   The queues are laid out as for cmu_enqueue: queue j's undelivered
-   packets, of which one whose slot is after t has not yet arrived in slot
-   t.  So queue j is nonempty in slot t, after the slot's arrivals, iff
-   head[j] < end[j] and queues[j][head[j]] <= t.  In each slot the queues
-   are taken in ``order``; the first nonempty one attempts and succeeds iff
-   u[t - a] < p[j], which delivers its oldest packet and advances head[j].
-   A slot where every queue is empty jumps to the earliest slot at which a
-   queued packet arrives, or to the segment's end.
+static inline int64_t least(int64_t x, int64_t y)
+{
+    return x < y ? x : y;
+}
+
+/* Serve slots [a, b) of the store's block under the weighted-rate rule
+   (see policies.CmuPolicy).  Returns 0, or -1, serving none, if [a, b)
+   is not in the block.
+
+   The store holds queue j's undelivered packets, of which one whose slot
+   is after t has not yet arrived in slot t.  So queue j is nonempty in
+   slot t, after the slot's arrivals, iff head[j] < end[j] and
+   queues[j][head[j]] <= t.  In each slot the queues are taken in
+   ``order``; the first nonempty one attempts and succeeds iff the slot's
+   uniform is below p[j], which delivers its oldest packet and advances
+   head[j].  A slot where every queue is empty jumps to the earliest slot
+   at which a queued packet arrives, or to b.
 
    The first nonempty queue keeps the slots until a queue ranked above it
    has an arrival, or until it empties; the lowest-ranked queue keeps them
@@ -143,44 +173,69 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
    or, for the lowest-ranked queue, packet by packet, each packet's failed
    attempts being the draws up to its first success.
 
-   Writes queue j's sums over the segment to its row, sums[j * NSUMS:]
-   (every packet that arrives in the segment is still queued when it
-   starts, so its arrivals are counted there); g_prev[j] carries over to
-   the next segment.  ``oldest`` (nq entries) is scratch. */
-void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
-               int64_t *const *restrict queues, const int64_t *restrict order,
-               const double *restrict p, int64_t *restrict head,
-               const int64_t *restrict end, int64_t *restrict g_prev,
-               int64_t *restrict sums, int64_t *restrict oldest)
+   Which queue keeps the slots, and until when, comes from a tournament
+   tree in tree[1:2 * leaves], leaves being the least power of two >= nq
+   (so 2 * leaves < 4 * nq): leaf leaves + r holds the arrival slot of the
+   oldest undelivered packet of the queue of rank r (INT64_MAX if it has
+   none, as do the leaves past nq), and each inner node the least of its
+   two children's.  Walking down from the root toward the leftmost leaf
+   <= t finds the first nonempty rank, and the least of the left children
+   passed on the way is the first slot at which a rank above it has an
+   arrival: log2(leaves) steps, whatever the rank, where a walk over the
+   ranks takes one per rank above it.
+
+   Adds queue j's sums over the slots to its row (every packet that
+   arrives in [a, b) is still queued when it starts, so its arrivals are
+   counted here); g_prev[j] carries over to the next call. */
+int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
 {
-    const int64_t stop = a + n;
-    /* oldest[r]: arrival slot of the oldest undelivered packet of the queue
-       of rank r, or INT64_MAX if it has none */
-    for (int64_t r = 0; r < nq; r++) {
-        int64_t j = order[r], h = head[j], e = end[j];
-        const int64_t *queue = queues[j];
-        oldest[r] = h < e ? queue[h] : INT64_MAX;
-        int64_t *s = sums + j * NSUMS;
-        memset(s, 0, NSUMS * sizeof *s);
-        s[ARRIVALS] = first_at(queue, h, e, stop) - first_at(queue, h, e, a);
+    const struct store *store = c->store;
+    if (a < store->start || a > b || b > store->start + store->n)
+        return -1;
+    if (c->nq == 0)  /* a system without latency UEs: every slot is idle */
+        return 0;
+    const double *restrict u = store->u;
+    int64_t *const *queues = store->queues;
+    int64_t *restrict head = store->head, *restrict tree = c->tree;
+    const int64_t *restrict end = store->end, *restrict order = c->order;
+    const int64_t base = store->start, nq = c->nq;
+    int64_t leaves = 1;
+    while (leaves < nq)
+        leaves *= 2;
+    for (int64_t r = 0; r < leaves; r++) {
+        int64_t oldest = INT64_MAX;
+        if (r < nq) {
+            const int64_t j = order[r], h = head[j], e = end[j];
+            const int64_t *queue = queues[j];
+            if (h < e)
+                oldest = queue[h];
+            c->sums[j * NSUMS + ARRIVALS] += first_at(queue, h, e, b) - first_at(queue, h, e, a);
+        }
+        tree[leaves + r] = oldest;
     }
+    for (int64_t i = leaves - 1; i > 0; i--)
+        tree[i] = least(tree[2 * i], tree[2 * i + 1]);
     int64_t t = a;
-    while (t < stop) {
-        /* the first queue nonempty in slot t, and the first slot at which
-           a queue ranked above it has an arrival */
-        int64_t r = 0, wake = stop;
-        for (; r < nq && oldest[r] > t; r++)
-            if (oldest[r] < wake)
-                wake = oldest[r];
-        if (r == nq) {
-            t = wake;
+    while (t < b) {
+        if (tree[1] > t) {  /* every queue is empty in slot t */
+            t = least(tree[1], b);
             continue;
         }
-        const int64_t j = order[r], e = end[j];
+        /* the first queue nonempty in slot t, and the first slot at which
+           a queue ranked above it has an arrival */
+        int64_t i = 1, wake = b;
+        while (i < leaves) {
+            i *= 2;
+            if (tree[i] > t) {
+                wake = least(wake, tree[i]);
+                i++;
+            }
+        }
+        const int64_t r = i - leaves, j = order[r], e = end[j];
         const int64_t *queue = queues[j];
-        const double pj = p[j];
+        const double pj = c->p[j];
         int64_t h = head[j];
-        int64_t s[NSUMS] = {0}, prev = g_prev[j];
+        int64_t sum[NSUMS] = {0}, prev = c->g_prev[j];
         if (r + 1 == nq) {
             for (; h < e; h++) {
                 const int64_t g = queue[h];
@@ -191,32 +246,42 @@ void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
                     break;
                 }
                 const int64_t from = t;
-                while (t < wake && !(u[t - a] < pj))
+                while (t < wake && !(u[t - base] < pj))
                     t++;
-                s[ATTEMPTS] += t - from;
+                sum[ATTEMPTS] += t - from;
                 if (t == wake)
                     break;
-                s[ATTEMPTS]++;
-                record(s, &prev, g, t++);
+                sum[ATTEMPTS]++;
+                record(sum, &prev, g, t++);
             }
         } else {
             const int64_t from = t;
             for (; t < wake && h < e && queue[h] <= t; t++)
-                if (u[t - a] < pj)
-                    record(s, &prev, queue[h++], t);
-            s[ATTEMPTS] += t - from;
+                if (u[t - base] < pj)
+                    record(sum, &prev, queue[h++], t);
+            sum[ATTEMPTS] += t - from;
         }
-        int64_t *sum = sums + j * NSUMS;
-        sum[ATTEMPTS] += s[ATTEMPTS];
-        sum[DELIVERIES] += s[DELIVERIES];
-        sum[LATENCY] += s[LATENCY];
-        sum[SAMPLES] += s[SAMPLES];
-        sum[SPACING] += s[SPACING];
-        sum[SPACING_SQ] += s[SPACING_SQ];
+        int64_t *row = c->sums + j * NSUMS;
+        row[ATTEMPTS] += sum[ATTEMPTS];
+        row[DELIVERIES] += sum[DELIVERIES];
+        row[LATENCY] += sum[LATENCY];
+        row[SAMPLES] += sum[SAMPLES];
+        row[SPACING] += sum[SPACING];
+        row[SPACING_SQ] += sum[SPACING_SQ];
         head[j] = h;
-        g_prev[j] = prev;
-        oldest[r] = h < e ? queue[h] : INT64_MAX;
+        c->g_prev[j] = prev;
+        /* the leaf's slot only grows, so its ancestors change only up to
+           the first whose least stays as it was */
+        int64_t x = h < e ? queue[h] : INT64_MAX;
+        tree[i] = x;
+        for (; i > 1; i /= 2) {
+            x = least(x, tree[i ^ 1]);
+            if (tree[i / 2] == x)
+                break;
+            tree[i / 2] = x;
+        }
     }
+    return 0;
 }
 
 /* One UE's state under rd, one entry per UE position, laid out as the
@@ -225,6 +290,7 @@ void cmu_serve(int64_t a, int64_t n, const double *restrict u, int64_t nq,
 struct ue {
     int64_t *stack;   /* latency: its queued packets' arrival slots, newest last */
     int64_t depth;    /* how many it holds */
+    int64_t room;     /* and how many it has room for */
     /* AoI eligibility gate: a bump needs more than threshold slots since
        the last; while counter > delivered each arrival is retained */
     int64_t threshold, bump, counter, delivered;
@@ -238,25 +304,65 @@ struct ue {
     double index;     /* AoI: rho*p*(g - lam) of the retained packet g */
 };
 
+/* rd's state (policies.RandomizedPolicy), bound once.  The store's u
+   holds the block's success uniforms, draws its policy uniforms, and
+   queue i the block's arrival slots of AoI or latency UE i, from head 0.
+   members lists the AoI positions, then the latency ones, then the
+   throughput ones group after group, each ascending; groups[g] is where
+   group g starts among the throughput ones (ngroups + 1 entries).  ue and
+   the rows of sums are one per position.  queued and cum (nlat entries),
+   pool (naoi) and turn (ngroups) are rd_serve's scratch, so the stack
+   holds none of them however many UEs there are.  list (room entries) is
+   rd_list's, of which rd_serve has served the entries before cursor. */
+struct rd {
+    const struct store *store;
+    const double *draws;
+    int64_t naoi, nlat, ngroups;
+    const int64_t *members, *groups;
+    struct ue *ue;
+    int64_t *sums, *queued;
+    double *cum;
+    int64_t *pool, *turn, *list;
+    int64_t room, cursor;
+};
+
 /* List the block's arrivals in slot order, for rd_serve to walk with one
-   cursor.  Stream k (k < ns) is members[k]'s: its arrival slots in the
-   block, from start on, are arrived[members[k]][0:end[members[k]]],
-   ascending.  An arrival of stream k in slot t is listed as t * ns + k, so
-   the list ascends, and within a slot it follows members' order; a last
-   entry INT64_MAX ends it.  A stable counting sort by slot: count[s]
-   (n entries of scratch, s < n) first counts slot start + s's arrivals,
-   then holds where they go. */
-void rd_list(int64_t start, int64_t n, int64_t ns, const int64_t *restrict members,
-             int64_t *const *restrict arrived, const int64_t *restrict end,
-             int64_t *restrict list, int64_t *restrict count)
+   cursor, then empty the queues for the next block.  Stream k
+   (k < naoi + nlat = ns) is members[k]'s: its arrival slots in the block
+   are queues[members[k]][0:end[members[k]]], ascending.  An arrival of
+   stream k in slot t is listed as t * ns + k, so the list ascends, and
+   within a slot it follows members' order; a last entry INT64_MAX ends
+   it.  A stable counting sort by slot: the store's uniforms, spent once
+   the arrivals are queued, hold n counts, count[s] first counting slot
+   start + s's arrivals, then where they go.
+
+   Returns 0 once they are listed.  If the list, or a latency UE's stack,
+   lacks room for the block's arrivals, it lists none and returns the
+   list's length needed, for the caller to grow both and call again. */
+int64_t rd_list(struct rd *restrict r)
 {
+    const struct store *store = r->store;
+    const int64_t ns = r->naoi + r->nlat, start = store->start, n = store->n;
+    const int64_t *restrict members = r->members;
+    int64_t *const *arrived = store->queues;
+    int64_t *restrict end = store->end, *restrict list = r->list;
+    int64_t total = 0, fits = 1;
+    for (int64_t k = 0; k < ns; k++)
+        total += end[members[k]];
+    for (int64_t k = r->naoi; k < ns; k++) {
+        const struct ue *x = &r->ue[members[k]];
+        fits &= x->depth + end[members[k]] <= x->room;
+    }
+    if (!fits || total >= r->room)
+        return total + 1;
+    int64_t *restrict count = (int64_t *)(void *)store->u;
     memset(count, 0, (size_t)n * sizeof *count);
     for (int64_t k = 0; k < ns; k++) {
         const int64_t i = members[k];
         for (int64_t h = 0; h < end[i]; h++)
             count[arrived[i][h] - start]++;
     }
-    int64_t total = 0;
+    total = 0;
     for (int64_t s = 0; s < n; s++) {
         const int64_t here = count[s];
         count[s] = total;
@@ -268,8 +374,11 @@ void rd_list(int64_t start, int64_t n, int64_t ns, const int64_t *restrict membe
             const int64_t t = arrived[i][h];
             list[count[t - start]++] = t * ns + k;
         }
+        end[i] = 0;
     }
     list[total] = INT64_MAX;
+    r->cursor = 0;
+    return 0;
 }
 
 /* The theta partition of [0, 1) among the nq latency queues that hold a
@@ -362,28 +471,25 @@ static int64_t throughput_best(int64_t t, int64_t ngroups, const int64_t *groups
 }
 
 /* Add the age s - lam of AoI slots s in (aged, t] to row s: lam only moves
-   at a delivery, so this runs before each and at the segment's end. */
+   at a delivery, so this runs before each and at the end of each call. */
 static inline void accrue(int64_t *s, struct ue *x, int64_t t)
 {
     s[AGE] += (t - x->aged) * (t + x->aged + 1 - 2 * x->lam) / 2;
     x->aged = t;
 }
 
-/* Serve slots [a, a + n) under the randomised latency policy (see
-   policies.RandomizedPolicy), in the engine's per-slot order: the slot's
-   arrivals, then one selection, then the outcome.
+/* Serve slots [a, b) of the store's block under the randomised latency
+   policy (see policies.RandomizedPolicy), in the engine's per-slot order:
+   the slot's arrivals, then one selection, then the outcome.  Returns 0,
+   or -1, serving none, if [a, b) is not in the block.
 
-   members lists the AoI positions, then the latency ones, then the
-   throughput ones group after group, each ascending; groups[g] is where
-   group g starts among the throughput ones (ngroups + 1 entries).  list
-   is rd_list's for the block, of which the entries before *cursor have
-   been served; segments come in order, each starting where the last
-   ended, and *cursor advances here.  In slot t, the policy uniform
-   draws[t - a] picks the latency queue whose partition interval holds
+   The slots of a block come in order, each call starting where the last
+   ended, and the cursor into rd_list's list advances here.  In slot t, the
+   policy uniform picks the latency queue whose partition interval holds
    it, which sends its newest packet; a draw in the leftover goes to the
-   retained AoI packet with the largest index, and without one to the
-   best throughput candidate, g = t.  The attempt succeeds iff
-   u[t - a] < p.  Each latency stack has room for the block's arrivals.
+   retained AoI packet with the largest index, and without one to the best
+   throughput candidate, g = t.  The attempt succeeds iff the slot's
+   success uniform is below p.
 
    No step of a slot walks every UE: its arrivals are the list's next
    entries; the AoI UEs holding a packet are listed, and their argmax is
@@ -392,20 +498,23 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    queued latency UEs are kept in order, so a partition sums only their
    shares.
 
-   Writes each UE's sums over the segment to its row, sums[i * NSUMS:],
-   the AoI UEs' spacing times wait and age included.  queued and cum (nlat
-   entries), pool (naoi) and turn (ngroups) are the caller's scratch, so
-   the stack holds none of them however many UEs there are. */
-void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *restrict draws,
-              int64_t naoi, int64_t nlat, int64_t ngroups, const int64_t *restrict members,
-              const int64_t *restrict groups, int64_t *restrict cursor,
-              struct ue *restrict ue, int64_t *restrict sums, int64_t *restrict queued,
-              double *restrict cum, int64_t *restrict pool, int64_t *restrict turn,
-              const int64_t *restrict list)
+   Adds each UE's sums over the slots to its row, sums[i * NSUMS:], the
+   AoI UEs' spacing times wait and age included. */
+int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
 {
+    const struct store *store = r->store;
+    if (a < store->start || a > b || b > store->start + store->n)
+        return -1;
+    const double *restrict u = store->u, *restrict draws = r->draws;
+    const int64_t naoi = r->naoi, nlat = r->nlat, ngroups = r->ngroups, base = store->start;
+    const int64_t *restrict members = r->members, *restrict groups = r->groups;
+    struct ue *restrict ue = r->ue;
+    int64_t *restrict sums = r->sums, *restrict queued = r->queued;
+    int64_t *restrict pool = r->pool, *restrict turn = r->turn;
+    double *restrict cum = r->cum;
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
-    const int64_t ns = naoi + nlat, stop = a + n;
-    const int64_t *next = list + *cursor;
+    const int64_t ns = naoi + nlat;
+    const int64_t *next = r->list + r->cursor;
     int64_t nq = 0, np = 0;
     for (int64_t k = 0; k < nlat; k++)
         if (ue[lat[k]].depth)
@@ -417,8 +526,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
         if (ue[aoi[k]].packet >= 0)
             pool[np++] = aoi[k];
     int64_t best = pool_best(np, pool, ue);
-    memset(sums, 0, (size_t)(ns + groups[ngroups]) * NSUMS * sizeof *sums);
-    for (int64_t t = a; t < stop; t++) {
+    for (int64_t t = a; t < b; t++) {
         const int64_t slot = t * ns;
         if (*next < slot + ns) {
             int regroup = 0;
@@ -442,7 +550,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             if (regroup)
                 partition(nq, queued, ue, cum);
         }
-        const double draw = draws[t - a];
+        const double draw = draws[t - base];
         int64_t k = 0;
         while (k < nq && !(draw < cum[k]))
             k++;
@@ -451,7 +559,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             struct ue *x = &ue[i];
             int64_t *s = sums + i * NSUMS;
             s[ATTEMPTS]++;
-            if (u[t - a] < x->p) {
+            if (u[t - base] < x->p) {
                 record(s, &x->g_prev, x->stack[--x->depth], t);
                 if (!x->depth) {
                     memmove(queued + k, queued + k + 1, (size_t)(--nq - k) * sizeof *queued);
@@ -462,7 +570,7 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             struct ue *x = &ue[best];
             int64_t *s = sums + best * NSUMS;
             s[ATTEMPTS]++;
-            if (u[t - a] < x->p) {
+            if (u[t - base] < x->p) {
                 const int64_t g = x->packet;
                 accrue(s, x, t);
                 s[SPACING_WAIT] += record(s, &x->g_prev, g, t) * (t - g);
@@ -485,11 +593,12 @@ void rd_serve(int64_t a, int64_t n, const double *restrict u, const double *rest
             x->tries++;
             if (++turn[g] == groups[g + 1] - groups[g])
                 turn[g] = 0;
-            if (u[t - a] < x->p)
+            if (u[t - base] < x->p)
                 record(s, &x->g_prev, t, t);
         }
     }
-    *cursor = next - list;
+    r->cursor = next - r->list;
     for (int64_t k = 0; k < naoi; k++)
-        accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], stop - 1);
+        accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], b - 1);
+    return 0;
 }

@@ -13,9 +13,12 @@ loaded one keeps its mapping).
 There is no pure-Python fallback: without a working compiler, importing
 this module raises ``ImportError``.
 
-``QueueStore``, every policy's arrival lister, holds the queues of
-arrival slots that ``cmu_enqueue`` appends to, and ``grown`` is the one
-growth rule of every buffer the kernels write.
+Each kernel takes its state as one struct (``Store``, ``Cmu``, ``Rd``),
+which its owner fills once with the addresses of the buffers it keeps, so
+a call converts a pointer and at most two slots.  ``QueueStore``, every
+policy's arrival lister, holds the queues of arrival slots that
+``cmu_enqueue`` appends to, and ``grown`` is the one growth rule of every
+buffer the kernels write.
 """
 
 from __future__ import annotations
@@ -70,24 +73,42 @@ def _build() -> Path:
 
 _lib = ctypes.CDLL(str(_build()))
 
-cmu_enqueue = _lib.cmu_enqueue
-cmu_enqueue.restype = ctypes.c_int64
-cmu_enqueue.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                        ctypes.c_int64, *[ctypes.c_void_p] * 4]
+# Slots per block: the kernels read a block's uniforms from buffers of
+# this many, so it sets the working set.
+CHUNK = 2 ** 13
 
-cmu_serve = _lib.cmu_serve
-cmu_serve.restype = None
-cmu_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                      *[ctypes.c_void_p] * 8]
+# The structs of _kernel.c, in its order; their pointers are set to numpy
+# buffers that the structs' owners keep.
+_P, _I = ctypes.c_void_p, ctypes.c_int64
 
-rd_list = _lib.rd_list
-rd_list.restype = None
-rd_list.argtypes = [*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 5]
 
-rd_serve = _lib.rd_serve
-rd_serve.restype = None
-rd_serve.argtypes = [ctypes.c_int64, ctypes.c_int64, *[ctypes.c_void_p] * 2,
-                     *[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 10]
+class Store(ctypes.Structure):
+    _fields_ = [("u", _P), ("start", _I), ("n", _I),
+                ("queues", _P), ("cap", _P), ("head", _P), ("end", _P)]
+
+
+class Cmu(ctypes.Structure):
+    _fields_ = [("store", ctypes.POINTER(Store)), ("nq", _I),
+                ("order", _P), ("p", _P), ("g_prev", _P), ("sums", _P), ("tree", _P)]
+
+
+class Rd(ctypes.Structure):
+    _fields_ = [("store", ctypes.POINTER(Store)), ("draws", _P), ("naoi", _I), ("nlat", _I),
+                ("ngroups", _I), *[(f, _P) for f in ("members", "groups", "ue", "sums", "queued",
+                                                    "cum", "pool", "turn", "list")],
+                ("room", _I), ("cursor", _I)]
+
+
+def _bind(name: str, frame, *args):
+    function = getattr(_lib, name)
+    function.restype, function.argtypes = _I, [ctypes.POINTER(frame), *args]
+    return function
+
+
+cmu_enqueue = _bind("cmu_enqueue", Store, _I, ctypes.c_double)
+cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
+rd_list = _bind("rd_list", Rd)
+rd_serve = _bind("rd_serve", Rd, _I, _I)
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by
 # metrics.add_sums
@@ -104,29 +125,36 @@ def grown(buffer: np.ndarray, need: int, h: int = 0, e: int = 0) -> np.ndarray:
 
 class QueueStore:
     """Queues of arrival slots, ascending: queue j's are ``queues[j][head[j]:end[j]]``
-    of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one)."""
+    of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one).
+    The block's uniforms are drawn into ``u``, bound with every address in
+    ``frame``, ``_kernel.c``'s ``struct store``."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, u: np.ndarray):
+        if u.dtype != np.float64 or not u.flags.c_contiguous:
+            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
+        self.u = u
         self.queues = [np.empty(0, np.int64)] * n
         self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
         self.at = np.zeros(n, np.uintp)
-        self._args = [x.ctypes.data for x in (self.at, self.cap, self.head, self.end)]
+        self.frame = Store(u.ctypes.data, 0, 0, *[x.ctypes.data for x in (
+            self.at, self.cap, self.head, self.end)])
 
-    def enqueue(self, start: int, u: np.ndarray, streams) -> None:
-        """Append a block's arrivals, drawing each stream's in turn into
-        ``u``: for each ``(j, gen, q)`` of ``streams``, queue j has an
-        arrival in slot start + k, for k < len(u), iff draw k of ``gen`` is
-        below q (slot 0 has none).  A queue they do not fit in moves,
-        packets first, to ``grown`` storage, and ``cmu_enqueue`` runs again."""
-        if u.dtype != np.float64 or not u.flags.c_contiguous:
-            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
-        n, at = len(u), u.ctypes.data
-        for j, gen, q in streams:
+    def enqueue(self, start: int, n: int, streams, gens) -> None:
+        """Append the arrivals of the block of ``n`` slots from ``start``,
+        drawing each stream's in turn into ``u[:n]``: for each ``(j, q)`` of
+        ``streams`` and ``gen`` of ``gens``, queue j has an arrival in slot
+        start + k, for k < n, iff draw k of ``gen`` is below q (slot 0 has
+        none).  A queue they do not fit in moves, packets first, to
+        ``grown`` storage, and ``cmu_enqueue`` runs again."""
+        if not 0 <= n <= len(self.u):
+            raise ValueError(f"a block of {n} slots does not fit {len(self.u)} uniforms")
+        frame, u = self.frame, self.u[:n]
+        frame.start, frame.n = start, n
+        for (j, q), gen in zip(streams, gens):
             gen.random(out=u)
-            need = cmu_enqueue(at, n, q, start, j, *self._args)
-            if need:
+            if need := cmu_enqueue(frame, j, q):
                 h, e = int(self.head[j]), int(self.end[j])
                 self.queues[j] = queue = grown(self.queues[j], need, h, e)
                 self.at[j], self.cap[j], self.head[j], self.end[j] = (
                     queue.ctypes.data, len(queue), 0, e - h)
-                cmu_enqueue(at, n, q, start, j, *self._args)
+                cmu_enqueue(frame, j, q)

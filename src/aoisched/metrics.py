@@ -35,7 +35,7 @@ class UeMetrics:
     once per block and at the warm-up boundary, and sums an AoI UE's age
     through slot end - 1.  ``latency_now`` only reads: it counts the
     arrivals logged before its slot without folding them.  An ``rd`` or
-    ``cmu`` run uses none of these: its policy sums each segment, arrivals
+    ``cmu`` run uses none of these: its policy sums each window, arrivals
     and age included, and ``add_sums`` adds its rows.  No backlog is
     tracked here: the policy holds the undelivered packets, and
     ``finalize`` takes their count and sum of arrival slots.  Every
@@ -219,12 +219,17 @@ class UeMetrics:
         )
 
 
-def add_sums(metrics: Sequence[UeMetrics], rows: list[list[int]]) -> None:
-    """Add each UE's row of sums over a segment, ``rd``'s or ``cmu``'s (as
-    ``_kernel.c``'s enum lays it out), to its metrics: the integers
-    ``on_delivery`` adds, so floats round alike, and an AoI UE's age."""
+def add_sums(metrics: Sequence[UeMetrics], sums: np.ndarray) -> None:
+    """Add each UE's row of ``sums``, ``rd``'s or ``cmu``'s (as
+    ``_kernel.c``'s enum lays it out), to its metrics, and zero the rows:
+    the integers ``on_delivery`` adds, so floats round alike, and an AoI
+    UE's age.  The kernels add to the rows over a whole window, so a
+    column's sum reaches up to horizon**2 (the age of every slot, the
+    latency of every delivery, the squares of spacings that add up to less
+    than the horizon), which int64 holds exactly below 3 * 10**9 slots, as
+    a single spacing's square needs anyway."""
     for m, (arrivals, attempts, deliveries, latency, samples, spacing, spacing_sq,
-            spacing_wait, age) in zip(metrics, rows):
+            spacing_wait, age) in zip(metrics, sums.tolist()):
         m.arrivals += arrivals
         m.attempts += attempts
         m.deliveries += deliveries
@@ -234,6 +239,7 @@ def add_sums(metrics: Sequence[UeMetrics], rows: list[list[int]]) -> None:
         m.sample_sumsq += spacing_sq
         m.sum_spacing_wait += spacing_wait
         m.aoi_sum += age
+    sums.fill(0)
 
 
 @dataclass(frozen=True, slots=True)

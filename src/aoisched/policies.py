@@ -4,8 +4,10 @@
 index update fed with the slot's arrivals, a selection step returning at
 most one transmission, and an outcome hook.  The randomised policy
 (``RandomizedPolicy``, ``rd``) and the weighted-rate rule (``CmuPolicy``)
-have the same three steps, each over a block or a segment of slots, and
-serve in compiled code (``kernel``).  The two-tier policies keep a pool of
+have the same three steps over runs of slots, ``update_index`` over a
+block, ``select`` over a block's slots on one side of the warm-up's end
+and ``on_outcome`` over a window, and serve in compiled code
+(``kernel``).  The two-tier policies keep a pool of
 retained high-priority packets (at most one per AoI UE; under
 ``hier``/``vw`` also the whole queue per latency UE); whenever that pool is
 nonempty its best-index packet is sent, and only an empty pool lets the
@@ -35,6 +37,7 @@ arrival replaces the retained packet (fresher data supersedes older).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from array import array
 from heapq import heapreplace
@@ -256,7 +259,7 @@ class HierarchicalPolicy(_TwoTier):
 # throughput tier's tries, then the doubles.
 UE_STATE = np.dtype([("stack", np.uintp)]
                     + [(name, np.int64) for name in (
-                        "depth", "threshold", "bump", "counter", "delivered", "packet",
+                        "depth", "room", "threshold", "bump", "counter", "delivered", "packet",
                         "lam", "aged", "g_prev", "tries")]
                     + [(name, np.float64) for name in ("p", "weight", "index")])
 
@@ -276,17 +279,19 @@ class RandomizedPolicy:
     ``alpha*t/p - attempts``, lowest position on ties.
 
     ``update_index`` draws a block's arrivals and lists them in slot order
-    (``kernel.rd_list``), ``select`` serves slots [a, b) in one call of
-    ``kernel.rd_serve`` and ``on_outcome`` adds each position's sums over
-    them to its UE's metrics.  Like ``_TwoTier`` in Python, the kernel
-    keeps the pool's argmax as packets are retained and each throughput
-    group's candidate as its members attempt, so no step of a slot walks
-    every UE.  The kernel's per-UE scratch is allocated here, once, so the
-    C stack holds none of it at any number of UEs.
+    (``kernel.rd_list``), ``select`` serves slots [a, b) of it in one call
+    of ``kernel.rd_serve``, adding to each position's row of sums, and
+    ``on_outcome``, once per window, adds the rows to the UEs' metrics.
+    Like ``_TwoTier`` in Python, the kernel keeps the pool's argmax as
+    packets are retained and each throughput group's candidate as its
+    members attempt, so no step of a slot walks every UE.  The block's
+    uniforms (``block``), the kernel's per-UE scratch and every address the
+    kernels take (``frame``, ``_kernel.c``'s ``struct rd``) are bound here,
+    once, so a call converts no array and the C stack holds no per-UE
+    scratch at any number of UEs.
     """
 
     name = "rd"
-    needs_draw = True
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
         if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
@@ -311,73 +316,61 @@ class RandomizedPolicy:
             for i in members:
                 ue["weight"][i] = ues[i].alpha
         self.ue = ue
-        # each AoI and latency UE's arrival slots in the block, queue i of
-        # ``store`` (its head stays 0, so cmu_enqueue never compacts it),
-        # then all of them in slot order in ``_list``, served up to
-        # ``_cursor``; a latency UE's stack, with room for the block's arrivals
-        self._arriving = sorted(aoi + lat)
-        self._q = [ues[i].q for i in self._arriving]
-        self._lat = lat
-        self.store = kernel.QueueStore(n)
+        # the block's success and policy uniforms; each AoI and latency UE's
+        # arrival slots in the block, queue i of ``store`` (its head stays 0,
+        # so cmu_enqueue never compacts it), drawn into the first row; a
+        # latency UE's stack, grown to hold the block's arrivals
+        self.block = np.empty((2, kernel.CHUNK))
+        self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
+        self.store = kernel.QueueStore(n, self.block[0])
         self.stacks = [np.empty(0, np.int64)] * n
-        self._list = np.empty(0, np.int64)
-        self._cursor = np.zeros(1, np.int64)
         # each position's last delivered arrival slot (-1: none since the
-        # run or the warm-up began), and its sums over the last segment
+        # run or the warm-up began), and its sums since on_outcome last ran
         self.g_prev = ue["g_prev"]
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         # AoI, latency, then each throughput group's members, ascending,
-        # and where each group starts among the throughput ones
+        # and where each group starts among the throughput ones; rd_serve's
+        # scratch; rd_list's list of the block's arrivals in slot order
         thr = list(groups.values())
-        self._members = np.array(aoi + lat + [i for m in thr for i in m], np.int64)
-        self._groups = np.array([0, *accumulate(len(m) for m in thr)], np.int64)
-        # rd_serve's scratch: the queued latency UEs and their partition,
-        # the AoI UEs holding a packet and each group's turn
-        self._scratch = (np.empty(len(lat), np.int64), np.empty(len(lat)),
+        self._buffers = (np.array(aoi + lat + [i for m in thr for i in m], np.int64),
+                         np.array([0, *accumulate(len(m) for m in thr)], np.int64), ue, self.sums,
+                         np.empty(len(lat), np.int64), np.empty(len(lat)),
                          np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64))
-        # the kernels' buffers, by address: the arrival list's comes last in
-        # both lists, to be replaced as the list grows
-        members, arrivals = self._members.ctypes.data, self._list.ctypes.data
-        at, end = self.store.at.ctypes.data, self.store.end.ctypes.data
-        self._list_args = [len(self._arriving), members, at, end, arrivals]
-        self._serve_args = [len(aoi), len(lat), len(thr), members, *[x.ctypes.data for x in (
-            self._groups, self._cursor, ue, self.sums, *self._scratch)], arrivals]
+        self._list = np.empty(0, np.int64)  # none yet: room 0
+        self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[1].ctypes.data,
+                               len(aoi), len(lat), len(thr),
+                               *[x.ctypes.data for x in self._buffers])
 
-    def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
-        """List a block's arrivals, drawing each stream's in turn into
-        ``u``: the k-th AoI or latency position (ascending) has an arrival
-        in slot start + j, for j < len(u), iff draw j of ``gens[k]`` is
-        below its q (slot 0 has none).  ``store`` turns each stream's
-        uniforms into arrival slots, and ``kernel.rd_list`` sorts them all
-        by slot, counting in ``u`` once its uniforms are spent."""
-        self.store.end.fill(0)
-        self.store.enqueue(start, u, zip(self._arriving, gens, self._q))
-        need = int(self.store.end.sum()) + 1
-        if need > len(self._list):
-            self._list = kernel.grown(self._list, need)
-            self._list_args[-1] = self._serve_args[-1] = self._list.ctypes.data
-        kernel.rd_list(start, len(u), *self._list_args, u.ctypes.data)
-        self._cursor[0] = 0
-        depth, stack_at = self.ue["depth"].tolist(), self.ue["stack"]
-        for i in self._lat:
-            need = depth[i] + int(self.store.end[i])
-            if need > len(self.stacks[i]):
-                self.stacks[i] = stack = kernel.grown(self.stacks[i], need, 0, depth[i])
-                stack_at[i] = stack.ctypes.data
+    def update_index(self, start: int, n: int, gens: Sequence[np.random.Generator]) -> None:
+        """List the arrivals of the block of ``n`` slots from ``start``: the
+        k-th AoI or latency position (ascending) has an arrival in slot
+        start + j, for j < n, iff draw j of ``gens[k]`` is below its q (slot
+        0 has none).  ``store`` turns each stream's uniforms into arrival
+        slots, and ``kernel.rd_list`` sorts them all by slot; the list and
+        the stacks grow first if they lack room."""
+        self.store.enqueue(start, n, self._streams, gens)
+        if need := kernel.rd_list(self.frame):
+            if need > len(self._list):
+                self._list = kernel.grown(self._list, need)
+                self.frame.list, self.frame.room = self._list.ctypes.data, len(self._list)
+            ue = self.ue
+            for i, (depth, end) in enumerate(zip(ue["depth"].tolist(), self.store.end.tolist())):
+                if depth + end > ue["room"][i]:
+                    self.stacks[i] = stack = kernel.grown(self.stacks[i], depth + end, 0, depth)
+                    ue["stack"][i], ue["room"][i] = stack.ctypes.data, len(stack)
+            kernel.rd_list(self.frame)
 
-    def select(self, a: int, b: int, u: np.ndarray, draws: np.ndarray) -> None:
-        """Serve slots [a, b), whose success uniforms are ``u`` and policy
-        uniforms ``draws``, leaving each position's sums over them in its
-        row of ``sums``."""
-        u, draws = (np.ascontiguousarray(x, np.float64) for x in (u, draws))
-        if u.shape != (b - a,) or draws.shape != (b - a,):
-            raise ValueError(f"slots [{a}, {b}) need {b - a} success and policy uniforms, "
-                             f"got {u.shape} and {draws.shape}")
-        kernel.rd_serve(a, b - a, u.ctypes.data, draws.ctypes.data, *self._serve_args)
+    def select(self, a: int, b: int) -> None:
+        """Serve slots [a, b) of the block drawn last, whose success and
+        policy uniforms are in ``block[0]`` and ``block[1]`` from its first
+        slot on, adding each position's sums over them to its row of
+        ``sums``; slots outside the block raise ValueError."""
+        if kernel.rd_serve(self.frame, a, b):
+            raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums over the last segment to its metrics."""
-        add_sums(metrics, self.sums.tolist())
+        """Add each position's sums to its metrics, and zero them."""
+        add_sums(metrics, self.sums)
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each position's count and sum of arrival slots of undelivered
@@ -395,15 +388,17 @@ class CmuPolicy:
     A strict priority over first-in-first-out queues needs no per-slot
     call.  ``update_index`` draws and enqueues a block's arrivals, one
     compiled call per queue (``kernel.QueueStore.enqueue``), ``select``
-    serves slots [a, b) in one compiled pass (``kernel.cmu_serve``) and
-    ``on_outcome`` adds each queue's sums over them, its arrivals included,
-    to its UE's metrics.  A queue's storage grows by doubling and is
-    compacted in place whenever its head has passed the midpoint, so
-    enqueueing a block costs its arrivals, not the backlog.
+    serves slots [a, b) of it in one compiled pass (``kernel.cmu_serve``),
+    adding to each queue's sums, its arrivals included, and ``on_outcome``,
+    once per window, adds them to the UEs' metrics.  The block's uniforms
+    (``block``) and every address the kernels take (``frame``,
+    ``_kernel.c``'s ``struct cmu``) are bound here, once.  A queue's storage
+    grows by doubling and is compacted in place whenever its head has
+    passed the midpoint, so enqueueing a block costs its arrivals, not the
+    backlog.
     """
 
     name = "cmu"
-    needs_draw = False
 
     def __init__(self, scenario: Scenario):
         lat = scenario.latency_ues
@@ -413,38 +408,40 @@ class CmuPolicy:
             raise ScenarioError("weighted-rate rule needs latency weights (rho)")
         ues = sorted(lat, key=lambda u: u.id)
         n = len(ues)
-        self.q = [u.q for u in ues]
+        self._streams = [(i, u.q) for i, u in enumerate(ues)]
         self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
-        # the arrival slots of each queue's undelivered packets, of which
-        # those after the segment being served have not arrived yet
-        self.store = kernel.QueueStore(n)
+        # the block's success uniforms, and the arrival slots of each
+        # queue's undelivered packets, of which those after the slots being
+        # served have not arrived yet, drawn into the same buffer
+        self.block = np.empty((1, kernel.CHUNK))
+        self.store = kernel.QueueStore(n, self.block[0])
         # each queue's last delivered arrival slot (-1: none since the run or
-        # the warm-up began), and its sums over the last segment served
+        # the warm-up began), its sums since on_outcome last ran, and
+        # cmu_serve's tree
         self.g_prev = np.full(n, -1, np.int64)
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
-        # the kernel's arguments after the block's, passed by address
-        store = self.store
         self._buffers = (np.array(self.order, np.int64), np.array([u.p for u in ues]),
-                         store.head, store.end, self.g_prev, self.sums, np.zeros(n, np.int64))
-        self._serve_args = [x.ctypes.data for x in (store.at, *self._buffers)]
+                         self.g_prev, self.sums, np.empty(4 * n, np.int64))
+        self.frame = kernel.Cmu(ctypes.pointer(self.store.frame), n,
+                                *[x.ctypes.data for x in self._buffers])
 
-    def update_index(self, start: int, u: np.ndarray, gens: Sequence[np.random.Generator]) -> None:
-        """Enqueue a block's arrivals, drawing each stream's in turn into
-        ``u``: position i has an arrival in slot start + k, for k < len(u),
-        iff draw k of ``gens[i]`` is below its q (slot 0 has none)."""
-        self.store.enqueue(start, u, zip(range(len(self.q)), gens, self.q))
+    def update_index(self, start: int, n: int, gens: Sequence[np.random.Generator]) -> None:
+        """Enqueue the arrivals of the block of ``n`` slots from ``start``:
+        position i has an arrival in slot start + k, for k < n, iff draw k
+        of ``gens[i]`` is below its q (slot 0 has none)."""
+        self.store.enqueue(start, n, self._streams, gens)
 
-    def select(self, a: int, b: int, u: np.ndarray) -> None:
-        """Serve slots [a, b), whose success uniforms are ``u``, leaving
-        each position's sums over them in its row of ``sums``."""
-        u = np.ascontiguousarray(u, np.float64)
-        if u.shape != (b - a,):
-            raise ValueError(f"slots [{a}, {b}) need {b - a} success uniforms, got {u.shape}")
-        kernel.cmu_serve(a, b - a, u.ctypes.data, len(self.order), *self._serve_args)
+    def select(self, a: int, b: int) -> None:
+        """Serve slots [a, b) of the block drawn last, whose success
+        uniforms are in ``block[0]`` from its first slot on, adding each
+        position's sums over them to its row of ``sums``; slots outside the
+        block raise ValueError."""
+        if kernel.cmu_serve(self.frame, a, b):
+            raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums over the last segment to its metrics."""
-        add_sums(metrics, self.sums.tolist())
+        """Add each position's sums to its metrics, and zero them."""
+        add_sums(metrics, self.sums)
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each queue's count and sum of arrival slots of undelivered packets."""

@@ -11,8 +11,9 @@ Per-slot order of operations (normative):
    policy outcome hook; a success is logged for the metrics.
 
 Draws are taken in blocks of ``CHUNK`` slots, so memory does not grow with
-the horizon.  Each block is cut into segments at weight steps and at the
-warm-up's last slot.
+the horizon.  Under ``hier`` and ``vw`` each block is cut into segments at
+weight steps and at the warm-up's last slot; under ``rd`` and ``cmu`` only
+at the warm-up's last slot.
 
 Under every policy, each block's arrival uniforms are drawn into one
 reused buffer, a stream at a time, and turned into arrival slots by one
@@ -34,13 +35,17 @@ in its ``lat`` order; the policy appends each new weight to that UE's
 
 ``rd`` and ``cmu`` run in compiled code in the same per-slot order, so they
 read the same draws and give the same report as a slot-by-slot run (see
-``policies.RandomizedPolicy`` and ``policies.CmuPolicy``).  Under ``rd``
-the arrival slots are merged into one list in slot order; then the
-block's success uniforms, and ``rd``'s policy uniforms into a second
-buffer, are served a segment at a time.  The kernels count each UE's
-arrivals and sum its deliveries (and, under ``rd``, its age) themselves,
-a row per UE that ``metrics.add_sums`` adds, so no ``UeMetrics`` fold
-runs.
+``policies.RandomizedPolicy`` and ``policies.CmuPolicy``).  Each policy
+owns its block's buffers and binds them, with every address its kernels
+take, once, when it is built; per block the engine makes three calls:
+``update_index`` draws and enqueues the arrivals (under ``rd`` also merged
+into one list in slot order), the engine draws the success uniforms, and
+``rd``'s policy uniforms into a second buffer, and ``select`` serves the
+block in one kernel call, two in the block where the warm-up ends.  The
+kernels count each UE's arrivals and add up its deliveries (and, under
+``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
+``metrics.add_sums`` once per window: where the warm-up ends and at the
+horizon.  So no ``UeMetrics`` fold runs.
 
 Under every policy the queues and retained packets hold the backlog: after
 either loop the engine passes the policy's ``backlog()`` to ``finalize``.
@@ -55,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernel
+from .kernel import CHUNK, QueueStore
 from .metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
                     Variant, replace_param, validate)
@@ -68,10 +73,6 @@ __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep"
            "sweep_target", "lower_bound", "derive_seed"]
 
 POLICY_NAMES = ("hier", "vw", "rd", "cmu")
-
-# Slots per block of draws.  A block's draws, arrival slots and logged
-# deliveries are held until it is folded, so this sets the working set.
-CHUNK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def run(config: RunConfig) -> RunReport:
     if not 0 <= config.warmup < horizon:
         raise ScenarioError(f"warmup must be in [0, horizon), got {config.warmup}")
     policy, extras = build_policy(config)
-    by_segment = not isinstance(policy, HierarchicalPolicy)
+    by_block = not isinstance(policy, HierarchicalPolicy)
 
     ues = sorted(scenario.ues, key=lambda u: u.id)
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
@@ -173,35 +174,38 @@ def run(config: RunConfig) -> RunReport:
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
-    if by_segment:
-        # each block's arrival uniforms are drawn into one buffer, a stream at
-        # a time, and enqueued; then its success uniforms, and rd's policy
-        # uniforms into a second buffer, to be served a segment at a time
-        block = np.empty((1 + policy.needs_draw, CHUNK))
+    if by_block:
+        # each block's arrival uniforms are drawn into the policy's buffer, a
+        # stream at a time, and enqueued; then its success uniforms, and rd's
+        # policy uniforms into a second buffer, are served in one call, cut
+        # only where the warm-up ends; each window's sums are added at its end
         for start in range(0, horizon + 1, CHUNK):
-            u = block[:, :min(CHUNK, horizon + 1 - start)]
-            update_index(start, u[0], arrival_gens)
-            success_gen.random(out=u[0])
-            if policy.needs_draw:
-                policy_gen.random(out=u[1])
-            for a, b in _segments(max(start, 1), start + u.shape[1], 0, warm_end):
-                select(a, b, *u[:, a - start:b - start])
+            n = min(CHUNK, horizon + 1 - start)
+            update_index(start, n, arrival_gens)
+            u = policy.block if n == CHUNK else policy.block[:, :n]
+            for row, gen in zip(u, (success_gen, policy_gen)):
+                gen.random(out=row)
+            a, b = max(start, 1), start + n
+            if a <= warm_end < b:
+                select(a, warm_end + 1)
                 on_outcome(metrics)
-                if b - 1 == warm_end:
-                    for m in metrics:
-                        m.reset_window()
-                    policy.g_prev.fill(-1)  # no spacing sample spans the boundary
+                for m in metrics:
+                    m.reset_window()
+                policy.g_prev.fill(-1)  # no spacing sample spans the boundary
+                a = warm_end + 1
+            select(a, b)
+        on_outcome(metrics)
     else:
         # each block's arrival uniforms are drawn into one buffer, a stream at
         # a time, and listed as queue i of ``store`` (its head stays 0, as
         # under rd); then its success uniforms, into the same buffer
         buffer = np.empty(CHUNK)
-        store = kernel.QueueStore(len(ues))
-        streams = [(i, gen, ues[i].q) for i, gen in zip(arriving, arrival_gens)]
+        store = QueueStore(len(ues), buffer)
+        streams = [(i, ues[i].q) for i in arriving]
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
             store.end.fill(0)
-            store.enqueue(start, buffer[:n], streams)
+            store.enqueue(start, n, streams, arrival_gens)
             lists = [(i, store.queues[i][:store.end[i]]) for i in arriving]
             for i, hit in lists:
                 metrics[i].log_arrivals(hit)

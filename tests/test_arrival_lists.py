@@ -1,16 +1,18 @@
-"""The kernels that list a block's arrivals, called directly.
+"""The kernels that list a block's arrivals, called on one block.
 
 ``kernel.cmu_enqueue`` compares a block's uniforms with ``q`` two at a time
 and appends the slots below it to a queue; the engine tests reach it only
-through whole runs.  Here it must list exactly ``np.flatnonzero(u < q)``
-(from slot 1 on when the block starts at slot 0): at uniforms equal to
-``q``, at ``q`` = 0 and 1, on either side of 1/32 (where it switches from
-appending every pair to skipping runs of eight without an arrival), for
-lengths that are not a multiple of eight, and through the grow-and-retry
-protocol, which ``kernel.QueueStore`` runs with ``kernel.grown``'s rule
-for ``cmu``'s queues and ``rd``'s arrival lists alike.  ``kernel.rd_list``
-merges the streams' lists into one, slot by slot, in stream order within a
-slot.
+through whole runs.  Here it is called directly on a
+``kernel.QueueStore`` whose buffer holds the uniforms, and must list
+exactly ``np.flatnonzero(u < q)`` (from slot 1 on when the block starts
+at slot 0): at uniforms equal to ``q``, at ``q`` = 0 and 1, on either side
+of 1/32 (where it switches from appending every pair to skipping runs of
+eight without an arrival), for lengths that are not a multiple of eight,
+and through the grow-and-retry protocol, which ``kernel.QueueStore`` runs
+with ``kernel.grown``'s rule for ``cmu``'s queues and ``rd``'s arrival
+lists alike.  ``kernel.rd_list``,
+run by ``RandomizedPolicy.update_index``, merges the streams' lists into
+one, slot by slot, in stream order within a slot, and empties them.
 """
 
 import numpy as np
@@ -19,24 +21,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aoisched import kernel
+from aoisched.model import Scenario, UeClass, UeConfig, Variant
+from aoisched.policies import RandomizedPolicy
+from test_policies import Arrivals
 
 SKIP_BELOW = 1.0 / 32
 QS = [0.0, 1.0, np.nextafter(SKIP_BELOW, 0.0), SKIP_BELOW, np.nextafter(SKIP_BELOW, 1.0), 0.01, 0.5]
 
 
-def ptrs(*arrays):
-    return [a.ctypes.data for a in arrays]
-
-
 def enqueue(u, q, start, queue, head=0, end=0):
-    """One ``cmu_enqueue`` call on a queue holding ``queue[head:end]``:
-    its return value, and the queue's end and contents after it."""
-    u = np.ascontiguousarray(u, np.float64)
-    state = [np.array([x], dtype) for x, dtype in (
-        (queue.ctypes.data, np.uintp), (len(queue), np.int64), (head, np.int64), (end, np.int64))]
-    need = kernel.cmu_enqueue(u.ctypes.data, len(u), q, start, 0, *ptrs(*state))
-    head, end = int(state[2][0]), int(state[3][0])
-    return need, queue[head:end]
+    """One ``cmu_enqueue`` call, through a ``QueueStore`` whose buffer holds
+    ``u``, on a queue holding ``queue[head:end]``: its return value, and
+    the queue's contents after it."""
+    store = kernel.QueueStore(1, np.array(u, np.float64))
+    store.queues[0] = queue
+    store.at[0], store.cap[0] = queue.ctypes.data, len(queue)
+    store.head[0], store.end[0] = head, end
+    store.frame.start, store.frame.n = start, len(u)
+    need = kernel.cmu_enqueue(store.frame, 0, q)
+    return need, queue[store.head[0]:store.end[0]]
 
 
 def expected(u, q, start):
@@ -94,22 +97,31 @@ def test_enqueue_returns_the_length_it_needs_then_fits(q):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(start=st.sampled_from([0, 8192]), n=st.integers(2, 64), data=st.data())
 def test_rd_list_orders_arrivals_by_slot_then_stream(start, n, data):
-    streams = data.draw(st.lists(st.sets(st.integers(max(start, 1), start + n - 1)), max_size=6))
-    ns = len(streams)
-    # stream k belongs to position members[k]; positions are not in stream order
-    members = np.array(data.draw(st.permutations(range(ns))), np.int64)
-    arrived = [np.empty(0, np.int64)] * ns
-    end = np.zeros(ns, np.int64)
-    for k, slots in enumerate(streams):
-        arrived[members[k]] = np.array(sorted(slots), np.int64)
-        end[members[k]] = len(slots)
-    at = np.array([a.ctypes.data for a in arrived], np.uintp)
-    total = int(end.sum())
-    count, arrivals = np.empty(n, np.int64), np.full(total + 2, -1, np.int64)
-    kernel.rd_list(start, n, ns, *ptrs(members, at, end, arrivals, count))
+    # stream k belongs to the k-th AoI, then latency, position; the classes
+    # interleave by id, so positions are not in stream order
+    classes = data.draw(st.lists(st.sampled_from([UeClass.AOI, UeClass.LATENCY]), max_size=6))
+    ues = [UeConfig(id=i, cls=c, q=0.5, p=0.5, rho=1.0, beta=30.0) if c is UeClass.AOI else
+           UeConfig(id=i, cls=c, q=0.5, p=0.5, beta=30.0) for i, c in enumerate(classes, 1)]
+    ues.append(UeConfig(id=len(ues) + 1, cls=UeClass.THROUGHPUT, p=0.5, alpha=0.1))
+    scenario = Scenario(ues=tuple(ues), variant=Variant.LATENCY_CONSTRAINED)
+    policy = RandomizedPolicy(scenario, {u.id: 1 for u in scenario.aoi_ues})
+    positions = [i for i, c in enumerate(classes) if c is UeClass.AOI]
+    positions += [i for i, c in enumerate(classes) if c is UeClass.LATENCY]
+    streams = [data.draw(st.sets(st.integers(max(start, 1), start + n - 1))) for _ in positions]
+    gens = {i: Arrivals(start, *slots) for i, slots in zip(positions, streams)}
+    gens = [gens[i] for i in sorted(positions)]
+    # the first block grows the list; the same block again fits it, and
+    # nothing is written past its last entry
+    policy.update_index(start, n, gens)
+    policy._list.fill(-1)
+    policy.update_index(start, n, gens)
+    total = sum(map(len, streams))
     want = sorted((t, k) for k, slots in enumerate(streams) for t in slots)
-    assert arrivals[:total].tolist() == [t * ns + k for t, k in want]
-    assert arrivals[total] == np.iinfo(np.int64).max and arrivals[total + 1] == -1
+    listed = policy._list[:total + 1].tolist()
+    assert listed == [t * len(streams) + k for t, k in want] + [np.iinfo(np.int64).max]
+    assert (policy._list[total + 1:] == -1).all()
+    assert policy.store.end.tolist() == [0] * len(ues)  # emptied for the next block
+    assert policy.frame.cursor == 0
 
 
 class Draws:
@@ -128,14 +140,25 @@ def test_store_grows_a_queue_whose_head_sits_at_the_midpoint():
     # four live packets and the block's one arrival need 5 <= 8 elements
     # but do not fit after the head, so the queue moves to storage twice as
     # large, packets first, and keeps every packet
-    store = kernel.QueueStore(1)
+    store = kernel.QueueStore(1, np.empty(4))
     store.queues[0] = queue = np.array([-1, -1, -1, -1, 5, 6, 7, 8], np.int64)
     store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 8, 4, 8
-    store.enqueue(100, np.empty(4), [(0, Draws([1.0, 1.0, 0.0, 1.0]), 0.5)])
+    store.enqueue(100, 4, [(0, 0.5)], [Draws([1.0, 1.0, 0.0, 1.0])])
     assert store.cap.tolist() == [16] and len(store.queues[0]) == 16
     assert store.at[0] == store.queues[0].ctypes.data
     assert (store.head[0], store.end[0]) == (0, 5)
     assert store.queues[0][:5].tolist() == [5, 6, 7, 8, 102]
+
+
+def test_store_takes_one_contiguous_float64_buffer_and_blocks_that_fit_it():
+    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
+        with pytest.raises(TypeError, match="contiguous float64"):
+            kernel.QueueStore(1, u)
+    store = kernel.QueueStore(1, np.empty(4))
+    for n in -1, 5:
+        with pytest.raises(ValueError, match=f"a block of {n} slots does not fit 4"):
+            store.enqueue(0, n, [(0, 0.5)], [Draws([0.0] * 4)])
+    assert store.end.tolist() == [0]
 
 
 @pytest.mark.parametrize("cap, need, size", [(0, 1, 1), (0, 5, 8), (8, 5, 16), (8, 9, 16),

@@ -108,3 +108,35 @@ def test_lower_queues_starve_behind_an_overloaded_top_queue():
     assert top.attempts == config.horizon - config.warmup
     assert [s.attempts for s in low] == [0, 0] and [s.deliveries for s in low] == [0, 0]
     assert all(s.arrivals > 0 for s in low)
+
+
+def test_a_system_without_queues_idles():
+    # a scenario of no UEs is valid, and cmu_serve keeps no tree for it
+    config = RunConfig(scenario=Scenario(ues=(), variant=Variant.LATENCY_WEIGHTED),
+                       policy=PolicySpec("cmu"), horizon=CHUNK + 1, seed=1, warmup=1)
+    assert report_rows(run(config), "x") == report_rows(run_slots(config), "x")
+
+
+# Three queues at a total load of 0.95, so queues are rarely all empty at a
+# block edge or where the warm-up ends.
+EDGE_SYSTEM = Scenario(ues=(
+    UeConfig(id=1, cls=UeClass.LATENCY, q=0.3, p=0.8, rho=1.0),
+    UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.6, rho=2.0),
+    UeConfig(id=3, cls=UeClass.LATENCY, q=0.1, p=0.9, rho=0.5),
+), variant=Variant.LATENCY_WEIGHTED)
+WINDOW_EDGES = {"none": lambda h: 0, "1": lambda h: 1, "chunk-1": lambda h: CHUNK - 1,
+                "chunk": lambda h: CHUNK, "horizon-1": lambda h: h - 1}
+
+
+@pytest.mark.parametrize("horizon", [2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
+@pytest.mark.parametrize("warmup", WINDOW_EDGES.values(), ids=WINDOW_EDGES.keys())
+def test_window_edges_match_slot_reference(horizon, warmup):
+    """The block is cut only where the warm-up ends, in its last slot
+    ``warmup``, and the sums are added at the end of each window: a
+    warm-up ending in slot 1, on either side of the first block edge or in
+    the second-last slot; horizons ending a block, one slot into the next
+    and two."""
+    config = RunConfig(scenario=EDGE_SYSTEM, policy=PolicySpec("cmu"), horizon=horizon,
+                       seed=3, warmup=warmup(horizon))
+    assert report_rows(run(config), "x") == report_rows(run_slots(config), "x")
+

@@ -301,19 +301,23 @@ def rd(beta=2.0):
 
 
 def rd_served(policy, draws, arrivals=(), succeed=()):
-    """Serve slots 1..len(draws) one segment each, with policy uniform
+    """Serve slots 1..len(draws) one call each, with policy uniform
     ``draws[t - 1]`` in slot t, after enqueueing the block from slot 0 in
     which the k-th AoI or latency position (ascending) has arrivals in
     ``arrivals[k]``.  The attempt in slot t succeeds iff t is in
     ``succeed``.  Returns the position that attempted in each slot, or
     None."""
     streams = [Arrivals(0, *slots) for slots in arrivals]
-    streams += [Arrivals(0)] * (len(policy._arriving) - len(streams))
-    policy.update_index(0, np.empty(len(draws) + 1), streams)
+    streams += [Arrivals(0)] * (len(policy._streams) - len(streams))
+    n = len(draws) + 1
+    policy.update_index(0, n, streams)
+    policy.block[:, :n] = [[0.0] + [0.0 if t in succeed else 1.0 for t in range(1, n)],
+                           [0.0, *draws]]
     served = []
-    for t, draw in enumerate(draws, 1):
-        policy.select(t, t + 1, np.array([0.0 if t in succeed else 1.0]), np.array([draw]))
-        attempts = policy.sums[:, 1]
+    for t in range(1, n):
+        attempts = policy.sums[:, 1].copy()
+        policy.select(t, t + 1)
+        attempts = policy.sums[:, 1] - attempts
         served.append(int(attempts.argmax()) if attempts.any() else None)
     return served
 
@@ -349,8 +353,9 @@ def test_rd_attempt_fails_at_a_uniform_equal_to_p():
     # 1-2 go to the throughput ue (p 0.9), slot 3 to the latency ue (0.8),
     # slot 4 to the aoi ue (0.7), its packet of slot 3 eligible
     p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
-    p.update_index(0, np.empty(5), [Arrivals(0, 1, 2, 3), Arrivals(0, 3)])
-    p.select(1, 5, np.array([0.9, 0.9, 0.8, 0.7]), np.array([0.5, 0.5, 0.5, 0.99]))
+    p.update_index(0, 5, [Arrivals(0, 1, 2, 3), Arrivals(0, 3)])
+    p.block[:, 1:5] = [[0.9, 0.9, 0.8, 0.7], [0.5, 0.5, 0.5, 0.99]]
+    p.select(1, 5)
     p.on_outcome(metrics)
     assert [m.attempts for m in metrics] == [1, 1, 2]
     assert [m.deliveries for m in metrics] == [0, 0, 0]
@@ -388,9 +393,11 @@ def test_rd_success_clears_aoi_candidate_only():
                        succeed=(3, 4))
     assert served == [THR, THR, AOI, LAT]   # aoi candidate in 3, latency interval in 4
     assert p.ue["packet"][AOI] == -1
-    p.on_outcome(metrics)                    # the last segment's sums: slot 4's
-    assert [m.deliveries for m in metrics] == [0, 1, 0]
+    p.on_outcome(metrics)                    # the sums of slots 1-4
+    assert [m.deliveries for m in metrics] == [1, 1, 0]
+    assert metrics[AOI].latency_sum_delivered == 3 - 3 + 1
     assert metrics[LAT].latency_sum_delivered == 4 - 3 + 1   # newest first
+    assert not p.sums.any()                  # zeroed once added
     # slots 1 and 2 stay queued; the delivered aoi packet leaves no backlog
     assert p.backlog() == [(0, 0), (2, 1 + 2), (0, 0)]
 
@@ -404,8 +411,9 @@ def test_rd_latency_stack_grows_across_blocks():
     caps = []
     for start in range(0, 48, 8):
         slots = range(max(start, 1), start + 8)
-        p.update_index(start, np.empty(8), [Arrivals(start), Arrivals(start, *slots)])
-        p.select(slots[0], start + 8, np.zeros(len(slots)), np.full(len(slots), 0.99))
+        p.update_index(start, 8, [Arrivals(start), Arrivals(start, *slots)])
+        p.block[:, :8] = [[0.0] * 8, [0.99] * 8]
+        p.select(slots[0], start + 8)
         p.on_outcome(metrics)
         caps.append(len(p.stacks[LAT]))
     assert caps == [8, 16, 32, 32, 64, 64]
@@ -415,12 +423,21 @@ def test_rd_latency_stack_grows_across_blocks():
 
 
 def test_rd_select_checks_the_buffers_it_hands_the_kernel():
+    # the policy binds its buffers when it is built: select serves only
+    # slots of the block they hold, and a block must fit them
     p = rd()
-    with pytest.raises(ValueError, match="need 2 success and policy uniforms"):
-        p.select(1, 3, np.zeros(2), np.zeros(1))
-    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
-        with pytest.raises(TypeError, match="contiguous float64"):
-            p.update_index(1, u, [Arrivals(1), Arrivals(1)])
+    with pytest.raises(ValueError, match=r"slots \[1, 3\) are not in the block drawn"):
+        p.select(1, 3)                       # no block drawn yet
+    p.update_index(8, 4, [Arrivals(8), Arrivals(8)])
+    for a, b in (7, 9), (8, 13), (11, 10), (12, 13):
+        with pytest.raises(ValueError, match="not in the block drawn"):
+            p.select(a, b)
+    assert not p.sums.any()                  # nothing was served
+    p.block[:, :4] = 0.5
+    p.select(8, 12)
+    assert p.sums[:, 1].tolist() == [0, 0, 4]
+    with pytest.raises(ValueError, match="a block of 8193 slots does not fit 8192"):
+        p.update_index(16, 8193, [Arrivals(16), Arrivals(16)])
 
 
 # -- weighted-rate rule -------------------------------------------------------------
@@ -452,8 +469,9 @@ class Arrivals:
 
 def test_cmu_serves_highest_weighted_rate():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    p.update_index(0, np.empty(2), [Arrivals(0, 1), Arrivals(0, 1)])
-    p.select(1, 2, np.array([0.99]))   # the attempt fails
+    p.update_index(0, 2, [Arrivals(0, 1), Arrivals(0, 1)])
+    p.block[0, 1] = 0.99
+    p.select(1, 2)   # the attempt fails
     p.on_outcome(metrics)
     assert [m.arrivals for m in metrics] == [1, 1]
     assert [m.attempts for m in metrics] == [1, 0]
@@ -464,9 +482,10 @@ def test_cmu_serves_highest_weighted_rate():
 def test_cmu_work_conserving_fifo():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
     # slot 0 takes no arrival, even with a draw below q
-    p.update_index(0, np.empty(3), [Arrivals(0, 0), Arrivals(0, 0, 1, 2)])
+    p.update_index(0, 5, [Arrivals(0, 0), Arrivals(0, 0, 1, 2)])
     # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
-    p.select(2, 5, np.zeros(3))
+    p.block[0, :5] = 0.0
+    p.select(2, 5)
     p.on_outcome(metrics)
     assert [m.attempts for m in metrics] == [0, 2]
     lat = metrics[1]
@@ -475,7 +494,9 @@ def test_cmu_work_conserving_fifo():
     # oldest first: arrival slot 1, then 2, so the one spacing sample is +1
     assert (lat.n_samples, lat.sample_sum, lat.sample_sumsq) == (1, 1.0, 1.0)
     assert p.backlog() == [(0, 0), (0, 0)]
-    p.select(5, 6, np.zeros(1))                                 # both queues empty
+    p.update_index(5, 1, [Arrivals(5), Arrivals(5)])
+    p.block[0, 0] = 0.0
+    p.select(5, 6)                                              # both queues empty
     assert p.sums.tolist() == [[0] * 9, [0] * 9]
 
 
@@ -488,8 +509,9 @@ def test_cmu_queues_grow_and_compact_across_blocks():
     caps, heads, storage = [], [], []
     for start in range(0, 48, 8):
         slots = range(max(start, 1), start + 8)
-        p.update_index(start, np.empty(8), [Arrivals(start, *slots), Arrivals(start, *slots)])
-        p.select(slots[0], start + 8, np.zeros(len(slots)))
+        p.update_index(start, 8, [Arrivals(start, *slots), Arrivals(start, *slots)])
+        p.block[0, :8] = 0.0
+        p.select(slots[0], start + 8)
         p.on_outcome(metrics)
         caps.append(p.store.cap.tolist())
         heads.append(int(p.store.head[0]))
@@ -503,13 +525,21 @@ def test_cmu_queues_grow_and_compact_across_blocks():
 
 
 def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
+    # the policy binds its buffers when it is built: select serves only
+    # slots of the block they hold, and a block must fit them
     p = CmuPolicy(cmu_scenario())
-    with pytest.raises(ValueError, match="need 2 success uniforms"):
-        p.select(1, 3, np.zeros(1))
-    # the arrival uniforms it enqueues from are checked as each block is drawn
-    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
-        with pytest.raises(TypeError, match="contiguous float64"):
-            p.update_index(1, u, [Arrivals(1), Arrivals(1)])
+    with pytest.raises(ValueError, match=r"slots \[1, 3\) are not in the block drawn"):
+        p.select(1, 3)                       # no block drawn yet
+    p.update_index(8, 4, [Arrivals(8, 8), Arrivals(8, 8)])
+    for a, b in (7, 9), (8, 13), (11, 10), (12, 13):
+        with pytest.raises(ValueError, match="not in the block drawn"):
+            p.select(a, b)
+    assert not p.sums.any()                  # nothing was served
+    p.block[0, :4] = 0.0
+    p.select(8, 12)
+    assert p.sums[:, 2].tolist() == [1, 1]
+    with pytest.raises(ValueError, match="a block of 8193 slots does not fit 8192"):
+        p.update_index(16, 8193, [Arrivals(16), Arrivals(16)])
 
 
 def test_cmu_rejects_mixed_scenarios():

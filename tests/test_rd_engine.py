@@ -23,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,33 @@ def test_kernel_matches_slot_reference(case, seed):
     scenario, horizon, warmup = case
     config = RunConfig(scenario=scenario, policy=PolicySpec("rd"), horizon=horizon,
                        seed=seed, warmup=warmup)
+    assert report_rows(run(config), "x") == report_rows(run_blocks(config), "x")
+
+
+# Two UEs per class, one throughput group, at a load that keeps the latency
+# stacks and AoI packets often held at a block edge or where the warm-up ends.
+EDGE_SYSTEM = Scenario(ues=(
+    UeConfig(id=1, cls=UeClass.AOI, q=0.5, p=0.7, rho=1.0),
+    UeConfig(id=2, cls=UeClass.LATENCY, q=0.15, p=0.8, beta=3.0),
+    UeConfig(id=3, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.1),
+    UeConfig(id=4, cls=UeClass.AOI, q=0.2, p=0.6, rho=2.0),
+    UeConfig(id=5, cls=UeClass.LATENCY, q=0.1, p=0.9, beta=5.0),
+    UeConfig(id=6, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.1),
+), variant=Variant.LATENCY_CONSTRAINED)
+WINDOW_EDGES = {"none": lambda h: 0, "1": lambda h: 1, "chunk-1": lambda h: CHUNK - 1,
+                "chunk": lambda h: CHUNK, "horizon-1": lambda h: h - 1}
+
+
+@pytest.mark.parametrize("horizon", [2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
+@pytest.mark.parametrize("warmup", WINDOW_EDGES.values(), ids=WINDOW_EDGES.keys())
+def test_window_edges_match_slot_reference(horizon, warmup):
+    """The block is cut only where the warm-up ends, in its last slot
+    ``warmup``, and the sums are added at the end of each window: a
+    warm-up ending in slot 1, on either side of the first block edge or in
+    the second-last slot; horizons ending a block, one slot into the next
+    and two."""
+    config = RunConfig(scenario=EDGE_SYSTEM, policy=PolicySpec("rd"), horizon=horizon,
+                       seed=3, warmup=warmup(horizon))
     assert report_rows(run(config), "x") == report_rows(run_blocks(config), "x")
 
 
