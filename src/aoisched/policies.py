@@ -319,11 +319,12 @@ class RandomizedPolicy:
         # the block's success and policy uniforms; each AoI and latency UE's
         # arrival slots in the block, queue i of ``store`` (its head stays 0,
         # so cmu_enqueue never compacts it), drawn into the first row; a
-        # latency UE's stack, grown to hold the block's arrivals
+        # latency UE's stack, grown to hold the block's arrivals (None for
+        # other classes)
         self.block = np.empty((2, kernel.CHUNK))
         self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
         self.store = kernel.QueueStore(n, self.block[0])
-        self.stacks = [np.empty(0, np.int64)] * n
+        self.stacks = [np.empty(0, np.int64) if u.cls is UeClass.LATENCY else None for u in ues]
         # each position's last delivered arrival slot (-1: none since the
         # run or the warm-up began), and its sums since on_outcome last ran
         self.g_prev = ue["g_prev"]
@@ -355,7 +356,7 @@ class RandomizedPolicy:
                 self.frame.list, self.frame.room = self._list.ctypes.data, len(self._list)
             ue = self.ue
             for i, (depth, end) in enumerate(zip(ue["depth"].tolist(), self.store.end.tolist())):
-                if depth + end > ue["room"][i]:
+                if self.stacks[i] is not None and depth + end > ue["room"][i]:
                     self.stacks[i] = stack = kernel.grown(self.stacks[i], depth + end, 0, depth)
                     ue["stack"][i], ue["room"][i] = stack.ctypes.data, len(stack)
             kernel.rd_list(self.frame)

@@ -400,6 +400,7 @@ def test_rd_success_clears_aoi_candidate_only():
     assert not p.sums.any()                  # zeroed once added
     # slots 1 and 2 stay queued; the delivered aoi packet leaves no backlog
     assert p.backlog() == [(0, 0), (2, 1 + 2), (0, 0)]
+    assert p.stacks[AOI] is None and p.stacks[THR] is None   # only latency ues keep a stack
 
 
 def test_rd_latency_stack_grows_across_blocks():
