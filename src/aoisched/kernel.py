@@ -15,7 +15,7 @@ this module raises ``ImportError``.
 
 Each kernel takes its state as one struct (``Store``, ``Cmu``, ``Rd``),
 which its owner fills once with the addresses of the buffers it keeps, so
-a call converts a pointer and at most two slots.  ``QueueStore``, every
+a call converts a pointer and at most two numbers.  ``QueueStore``, every
 policy's arrival lister, holds the queues of arrival slots that
 ``cmu_enqueue`` appends to, and ``grown`` is the one growth rule of every
 buffer the kernels write.

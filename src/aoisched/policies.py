@@ -316,11 +316,11 @@ class RandomizedPolicy:
             for i in members:
                 ue["weight"][i] = ues[i].alpha
         self.ue = ue
-        # the block's success and policy uniforms; each AoI and latency UE's
-        # arrival slots in the block, queue i of ``store`` (its head stays 0,
-        # so cmu_enqueue never compacts it), drawn into the first row; a
-        # latency UE's stack, grown to hold the block's arrivals (None for
-        # other classes)
+        # the block's success and policy uniforms, the arrival streams' drawn
+        # into the first row before the success stream's; each AoI and
+        # latency UE's arrival slots in the block, queue i of ``store`` (its
+        # head stays 0, so cmu_enqueue never compacts it); a latency UE's
+        # stack, grown to hold the block's arrivals (None for other classes)
         self.block = np.empty((2, kernel.CHUNK))
         self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
         self.store = kernel.QueueStore(n, self.block[0])
@@ -411,9 +411,10 @@ class CmuPolicy:
         n = len(ues)
         self._streams = [(i, u.q) for i, u in enumerate(ues)]
         self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
-        # the block's success uniforms, and the arrival slots of each
-        # queue's undelivered packets, of which those after the slots being
-        # served have not arrived yet, drawn into the same buffer
+        # the block's uniforms, each arrival stream's in turn and then the
+        # success stream's, in one buffer; the arrival slots of each queue's
+        # undelivered packets, of which those after the slots being served
+        # have not arrived yet
         self.block = np.empty((1, kernel.CHUNK))
         self.store = kernel.QueueStore(n, self.block[0])
         # each queue's last delivered arrival slot (-1: none since the run or
