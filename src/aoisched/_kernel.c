@@ -135,6 +135,66 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
     return lo;
 }
 
+static inline int64_t least(int64_t x, int64_t y)
+{
+    return x < y ? x : y;
+}
+
+/* The arrival slot of the oldest packet in the store's queue j, or
+   INT64_MAX if it holds none. */
+static inline int64_t oldest(const struct store *store, int64_t j)
+{
+    const int64_t h = store->head[j];
+    return h < store->end[j] ? store->queues[j][h] : INT64_MAX;
+}
+
+/* A tournament tree over the heads of n queues, the store's queues
+   idx[0:n], in tree[1:2 * leaves], leaves being the least power of two
+   >= n (so 2 * leaves <= max(4 * n, 2)): leaf leaves + k holds the
+   oldest slot of queue idx[k] (INT64_MAX past n), and each inner node the
+   least of its two children's.  Fills it and returns leaves. */
+static int64_t tree_build(int64_t *tree, const struct store *store, const int64_t *idx,
+                          int64_t n)
+{
+    int64_t leaves = 1;
+    while (leaves < n)
+        leaves *= 2;
+    for (int64_t k = 0; k < leaves; k++)
+        tree[leaves + k] = k < n ? oldest(store, idx[k]) : INT64_MAX;
+    for (int64_t i = leaves - 1; i > 0; i--)
+        tree[i] = least(tree[2 * i], tree[2 * i + 1]);
+    return leaves;
+}
+
+/* The leftmost leaf <= t, which tree[1] <= t promises, found by walking
+   down from the root; *wake gets the least of the left children passed
+   over, which is the least slot of the leaves left of it. */
+static inline int64_t tree_first(const int64_t *tree, int64_t leaves, int64_t t, int64_t *wake)
+{
+    int64_t i = 1, w = INT64_MAX;
+    while (i < leaves) {
+        const int64_t left = tree[2 * i], right = left > t;
+        if (right)
+            w = least(w, left);
+        i = 2 * i + right;
+    }
+    *wake = w;
+    return i;
+}
+
+/* Raise leaf i to x: a leaf only grows, so its ancestors change only up to
+   the first whose least stays as it was. */
+static inline void tree_raise(int64_t *tree, int64_t i, int64_t x)
+{
+    tree[i] = x;
+    for (; i > 1; i /= 2) {
+        x = least(x, tree[i ^ 1]);
+        if (tree[i / 2] == x)
+            break;
+        tree[i / 2] = x;
+    }
+}
+
 /* cmu's state (policies.CmuPolicy), bound once: nq queues in the store,
    taken in ``order``, queue j succeeding at p[j], each one's arrival slot
    of its last delivery in g_prev[j] and its row of sums at
@@ -146,11 +206,6 @@ struct cmu {
     const double *p;
     int64_t *g_prev, *sums, *tree;
 };
-
-static inline int64_t least(int64_t x, int64_t y)
-{
-    return x < y ? x : y;
-}
 
 /* Serve slots [a, b) of the store's block under the weighted-rate rule
    (see policies.CmuPolicy).  Returns 0, or -1, serving none, if [a, b)
@@ -174,15 +229,10 @@ static inline int64_t least(int64_t x, int64_t y)
    attempts being the draws up to its first success.
 
    Which queue keeps the slots, and until when, comes from a tournament
-   tree in tree[1:2 * leaves], leaves being the least power of two >= nq
-   (so 2 * leaves < 4 * nq): leaf leaves + r holds the arrival slot of the
-   oldest undelivered packet of the queue of rank r (INT64_MAX if it has
-   none, as do the leaves past nq), and each inner node the least of its
-   two children's.  Walking down from the root toward the leftmost leaf
-   <= t finds the first nonempty rank, and the least of the left children
-   passed on the way is the first slot at which a rank above it has an
-   arrival: log2(leaves) steps, whatever the rank, where a walk over the
-   ranks takes one per rank above it.
+   tree over the queues in ``order``, leaf r the queue of rank r: the
+   leftmost leaf <= t is the first nonempty rank, and the least of the
+   left children passed on the way down is the first slot at which a rank
+   above it has an arrival, in log2(leaves) steps whatever the rank.
 
    Adds queue j's sums over the slots to its row (every packet that
    arrives in [a, b) is still queued when it starts, so its arrivals are
@@ -196,25 +246,14 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         return 0;
     const double *restrict u = store->u;
     int64_t *const *queues = store->queues;
-    int64_t *restrict head = store->head, *restrict tree = c->tree;
+    /* head is read through store too (oldest), so it is not restrict */
+    int64_t *head = store->head, *restrict tree = c->tree;
     const int64_t *restrict end = store->end, *restrict order = c->order;
     const int64_t base = store->start, nq = c->nq;
-    int64_t leaves = 1;
-    while (leaves < nq)
-        leaves *= 2;
-    for (int64_t r = 0; r < leaves; r++) {
-        int64_t oldest = INT64_MAX;
-        if (r < nq) {
-            const int64_t j = order[r], h = head[j], e = end[j];
-            const int64_t *queue = queues[j];
-            if (h < e)
-                oldest = queue[h];
-            c->sums[j * NSUMS + ARRIVALS] += first_at(queue, h, e, b) - first_at(queue, h, e, a);
-        }
-        tree[leaves + r] = oldest;
-    }
-    for (int64_t i = leaves - 1; i > 0; i--)
-        tree[i] = least(tree[2 * i], tree[2 * i + 1]);
+    for (int64_t j = 0; j < nq; j++)
+        c->sums[j * NSUMS + ARRIVALS] += first_at(queues[j], head[j], end[j], b)
+                                       - first_at(queues[j], head[j], end[j], a);
+    const int64_t leaves = tree_build(tree, store, order, nq);
     int64_t t = a;
     while (t < b) {
         if (tree[1] > t) {  /* every queue is empty in slot t */
@@ -223,14 +262,9 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         }
         /* the first queue nonempty in slot t, and the first slot at which
            a queue ranked above it has an arrival */
-        int64_t i = 1, wake = b;
-        while (i < leaves) {
-            i *= 2;
-            if (tree[i] > t) {
-                wake = least(wake, tree[i]);
-                i++;
-            }
-        }
+        int64_t wake;
+        const int64_t i = tree_first(tree, leaves, t, &wake);
+        wake = least(wake, b);
         const int64_t r = i - leaves, j = order[r], e = end[j];
         const int64_t *queue = queues[j];
         const double pj = c->p[j];
@@ -270,22 +304,13 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         row[SPACING_SQ] += sum[SPACING_SQ];
         head[j] = h;
         c->g_prev[j] = prev;
-        /* the leaf's slot only grows, so its ancestors change only up to
-           the first whose least stays as it was */
-        int64_t x = h < e ? queue[h] : INT64_MAX;
-        tree[i] = x;
-        for (; i > 1; i /= 2) {
-            x = least(x, tree[i ^ 1]);
-            if (tree[i / 2] == x)
-                break;
-            tree[i / 2] = x;
-        }
+        tree_raise(tree, i, oldest(store, j));
     }
     return 0;
 }
 
 /* One UE's state under rd, one entry per UE position, laid out as the
-   numpy dtype policies.UE_STATE: all fields are 8 bytes, so neither side
+   numpy dtype kernel.UE_STATE: all fields are 8 bytes, so neither side
    pads.  Fields a UE's class does not use keep their initial values. */
 struct ue {
     int64_t *stack;   /* latency: its queued packets' arrival slots, newest last */
@@ -306,14 +331,14 @@ struct ue {
 
 /* rd's state (policies.RandomizedPolicy), bound once.  The store's u
    holds the block's success uniforms, draws its policy uniforms, and
-   queue i the block's arrival slots of AoI or latency UE i, from head 0.
+   queue i the arrival slots of AoI or latency UE i not yet served.
    members lists the AoI positions, then the latency ones, then the
    throughput ones group after group, each ascending; groups[g] is where
    group g starts among the throughput ones (ngroups + 1 entries).  ue and
    the rows of sums are one per position.  queued and cum (nlat entries),
-   pool (naoi) and turn (ngroups) are rd_serve's scratch, so the stack
-   holds none of them however many UEs there are.  list (room entries) is
-   rd_list's, of which rd_serve has served the entries before cursor. */
+   pool (naoi), turn (ngroups) and tree (max(4 * (naoi + nlat), 2)) are
+   rd_serve's scratch, so the stack holds none of them however many UEs
+   there are. */
 struct rd {
     const struct store *store;
     const double *draws;
@@ -322,64 +347,8 @@ struct rd {
     struct ue *ue;
     int64_t *sums, *queued;
     double *cum;
-    int64_t *pool, *turn, *list;
-    int64_t room, cursor;
+    int64_t *pool, *turn, *tree;
 };
-
-/* List the block's arrivals in slot order, for rd_serve to walk with one
-   cursor, then empty the queues for the next block.  Stream k
-   (k < naoi + nlat = ns) is members[k]'s: its arrival slots in the block
-   are queues[members[k]][0:end[members[k]]], ascending.  An arrival of
-   stream k in slot t is listed as t * ns + k, so the list ascends, and
-   within a slot it follows members' order; a last entry INT64_MAX ends
-   it.  A stable counting sort by slot: the store's uniforms, spent once
-   the arrivals are queued, hold n counts, count[s] first counting slot
-   start + s's arrivals, then where they go.
-
-   Returns 0 once they are listed.  If the list, or a latency UE's stack,
-   lacks room for the block's arrivals, it lists none and returns the
-   list's length needed, for the caller to grow both and call again. */
-int64_t rd_list(struct rd *restrict r)
-{
-    const struct store *store = r->store;
-    const int64_t ns = r->naoi + r->nlat, start = store->start, n = store->n;
-    const int64_t *restrict members = r->members;
-    int64_t *const *arrived = store->queues;
-    int64_t *restrict end = store->end, *restrict list = r->list;
-    int64_t total = 0, fits = 1;
-    for (int64_t k = 0; k < ns; k++)
-        total += end[members[k]];
-    for (int64_t k = r->naoi; k < ns; k++) {
-        const struct ue *x = &r->ue[members[k]];
-        fits &= x->depth + end[members[k]] <= x->room;
-    }
-    if (!fits || total >= r->room)
-        return total + 1;
-    int64_t *restrict count = (int64_t *)(void *)store->u;
-    memset(count, 0, (size_t)n * sizeof *count);
-    for (int64_t k = 0; k < ns; k++) {
-        const int64_t i = members[k];
-        for (int64_t h = 0; h < end[i]; h++)
-            count[arrived[i][h] - start]++;
-    }
-    total = 0;
-    for (int64_t s = 0; s < n; s++) {
-        const int64_t here = count[s];
-        count[s] = total;
-        total += here;
-    }
-    for (int64_t k = 0; k < ns; k++) {
-        const int64_t i = members[k];
-        for (int64_t h = 0; h < end[i]; h++) {
-            const int64_t t = arrived[i][h];
-            list[count[t - start]++] = t * ns + k;
-        }
-        end[i] = 0;
-    }
-    list[total] = INT64_MAX;
-    r->cursor = 0;
-    return 0;
-}
 
 /* The theta partition of [0, 1) among the nq latency queues that hold a
    packet, queued[0:nq] in ascending position: queued[k] has
@@ -480,20 +449,30 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
 
 /* Serve slots [a, b) of the store's block under the randomised latency
    policy (see policies.RandomizedPolicy), in the engine's per-slot order:
-   the slot's arrivals, then one selection, then the outcome.  Returns 0,
-   or -1, serving none, if [a, b) is not in the block.
+   the slot's arrivals, then one selection, then the outcome.  Returns 0;
+   -1, serving none, if [a, b) is not in the block; or 1 + i, serving
+   none, if latency UE i's stack lacks room for its queued arrivals, for
+   the caller to grow it and call again.
 
-   The slots of a block come in order, each call starting where the last
-   ended, and the cursor into rd_list's list advances here.  In slot t, the
-   policy uniform picks the latency queue whose partition interval holds
-   it, which sends its newest packet; a draw in the leftover goes to the
-   retained AoI packet with the largest index, and without one to the best
-   throughput candidate, g = t.  The attempt succeeds iff the slot's
-   success uniform is below p.
+   Stream k (k < naoi + nlat) is queue members[k] of the store, read
+   first-in-first-out as cmu_serve reads its queues: a tournament tree
+   over the streams' oldest slots gives, in each slot t, every stream
+   whose head is t, leftmost first, and the head advances past it.  The
+   order of a slot's arrivals changes nothing: each stream has at most
+   one per slot; each stack sees only its own stream's; queued is kept
+   sorted whatever order UEs join it in; and the pool's best is the
+   maximum under outranks, a total order, whatever order its members are
+   retained in.
 
-   No step of a slot walks every UE: its arrivals are the list's next
-   entries; the AoI UEs holding a packet are listed, and their argmax is
-   kept as packets are retained and found again among them only when it is
+   In slot t, the policy uniform picks the latency queue whose partition
+   interval holds it, which sends its newest packet; a draw in the
+   leftover goes to the retained AoI packet with the largest index, and
+   without one to the best throughput candidate, g = t.  The attempt
+   succeeds iff the slot's success uniform is below p.
+
+   No step of a slot walks every UE: its arrivals come from the tree; the
+   AoI UEs holding a packet are listed, and their argmax is kept as
+   packets are retained and found again among them only when it is
    delivered; each group's candidate is kept by turn_of's rule; and the
    queued latency UEs are kept in order, so a partition sums only their
    shares.
@@ -508,13 +487,17 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const double *restrict u = store->u, *restrict draws = r->draws;
     const int64_t naoi = r->naoi, nlat = r->nlat, ngroups = r->ngroups, base = store->start;
     const int64_t *restrict members = r->members, *restrict groups = r->groups;
+    int64_t *head = store->head;  /* read through store too, so not restrict */
     struct ue *restrict ue = r->ue;
     int64_t *restrict sums = r->sums, *restrict queued = r->queued;
-    int64_t *restrict pool = r->pool, *restrict turn = r->turn;
+    int64_t *restrict pool = r->pool, *restrict turn = r->turn, *restrict tree = r->tree;
     double *restrict cum = r->cum;
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
-    const int64_t ns = naoi + nlat;
-    const int64_t *next = r->list + r->cursor;
+    for (int64_t k = 0; k < nlat; k++) {
+        const int64_t i = lat[k];
+        if (ue[i].depth + store->end[i] - head[i] > ue[i].room)
+            return 1 + i;
+    }
     int64_t nq = 0, np = 0;
     for (int64_t k = 0; k < nlat; k++)
         if (ue[lat[k]].depth)
@@ -526,13 +509,17 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
         if (ue[aoi[k]].packet >= 0)
             pool[np++] = aoi[k];
     int64_t best = pool_best(np, pool, ue);
+    const int64_t leaves = tree_build(tree, store, members, naoi + nlat);
     for (int64_t t = a; t < b; t++) {
-        const int64_t slot = t * ns;
-        if (*next < slot + ns) {
+        if (tree[1] <= t) {
             int regroup = 0;
             do {
-                const int64_t k = *next++ - slot, i = members[k];
+                int64_t wake;
+                const int64_t leaf = tree_first(tree, leaves, t, &wake), k = leaf - leaves;
+                const int64_t i = members[k];
                 struct ue *x = &ue[i];
+                head[i]++;
+                tree_raise(tree, leaf, oldest(store, i));
                 sums[i * NSUMS + ARRIVALS]++;
                 if (k < naoi)
                     aoi_arrival(ue, i, t, pool, &np, &best);
@@ -546,7 +533,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
                     }
                     x->stack[x->depth++] = t;
                 }
-            } while (*next < slot + ns);
+            } while (tree[1] <= t);
             if (regroup)
                 partition(nq, queued, ue, cum);
         }
@@ -597,7 +584,6 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
                 record(s, &x->g_prev, t, t);
         }
     }
-    r->cursor = next - r->list;
     for (int64_t k = 0; k < naoi; k++)
         accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], b - 1);
     return 0;

@@ -15,10 +15,12 @@ this module raises ``ImportError``.
 
 Each kernel takes its state as one struct (``Store``, ``Cmu``, ``Rd``),
 which its owner fills once with the addresses of the buffers it keeps, so
-a call converts a pointer and at most two numbers.  ``QueueStore``, every
-policy's arrival lister, holds the queues of arrival slots that
-``cmu_enqueue`` appends to, and ``grown`` is the one growth rule of every
-buffer the kernels write.
+a call converts a pointer and at most two numbers; ``UE_STATE`` lays out
+``rd``'s per-UE state as the C ``struct ue`` does.  Every C layout is
+mirrored here.  ``QueueStore``, every policy's arrival lister, holds the
+queues of arrival slots that ``cmu_enqueue`` appends to and that
+``cmu_serve`` and ``rd_serve`` read first-in-first-out, and ``grown`` is
+the one growth rule of every buffer the kernels write.
 """
 
 from __future__ import annotations
@@ -95,8 +97,17 @@ class Cmu(ctypes.Structure):
 class Rd(ctypes.Structure):
     _fields_ = [("store", ctypes.POINTER(Store)), ("draws", _P), ("naoi", _I), ("nlat", _I),
                 ("ngroups", _I), *[(f, _P) for f in ("members", "groups", "ue", "sums", "queued",
-                                                    "cum", "pool", "turn", "list")],
-                ("room", _I), ("cursor", _I)]
+                                                    "cum", "pool", "turn", "tree")]]
+
+
+# One UE's state under rd, _kernel.c's struct ue: the address, depth and
+# room of a latency UE's stack, the AoI gate, the throughput tier's tries,
+# then the doubles.
+UE_STATE = np.dtype([("stack", np.uintp)]
+                    + [(name, np.int64) for name in (
+                        "depth", "room", "threshold", "bump", "counter", "delivered", "packet",
+                        "lam", "aged", "g_prev", "tries")]
+                    + [(name, np.float64) for name in ("p", "weight", "index")])
 
 
 def _bind(name: str, frame, *args):
@@ -107,7 +118,6 @@ def _bind(name: str, frame, *args):
 
 cmu_enqueue = _bind("cmu_enqueue", Store, _I, ctypes.c_double)
 cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
-rd_list = _bind("rd_list", Rd)
 rd_serve = _bind("rd_serve", Rd, _I, _I)
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by

@@ -254,16 +254,6 @@ class HierarchicalPolicy(_TwoTier):
             self._release(i)
 
 
-# One UE's state under ``rd``, laid out as ``_kernel.c``'s ``struct ue``:
-# the address and depth of a latency UE's stack, the AoI gate, the
-# throughput tier's tries, then the doubles.
-UE_STATE = np.dtype([("stack", np.uintp)]
-                    + [(name, np.int64) for name in (
-                        "depth", "room", "threshold", "bump", "counter", "delivered", "packet",
-                        "lam", "aged", "g_prev", "tries")]
-                    + [(name, np.float64) for name in ("p", "weight", "index")])
-
-
 class RandomizedPolicy:
     """Two-tier selection for AoI/throughput plus randomised latency
     service, served a block of slots at a time.
@@ -278,13 +268,14 @@ class RandomizedPolicy:
     ``rho*p*(t - lam)``, else the throughput UE with the largest
     ``alpha*t/p - attempts``, lowest position on ties.
 
-    ``update_index`` draws a block's arrivals and lists them in slot order
-    (``kernel.rd_list``), ``select`` serves slots [a, b) of it in one call
-    of ``kernel.rd_serve``, adding to each position's row of sums, and
-    ``on_outcome``, once per window, adds the rows to the UEs' metrics.
-    Like ``_TwoTier`` in Python, the kernel keeps the pool's argmax as
-    packets are retained and each throughput group's candidate as its
-    members attempt, so no step of a slot walks every UE.  The block's
+    As under ``CmuPolicy``, ``update_index`` draws and enqueues a block's
+    arrivals (``kernel.QueueStore.enqueue``), ``select`` serves slots
+    [a, b) of it in one call of ``kernel.rd_serve``, which takes each
+    slot's arrivals from the queue heads and adds to each position's row of
+    sums, and ``on_outcome``, once per window, adds the rows to the UEs'
+    metrics.  Like ``_TwoTier`` in Python, the kernel keeps the pool's
+    argmax as packets are retained and each throughput group's candidate as
+    its members attempt, so no step of a slot walks every UE.  The block's
     uniforms (``block``), the kernel's per-UE scratch and every address the
     kernels take (``frame``, ``_kernel.c``'s ``struct rd``) are bound here,
     once, so a call converts no array and the C stack holds no per-UE
@@ -304,7 +295,7 @@ class RandomizedPolicy:
         for i, u in enumerate(ues):
             if u.cls is UeClass.THROUGHPUT:
                 groups.setdefault((u.alpha, u.p), []).append(i)
-        ue = np.zeros(n, UE_STATE)
+        ue = np.zeros(n, kernel.UE_STATE)
         ue["packet"] = ue["g_prev"] = -1
         ue["p"] = [u.p for u in ues]
         for i in aoi:
@@ -318,9 +309,9 @@ class RandomizedPolicy:
         self.ue = ue
         # the block's success and policy uniforms, the arrival streams' drawn
         # into the first row before the success stream's; each AoI and
-        # latency UE's arrival slots in the block, queue i of ``store`` (its
-        # head stays 0, so cmu_enqueue never compacts it); a latency UE's
-        # stack, grown to hold the block's arrivals (None for other classes)
+        # latency UE's arrival slots not yet served, queue i of ``store``; a
+        # latency UE's stack, grown to hold its queued arrivals (None for
+        # other classes)
         self.block = np.empty((2, kernel.CHUNK))
         self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
         self.store = kernel.QueueStore(n, self.block[0])
@@ -331,42 +322,38 @@ class RandomizedPolicy:
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         # AoI, latency, then each throughput group's members, ascending,
         # and where each group starts among the throughput ones; rd_serve's
-        # scratch; rd_list's list of the block's arrivals in slot order
+        # scratch, its tree over the streams' queue heads last
         thr = list(groups.values())
         self._buffers = (np.array(aoi + lat + [i for m in thr for i in m], np.int64),
                          np.array([0, *accumulate(len(m) for m in thr)], np.int64), ue, self.sums,
                          np.empty(len(lat), np.int64), np.empty(len(lat)),
-                         np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64))
-        self._list = np.empty(0, np.int64)  # none yet: room 0
+                         np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64),
+                         np.empty(max(4 * len(self._streams), 2), np.int64))
         self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[1].ctypes.data,
                                len(aoi), len(lat), len(thr),
                                *[x.ctypes.data for x in self._buffers])
 
     def update_index(self, start: int, n: int, gens: Sequence[np.random.Generator]) -> None:
-        """List the arrivals of the block of ``n`` slots from ``start``: the
-        k-th AoI or latency position (ascending) has an arrival in slot
+        """Enqueue the arrivals of the block of ``n`` slots from ``start``:
+        the k-th AoI or latency position (ascending) has an arrival in slot
         start + j, for j < n, iff draw j of ``gens[k]`` is below its q (slot
-        0 has none).  ``store`` turns each stream's uniforms into arrival
-        slots, and ``kernel.rd_list`` sorts them all by slot; the list and
-        the stacks grow first if they lack room."""
+        0 has none)."""
         self.store.enqueue(start, n, self._streams, gens)
-        if need := kernel.rd_list(self.frame):
-            if need > len(self._list):
-                self._list = kernel.grown(self._list, need)
-                self.frame.list, self.frame.room = self._list.ctypes.data, len(self._list)
-            ue = self.ue
-            for i, (depth, end) in enumerate(zip(ue["depth"].tolist(), self.store.end.tolist())):
-                if self.stacks[i] is not None and depth + end > ue["room"][i]:
-                    self.stacks[i] = stack = kernel.grown(self.stacks[i], depth + end, 0, depth)
-                    ue["stack"][i], ue["room"][i] = stack.ctypes.data, len(stack)
-            kernel.rd_list(self.frame)
 
     def select(self, a: int, b: int) -> None:
         """Serve slots [a, b) of the block drawn last, whose success and
         policy uniforms are in ``block[0]`` and ``block[1]`` from its first
         slot on, adding each position's sums over them to its row of
-        ``sums``; slots outside the block raise ValueError."""
-        if kernel.rd_serve(self.frame, a, b):
+        ``sums``; slots outside the block raise ValueError.  A latency
+        stack that lacks room for its queued arrivals, which the kernel
+        names before serving any slot, moves to ``grown`` storage first."""
+        while (grow := kernel.rd_serve(self.frame, a, b)) > 0:
+            i, ue, store = grow - 1, self.ue, self.store
+            depth = int(ue["depth"][i])
+            need = depth + int(store.end[i] - store.head[i])
+            self.stacks[i] = stack = kernel.grown(self.stacks[i], need, 0, depth)
+            ue["stack"][i], ue["room"][i] = stack.ctypes.data, len(stack)
+        if grow:
             raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:

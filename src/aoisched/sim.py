@@ -38,10 +38,11 @@ read the same draws and give the same report as a slot-by-slot run (see
 ``policies.RandomizedPolicy`` and ``policies.CmuPolicy``).  Each policy
 owns its block's buffers and binds them, with every address its kernels
 take, once, when it is built; per block the engine makes three calls:
-``update_index`` draws and enqueues the arrivals (under ``rd`` also merged
-into one list in slot order), the engine draws the success uniforms, and
-``rd``'s policy uniforms into a second buffer, and ``select`` serves the
-block in one kernel call, two in the block where the warm-up ends.  The
+``update_index`` draws and enqueues the arrivals, the engine draws the
+success uniforms, and ``rd``'s policy uniforms into a second buffer, and
+``select`` serves the block in one kernel call, two in the block where the
+warm-up ends; both kernels read the queues first-in-first-out, each slot's
+arrivals coming from their heads through a tournament tree.  The
 kernels count each UE's arrivals and add up its deliveries (and, under
 ``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
 ``metrics.add_sums`` once per window: where the warm-up ends and at the
@@ -197,8 +198,8 @@ def run(config: RunConfig) -> RunReport:
         on_outcome(metrics)
     else:
         # each block's arrival uniforms are drawn into one buffer, a stream at
-        # a time, and listed as queue i of ``store`` (its head stays 0, as
-        # under rd); then its success uniforms, into the same buffer
+        # a time, and listed as queue i of ``store`` (its head stays 0);
+        # then its success uniforms, into the same buffer
         buffer = np.empty(CHUNK)
         store = QueueStore(len(ues), buffer)
         streams = [(i, ues[i].q) for i in arriving]

@@ -1,4 +1,5 @@
-"""The kernels that list a block's arrivals, called on one block.
+"""The kernel that lists a block's arrivals, called on one block, and the
+queue protocol that ``rd`` and ``cmu`` share.
 
 ``kernel.cmu_enqueue`` compares a block's uniforms with ``q`` two at a time
 and appends the slots below it to a queue; the engine tests reach it only
@@ -9,10 +10,10 @@ at slot 0): at uniforms equal to ``q``, at ``q`` = 0 and 1, on either side
 of 1/32 (where it switches from appending every pair to skipping runs of
 eight without an arrival), for lengths that are not a multiple of eight,
 and through the grow-and-retry protocol, which ``kernel.QueueStore`` runs
-with ``kernel.grown``'s rule for ``cmu``'s queues and ``rd``'s arrival
-lists alike.  ``kernel.rd_list``,
-run by ``RandomizedPolicy.update_index``, merges the streams' lists into
-one, slot by slot, in stream order within a slot, and empties them.
+with ``kernel.grown``'s rule for every queue.  ``kernel.rd_serve`` reads
+``rd``'s queues first-in-first-out, as ``kernel.cmu_serve`` reads
+``cmu``'s: serving a whole block leaves every queue's head at its end, so
+the next block's arrivals are appended to the same storage.
 """
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_enqueue_returns_the_length_it_needs_then_fits(q):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(start=st.sampled_from([0, 8192]), n=st.integers(2, 64), data=st.data())
-def test_rd_list_orders_arrivals_by_slot_then_stream(start, n, data):
+def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n, data):
     # stream k belongs to the k-th AoI, then latency, position; the classes
     # interleave by id, so positions are not in stream order
     classes = data.draw(st.lists(st.sampled_from([UeClass.AOI, UeClass.LATENCY]), max_size=6))
@@ -105,23 +106,24 @@ def test_rd_list_orders_arrivals_by_slot_then_stream(start, n, data):
     ues.append(UeConfig(id=len(ues) + 1, cls=UeClass.THROUGHPUT, p=0.5, alpha=0.1))
     scenario = Scenario(ues=tuple(ues), variant=Variant.LATENCY_CONSTRAINED)
     policy = RandomizedPolicy(scenario, {u.id: 1 for u in scenario.aoi_ues})
-    positions = [i for i, c in enumerate(classes) if c is UeClass.AOI]
-    positions += [i for i, c in enumerate(classes) if c is UeClass.LATENCY]
-    streams = [data.draw(st.sets(st.integers(max(start, 1), start + n - 1))) for _ in positions]
-    gens = {i: Arrivals(start, *slots) for i, slots in zip(positions, streams)}
-    gens = [gens[i] for i in sorted(positions)]
-    # the first block grows the list; the same block again fits it, and
-    # nothing is written past its last entry
-    policy.update_index(start, n, gens)
-    policy._list.fill(-1)
-    policy.update_index(start, n, gens)
-    total = sum(map(len, streams))
-    want = sorted((t, k) for k, slots in enumerate(streams) for t in slots)
-    listed = policy._list[:total + 1].tolist()
-    assert listed == [t * len(streams) + k for t, k in want] + [np.iinfo(np.int64).max]
-    assert (policy._list[total + 1:] == -1).all()
-    assert policy.store.end.tolist() == [0] * len(ues)  # emptied for the next block
-    assert policy.frame.cursor == 0
+    arriving = list(range(len(classes)))
+    offsets = [data.draw(st.sets(st.integers(0, n - 1))) for _ in arriving]
+    store, sums = policy.store, policy.sums
+    # blocks of n slots with arrivals at the same offsets (slot 0 has none):
+    # after the second, the queues neither grow nor move
+    for block in range(4):
+        first = start + block * n
+        slots = [sorted(first + d for d in offset if first + d > 0) for offset in offsets]
+        policy.update_index(first, n, [Arrivals(first, *s) for s in slots])
+        assert [store.queues[i][store.head[i]:store.end[i]].tolist() for i in arriving] == slots
+        if block <= 1:
+            cap, at = store.cap.copy(), store.at.copy()
+        assert store.cap.tolist() == cap.tolist() and store.at.tolist() == at.tolist()
+        policy.block[:, :n] = [[0.0] * n, [0.5] * n]
+        policy.select(max(first, 1), first + n)
+        assert store.head.tolist() == store.end.tolist()
+        assert sums[arriving, 0].tolist() == [len(s) for s in slots]
+        sums.fill(0)
 
 
 class Draws:

@@ -1,9 +1,9 @@
 """The compiled ``rd`` engine against its slot-by-slot reference.
 
 ``sim.run`` serves ``rd`` a segment per call of ``kernel.rd_serve``, which
-walks the block's arrival slots and reads the success and policy uniforms
-in place, and sums each UE's statistics itself;
-``two_tier_oracle.run_blocks`` walks the same draws one slot at a time
+takes each slot's arrivals from the heads of the streams' queues, reads
+the success and policy uniforms in place and sums each UE's statistics
+itself; ``two_tier_oracle.run_blocks`` walks the same draws one slot at a time
 through ``SlotRandomizedPolicy``, the per-slot class the engine ran before,
 and folds every delivery into ``UeMetrics``.  The two must write the same
 CSV cells on systems of up to 16 UEs per class, at least one of them a
@@ -11,9 +11,10 @@ latency UE: theta sums on either side of 1 (above it the partition is scaled to 
 share ``(alpha, p)`` (one group, ranked by fewest attempts), AoI UEs whose
 indices tie, latency queues that empty and refill across block edges,
 horizons over up to four blocks and warm-ups ending at ``CHUNK - 1`` or
-anywhere else.  A last test runs ``rd`` on tens of thousands of UEs under
-a small stack, which only works while the kernel keeps its per-UE scratch
-off the stack.
+anywhere else; and systems where most streams have an arrival in every
+slot, so that each slot takes several.  A last test runs ``rd`` on tens of
+thousands of UEs under a small stack, which only works while the kernel
+keeps its per-UE scratch off the stack.
 """
 
 import csv
@@ -98,6 +99,27 @@ def test_kernel_matches_slot_reference(case, seed):
     scenario, horizon, warmup = case
     config = RunConfig(scenario=scenario, policy=PolicySpec("rd"), horizon=horizon,
                        seed=seed, warmup=warmup)
+    assert report_rows(run(config), "x") == report_rows(run_blocks(config), "x")
+
+
+# Up to eight AoI and latency UEs, ids interleaving the classes, in a run
+# across a block edge.  Most streams have an arrival in every slot (q = 1),
+# so each slot takes several; while AoI UEs need a slot budget, the
+# latency UEs share a load of 0.8 instead.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(streams=st.lists(st.tuples(st.sampled_from([UeClass.AOI, UeClass.LATENCY]),
+                                  st.sampled_from([1.0, 1.0, 0.5])), min_size=1, max_size=8),
+       horizon=st.integers(1, 64) | st.integers(CHUNK - 2, CHUNK + 2),
+       seed=st.integers(0, 2 ** 31))
+def test_streams_arriving_in_one_slot_match_slot_reference(streams, horizon, seed):
+    classes = [c for c, _ in streams]
+    nlat = classes.count(UeClass.LATENCY)
+    ues = [UeConfig(id=i, cls=c, q=q, p=0.9, rho=1.0) if c is UeClass.AOI else
+           UeConfig(id=i, cls=c, q=q if UeClass.AOI not in classes else 0.8 * 0.9 / nlat,
+                    p=0.9, beta=30.0) for i, (c, q) in enumerate(streams, 1)]
+    ues.append(UeConfig(id=len(ues) + 1, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.01))
+    config = RunConfig(scenario=Scenario(ues=tuple(ues), variant=Variant.LATENCY_CONSTRAINED),
+                       policy=PolicySpec("rd"), horizon=horizon, seed=seed)
     assert report_rows(run(config), "x") == report_rows(run_blocks(config), "x")
 
 

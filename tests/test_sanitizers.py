@@ -9,9 +9,11 @@ AddressSanitizer at the first access outside an allocation (a write into
 that).  The interpreter is not instrumented, so the ASan runtime is
 preloaded, and its leak check is off: CPython keeps memory until exit.
 
-Both passes run the arrival-list tests, an overloaded ``cmu`` case and the
-window-edge cases of ``rd`` and ``cmu`` against their oracles, so every
-kernel entry point runs under each sanitizer.
+Both passes run the arrival-list tests, an overloaded ``cmu`` case, the
+window-edge cases of ``rd`` and ``cmu`` against their oracles, and ``rd``'s
+stack growth, whose ``rd_serve`` call returns for a stack to grow and then
+runs again, so every kernel entry point and return runs under each
+sanitizer.
 The slow property tests, whose Python oracle walks every slot, are shared
 out: ``cmu``'s to the UBSan pass, which also runs ``rd`` on a small stack,
 and ``rd``'s to the ASan pass.  The two passes run at once.
@@ -31,7 +33,8 @@ BOTH = ("test_arrival_lists.py",
         "test_cmu_engine.py::test_lower_queues_starve_behind_an_overloaded_top_queue",
         "test_cmu_engine.py::test_window_edges_match_slot_reference",
         "test_cmu_engine.py::test_a_system_without_queues_idles",
-        "test_rd_engine.py::test_window_edges_match_slot_reference")
+        "test_rd_engine.py::test_window_edges_match_slot_reference",
+        "test_policies.py::test_rd_latency_stack_grows_across_blocks")
 
 
 def _start(root: Path, flags: tuple[str, ...], env: dict[str, str],
