@@ -140,27 +140,26 @@ static inline int64_t least(int64_t x, int64_t y)
     return x < y ? x : y;
 }
 
-/* The arrival slot of the oldest packet in the store's queue j, or
-   INT64_MAX if it holds none. */
-static inline int64_t oldest(const struct store *store, int64_t j)
+/* The arrival slot of the oldest packet in queue[h:e], or INT64_MAX if
+   it is empty. */
+static inline int64_t oldest(const int64_t *queue, int64_t h, int64_t e)
 {
-    const int64_t h = store->head[j];
-    return h < store->end[j] ? store->queues[j][h] : INT64_MAX;
+    return h < e ? queue[h] : INT64_MAX;
 }
 
-/* A tournament tree over the heads of n queues, the store's queues
-   idx[0:n], in tree[1:2 * leaves], leaves being the least power of two
-   >= n (so 2 * leaves <= max(4 * n, 2)): leaf leaves + k holds the
+/* A tournament tree over the heads of n of a store's queues, queues[j]
+   for j in idx[0:n], in tree[1:2 * leaves], leaves being the least power
+   of two >= n (so 2 * leaves <= max(4 * n, 2)): leaf leaves + k holds the
    oldest slot of queue idx[k] (INT64_MAX past n), and each inner node the
    least of its two children's.  Fills it and returns leaves. */
-static int64_t tree_build(int64_t *tree, const struct store *store, const int64_t *idx,
-                          int64_t n)
+static int64_t tree_build(int64_t *tree, int64_t *const *queues, const int64_t *head,
+                          const int64_t *end, const int64_t *idx, int64_t n)
 {
     int64_t leaves = 1;
     while (leaves < n)
         leaves *= 2;
     for (int64_t k = 0; k < leaves; k++)
-        tree[leaves + k] = k < n ? oldest(store, idx[k]) : INT64_MAX;
+        tree[leaves + k] = k < n ? oldest(queues[idx[k]], head[idx[k]], end[idx[k]]) : INT64_MAX;
     for (int64_t i = leaves - 1; i > 0; i--)
         tree[i] = least(tree[2 * i], tree[2 * i + 1]);
     return leaves;
@@ -246,14 +245,13 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         return 0;
     const double *restrict u = store->u;
     int64_t *const *queues = store->queues;
-    /* head is read through store too (oldest), so it is not restrict */
-    int64_t *head = store->head, *restrict tree = c->tree;
+    int64_t *restrict head = store->head, *restrict tree = c->tree;
     const int64_t *restrict end = store->end, *restrict order = c->order;
     const int64_t base = store->start, nq = c->nq;
     for (int64_t j = 0; j < nq; j++)
         c->sums[j * NSUMS + ARRIVALS] += first_at(queues[j], head[j], end[j], b)
                                        - first_at(queues[j], head[j], end[j], a);
-    const int64_t leaves = tree_build(tree, store, order, nq);
+    const int64_t leaves = tree_build(tree, queues, head, end, order, nq);
     int64_t t = a;
     while (t < b) {
         if (tree[1] > t) {  /* every queue is empty in slot t */
@@ -304,7 +302,7 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         row[SPACING_SQ] += sum[SPACING_SQ];
         head[j] = h;
         c->g_prev[j] = prev;
-        tree_raise(tree, i, oldest(store, j));
+        tree_raise(tree, i, oldest(queue, h, e));
     }
     return 0;
 }
@@ -487,7 +485,9 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const double *restrict u = store->u, *restrict draws = r->draws;
     const int64_t naoi = r->naoi, nlat = r->nlat, ngroups = r->ngroups, base = store->start;
     const int64_t *restrict members = r->members, *restrict groups = r->groups;
-    int64_t *head = store->head;  /* read through store too, so not restrict */
+    int64_t *const *queues = store->queues;
+    int64_t *restrict head = store->head;
+    const int64_t *restrict end = store->end;
     struct ue *restrict ue = r->ue;
     int64_t *restrict sums = r->sums, *restrict queued = r->queued;
     int64_t *restrict pool = r->pool, *restrict turn = r->turn, *restrict tree = r->tree;
@@ -495,7 +495,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
     for (int64_t k = 0; k < nlat; k++) {
         const int64_t i = lat[k];
-        if (ue[i].depth + store->end[i] - head[i] > ue[i].room)
+        if (ue[i].depth + end[i] - head[i] > ue[i].room)
             return 1 + i;
     }
     int64_t nq = 0, np = 0;
@@ -509,7 +509,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
         if (ue[aoi[k]].packet >= 0)
             pool[np++] = aoi[k];
     int64_t best = pool_best(np, pool, ue);
-    const int64_t leaves = tree_build(tree, store, members, naoi + nlat);
+    const int64_t leaves = tree_build(tree, queues, head, end, members, naoi + nlat);
     for (int64_t t = a; t < b; t++) {
         if (tree[1] <= t) {
             int regroup = 0;
@@ -518,8 +518,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
                 const int64_t leaf = tree_first(tree, leaves, t, &wake), k = leaf - leaves;
                 const int64_t i = members[k];
                 struct ue *x = &ue[i];
-                head[i]++;
-                tree_raise(tree, leaf, oldest(store, i));
+                tree_raise(tree, leaf, oldest(queues[i], ++head[i], end[i]));
                 sums[i * NSUMS + ARRIVALS]++;
                 if (k < naoi)
                     aoi_arrival(ue, i, t, pool, &np, &best);
