@@ -514,7 +514,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
         if (tree[1] <= t) {
             int regroup = 0;
             do {
-                int64_t wake;
+                int64_t wake;  /* cmu_serve's; unused here */
                 const int64_t leaf = tree_first(tree, leaves, t, &wake), k = leaf - leaves;
                 const int64_t i = members[k];
                 struct ue *x = &ue[i];

@@ -41,8 +41,8 @@ take, once, when it is built; per block the engine makes three calls:
 ``update_index`` draws and enqueues the arrivals, the engine draws the
 success uniforms, and ``rd``'s policy uniforms into a second buffer, and
 ``select`` serves the block in one kernel call, two in the block where the
-warm-up ends; both kernels read the queues first-in-first-out, each slot's
-arrivals coming from their heads through a tournament tree.  The
+warm-up ends; both kernels read the store's queues first-in-first-out,
+through one tournament tree over the queue heads.  The
 kernels count each UE's arrivals and add up its deliveries (and, under
 ``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
 ``metrics.add_sums`` once per window: where the warm-up ends and at the
