@@ -38,87 +38,153 @@ static inline int64_t record(int64_t *s, int64_t *g_prev, int64_t g, int64_t t)
     return d;
 }
 
-/* Write slot at queue[e] if the storage has room (c elements), and move
-   past it if it is an arrival: no branch on the draws. */
-static inline int64_t append(int64_t *queue, int64_t e, int64_t c, int64_t slot, int arrived)
+static inline int64_t least(int64_t x, int64_t y)
 {
-    if (e < c)
-        queue[e] = slot;
-    return e + arrived;
+    return x < y ? x : y;
 }
 
-/* Two doubles, the vector width of the baseline x86-64 (SSE2) and AArch64
-   instruction sets: the library is cached by source and flags only, so it
-   must run on any host of the architecture, and one instruction still
-   compares two uniforms. */
-typedef double pair_d __attribute__((vector_size(2 * sizeof(double))));
-typedef int64_t pair_i __attribute__((vector_size(2 * sizeof(int64_t))));
+/* numpy's PCG64, the bit generator of every stream rng.py builds: a 128-bit
+   linear congruential generator, state * MULT + inc, whose output is the
+   XSL-RR of the advanced state.  Advances *state and returns the output's
+   top 53 bits, m: Generator.random returns m / 2^53, so it is below q iff
+   m < ceil(q * 2^53), and both are exact for q in [0, 1]. */
+typedef unsigned __int128 u128;
+static const u128 MULT = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
 
-/* u[0] < q[0] and u[1] < q[1]: -1 where it holds, 0 where not. */
-static inline pair_i below(const double *u, pair_d q)
+static inline uint64_t bits53(u128 *state, u128 inc)
 {
-    pair_d x;
-    memcpy(&x, u, sizeof x);
-    return x < q;
+    const u128 s = *state = *state * MULT + inc;
+    const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned r = (unsigned)(s >> 122);
+    return ((x >> r) | (x << (-r & 63))) >> 11;
 }
 
-/* A block's queues of arrival slots (kernel.QueueStore), bound once: u
-   holds the uniforms of slots [start, start + n), and queue j its
-   packets' arrival slots, ascending, in queues[j][head[j]:end[j]] of
-   cap[j] elements. */
+/* The next draw of Generator.random. */
+static inline double uniform(u128 *state, u128 inc)
+{
+    return (double)bits53(state, inc) * 0x1.0p-53;
+}
+
+/* A block's streams and the queues of arrival slots they fill
+   (kernel.QueueStore), bound once.  Stream k's PCG64 state and increment
+   are pcg[4k:4k+4], each its low 64 bits first.  Stream k < narr is an
+   arrival stream: queue pos[k] has an arrival in slot start + i, for
+   0 < start + i and i < n, iff draw i of the block is below q[k].  Stream
+   narr + r, r < nrows, fills row r of the block's uniforms,
+   rows[r * width:][0:n].  Queue j holds its packets' arrival slots,
+   ascending, in queues[j][head[j]:end[j]] of cap[j] elements. */
 struct store {
-    double *u;
-    int64_t start, n;
+    uint64_t *pcg;
+    int64_t narr, nrows;
+    const int64_t *pos;
+    const double *q;
+    double *rows;
+    int64_t width, start, n, need;
     int64_t *const *queues;
     const int64_t *cap;
     int64_t *head, *end;
 };
 
-/* Append to queue j the block's arrival slots: slot start + k arrives iff
-   u[k] < q, for k < n (slot 0 has none).
+/* Streams drawn side by side: each one's draws are a chain of dependent
+   128-bit multiplies, so two chains keep the multiplier busier than one;
+   with four, x86-64's sixteen registers no longer hold every lane's state,
+   and a draw costs more.  The hot loops over the lanes are unrolled by
+   pragma, so each lane's variables live in registers. */
+enum { LANES = 2 };
 
-   Once head[j] has passed the midpoint of queue j's storage, the live
-   part is first moved to the front.  One pass then appends the arrivals
-   while there is room.  Returns 0 once they are appended; if they do not
-   fit, it leaves end[j] as it was and returns the length the queue needs,
-   for the caller (kernel.QueueStore) to grow its storage and call again. */
-int64_t cmu_enqueue(const struct store *restrict store, int64_t j, double q)
+/* Draw the block of the a arrival streams and then f filling streams from
+   stream k on (a + f <= LANES), slot by slot, each stream's draw in turn:
+   an arrival is written at its queue's end while the storage has room, and
+   counted in any case, so the draws take no branch.  Each arrival queue
+   whose live packets are no more than those that left it (head[j] of them)
+   is first moved to the front of its storage: each packet that left pays
+   for at most one move, so a run moves fewer packets than arrive, and a
+   queue that lacks room after the move lacks it for more packets than it
+   holds, which doubling its storage pays for.  Returns 0 once every stream's states and queue ends are advanced; or
+   1 + the first arrival stream whose queue lacks room for its arrivals,
+   its live packets plus arrivals in store->need, every state and end of
+   the group left as it was, so drawing the group again, once the queue has
+   room, draws the same. */
+static inline __attribute__((always_inline)) int64_t group(struct store *restrict s, int64_t k,
+                                                             const int a, const int f)
 {
-    const double *restrict u = store->u;
-    const int64_t start = store->start, n = store->n;
-    int64_t *restrict head = store->head, *restrict end = store->end;
-    int64_t *queue = store->queues[j], h = head[j], e = end[j];
-    const int64_t c = store->cap[j];
-    if (2 * h > c) {
-        memmove(queue, queue + h, (size_t)(e - h) * sizeof *queue);
-        end[j] = e -= h;
-        head[j] = h = 0;
+    u128 state[LANES], inc[LANES];
+    int64_t *queue[LANES], e[LANES], c[LANES];
+    uint64_t below[LANES];
+    double *row[LANES];
+    const int64_t start = s->start, n = s->n;
+    for (int l = 0; l < a + f; l++) {
+        const uint64_t *p = s->pcg + 4 * (k + l);
+        state[l] = (u128)p[1] << 64 | p[0];
+        inc[l] = (u128)p[3] << 64 | p[2];
     }
-    int64_t k = start == 0;
-    const pair_d qq = {q, q};
-    /* Below q = 1/32, three in four runs of eight slots hold no arrival, so one
-       branch per eight, on four pairs compared at once, skips them at few
-       mispredictions; above, a branch on the draws costs more than it
-       skips, and each pair's comparisons are appended without one. */
-    if (q < 1.0 / 32)
-        for (; k + 8 <= n; k += 8) {
-            const pair_i any = below(u + k, qq) | below(u + k + 2, qq)
-                             | below(u + k + 4, qq) | below(u + k + 6, qq);
-            if (any[0] | any[1])
-                for (int64_t i = k; i < k + 8; i++)
-                    e = append(queue, e, c, start + i, u[i] < q);
+    for (int l = 0; l < a; l++) {
+        const int64_t j = s->pos[k + l], h = s->head[j];
+        queue[l] = s->queues[j];
+        e[l] = s->end[j];
+        c[l] = s->cap[j];
+        below[l] = (uint64_t)ceil(s->q[k + l] * 0x1.0p53);
+        if (h && e[l] - h <= h) {
+            memmove(queue[l], queue[l] + h, (size_t)(e[l] - h) * sizeof *queue[l]);
+            s->end[j] = e[l] -= h;
+            s->head[j] = 0;
         }
-    else
-        for (; k + 2 <= n; k += 2) {
-            const pair_i hit = below(u + k, qq);
-            e = append(queue, e, c, start + k, (int)(hit[0] & 1));
-            e = append(queue, e, c, start + k + 1, (int)(hit[1] & 1));
+    }
+    for (int l = a; l < a + f; l++)
+        row[l] = s->rows + (k + l - s->narr) * s->width;
+    int64_t i = 0;
+    if (start == 0) {  /* slot 0's draws: never an arrival */
+        for (int l = 0; l < a; l++)
+            bits53(&state[l], inc[l]);
+        for (int l = a; l < a + f; l++)
+            row[l][0] = uniform(&state[l], inc[l]);
+        i = 1;
+    }
+    for (; i < n; i++) {
+#pragma GCC unroll 2
+        for (int l = 0; l < a; l++) {
+            const uint64_t m = bits53(&state[l], inc[l]);
+            if (e[l] < c[l])
+                queue[l][e[l]] = start + i;
+            e[l] += m < below[l];
         }
-    for (; k < n; k++)
-        e = append(queue, e, c, start + k, u[k] < q);
-    if (e > c)
-        return e - h;
-    end[j] = e;
+#pragma GCC unroll 2
+        for (int l = a; l < a + f; l++)
+            row[l][i] = uniform(&state[l], inc[l]);
+    }
+    for (int l = 0; l < a; l++)
+        if (e[l] > c[l]) {
+            s->need = e[l] - s->head[s->pos[k + l]];
+            return 1 + k + l;
+        }
+    for (int l = 0; l < a; l++)
+        s->end[s->pos[k + l]] = e[l];
+    for (int l = 0; l < a + f; l++) {
+        uint64_t *p = s->pcg + 4 * (k + l);
+        p[0] = (uint64_t)state[l];
+        p[1] = (uint64_t)(state[l] >> 64);
+    }
+    return 0;
+}
+
+/* Draw the block of every stream of the store from stream k's group of
+   LANES on, the groups in order (see group).  Returns 0 once all are
+   drawn, or group's 1 + stream for a queue that lacks room: the caller
+   (kernel.QueueStore) makes room and calls again from that stream. */
+int64_t draw_block(struct store *restrict s, int64_t k)
+{
+    const int64_t total = s->narr + s->nrows;
+    for (k -= k % LANES; k < total; k += LANES) {
+        const int64_t w = least(LANES, total - k), a = least(w, s->narr > k ? s->narr - k : 0);
+        int64_t r = 0;
+        switch (a * (LANES + 1) + w - a) {  /* every a + f <= LANES, each inlined */
+#define GROUP(a, f) case (a) * (LANES + 1) + (f): r = group(s, k, a, f); break
+            GROUP(1, 0); GROUP(2, 0); GROUP(0, 1); GROUP(1, 1); GROUP(0, 2);
+#undef GROUP
+        }
+        if (r)
+            return r;
+    }
     return 0;
 }
 
@@ -133,11 +199,6 @@ static int64_t first_at(const int64_t *queue, int64_t lo, int64_t hi, int64_t sl
             hi = mid;
     }
     return lo;
-}
-
-static inline int64_t least(int64_t x, int64_t y)
-{
-    return x < y ? x : y;
 }
 
 /* The arrival slot of the oldest packet in queue[h:e], or INT64_MAX if
@@ -194,12 +255,14 @@ static inline void tree_raise(int64_t *tree, int64_t i, int64_t x)
     }
 }
 
-/* cmu's state (policies.CmuPolicy), bound once: nq queues in the store,
-   taken in ``order``, queue j succeeding at p[j], each one's arrival slot
+/* cmu's state (policies.CmuPolicy), bound once: the block's success
+   uniforms u, drawn into the store's row 0; nq queues in the store, taken
+   in ``order``, queue j succeeding at p[j], each one's arrival slot
    of its last delivery in g_prev[j] and its row of sums at
    sums[j * NSUMS:], and room for cmu_serve's tree in tree[0:4 * nq]. */
 struct cmu {
     const struct store *store;
+    const double *u;
     int64_t nq;
     const int64_t *order;
     const double *p;
@@ -243,7 +306,7 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
         return -1;
     if (c->nq == 0)  /* a system without latency UEs: every slot is idle */
         return 0;
-    const double *restrict u = store->u;
+    const double *restrict u = c->u;
     int64_t *const *queues = store->queues;
     int64_t *restrict head = store->head, *restrict tree = c->tree;
     const int64_t *restrict end = store->end, *restrict order = c->order;
@@ -327,9 +390,10 @@ struct ue {
     double index;     /* AoI: rho*p*(g - lam) of the retained packet g */
 };
 
-/* rd's state (policies.RandomizedPolicy), bound once.  The store's u
-   holds the block's success uniforms, draws its policy uniforms, and
-   queue i the arrival slots of AoI or latency UE i not yet served.
+/* rd's state (policies.RandomizedPolicy), bound once.  u holds the
+   block's success uniforms and draws its policy uniforms, the store's rows
+   0 and 1, and the store's queue i the arrival slots of AoI or latency UE
+   i not yet served.
    members lists the AoI positions, then the latency ones, then the
    throughput ones group after group, each ascending; groups[g] is where
    group g starts among the throughput ones (ngroups + 1 entries).  ue and
@@ -339,7 +403,7 @@ struct ue {
    there are. */
 struct rd {
     const struct store *store;
-    const double *draws;
+    const double *u, *draws;
     int64_t naoi, nlat, ngroups;
     const int64_t *members, *groups;
     struct ue *ue;
@@ -482,7 +546,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const struct store *store = r->store;
     if (a < store->start || a > b || b > store->start + store->n)
         return -1;
-    const double *restrict u = store->u, *restrict draws = r->draws;
+    const double *restrict u = r->u, *restrict draws = r->draws;
     const int64_t naoi = r->naoi, nlat = r->nlat, ngroups = r->ngroups, base = store->start;
     const int64_t *restrict members = r->members, *restrict groups = r->groups;
     int64_t *const *queues = store->queues;

@@ -18,9 +18,18 @@ which its owner fills once with the addresses of the buffers it keeps, so
 a call converts a pointer and at most two numbers; ``UE_STATE`` lays out
 ``rd``'s per-UE state as the C ``struct ue`` does.  Every C layout is
 mirrored here.  ``QueueStore``, every policy's arrival lister, holds the
-queues of arrival slots that ``cmu_enqueue`` appends to and that
+queues of arrival slots that ``draw_block`` appends to and that
 ``cmu_serve`` and ``rd_serve`` read first-in-first-out, and ``grown`` is
 the one growth rule of every buffer the kernels write.
+
+``draw_block`` computes the draws itself: it steps each stream's PCG64
+state (``rng.pcg64_states``) as numpy's ``PCG64`` does and converts the
+output as ``Generator.random`` does, so every draw, and ``rng``'s draw
+layout, is unchanged, bit for bit.  It appends each arrival slot to its
+queue as it is drawn, and under ``rd`` and ``cmu`` writes the success and
+policy uniforms into the policy's rows, two streams side by side.  A
+queue that lacks room leaves its group of streams undrawn, their states
+as they were, for ``QueueStore.draw`` to grow it and draw the group again.
 """
 
 from __future__ import annotations
@@ -85,17 +94,19 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 
 
 class Store(ctypes.Structure):
-    _fields_ = [("u", _P), ("start", _I), ("n", _I),
+    _fields_ = [("pcg", _P), ("narr", _I), ("nrows", _I), ("pos", _P), ("q", _P),
+                ("rows", _P), ("width", _I), ("start", _I), ("n", _I), ("need", _I),
                 ("queues", _P), ("cap", _P), ("head", _P), ("end", _P)]
 
 
 class Cmu(ctypes.Structure):
-    _fields_ = [("store", ctypes.POINTER(Store)), ("nq", _I),
+    _fields_ = [("store", ctypes.POINTER(Store)), ("u", _P), ("nq", _I),
                 ("order", _P), ("p", _P), ("g_prev", _P), ("sums", _P), ("tree", _P)]
 
 
 class Rd(ctypes.Structure):
-    _fields_ = [("store", ctypes.POINTER(Store)), ("draws", _P), ("naoi", _I), ("nlat", _I),
+    _fields_ = [("store", ctypes.POINTER(Store)), ("u", _P), ("draws", _P),
+                ("naoi", _I), ("nlat", _I),
                 ("ngroups", _I), *[(f, _P) for f in ("members", "groups", "ue", "sums", "queued",
                                                     "cum", "pool", "turn", "tree")]]
 
@@ -116,7 +127,7 @@ def _bind(name: str, frame, *args):
     return function
 
 
-cmu_enqueue = _bind("cmu_enqueue", Store, _I, ctypes.c_double)
+draw_block = _bind("draw_block", Store, _I)
 cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
 rd_serve = _bind("rd_serve", Rd, _I, _I)
 
@@ -135,36 +146,55 @@ def grown(buffer: np.ndarray, need: int, h: int = 0, e: int = 0) -> np.ndarray:
 
 class QueueStore:
     """Queues of arrival slots, ascending: queue j's are ``queues[j][head[j]:end[j]]``
-    of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one).
-    The block's uniforms are drawn into ``u``, bound with every address in
-    ``frame``, ``_kernel.c``'s ``struct store``."""
+    of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one),
+    and the streams that fill them and the block's rows of uniforms, all
+    bound with every address in ``frame``, ``_kernel.c``'s ``struct store``.
 
-    def __init__(self, n: int, u: np.ndarray):
-        if u.dtype != np.float64 or not u.flags.c_contiguous:
-            raise TypeError("arrival uniforms must be one contiguous float64 buffer")
-        self.u = u
+    Arrival stream k is the k-th ``(j, q)`` of ``streams``: queue j has an
+    arrival in slot t when the stream's draw t is below q.  Row r of
+    ``rows`` takes the draws of stream ``len(streams) + r``."""
+
+    def __init__(self, n: int, streams, rows: np.ndarray):
+        if rows.dtype != np.float64 or rows.ndim != 2 or not rows.flags.c_contiguous:
+            raise TypeError("the block's rows of uniforms must be one contiguous float64 "
+                            "array of rows")
         self.queues = [np.empty(0, np.int64)] * n
         self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
         self.at = np.zeros(n, np.uintp)
-        self.frame = Store(u.ctypes.data, 0, 0, *[x.ctypes.data for x in (
-            self.at, self.cap, self.head, self.end)])
+        self.pos = np.array([j for j, _ in streams], np.int64)
+        self.q = np.array([q for _, q in streams], np.float64)
+        self.width = rows.shape[1]
+        self._rows, self._states = rows, None
+        self.frame = Store(None, len(streams), len(rows), self.pos.ctypes.data,
+                           self.q.ctypes.data, rows.ctypes.data, self.width, 0, 0, 0,
+                           *[x.ctypes.data for x in (self.at, self.cap, self.head, self.end)])
 
-    def enqueue(self, start: int, n: int, streams, gens) -> None:
-        """Append the arrivals of the block of ``n`` slots from ``start``,
-        drawing each stream's in turn into ``u[:n]``: for each ``(j, q)`` of
-        ``streams`` and ``gen`` of ``gens``, queue j has an arrival in slot
-        start + k, for k < n, iff draw k of ``gen`` is below q (slot 0 has
-        none).  A queue they do not fit in moves, packets first, to
-        ``grown`` storage, and ``cmu_enqueue`` runs again."""
-        if not 0 <= n <= len(self.u):
-            raise ValueError(f"a block of {n} slots does not fit {len(self.u)} uniforms")
-        frame, u = self.frame, self.u[:n]
+    def draw(self, start: int, n: int, states: np.ndarray) -> None:
+        """Draw the block of ``n`` slots from ``start`` of every stream, in
+        ``draw_block``, from and advancing its row of ``states``
+        (``rng.pcg64_states``): the arrival streams' rows first, then the
+        rows' streams.  Slot 0 takes no arrival.  The ``states`` array is
+        bound at its first block.  Before a queue's arrivals are drawn, its
+        live packets move to the front of its storage if no more of them
+        are live than have left it; a queue whose arrivals still do not fit
+        moves, packets first, to ``grown`` storage, and its group of
+        streams is drawn again, from the same states."""
+        if not 0 <= n <= self.width:
+            raise ValueError(f"a block of {n} slots does not fit {self.width} uniforms")
+        frame = self.frame
+        if states is not self._states:
+            need = len(self.pos) + len(self._rows)
+            if (states.dtype != np.uint64 or states.ndim != 2 or states.shape[1] != 4
+                    or len(states) < need or not states.flags.c_contiguous):
+                raise ValueError(f"states must be a contiguous uint64 array of at least "
+                                 f"{need} rows of 4 (rng.pcg64_states)")
+            self._states, frame.pcg = states, states.ctypes.data
         frame.start, frame.n = start, n
-        for (j, q), gen in zip(streams, gens):
-            gen.random(out=u)
-            if need := cmu_enqueue(frame, j, q):
-                h, e = int(self.head[j]), int(self.end[j])
-                self.queues[j] = queue = grown(self.queues[j], need, h, e)
-                self.at[j], self.cap[j], self.head[j], self.end[j] = (
-                    queue.ctypes.data, len(queue), 0, e - h)
-                cmu_enqueue(frame, j, q)
+        k = 0
+        while r := draw_block(frame, k):
+            k = r - 1
+            j = int(self.pos[k])
+            h, e = int(self.head[j]), int(self.end[j])
+            self.queues[j] = queue = grown(self.queues[j], frame.need, h, e)
+            self.at[j], self.cap[j], self.head[j], self.end[j] = (
+                queue.ctypes.data, len(queue), 0, e - h)

@@ -268,8 +268,8 @@ class RandomizedPolicy:
     ``rho*p*(t - lam)``, else the throughput UE with the largest
     ``alpha*t/p - attempts``, lowest position on ties.
 
-    As under ``CmuPolicy``, ``update_index`` draws and enqueues a block's
-    arrivals (``kernel.QueueStore.enqueue``), ``select`` serves slots
+    As under ``CmuPolicy``, ``update_index`` draws a block, enqueueing its
+    arrivals (``kernel.QueueStore.draw``), ``select`` serves slots
     [a, b) of it in one call of ``kernel.rd_serve``, which takes each
     slot's arrivals from the queue heads and adds to each position's row of
     sums, and ``on_outcome``, once per window, adds the rows to the UEs'
@@ -307,14 +307,13 @@ class RandomizedPolicy:
             for i in members:
                 ue["weight"][i] = ues[i].alpha
         self.ue = ue
-        # the block's success and policy uniforms, the arrival streams' drawn
-        # into the first row before the success stream's; each AoI and
-        # latency UE's arrival slots not yet served, queue i of ``store``; a
-        # latency UE's stack, grown to hold its queued arrivals (None for
-        # other classes)
+        # the block's success and policy uniforms, drawn with its arrivals;
+        # each AoI and latency UE's arrival slots not yet served, queue i of
+        # ``store``; a latency UE's stack, grown to hold its queued arrivals
+        # (None for other classes)
         self.block = np.empty((2, kernel.CHUNK))
         self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
-        self.store = kernel.QueueStore(n, self.block[0])
+        self.store = kernel.QueueStore(n, self._streams, self.block)
         self.stacks = [np.empty(0, np.int64) if u.cls is UeClass.LATENCY else None for u in ues]
         # each position's last delivered arrival slot (-1: none since the
         # run or the warm-up began), and its sums since on_outcome last ran
@@ -329,16 +328,17 @@ class RandomizedPolicy:
                          np.empty(len(lat), np.int64), np.empty(len(lat)),
                          np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64),
                          np.empty(max(4 * len(self._streams), 2), np.int64))
-        self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[1].ctypes.data,
-                               len(aoi), len(lat), len(thr),
+        self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[0].ctypes.data,
+                               self.block[1].ctypes.data, len(aoi), len(lat), len(thr),
                                *[x.ctypes.data for x in self._buffers])
 
-    def update_index(self, start: int, n: int, gens: Sequence[np.random.Generator]) -> None:
-        """Enqueue the arrivals of the block of ``n`` slots from ``start``:
-        the k-th AoI or latency position (ascending) has an arrival in slot
-        start + j, for j < n, iff draw j of ``gens[k]`` is below its q (slot
-        0 has none)."""
-        self.store.enqueue(start, n, self._streams, gens)
+    def update_index(self, start: int, n: int, states: np.ndarray) -> None:
+        """Draw the block of ``n`` slots from ``start`` from ``states``
+        (``rng.pcg64_states``), advancing them: the k-th AoI or latency
+        position (ascending) has an arrival in slot start + j, for j < n,
+        iff draw j of stream k is below its q (slot 0 has none), and the
+        next two streams fill ``block[0]`` and ``block[1]``."""
+        self.store.draw(start, n, states)
 
     def select(self, a: int, b: int) -> None:
         """Serve slots [a, b) of the block drawn last, whose success and
@@ -374,16 +374,18 @@ class CmuPolicy:
     position), oldest packet first, served a block of slots at a time.
 
     A strict priority over first-in-first-out queues needs no per-slot
-    call.  ``update_index`` draws and enqueues a block's arrivals, one
-    compiled call per queue (``kernel.QueueStore.enqueue``), ``select``
-    serves slots [a, b) of it in one compiled pass (``kernel.cmu_serve``),
+    call.  ``update_index`` draws a block, its arrivals into the queues
+    and its success uniforms into ``block``, in one compiled call
+    (``kernel.QueueStore.draw``), ``select`` serves slots [a, b) of it in
+    one compiled pass (``kernel.cmu_serve``),
     adding to each queue's sums, its arrivals included, and ``on_outcome``,
     once per window, adds them to the UEs' metrics.  The block's uniforms
     (``block``) and every address the kernels take (``frame``,
-    ``_kernel.c``'s ``struct cmu``) are bound here, once.  A queue's storage
-    grows by doubling and is compacted in place whenever its head has
-    passed the midpoint, so enqueueing a block costs its arrivals, not the
-    backlog.
+    ``_kernel.c``'s ``struct cmu``) are bound here, once.  Before a block,
+    a queue is compacted in place when no more of its packets are live than
+    have left it, and its storage grows by doubling when the block's
+    arrivals still do not fit, so enqueueing a block costs its arrivals,
+    not the backlog.
     """
 
     name = "cmu"
@@ -396,14 +398,12 @@ class CmuPolicy:
             raise ScenarioError("weighted-rate rule needs latency weights (rho)")
         ues = sorted(lat, key=lambda u: u.id)
         n = len(ues)
-        self._streams = [(i, u.q) for i, u in enumerate(ues)]
         self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
-        # the block's uniforms, each arrival stream's in turn and then the
-        # success stream's, in one buffer; the arrival slots of each queue's
-        # undelivered packets, of which those after the slots being served
-        # have not arrived yet
+        # the block's success uniforms, drawn with its arrivals; the arrival
+        # slots of each queue's undelivered packets, of which those after
+        # the slots being served have not arrived yet
         self.block = np.empty((1, kernel.CHUNK))
-        self.store = kernel.QueueStore(n, self.block[0])
+        self.store = kernel.QueueStore(n, [(i, u.q) for i, u in enumerate(ues)], self.block)
         # each queue's last delivered arrival slot (-1: none since the run or
         # the warm-up began), its sums since on_outcome last ran, and
         # cmu_serve's tree
@@ -411,14 +411,15 @@ class CmuPolicy:
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         self._buffers = (np.array(self.order, np.int64), np.array([u.p for u in ues]),
                          self.g_prev, self.sums, np.empty(4 * n, np.int64))
-        self.frame = kernel.Cmu(ctypes.pointer(self.store.frame), n,
+        self.frame = kernel.Cmu(ctypes.pointer(self.store.frame), self.block.ctypes.data, n,
                                 *[x.ctypes.data for x in self._buffers])
 
-    def update_index(self, start: int, n: int, gens: Sequence[np.random.Generator]) -> None:
-        """Enqueue the arrivals of the block of ``n`` slots from ``start``:
-        position i has an arrival in slot start + k, for k < n, iff draw k
-        of ``gens[i]`` is below its q (slot 0 has none)."""
-        self.store.enqueue(start, n, self._streams, gens)
+    def update_index(self, start: int, n: int, states: np.ndarray) -> None:
+        """Draw the block of ``n`` slots from ``start`` from ``states``
+        (``rng.pcg64_states``), advancing them: position i has an arrival
+        in slot start + k, for k < n, iff draw k of stream i is below its q
+        (slot 0 has none), and the next stream fills ``block[0]``."""
+        self.store.draw(start, n, states)
 
     def select(self, a: int, b: int) -> None:
         """Serve slots [a, b) of the block drawn last, whose success

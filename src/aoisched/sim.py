@@ -15,9 +15,14 @@ the horizon.  Under ``hier`` and ``vw`` each block is cut into segments at
 weight steps and at the warm-up's last slot; under ``rd`` and ``cmu`` only
 at the warm-up's last slot.
 
-Under every policy, each block's arrival uniforms are drawn into one
-reused buffer, a stream at a time, and turned into arrival slots by one
-compiled call per stream (``kernel.QueueStore.enqueue``).
+Under every policy, one compiled call per block (``kernel.QueueStore.draw``)
+computes the block's arrival draws from each stream's PCG64 state, read
+once per run (``rng.pcg64_states``), and appends each arrival slot to its
+UE's queue as it is drawn; no buffer holds the arrival uniforms.  The
+draws, and their layout, are those of ``rng``'s generators.  Under ``rd``
+and ``cmu`` the same call draws the success uniforms, and ``rd``'s policy
+uniforms; under ``hier`` and ``vw`` the success generator's ``random``
+draws them.
 
 ``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
 buffers, read in place: the loop walks a memoryview of the success
@@ -37,12 +42,12 @@ in its ``lat`` order; the policy appends each new weight to that UE's
 read the same draws and give the same report as a slot-by-slot run (see
 ``policies.RandomizedPolicy`` and ``policies.CmuPolicy``).  Each policy
 owns its block's buffers and binds them, with every address its kernels
-take, once, when it is built; per block the engine makes three calls:
-``update_index`` draws and enqueues the arrivals, the engine draws the
-success uniforms, and ``rd``'s policy uniforms into a second buffer, and
-``select`` serves the block in one kernel call, two in the block where the
-warm-up ends; both kernels read the store's queues first-in-first-out,
-through one tournament tree over the queue heads.  The
+take, once, when it is built; per block the engine makes two calls:
+``update_index`` draws the block, enqueueing the arrivals and writing the
+success uniforms, and ``rd``'s policy uniforms, into the policy's buffer in
+the same call, and ``select`` serves the block in one kernel call, two in
+the block where the warm-up ends; both kernels read the store's queues
+first-in-first-out, through one tournament tree over the queue heads.  The
 kernels count each UE's arrivals and add up its deliveries (and, under
 ``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
 ``metrics.add_sums`` once per window: where the warm-up ends and at the
@@ -67,7 +72,7 @@ from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
                     Variant, replace_param, validate)
 from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
                        thresholds_for)
-from .rng import derive_seed, substreams
+from .rng import derive_seed, pcg64_states, substreams
 from .solver import spacing_bound
 
 __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep",
@@ -170,22 +175,20 @@ def run(config: RunConfig) -> RunReport:
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
 
     arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
+    states = pcg64_states([*arrival_gens, success_gen, policy_gen])
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
     every = config.policy.f if policy.name == "vw" else 0
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
     if by_block:
-        # each block's arrival uniforms are drawn into the policy's buffer, a
-        # stream at a time, and enqueued; then its success uniforms, and rd's
-        # policy uniforms into a second buffer, are served in one call, cut
-        # only where the warm-up ends; each window's sums are added at its end
+        # each block is drawn in one call, its arrivals enqueued and its
+        # success uniforms, and rd's policy uniforms, written to the
+        # policy's buffer; it is served in one call, cut only where the
+        # warm-up ends; each window's sums are added at its end
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
-            update_index(start, n, arrival_gens)
-            u = policy.block if n == CHUNK else policy.block[:, :n]
-            for row, gen in zip(u, (success_gen, policy_gen)):
-                gen.random(out=row)
+            update_index(start, n, states)
             a, b = max(start, 1), start + n
             if a <= warm_end < b:
                 select(a, warm_end + 1)
@@ -197,16 +200,15 @@ def run(config: RunConfig) -> RunReport:
             select(a, b)
         on_outcome(metrics)
     else:
-        # each block's arrival uniforms are drawn into one buffer, a stream at
-        # a time, and listed as queue i of ``store`` (its head stays 0);
-        # then its success uniforms, into the same buffer
+        # each block's arrivals are drawn in one call and listed as queue i
+        # of ``store`` (its head stays 0); then its success uniforms, into
+        # a buffer of their own
         buffer = np.empty(CHUNK)
-        store = QueueStore(len(ues), buffer)
-        streams = [(i, ues[i].q) for i in arriving]
+        store = QueueStore(len(ues), [(i, ues[i].q) for i in arriving], np.empty((0, CHUNK)))
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
             store.end.fill(0)
-            store.enqueue(start, n, streams, arrival_gens)
+            store.draw(start, n, states)
             lists = [(i, store.queues[i][:store.end[i]]) for i in arriving]
             for i, hit in lists:
                 metrics[i].log_arrivals(hit)

@@ -47,10 +47,31 @@ def _budget(ts: list[float], ps: list[float]) -> float:
     return sum(1.0 / (p * t) for p, t in zip(ps, ts))
 
 
+def _spacing_constant(u: UeConfig) -> float:
+    """``(1 - q) / q**2`` of AoI UE ``u``; a q so small that it is not
+    finite is a ScenarioError that names it."""
+    c = (1.0 - u.q) / (u.q * u.q) if u.q * u.q > 0.0 else math.inf
+    if not math.isfinite(c):
+        raise ScenarioError(f"ue {u.id}: q={u.q!r} is too small: the spacing constant "
+                            "(1 - q)/q^2 is not finite")
+    return c
+
+
+def _finite(ids: list[int], rhos: list[float], ts: list[float]) -> list[float]:
+    """The spacings ``ts``; a rho so small that a UE's is not finite (or
+    rho * p is 0, so none is) is a ScenarioError that names it."""
+    for i, rho, t in zip(ids, rhos, ts):
+        if not math.isfinite(t):
+            raise ScenarioError(f"ue {i}: rho={rho!r} is too small: its target spacing "
+                                "is not finite")
+    return ts
+
+
 def _solve_kkt(ids: list[int], cs: list[float], rhos: list[float],
                ps: list[float], zeta: float) -> TStarSolution:
     if zeta <= 0.0:
         raise SolverError(f"attempt budget zeta={zeta} <= 0: no spacing can fit")
+    _finite(ids, rhos, [1.0 if rho * p > 0.0 else math.inf for rho, p in zip(rhos, ps)])
     ts0 = _spacing_at(0.0, cs, rhos, ps)
     if _budget(ts0, ps) <= zeta + RESIDUAL_TOL:
         binding = abs(_budget(ts0, ps) - zeta) <= RESIDUAL_TOL
@@ -83,7 +104,7 @@ def _solve_kkt(ids: list[int], cs: list[float], rhos: list[float],
         # keep the feasible side of the bracket
         mu = hi
         ts = _spacing_at(mu, cs, rhos, ps)
-    return TStarSolution(dict(zip(ids, ts)), mu=mu, binding=True)
+    return TStarSolution(dict(zip(ids, _finite(ids, rhos, ts))), mu=mu, binding=True)
 
 
 def compute_t_star(aoi_ues: list[UeConfig] | tuple[UeConfig, ...], zeta: float) -> TStarSolution:
@@ -91,7 +112,7 @@ def compute_t_star(aoi_ues: list[UeConfig] | tuple[UeConfig, ...], zeta: float) 
     if not aoi_ues:
         raise SolverError("no aoi ues to solve for")
     ids = [u.id for u in aoi_ues]
-    cs = [(1.0 - u.q) / (u.q * u.q) for u in aoi_ues]
+    cs = [_spacing_constant(u) for u in aoi_ues]
     rhos = [u.rho for u in aoi_ues]
     ps = [u.p for u in aoi_ues]
     return _solve_kkt(ids, cs, rhos, ps, zeta)
@@ -133,7 +154,7 @@ def spacing_bound(scenario: Scenario) -> float:
     aoi = scenario.aoi_ues
     if not aoi:
         return 0.0
-    cs = [0.5 * (1.0 - u.q) / (u.q * u.q) for u in aoi]
+    cs = [0.5 * _spacing_constant(u) for u in aoi]
     sol = _solve_kkt([u.id for u in aoi], cs, [u.rho for u in aoi], [u.p for u in aoi],
                      report.zeta)
     total = 0.0

@@ -1,19 +1,23 @@
-"""The kernel that lists a block's arrivals, called on one block, and the
-queue protocol that ``rd`` and ``cmu`` share.
+"""The kernel that draws a block and lists its arrivals, called on one
+block, and the queue protocol that ``rd`` and ``cmu`` share.
 
-``kernel.cmu_enqueue`` compares a block's uniforms with ``q`` two at a time
-and appends the slots below it to a queue; the engine tests reach it only
-through whole runs.  Here it is called directly on a
-``kernel.QueueStore`` whose buffer holds the uniforms, and must list
-exactly ``np.flatnonzero(u < q)`` (from slot 1 on when the block starts
-at slot 0): at uniforms equal to ``q``, at ``q`` = 0 and 1, on either side
-of 1/32 (where it switches from appending every pair to skipping runs of
-eight without an arrival), for lengths that are not a multiple of eight,
-and through the grow-and-retry protocol, which ``kernel.QueueStore`` runs
-with ``kernel.grown``'s rule for every queue.  ``kernel.rd_serve`` reads
-``rd``'s queues first-in-first-out, as ``kernel.cmu_serve`` reads
-``cmu``'s: serving a whole block leaves every queue's head at its end, so
-the next block's arrivals are appended to the same storage.
+``kernel.draw_block`` steps each stream's PCG64 state in the compiled
+kernel and appends the slots whose draw is below ``q`` to a queue; the
+engine tests reach it only through whole runs.  Here it is called on a
+``kernel.QueueStore`` with states read from fresh generators
+(``rng.pcg64_states``), and must list exactly ``np.flatnonzero(u < q)`` of
+the numbers ``Generator.random`` draws from the same seed (from slot 1 on
+when the block starts at slot 0), leave each state where ``random`` leaves
+it, and fill each row of uniforms with the draws ``random`` returns, bit
+for bit: at ``q`` equal to a draw and one float either side, at ``q`` = 0
+and 1, for 1 to 9 streams (every remainder of the kernel's lanes), for
+blocks of 1, ``CHUNK`` - 1 and ``CHUNK`` slots, from slot 0 and from a
+later block, and through the grow-and-retry protocol, which
+``kernel.QueueStore`` runs with ``kernel.grown``'s rule for every queue.
+``kernel.rd_serve`` reads ``rd``'s queues first-in-first-out, as
+``kernel.cmu_serve`` reads ``cmu``'s: serving a whole block leaves every
+queue's head at its end, so the next block's arrivals are appended to the
+same storage.
 """
 
 import numpy as np
@@ -24,23 +28,18 @@ from hypothesis import strategies as st
 from aoisched import kernel
 from aoisched.model import Scenario, UeClass, UeConfig, Variant
 from aoisched.policies import RandomizedPolicy
-from test_policies import Arrivals
+from aoisched.rng import pcg64_states
 
-SKIP_BELOW = 1.0 / 32
-QS = [0.0, 1.0, np.nextafter(SKIP_BELOW, 0.0), SKIP_BELOW, np.nextafter(SKIP_BELOW, 1.0), 0.01, 0.5]
+QS = [0.0, 1.0, np.nextafter(1.0 / 32, 0.0), 1.0 / 32, np.nextafter(1.0 / 32, 1.0), 0.01, 0.5]
+EDGE_QS = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+SEEDS = [0, 1, 7, 2 ** 63]
+NO_ROWS = np.empty((0, kernel.CHUNK))
 
 
-def enqueue(u, q, start, queue, head=0, end=0):
-    """One ``cmu_enqueue`` call, through a ``QueueStore`` whose buffer holds
-    ``u``, on a queue holding ``queue[head:end]``: its return value, and
-    the queue's contents after it."""
-    store = kernel.QueueStore(1, np.array(u, np.float64))
-    store.queues[0] = queue
-    store.at[0], store.cap[0] = queue.ctypes.data, len(queue)
-    store.head[0], store.end[0] = head, end
-    store.frame.start, store.frame.n = start, len(u)
-    need = kernel.cmu_enqueue(store.frame, 0, q)
-    return need, queue[store.head[0]:store.end[0]]
+def generators(seed, k):
+    """k fresh generators seeded from ``seed``'s SeedSequence, as rng.py spawns them."""
+    return [np.random.Generator(np.random.PCG64(c))
+            for c in np.random.SeedSequence(seed).spawn(k)]
 
 
 def expected(u, q, start):
@@ -48,74 +47,153 @@ def expected(u, q, start):
     return slots[slots > 0]
 
 
+def state_row(gen):
+    """``gen``'s state as ``rng.pcg64_states`` lays it out (read from any generator)."""
+    state = gen.bit_generator.state["state"]
+    s, inc = state["state"], state["inc"]
+    return [s & (2 ** 64 - 1), s >> 64, inc & (2 ** 64 - 1), inc >> 64]
+
+
+def listed(store, j):
+    return store.queues[j][store.head[j]:store.end[j]].tolist()
+
+
 @pytest.mark.parametrize("q", QS, ids=lambda q: repr(float(q)))
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17, 8191])
 @pytest.mark.parametrize("start", [0, 8192])
 def test_enqueue_lists_the_uniforms_below_q(q, n, start):
-    rng = np.random.default_rng(n)
-    u = rng.random(n)
-    # runs of uniforms at q, just below and just above it, at every offset
-    u[::3] = q
-    u[1::5] = np.nextafter(q, 0.0)
-    u[2::7] = min(np.nextafter(q, 1.0), np.nextafter(1.0, 0.0))
-    queue = np.empty(n, np.int64)
-    need, listed = enqueue(u, q, start, queue)
-    assert need == 0
-    assert listed.tolist() == expected(u, q, start).tolist()
+    (gen,), (ref,) = generators(n, 1), generators(n, 1)
+    states = pcg64_states([gen])
+    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store.draw(start, n, states)
+    assert listed(store, 0) == expected(ref.random(n), q, start).tolist()
+    assert states[0].tolist() == state_row(ref)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(q=st.sampled_from(QS) | st.floats(0.0, 1.0), data=st.data())
-def test_enqueue_matches_numpy_on_any_block(q, data):
-    below = float(np.nextafter(q, 0.0))
-    u = data.draw(st.lists(st.sampled_from([q, below]) | st.floats(0.0, 1.0, exclude_max=True),
-                           max_size=40))
+@given(seed=st.sampled_from(SEEDS), n=st.integers(0, 40), data=st.data())
+def test_enqueue_matches_numpy_on_any_block(seed, n, data):
+    (ref,) = generators(seed, 1)
+    u = ref.random(n)
     start = data.draw(st.sampled_from([0, 1, 8192]))
-    need, listed = enqueue(u, q, start, np.empty(len(u), np.int64))
-    assert need == 0
-    assert listed.tolist() == expected(u, q, start).tolist()
+    # q equal to one of the block's draws, or one float either side of it
+    drawn = st.sampled_from(u.tolist()) if n else st.just(0.5)
+    q = data.draw(drawn.flatmap(lambda x: st.sampled_from(
+        [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))]))
+        | st.sampled_from(EDGE_QS) | st.floats(0.0, 1.0))
+    states = pcg64_states(generators(seed, 1))
+    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store.draw(start, n, states)
+    assert listed(store, 0) == expected(u, q, start).tolist()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("streams", range(1, 10))
+def test_draws_equal_generator_random_bit_for_bit(seed, streams):
+    # every arrival stream but the last two is listed, at a q of its own;
+    # the last two fill the rows, as rd's success and policy streams do (the
+    # last one alone, as cmu's success stream does, with fewer than three
+    # streams); three blocks, each from where the one before left every state
+    rows = min(2, streams - 1) if streams > 1 else 1
+    arrivals = streams - rows if streams > 1 else 0
+    qs = [EDGE_QS[k % len(EDGE_QS)] for k in range(arrivals)]
+    block = np.empty((rows, kernel.CHUNK))
+    store = kernel.QueueStore(arrivals, list(enumerate(qs)), block)
+    states = pcg64_states(generators(seed, arrivals + rows))
+    refs = generators(seed, arrivals + rows)
+    for start, n in (0, kernel.CHUNK), (kernel.CHUNK, kernel.CHUNK - 1), (2 * kernel.CHUNK - 1, 1):
+        store.end[:] = store.head[:] = 0
+        store.draw(start, n, states)
+        for k, (q, ref) in enumerate(zip(qs, refs)):
+            assert listed(store, k) == expected(ref.random(n), q, start).tolist()
+        for r in range(rows):
+            u = refs[arrivals + r].random(n)
+            assert block[r, :n].view(np.uint64).tolist() == u.view(np.uint64).tolist()
+        assert states.tolist() == [state_row(ref) for ref in refs]
+
+
+def test_only_a_fresh_pcg64_generator_is_read():
+    (gen,) = generators(3, 1)
+    assert pcg64_states([gen]).tolist() == [state_row(gen)]
+    with pytest.raises(ValueError, match="only from PCG64 streams, not MT19937"):
+        pcg64_states([np.random.Generator(np.random.MT19937(3))])
+    for draw in (lambda g: g.random(), lambda g: g.integers(2, dtype=np.uint32)):
+        (used,) = generators(3, 1)
+        draw(used)
+        with pytest.raises(ValueError, match="has not drawn"):
+            pcg64_states([gen, used])
 
 
 @pytest.mark.parametrize("q", [0.01, 0.5, 1.0])
 def test_enqueue_returns_the_length_it_needs_then_fits(q):
-    # the queue holds slots 3 and 4 of six elements (head 1), so the block's
-    # arrivals fit only when there are at most four of them
-    u = np.random.default_rng(3).random(64)
-    u[[10, 20, 30, 40, 50]] = 0.0
-    queue = np.array([-1, 3, 4, -1, -1, -1], np.int64)
-    arrivals = expected(u, q, 100).tolist()
+    # the queue holds slots 3 and 4 of six elements (head 1, so more are
+    # live than have left it and it is not moved), so the block's arrivals
+    # fit only when there are at most four of them
+    n = 2000
+    (ref,) = generators(5, 1)
+    arrivals = expected(ref.random(n), q, 100).tolist()
     assert len(arrivals) > 4
-    need, kept = enqueue(u, q, 100, queue, head=1, end=3)
-    assert need == 2 + len(arrivals)
-    assert kept.tolist() == [3, 4]  # end left as it was
-    grown = np.empty(need, np.int64)
+    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store.queues[0] = queue = np.array([-1, 3, 4, -1, -1, -1], np.int64)
+    store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 6, 1, 3
+    states = pcg64_states(generators(5, 1))
+    before = states.copy()
+    frame = store.frame
+    frame.pcg, frame.start, frame.n = states.ctypes.data, 100, n
+    assert kernel.draw_block(frame, 0) == 1
+    assert frame.need == 2 + len(arrivals)
+    assert listed(store, 0) == [3, 4]  # end left as it was
+    assert states.tolist() == before.tolist()  # and the state
+    store.queues[0] = grown = np.empty(frame.need, np.int64)
     grown[:2] = [3, 4]
-    need, listed = enqueue(u, q, 100, grown, head=0, end=2)
-    assert need == 0
-    assert listed.tolist() == [3, 4] + arrivals
+    store.at[0], store.cap[0], store.head[0], store.end[0] = grown.ctypes.data, len(grown), 0, 2
+    assert kernel.draw_block(frame, 0) == 0
+    assert listed(store, 0) == [3, 4] + arrivals
+    assert states.tolist() == [state_row(ref)]
+
+
+def test_a_queue_that_overflows_is_drawn_again_with_its_lane():
+    # streams 0 and 1 share a lane group; stream 1's queue is full, so the
+    # group is drawn again once it has grown, and stream 0's arrivals and
+    # both states come out as in one pass
+    store = kernel.QueueStore(2, [(0, 0.5), (1, 1.0)], NO_ROWS)
+    store.queues = [np.empty(8, np.int64), np.array([1, 2], np.int64)]
+    store.at[:] = [queue.ctypes.data for queue in store.queues]
+    store.cap[:], store.end[1] = [8, 2], 2
+    states = pcg64_states(generators(9, 2))
+    refs = generators(9, 2)
+    store.draw(8, 8, states)
+    assert listed(store, 0) == expected(refs[0].random(8), 0.5, 8).tolist()
+    refs[1].random(8)
+    assert listed(store, 1) == [1, 2, *range(8, 16)] and store.cap[1] == 16
+    assert states.tolist() == [state_row(ref) for ref in refs]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(start=st.sampled_from([0, 8192]), n=st.integers(2, 64), data=st.data())
 def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n, data):
     # stream k belongs to the k-th AoI, then latency, position; the classes
-    # interleave by id, so positions are not in stream order
+    # interleave by id, so positions are not in stream order.  Each stream
+    # arrives in every slot or in none (q 1 or 0)
     classes = data.draw(st.lists(st.sampled_from([UeClass.AOI, UeClass.LATENCY]), max_size=6))
-    ues = [UeConfig(id=i, cls=c, q=0.5, p=0.5, rho=1.0, beta=30.0) if c is UeClass.AOI else
-           UeConfig(id=i, cls=c, q=0.5, p=0.5, beta=30.0) for i, c in enumerate(classes, 1)]
+    qs = [data.draw(st.sampled_from([0.0, 1.0])) for _ in classes]
+    ues = [UeConfig(id=i, cls=c, q=q or 0.5, p=0.5, rho=1.0, beta=30.0) if c is UeClass.AOI
+           else UeConfig(id=i, cls=c, q=q or 0.5, p=0.5, beta=30.0)
+           for i, (c, q) in enumerate(zip(classes, qs), 1)]
     ues.append(UeConfig(id=len(ues) + 1, cls=UeClass.THROUGHPUT, p=0.5, alpha=0.1))
     scenario = Scenario(ues=tuple(ues), variant=Variant.LATENCY_CONSTRAINED)
     policy = RandomizedPolicy(scenario, {u.id: 1 for u in scenario.aoi_ues})
+    policy.store.q[:] = qs
     arriving = list(range(len(classes)))
-    offsets = [data.draw(st.sets(st.integers(0, n - 1))) for _ in arriving]
+    states = pcg64_states(generators(start + n, len(classes) + 2))
     store, sums = policy.store, policy.sums
-    # blocks of n slots with arrivals at the same offsets (slot 0 has none):
-    # after the second, the queues neither grow nor move
+    # blocks of n slots with the same arrivals (slot 0 has none): after the
+    # second, the queues neither grow nor move
     for block in range(4):
         first = start + block * n
-        slots = [sorted(first + d for d in offset if first + d > 0) for offset in offsets]
-        policy.update_index(first, n, [Arrivals(first, *s) for s in slots])
-        assert [store.queues[i][store.head[i]:store.end[i]].tolist() for i in arriving] == slots
+        slots = [list(range(max(first, 1), first + n)) if q else [] for q in qs]
+        policy.update_index(first, n, states)
+        assert [listed(store, i) for i in arriving] == slots
         if block <= 1:
             cap, at = store.cap.copy(), store.at.copy()
         assert store.cap.tolist() == cap.tolist() and store.at.tolist() == at.tolist()
@@ -126,40 +204,59 @@ def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n
         sums.fill(0)
 
 
-class Draws:
-    """Stands in for an arrival generator whose next draws are ``u``."""
+def store_holding(cap, head, end, q=1.0):
+    """A one-queue store whose queue of ``cap`` elements holds slots 1, 2, ...
+    in [head, end), drawing with ``q``."""
+    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store.queues[0] = queue = np.full(cap, -1, np.int64)
+    queue[head:end] = range(1, end - head + 1)
+    store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, cap, head, end
+    return store, queue
 
-    def __init__(self, u):
-        self.u = u
 
-    def random(self, out):
-        out[:] = self.u
-        return out
-
-
-def test_store_grows_a_queue_whose_head_sits_at_the_midpoint():
-    # head 4 of 8: 2 * head == cap, so cmu_enqueue does not compact; the
-    # four live packets and the block's one arrival need 5 <= 8 elements
-    # but do not fit after the head, so the queue moves to storage twice as
-    # large, packets first, and keeps every packet
-    store = kernel.QueueStore(1, np.empty(4))
-    store.queues[0] = queue = np.array([-1, -1, -1, -1, 5, 6, 7, 8], np.int64)
-    store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 8, 4, 8
-    store.enqueue(100, 4, [(0, 0.5)], [Draws([1.0, 1.0, 0.0, 1.0])])
-    assert store.cap.tolist() == [16] and len(store.queues[0]) == 16
-    assert store.at[0] == store.queues[0].ctypes.data
+def test_store_compacts_a_queue_whose_head_sits_at_the_midpoint():
+    # head 4 of 8: the four live packets are no more than the four that
+    # left, so they move to the front, and with the block's one arrival
+    # they fit the same storage
+    store, queue = store_holding(8, 4, 8)
+    store.draw(100, 1, pcg64_states(generators(1, 1)))
+    assert store.cap.tolist() == [8] and store.queues[0] is queue
     assert (store.head[0], store.end[0]) == (0, 5)
-    assert store.queues[0][:5].tolist() == [5, 6, 7, 8, 102]
+    assert listed(store, 0) == [1, 2, 3, 4, 100]
+
+
+def test_an_emptied_queue_keeps_its_storage_for_a_block_that_fits_it():
+    # 16 elements, every packet served (head == end == 7), then a block of
+    # ten arrivals: they fit the storage once it is empty, so it does not grow
+    store, queue = store_holding(16, 7, 7)
+    store.draw(100, 10, pcg64_states(generators(1, 1)))
+    assert store.cap.tolist() == [16] and store.queues[0] is queue
+    assert listed(store, 0) == list(range(100, 110))
+
+
+def test_a_queue_grows_when_moving_it_would_cost_more_than_it_frees():
+    # head 2 of 16 with ten live packets: moving them would free two
+    # elements for ten moves, so the queue grows (its packets first) and
+    # keeps every packet
+    store, queue = store_holding(16, 2, 12)
+    store.draw(100, 6, pcg64_states(generators(1, 1)))
+    assert store.cap.tolist() == [32] and store.queues[0] is not queue
+    assert store.at[0] == store.queues[0].ctypes.data
+    assert listed(store, 0) == [*range(1, 11), *range(100, 106)]
 
 
 def test_store_takes_one_contiguous_float64_buffer_and_blocks_that_fit_it():
-    for u in np.zeros(2, np.float32), np.zeros(4)[::2]:
+    for rows in np.zeros((1, 2), np.float32), np.zeros((1, 4))[:, ::2], np.zeros(4):
         with pytest.raises(TypeError, match="contiguous float64"):
-            kernel.QueueStore(1, u)
-    store = kernel.QueueStore(1, np.empty(4))
+            kernel.QueueStore(1, [(0, 0.5)], rows)
+    store = kernel.QueueStore(1, [(0, 0.5)], np.empty((1, 4)))
+    states = pcg64_states(generators(1, 2))
     for n in -1, 5:
         with pytest.raises(ValueError, match=f"a block of {n} slots does not fit 4"):
-            store.enqueue(0, n, [(0, 0.5)], [Draws([0.0] * 4)])
+            store.draw(0, n, states)
+    for bad in states[:1], states.astype(np.int64), np.asfortranarray(np.zeros((4, 4), np.uint64)):
+        with pytest.raises(ValueError, match="at least 2 rows of 4"):
+            store.draw(0, 4, bad)
     assert store.end.tolist() == [0]
 
 

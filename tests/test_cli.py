@@ -151,6 +151,29 @@ def test_cli_run_writes_csv(scenario_file, tmp_path):
     assert rows[4][4] == "summary"
 
 
+@pytest.mark.parametrize("field, value", [("q", 1e-300), ("q", 5e-324), ("rho", 5e-324)])
+def test_cli_aoi_parameter_without_a_finite_spacing_exits_1(scenario_file, tmp_path, capsys,
+                                                             field, value):
+    # the reference file with one AoI parameter so small that the spacing
+    # program's constant (1 - q)/q^2, or the UE's target spacing, is not
+    # finite: validate accepts it, and run names the field instead of
+    # raising from the solver
+    doc = json.loads(scenario_file.read_text())
+    (aoi,) = [u for u in doc["ue"] if u["class"] == "aoi"]
+    aoi[field] = value
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run.csv"
+    assert main(["run", str(path), "--policy", "hier", "--horizon", "100",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: ue {aoi['id']}: {field}={value!r} is too small")
+    assert not out.exists()
+
+
 def test_cli_tstar_without_budget_exits_1(tmp_path, capsys):
     path = tmp_path / "full.json"
     save_scenario(reference_weighted(alpha=0.72), path)  # load 0.25 + 0.8 > 1

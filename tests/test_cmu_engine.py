@@ -1,8 +1,8 @@
 """The segment-at-a-time ``cmu`` engine against its slot-by-slot reference.
 
-``sim.run`` enqueues each block's ``cmu`` arrivals with the compiled
-``kernel.cmu_enqueue``, into queues that grow by doubling and are
-compacted in place, and serves a whole segment per call of
+``sim.run`` draws each block's ``cmu`` arrivals and success uniforms with
+the compiled ``kernel.draw_block``, into queues that grow by doubling and
+are compacted in place, and serves a whole segment per call of
 ``kernel.cmu_serve``, which jumps over slots where every queue is empty
 and sums each queue's arrivals and delivery statistics itself;
 ``cmu_oracle.run_slots`` walks the same draws one slot at a time in Python

@@ -6,6 +6,7 @@ import pytest
 from aoisched.metrics import UeMetrics
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
+from aoisched.rng import pcg64_states
 
 # Policy state and actions are indexed by UE position (UEs sorted by id):
 # in the three-UE scenarios below, ue 1 (aoi) is position 0, ue 2
@@ -296,30 +297,50 @@ def test_zero_weight_latency_queue_still_outranks_throughput_tier():
 
 # -- randomised policy -------------------------------------------------------------
 
+def states_of(policy):
+    """Fresh PCG64 states for each stream the policy draws: its arrival
+    streams, then the success and policy streams (``rng.pcg64_states``)."""
+    return pcg64_states([np.random.Generator(np.random.PCG64(k))
+                         for k in range(len(policy.store.pos) + 2)])
+
+
+def draw(policy, states, start, n, arriving=()):
+    """Draw the block of ``n`` slots from ``start``: the arrival streams in
+    ``arriving`` (by index among the policy's) arrive in every slot of it,
+    the others in none, their q being 1 and 0 for the block, which every
+    draw is below and none is."""
+    policy.store.q[:] = [float(k in arriving) for k in range(len(policy.store.q))]
+    policy.update_index(start, n, states)
+
+
+def served(policy, rows, arrivals=(), first=1):
+    """Draw and serve slots ``first``, ``first`` + 1, ..., a block each: in
+    slot t the k-th arrival stream has an arrival iff t is in
+    ``arrivals[k]``, and the block's uniforms (success, then policy under
+    ``rd``) are ``rows[t - first]``.  Returns the position that attempted in
+    each slot, or None."""
+    states, attempted = states_of(policy), []
+    for t, row in enumerate(rows, first):
+        draw(policy, states, t, 1, [k for k, slots in enumerate(arrivals) if t in slots])
+        policy.block[:, 0] = row
+        attempts = policy.sums[:, 1].copy()
+        policy.select(t, t + 1)
+        attempts = policy.sums[:, 1] - attempts
+        attempted.append(int(attempts.argmax()) if attempts.any() else None)
+    return attempted
+
+
 def rd(beta=2.0):
     return RandomizedPolicy(constrained_scenario(beta=beta), {1: 2})
 
 
 def rd_served(policy, draws, arrivals=(), succeed=()):
-    """Serve slots 1..len(draws) one call each, with policy uniform
-    ``draws[t - 1]`` in slot t, after enqueueing the block from slot 0 in
-    which the k-th AoI or latency position (ascending) has arrivals in
-    ``arrivals[k]``.  The attempt in slot t succeeds iff t is in
-    ``succeed``.  Returns the position that attempted in each slot, or
-    None."""
-    streams = [Arrivals(0, *slots) for slots in arrivals]
-    streams += [Arrivals(0)] * (len(policy._streams) - len(streams))
-    n = len(draws) + 1
-    policy.update_index(0, n, streams)
-    policy.block[:, :n] = [[0.0] + [0.0 if t in succeed else 1.0 for t in range(1, n)],
-                           [0.0, *draws]]
-    served = []
-    for t in range(1, n):
-        attempts = policy.sums[:, 1].copy()
-        policy.select(t, t + 1)
-        attempts = policy.sums[:, 1] - attempts
-        served.append(int(attempts.argmax()) if attempts.any() else None)
-    return served
+    """Serve slots 1..len(draws) with policy uniform ``draws[t - 1]`` in
+    slot t, the k-th AoI or latency position (ascending) having arrivals in
+    ``arrivals[k]``; the attempt in slot t succeeds iff t is in
+    ``succeed``."""
+    return served(policy, [[0.0 if t in succeed else 1.0, u] for t, u in enumerate(draws, 1)],
+                  arrivals)
 
 
 def test_rd_probability_partition():
@@ -353,9 +374,7 @@ def test_rd_attempt_fails_at_a_uniform_equal_to_p():
     # 1-2 go to the throughput ue (p 0.9), slot 3 to the latency ue (0.8),
     # slot 4 to the aoi ue (0.7), its packet of slot 3 eligible
     p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
-    p.update_index(0, 5, [Arrivals(0, 1, 2, 3), Arrivals(0, 3)])
-    p.block[:, 1:5] = [[0.9, 0.9, 0.8, 0.7], [0.5, 0.5, 0.5, 0.99]]
-    p.select(1, 5)
+    served(p, [[0.9, 0.5], [0.9, 0.5], [0.8, 0.5], [0.7, 0.99]], arrivals=[(1, 2, 3), (3,)])
     p.on_outcome(metrics)
     assert [m.attempts for m in metrics] == [1, 1, 2]
     assert [m.deliveries for m in metrics] == [0, 0, 0]
@@ -389,9 +408,9 @@ def test_rd_latency_ues_have_no_index():
 
 def test_rd_success_clears_aoi_candidate_only():
     p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
-    served = rd_served(p, [0.99, 0.99, 0.99, 0.2], arrivals=[(1, 2, 3), (1, 2, 3)],
-                       succeed=(3, 4))
-    assert served == [THR, THR, AOI, LAT]   # aoi candidate in 3, latency interval in 4
+    attempted = rd_served(p, [0.99, 0.99, 0.99, 0.2], arrivals=[(1, 2, 3), (1, 2, 3)],
+                          succeed=(3, 4))
+    assert attempted == [THR, THR, AOI, LAT]   # aoi candidate in 3, latency interval in 4
     assert p.ue["packet"][AOI] == -1
     p.on_outcome(metrics)                    # the sums of slots 1-4
     assert [m.deliveries for m in metrics] == [1, 1, 0]
@@ -409,12 +428,11 @@ def test_rd_latency_stack_grows_across_blocks():
     # storage grows to the next power of two holding the block's arrivals
     # on top of the stack, keeping what it held
     p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
-    caps = []
+    states, caps = states_of(p), []
     for start in range(0, 48, 8):
-        slots = range(max(start, 1), start + 8)
-        p.update_index(start, 8, [Arrivals(start), Arrivals(start, *slots)])
+        draw(p, states, start, 8, arriving=[LAT])
         p.block[:, :8] = [[0.0] * 8, [0.99] * 8]
-        p.select(slots[0], start + 8)
+        p.select(max(start, 1), start + 8)
         p.on_outcome(metrics)
         caps.append(len(p.stacks[LAT]))
     assert caps == [8, 16, 32, 32, 64, 64]
@@ -429,7 +447,8 @@ def test_rd_select_checks_the_buffers_it_hands_the_kernel():
     p = rd()
     with pytest.raises(ValueError, match=r"slots \[1, 3\) are not in the block drawn"):
         p.select(1, 3)                       # no block drawn yet
-    p.update_index(8, 4, [Arrivals(8), Arrivals(8)])
+    states = states_of(p)
+    draw(p, states, 8, 4)
     for a, b in (7, 9), (8, 13), (11, 10), (12, 13):
         with pytest.raises(ValueError, match="not in the block drawn"):
             p.select(a, b)
@@ -438,7 +457,7 @@ def test_rd_select_checks_the_buffers_it_hands_the_kernel():
     p.select(8, 12)
     assert p.sums[:, 1].tolist() == [0, 0, 4]
     with pytest.raises(ValueError, match="a block of 8193 slots does not fit 8192"):
-        p.update_index(16, 8193, [Arrivals(16), Arrivals(16)])
+        draw(p, states, 16, 8193)
 
 
 # -- weighted-rate rule -------------------------------------------------------------
@@ -454,25 +473,9 @@ def cmu_metrics():
     return [UeMetrics(1, UeClass.LATENCY), UeMetrics(2, UeClass.LATENCY)]
 
 
-class Arrivals:
-    """Stands in for a position's arrival generator over the block from
-    slot ``start``: its draws are 0 in ``slots`` (an arrival at any q) and
-    1 elsewhere (none)."""
-
-    def __init__(self, start, *slots):
-        self.start, self.slots = start, slots
-
-    def random(self, out):
-        out[:] = 1.0
-        out[[s - self.start for s in self.slots]] = 0.0
-        return out
-
-
 def test_cmu_serves_highest_weighted_rate():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    p.update_index(0, 2, [Arrivals(0, 1), Arrivals(0, 1)])
-    p.block[0, 1] = 0.99
-    p.select(1, 2)   # the attempt fails
+    assert served(p, [[0.99]], arrivals=[(1,), (1,)]) == [0]   # the attempt fails
     p.on_outcome(metrics)
     assert [m.arrivals for m in metrics] == [1, 1]
     assert [m.attempts for m in metrics] == [1, 0]
@@ -482,11 +485,13 @@ def test_cmu_serves_highest_weighted_rate():
 
 def test_cmu_work_conserving_fifo():
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    # slot 0 takes no arrival, even with a draw below q
-    p.update_index(0, 5, [Arrivals(0, 0), Arrivals(0, 0, 1, 2)])
+    states = states_of(p)
+    # slot 0 takes no arrival, even at q = 1; ue 2 has arrivals in slots 1
+    # and 2, and slot 1 is drawn but not served
+    draw(p, states, 0, 1, arriving=[0, 1])
+    draw(p, states, 1, 1, arriving=[1])
     # slots 2..4, every attempt succeeds: ue 2 is served in 2 and 3, then idle
-    p.block[0, :5] = 0.0
-    p.select(2, 5)
+    assert served(p, [[0.0]] * 3, arrivals=[(), (2,)], first=2) == [1, 1, None]
     p.on_outcome(metrics)
     assert [m.attempts for m in metrics] == [0, 2]
     lat = metrics[1]
@@ -495,7 +500,7 @@ def test_cmu_work_conserving_fifo():
     # oldest first: arrival slot 1, then 2, so the one spacing sample is +1
     assert (lat.n_samples, lat.sample_sum, lat.sample_sumsq) == (1, 1.0, 1.0)
     assert p.backlog() == [(0, 0), (0, 0)]
-    p.update_index(5, 1, [Arrivals(5), Arrivals(5)])
+    draw(p, states, 5, 1)
     p.block[0, 0] = 0.0
     p.select(5, 6)                                              # both queues empty
     assert p.sums.tolist() == [[0] * 9, [0] * 9]
@@ -503,16 +508,15 @@ def test_cmu_work_conserving_fifo():
 
 def test_cmu_queues_grow_and_compact_across_blocks():
     # ue 1 has an arrival in every slot and delivers it at once: its
-    # storage, grown to hold the first block's arrivals, has its head past
-    # the midpoint at every later block and is compacted in place; ue 2 is
-    # never served, so its storage keeps doubling
+    # storage, grown to hold the first block's arrivals, is empty at every
+    # later block and is compacted in place; ue 2 is never served, so its
+    # storage keeps doubling
     p, metrics = CmuPolicy(cmu_scenario()), cmu_metrics()
-    caps, heads, storage = [], [], []
+    states, caps, heads, storage = states_of(p), [], [], []
     for start in range(0, 48, 8):
-        slots = range(max(start, 1), start + 8)
-        p.update_index(start, 8, [Arrivals(start, *slots), Arrivals(start, *slots)])
+        draw(p, states, start, 8, arriving=[0, 1])
         p.block[0, :8] = 0.0
-        p.select(slots[0], start + 8)
+        p.select(max(start, 1), start + 8)
         p.on_outcome(metrics)
         caps.append(p.store.cap.tolist())
         heads.append(int(p.store.head[0]))
@@ -531,16 +535,17 @@ def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
     p = CmuPolicy(cmu_scenario())
     with pytest.raises(ValueError, match=r"slots \[1, 3\) are not in the block drawn"):
         p.select(1, 3)                       # no block drawn yet
-    p.update_index(8, 4, [Arrivals(8, 8), Arrivals(8, 8)])
+    states = states_of(p)
+    draw(p, states, 8, 4, arriving=[0, 1])
     for a, b in (7, 9), (8, 13), (11, 10), (12, 13):
         with pytest.raises(ValueError, match="not in the block drawn"):
             p.select(a, b)
     assert not p.sums.any()                  # nothing was served
     p.block[0, :4] = 0.0
     p.select(8, 12)
-    assert p.sums[:, 2].tolist() == [1, 1]
+    assert p.sums[:, 2].tolist() == [4, 0]   # ue 1 delivers each slot's arrival at once
     with pytest.raises(ValueError, match="a block of 8193 slots does not fit 8192"):
-        p.update_index(16, 8193, [Arrivals(16), Arrivals(16)])
+        draw(p, states, 16, 8193)
 
 
 def test_cmu_rejects_mixed_scenarios():

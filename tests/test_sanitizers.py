@@ -9,11 +9,13 @@ AddressSanitizer at the first access outside an allocation (a write into
 that).  The interpreter is not instrumented, so the ASan runtime is
 preloaded, and its leak check is off: CPython keeps memory until exit.
 
-Both passes run the arrival-list tests, an overloaded ``cmu`` case, the
-window-edge cases of ``rd`` and ``cmu`` against their oracles, and ``rd``'s
-stack growth, whose ``rd_serve`` call returns for a stack to grow and then
-runs again, so every kernel entry point and return runs under each
-sanitizer.
+Both passes run the arrival-list tests (the kernel's draws against
+``Generator.random``, bit for bit, and its queues' compaction and growth,
+the overflow and redraw of a lane group included), an overloaded ``cmu``
+case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
+and ``rd``'s stack growth, whose ``rd_serve`` call returns for a stack to
+grow and then runs again, so every kernel entry point and return runs
+under each sanitizer.
 The slow property tests, whose Python oracle walks every slot, are shared
 out: ``cmu``'s to the UBSan pass, which also runs ``rd`` on a small stack,
 and ``rd``'s to the ASan pass.  The two passes run at once.
