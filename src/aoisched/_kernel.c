@@ -65,6 +65,99 @@ static inline double uniform(u128 *state, u128 inc)
     return (double)bits53(state, inc) * 0x1.0p-53;
 }
 
+/* numpy's SeedSequence, in 32-bit words: the entropy is hashed into a pool
+   of POOL words, each word then mixed into every other, and the words past
+   the pool mixed into all of it; generate_state hashes the pool, cycled,
+   into the words asked for.  The constants are numpy's. */
+enum { POOL = 4 };
+
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= 0x931e8875u;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    const uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ r >> 16;
+}
+
+/* Word i of a spawned stream's entropy: the nw words of the run seed,
+   little-endian bytes, padded with zeros to the pool's size (numpy pads a
+   seed shorter than the pool before a spawn key), then the nk words of
+   the spawn key. */
+static inline uint32_t entropy(const unsigned char *seed, int64_t nw, const uint32_t *key,
+                               int64_t i)
+{
+    if (i < nw) {
+        const unsigned char *b = seed + 4 * i;
+        return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+    }
+    const int64_t pad = nw < POOL ? POOL : nw;
+    return i < pad ? 0 : key[i - pad];
+}
+
+/* Write to p[0:4] the PCG64 state and increment, each low 64 bits first,
+   that np.random.PCG64(SeedSequence([seed], spawn_key=key)) starts from.
+   The sequence's first four 64-bit words w, each two of its 32-bit words
+   low first, give the 128-bit seed w0:w1 and sequence w2:w3 (high word
+   first), which seed PCG64 as pcg64_srandom_r does: the increment is
+   2 * sequence + 1, and the state 0 is stepped, the seed added, and the
+   state stepped again. */
+static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, const uint32_t *key,
+                        int64_t nk)
+{
+    const int64_t len = (nw < POOL ? POOL : nw) + nk;
+    uint32_t pool[POOL], hash = 0x43b0d7e5u;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(entropy(seed, nw, key, i), &hash);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (int64_t src = POOL; src < len; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy(seed, nw, key, src), &hash));
+    uint64_t w[4];
+    hash = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % POOL] ^ hash;
+        hash *= 0x58f38dedu;
+        value *= hash;
+        value ^= value >> 16;
+        w[i / 2] = i % 2 ? w[i / 2] | (uint64_t)value << 32 : value;
+    }
+    const u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
+    const u128 state = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
+    p[0] = (uint64_t)state;
+    p[1] = (uint64_t)(state >> 64);
+    p[2] = (uint64_t)inc;
+    p[3] = (uint64_t)(inc >> 64);
+}
+
+/* The rows of a run's streams, as rng.substreams spawns them from
+   SeedSequence([seed]) and draw_block reads them: row k < narr (< 2^32,
+   so k is one word) for arrival stream k, spawn key (0, k); then, of
+   nrows <= 2, the success stream's, key (2,), and the policy stream's,
+   key (1,).  seed holds the run seed's nw >= 1 32-bit words, as numpy
+   splits a nonnegative int, read in place.  Returns 0. */
+int64_t seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64_t narr,
+                     int64_t nrows)
+{
+    for (int64_t k = 0; k < narr; k++) {
+        const uint32_t key[2] = {0, (uint32_t)k};
+        seed_stream(pcg + 4 * k, seed, nw, key, 2);
+    }
+    for (int64_t r = 0; r < nrows; r++) {
+        const uint32_t key[1] = {2 - (uint32_t)r};
+        seed_stream(pcg + 4 * (narr + r), seed, nw, key, 1);
+    }
+    return 0;
+}
+
 /* A block's streams and the queues of arrival slots they fill
    (kernel.QueueStore), bound once.  Stream k's PCG64 state and increment
    are pcg[4k:4k+4], each its low 64 bits first.  Stream k < narr is an

@@ -22,14 +22,15 @@ queues of arrival slots that ``draw_block`` appends to and that
 ``cmu_serve`` and ``rd_serve`` read first-in-first-out, and ``grown`` is
 the one growth rule of every buffer the kernels write.
 
-``draw_block`` computes the draws itself: it steps each stream's PCG64
-state (``rng.pcg64_states``) as numpy's ``PCG64`` does and converts the
-output as ``Generator.random`` does, so every draw, and ``rng``'s draw
-layout, is unchanged, bit for bit.  It appends each arrival slot to its
-queue as it is drawn, and under ``rd`` and ``cmu`` writes the success and
-policy uniforms into the policy's rows, two streams side by side.  A
-queue that lacks room leaves its group of streams undrawn, their states
-as they were, for ``QueueStore.draw`` to grow it and draw the group again.
+``seed_streams`` seeds each stream as numpy's ``SeedSequence`` and
+``PCG64`` do (``rng.stream_states``), and ``draw_block`` steps its state as
+``PCG64`` does and converts the output as ``Generator.random`` does, so
+every draw, and ``rng``'s draw layout, is unchanged, bit for bit.  It
+appends each arrival slot to its queue as it is drawn, and under ``rd`` and
+``cmu`` writes the success and policy uniforms into the policy's rows, two
+streams side by side.  A queue that lacks room leaves its group of streams
+undrawn, their states as they were, for ``QueueStore.draw`` to grow it and
+draw the group again.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _bind(name: str, frame, *args):
 draw_block = _bind("draw_block", Store, _I)
 cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
 rd_serve = _bind("rd_serve", Rd, _I, _I)
+seed_streams = _lib.seed_streams
+seed_streams.restype, seed_streams.argtypes = _I, [_P, ctypes.c_char_p, _I, _I, _I]
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by
 # metrics.add_sums
@@ -172,7 +175,7 @@ class QueueStore:
     def draw(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` of every stream, in
         ``draw_block``, from and advancing its row of ``states``
-        (``rng.pcg64_states``): the arrival streams' rows first, then the
+        (``rng.stream_states``): the arrival streams' rows first, then the
         rows' streams.  Slot 0 takes no arrival.  The ``states`` array is
         bound at its first block.  Before a queue's arrivals are drawn, its
         live packets move to the front of its storage if no more of them
@@ -187,7 +190,7 @@ class QueueStore:
             if (states.dtype != np.uint64 or states.ndim != 2 or states.shape[1] != 4
                     or len(states) < need or not states.flags.c_contiguous):
                 raise ValueError(f"states must be a contiguous uint64 array of at least "
-                                 f"{need} rows of 4 (rng.pcg64_states)")
+                                 f"{need} rows of 4 (rng.stream_states)")
             self._states, frame.pcg = states, states.ctypes.data
         frame.start, frame.n = start, n
         k = 0

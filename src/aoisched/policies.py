@@ -299,7 +299,8 @@ class RandomizedPolicy:
         ue["packet"] = ue["g_prev"] = -1
         ue["p"] = [u.p for u in ues]
         for i in aoi:
-            ue["threshold"][i] = thresholds[ues[i].id]
+            # no slot difference reaches 2**63 - 1: a larger threshold gates alike
+            ue["threshold"][i] = min(thresholds[ues[i].id], 2 ** 63 - 1)
             ue["weight"][i] = ues[i].rho * ues[i].p
         for i in lat:
             ue["weight"][i] = theta_j(ues[i].q, ues[i].p, ues[i].beta)
@@ -334,7 +335,7 @@ class RandomizedPolicy:
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``
-        (``rng.pcg64_states``), advancing them: the k-th AoI or latency
+        (``rng.stream_states``), advancing them: the k-th AoI or latency
         position (ascending) has an arrival in slot start + j, for j < n,
         iff draw j of stream k is below its q (slot 0 has none), and the
         next two streams fill ``block[0]`` and ``block[1]``."""
@@ -416,7 +417,7 @@ class CmuPolicy:
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``
-        (``rng.pcg64_states``), advancing them: position i has an arrival
+        (``rng.stream_states``), advancing them: position i has an arrival
         in slot start + k, for k < n, iff draw k of stream i is below its q
         (slot 0 has none), and the next stream fills ``block[0]``."""
         self.store.draw(start, n, states)

@@ -1,13 +1,13 @@
-"""Randomness plumbing: one seeded generator per run, split into substreams.
+"""Randomness plumbing: one seeded sequence per run, split into substreams.
 
 The draw layout is normative for reproducibility:
 
-* the run seed feeds ``numpy.random.SeedSequence([seed])``, which is split
-  into three children: arrivals, policy, success;
-* the arrivals child is split again into one stream per non-throughput UE,
-  in ascending UE id order; each stream yields one uniform per slot, and
-  the UE has an arrival in slot t when draw t is below its q, so arrivals
-  never depend on the policy;
+* every stream is a numpy ``PCG64`` seeded from a child of
+  ``numpy.random.SeedSequence([seed])``: policy under spawn key ``(1,)``,
+  success under ``(2,)``, and the k-th non-throughput UE by ascending id
+  under ``(0, k)``; each stream yields one uniform per slot, and a UE has
+  an arrival in slot t when draw t of its stream is below its q, so
+  arrivals never depend on the policy;
 * the success stream yields exactly one uniform per slot, compared against
   the served UE's success probability only when a transmission happens;
 * the policy stream yields one uniform per slot and is consumed only by
@@ -18,12 +18,11 @@ The draw layout is normative for reproducibility:
   concatenated blocks of a stream equal one draw of the whole horizon, so
   the block size changes no result.
 
-The compiled kernel (``kernel.QueueStore.draw``) computes every arrival
-draw, and under ``rd`` and ``cmu`` the success and policy draws too, from
-each stream's PCG64 state and increment, which :func:`pcg64_states` reads
-once per run: the same numbers ``Generator.random`` returns, in the same
-layout.  Under ``hier`` and ``vw`` the engine draws the success stream
-with ``Generator.random``.
+The kernel seeds each stream a run reads from the run seed
+(:func:`stream_states`), and ``kernel.QueueStore.draw`` computes from those
+states every arrival draw, and under ``rd`` and ``cmu`` every draw: the
+numbers ``Generator.random`` returns, in the same layout.  Only ``hier``
+and ``vw`` build generators (:func:`substreams`), to draw success.
 
 Sweep replicates derive their run seed as
 ``SeedSequence([base_seed, point_index, replicate_index])`` reduced to one
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_LOW = (1 << 64) - 1  # the low 64 bits of a 128-bit word
+from . import kernel
 
 
 def derive_seed(base_seed: int, point_index: int, replicate: int) -> int:
@@ -54,22 +53,16 @@ def substreams(seed: int, n_arrival_streams: int):
             np.random.Generator(np.random.PCG64(success_child)))
 
 
-def pcg64_states(gens) -> np.ndarray:
-    """Each generator's PCG64 state and increment, as a row of four uint64:
-    the state's low and high 64 bits, then the increment's.
-
-    Only a generator that has drawn nothing since its ``PCG64`` was seeded
-    is read, so its draws in the kernel start where its ``random`` would;
-    anything else raises ValueError."""
-    rows = []
-    for gen in gens:
-        bits = gen.bit_generator
-        if not isinstance(bits, np.random.PCG64):
-            raise ValueError(f"the kernel draws only from PCG64 streams, not "
-                             f"{type(bits).__name__}")
-        state = bits.state
-        if state != np.random.PCG64(bits.seed_seq).state:
-            raise ValueError("the kernel draws only from a PCG64 stream that has not drawn")
-        s, inc = state["state"]["state"], state["state"]["inc"]
-        rows.append((s & _LOW, s >> 64, inc & _LOW, inc >> 64))
-    return np.array(rows, np.uint64).reshape(-1, 4)
+def stream_states(seed: int, n_arrival: int, rows: int) -> np.ndarray:
+    """The PCG64 state and increment that :func:`substreams`' generators
+    start from, a row of four uint64 (state low, high, increment low, high)
+    per stream: the ``n_arrival`` arrival streams, then ``rows`` <= 2 of the
+    success and policy streams, seeded in the kernel from the seed's words."""
+    seed = int(seed)
+    if seed < 0 or n_arrival < 0 or not 0 <= rows <= 2:
+        raise ValueError(f"no streams for seed {seed}, {n_arrival} arrivals, {rows} rows")
+    words = max(1, -(-seed.bit_length() // 32))
+    states = np.empty((n_arrival + rows, 4), np.uint64)
+    kernel.seed_streams(states.ctypes.data, seed.to_bytes(4 * words, "little"), words,
+                        n_arrival, rows)
+    return states

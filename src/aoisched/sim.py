@@ -16,13 +16,12 @@ weight steps and at the warm-up's last slot; under ``rd`` and ``cmu`` only
 at the warm-up's last slot.
 
 Under every policy, one compiled call per block (``kernel.QueueStore.draw``)
-computes the block's arrival draws from each stream's PCG64 state, read
-once per run (``rng.pcg64_states``), and appends each arrival slot to its
-UE's queue as it is drawn; no buffer holds the arrival uniforms.  The
-draws, and their layout, are those of ``rng``'s generators.  Under ``rd``
-and ``cmu`` the same call draws the success uniforms, and ``rd``'s policy
-uniforms; under ``hier`` and ``vw`` the success generator's ``random``
-draws them.
+computes the block's arrival draws from each stream's PCG64 state, seeded
+in the kernel once per run (``rng.stream_states``), and appends each
+arrival slot to its UE's queue as it is drawn.  The draws, and their
+layout, are those of ``rng``'s generators.  Under ``rd`` and ``cmu`` the
+same call draws the success uniforms, and ``rd``'s policy uniforms; under
+``hier`` and ``vw`` the success generator's ``random`` draws them.
 
 ``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
 buffers, read in place: the loop walks a memoryview of the success
@@ -72,7 +71,7 @@ from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
                     Variant, replace_param, validate)
 from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
                        thresholds_for)
-from .rng import derive_seed, pcg64_states, substreams
+from .rng import derive_seed, stream_states, substreams
 from .solver import spacing_bound
 
 __all__ = ["PolicySpec", "RunConfig", "SweepPoint", "LowerBound", "run", "sweep",
@@ -174,8 +173,8 @@ def run(config: RunConfig) -> RunReport:
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
 
-    arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
-    states = pcg64_states([*arrival_gens, success_gen, policy_gen])
+    # arrival streams, then the streams of rd's and cmu's rows of uniforms
+    states = stream_states(config.seed, len(arriving), len(policy.block) if by_block else 0)
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
     every = config.policy.f if policy.name == "vw" else 0
     warm_end = config.warmup
@@ -203,6 +202,7 @@ def run(config: RunConfig) -> RunReport:
         # each block's arrivals are drawn in one call and listed as queue i
         # of ``store`` (its head stays 0); then its success uniforms, into
         # a buffer of their own
+        _, _, success_gen = substreams(config.seed, 0)
         buffer = np.empty(CHUNK)
         store = QueueStore(len(ues), [(i, ues[i].q) for i in arriving], np.empty((0, CHUNK)))
         for start in range(0, horizon + 1, CHUNK):

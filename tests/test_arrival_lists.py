@@ -1,11 +1,16 @@
 """The kernel that draws a block and lists its arrivals, called on one
 block, and the queue protocol that ``rd`` and ``cmu`` share.
 
+``kernel.seed_streams`` seeds a run's streams from its seed, and
+``rng.stream_states`` must give the state and increment numpy's ``PCG64``
+starts from for each child ``SeedSequence([seed]).spawn`` gives, bit for
+bit: for seeds of one to more than a thousand 32-bit words, 0 to 40
+arrival streams and 0 to 2 rows.
 ``kernel.draw_block`` steps each stream's PCG64 state in the compiled
 kernel and appends the slots whose draw is below ``q`` to a queue; the
 engine tests reach it only through whole runs.  Here it is called on a
 ``kernel.QueueStore`` with states read from fresh generators
-(``rng.pcg64_states``), and must list exactly ``np.flatnonzero(u < q)`` of
+(``state_row``), and must list exactly ``np.flatnonzero(u < q)`` of
 the numbers ``Generator.random`` draws from the same seed (from slot 1 on
 when the block starts at slot 0), leave each state where ``random`` leaves
 it, and fill each row of uniforms with the draws ``random`` returns, bit
@@ -28,7 +33,7 @@ from hypothesis import strategies as st
 from aoisched import kernel
 from aoisched.model import Scenario, UeClass, UeConfig, Variant
 from aoisched.policies import RandomizedPolicy
-from aoisched.rng import pcg64_states
+from aoisched.rng import derive_seed, stream_states
 
 QS = [0.0, 1.0, np.nextafter(1.0 / 32, 0.0), 1.0 / 32, np.nextafter(1.0 / 32, 1.0), 0.01, 0.5]
 EDGE_QS = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
@@ -48,10 +53,16 @@ def expected(u, q, start):
 
 
 def state_row(gen):
-    """``gen``'s state as ``rng.pcg64_states`` lays it out (read from any generator)."""
-    state = gen.bit_generator.state["state"]
+    """``gen``'s state as ``rng.stream_states`` lays it out (read from any
+    generator, or PCG64 bit generator)."""
+    state = getattr(gen, "bit_generator", gen).state["state"]
     s, inc = state["state"], state["inc"]
     return [s & (2 ** 64 - 1), s >> 64, inc & (2 ** 64 - 1), inc >> 64]
+
+
+def pcg_rows(gens):
+    """The kernel's rows of ``gens``' states, one per generator."""
+    return np.array([state_row(gen) for gen in gens], np.uint64).reshape(-1, 4)
 
 
 def listed(store, j):
@@ -63,7 +74,7 @@ def listed(store, j):
 @pytest.mark.parametrize("start", [0, 8192])
 def test_enqueue_lists_the_uniforms_below_q(q, n, start):
     (gen,), (ref,) = generators(n, 1), generators(n, 1)
-    states = pcg64_states([gen])
+    states = pcg_rows([gen])
     store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
     store.draw(start, n, states)
     assert listed(store, 0) == expected(ref.random(n), q, start).tolist()
@@ -81,7 +92,7 @@ def test_enqueue_matches_numpy_on_any_block(seed, n, data):
     q = data.draw(drawn.flatmap(lambda x: st.sampled_from(
         [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))]))
         | st.sampled_from(EDGE_QS) | st.floats(0.0, 1.0))
-    states = pcg64_states(generators(seed, 1))
+    states = pcg_rows(generators(seed, 1))
     store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
     store.draw(start, n, states)
     assert listed(store, 0) == expected(u, q, start).tolist()
@@ -99,7 +110,7 @@ def test_draws_equal_generator_random_bit_for_bit(seed, streams):
     qs = [EDGE_QS[k % len(EDGE_QS)] for k in range(arrivals)]
     block = np.empty((rows, kernel.CHUNK))
     store = kernel.QueueStore(arrivals, list(enumerate(qs)), block)
-    states = pcg64_states(generators(seed, arrivals + rows))
+    states = pcg_rows(generators(seed, arrivals + rows))
     refs = generators(seed, arrivals + rows)
     for start, n in (0, kernel.CHUNK), (kernel.CHUNK, kernel.CHUNK - 1), (2 * kernel.CHUNK - 1, 1):
         store.end[:] = store.head[:] = 0
@@ -112,16 +123,38 @@ def test_draws_equal_generator_random_bit_for_bit(seed, streams):
         assert states.tolist() == [state_row(ref) for ref in refs]
 
 
-def test_only_a_fresh_pcg64_generator_is_read():
-    (gen,) = generators(3, 1)
-    assert pcg64_states([gen]).tolist() == [state_row(gen)]
-    with pytest.raises(ValueError, match="only from PCG64 streams, not MT19937"):
-        pcg64_states([np.random.Generator(np.random.MT19937(3))])
-    for draw in (lambda g: g.random(), lambda g: g.integers(2, dtype=np.uint32)):
-        (used,) = generators(3, 1)
-        draw(used)
-        with pytest.raises(ValueError, match="has not drawn"):
-            pcg64_states([gen, used])
+def spawned_rows(seed, n_arrival):
+    """Rows of numpy's PCG64 seeded as ``rng.substreams`` spawns the run's
+    streams: the arrival streams, then the success and policy streams."""
+    arrivals, policy, success = np.random.SeedSequence([seed]).spawn(3)
+    return pcg_rows([np.random.PCG64(c) for c in [*arrivals.spawn(n_arrival), success, policy]])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1,
+                                  2 ** 200 + 3, *(derive_seed(1, i, r) for i in (0, 6)
+                                                  for r in (0, 3))])
+def test_stream_states_equal_numpy_pcg64_seeding(seed):
+    expected = spawned_rows(seed, 40).tolist()
+    for n in range(41):
+        for rows in range(3):
+            assert stream_states(seed, n, rows).tolist() == expected[:n] + expected[40:40 + rows]
+
+
+@pytest.mark.parametrize("words", [5, 1000, 4097])
+def test_a_seed_of_many_words_is_read_to_its_last_word(words):
+    # the kernel reads the seed's words where Python holds them: a seed
+    # longer than any fixed buffer must seed exactly, and (under ASan) read
+    # nothing past its bytes; the top word changes every stream
+    seed = (1 << 32 * words) - 12345
+    expected = spawned_rows(seed, 3)
+    assert stream_states(seed, 3, 2).tolist() == expected.tolist()
+    assert (stream_states(seed ^ (1 << 32 * words - 1), 3, 2) != expected).any(axis=1).all()
+
+
+@pytest.mark.parametrize("args", [(-1, 1, 0), (1, -1, 0), (1, 1, 3), (1, 1, -1)])
+def test_stream_states_refuse_what_no_run_reads(args):
+    with pytest.raises(ValueError, match="no streams for seed"):
+        stream_states(*args)
 
 
 @pytest.mark.parametrize("q", [0.01, 0.5, 1.0])
@@ -136,7 +169,7 @@ def test_enqueue_returns_the_length_it_needs_then_fits(q):
     store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
     store.queues[0] = queue = np.array([-1, 3, 4, -1, -1, -1], np.int64)
     store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 6, 1, 3
-    states = pcg64_states(generators(5, 1))
+    states = pcg_rows(generators(5, 1))
     before = states.copy()
     frame = store.frame
     frame.pcg, frame.start, frame.n = states.ctypes.data, 100, n
@@ -160,7 +193,7 @@ def test_a_queue_that_overflows_is_drawn_again_with_its_lane():
     store.queues = [np.empty(8, np.int64), np.array([1, 2], np.int64)]
     store.at[:] = [queue.ctypes.data for queue in store.queues]
     store.cap[:], store.end[1] = [8, 2], 2
-    states = pcg64_states(generators(9, 2))
+    states = pcg_rows(generators(9, 2))
     refs = generators(9, 2)
     store.draw(8, 8, states)
     assert listed(store, 0) == expected(refs[0].random(8), 0.5, 8).tolist()
@@ -185,7 +218,7 @@ def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n
     policy = RandomizedPolicy(scenario, {u.id: 1 for u in scenario.aoi_ues})
     policy.store.q[:] = qs
     arriving = list(range(len(classes)))
-    states = pcg64_states(generators(start + n, len(classes) + 2))
+    states = pcg_rows(generators(start + n, len(classes) + 2))
     store, sums = policy.store, policy.sums
     # blocks of n slots with the same arrivals (slot 0 has none): after the
     # second, the queues neither grow nor move
@@ -219,7 +252,7 @@ def test_store_compacts_a_queue_whose_head_sits_at_the_midpoint():
     # left, so they move to the front, and with the block's one arrival
     # they fit the same storage
     store, queue = store_holding(8, 4, 8)
-    store.draw(100, 1, pcg64_states(generators(1, 1)))
+    store.draw(100, 1, pcg_rows(generators(1, 1)))
     assert store.cap.tolist() == [8] and store.queues[0] is queue
     assert (store.head[0], store.end[0]) == (0, 5)
     assert listed(store, 0) == [1, 2, 3, 4, 100]
@@ -229,7 +262,7 @@ def test_an_emptied_queue_keeps_its_storage_for_a_block_that_fits_it():
     # 16 elements, every packet served (head == end == 7), then a block of
     # ten arrivals: they fit the storage once it is empty, so it does not grow
     store, queue = store_holding(16, 7, 7)
-    store.draw(100, 10, pcg64_states(generators(1, 1)))
+    store.draw(100, 10, pcg_rows(generators(1, 1)))
     assert store.cap.tolist() == [16] and store.queues[0] is queue
     assert listed(store, 0) == list(range(100, 110))
 
@@ -239,7 +272,7 @@ def test_a_queue_grows_when_moving_it_would_cost_more_than_it_frees():
     # elements for ten moves, so the queue grows (its packets first) and
     # keeps every packet
     store, queue = store_holding(16, 2, 12)
-    store.draw(100, 6, pcg64_states(generators(1, 1)))
+    store.draw(100, 6, pcg_rows(generators(1, 1)))
     assert store.cap.tolist() == [32] and store.queues[0] is not queue
     assert store.at[0] == store.queues[0].ctypes.data
     assert listed(store, 0) == [*range(1, 11), *range(100, 106)]
@@ -250,7 +283,7 @@ def test_store_takes_one_contiguous_float64_buffer_and_blocks_that_fit_it():
         with pytest.raises(TypeError, match="contiguous float64"):
             kernel.QueueStore(1, [(0, 0.5)], rows)
     store = kernel.QueueStore(1, [(0, 0.5)], np.empty((1, 4)))
-    states = pcg64_states(generators(1, 2))
+    states = pcg_rows(generators(1, 2))
     for n in -1, 5:
         with pytest.raises(ValueError, match=f"a block of {n} slots does not fit 4"):
             store.draw(0, n, states)

@@ -174,6 +174,28 @@ def test_cli_aoi_parameter_without_a_finite_spacing_exits_1(scenario_file, tmp_p
     assert not out.exists()
 
 
+def test_cli_rd_runs_with_an_aoi_threshold_beyond_int64(constrained_file, tmp_path):
+    # AoI rho = 1e-300 gives a finite t* near 1e144 and a threshold of that
+    # size: rd keeps it, capped at 2**63 - 1, in its int64 UE state, which
+    # no slot difference reaches, so its AoI UE is gated as under vw
+    doc = json.loads(constrained_file.read_text())
+    (aoi,) = [u for u in doc["ue"] if u["class"] == "aoi"]
+    aoi["rho"] = 1e-300
+    path = tmp_path / "tiny_rho.json"
+    path.write_text(json.dumps(doc))
+    rates = {}
+    for policy in ("vw", "rd"):
+        out = tmp_path / f"{policy}.csv"
+        assert main(["run", str(path), "--policy", policy, "--horizon", "2000",
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        rates[policy] = [r["throughput"] for r in rows if r["ue_id"] == str(aoi["id"])]
+    assert rates["rd"] == rates["vw"]
+    report = run(RunConfig(scenario=load_scenario(path), policy=PolicySpec("rd"),
+                           horizon=10, seed=1))
+    assert report.extras["thresholds"][aoi["id"]] > 2 ** 63
+
+
 def test_cli_tstar_without_budget_exits_1(tmp_path, capsys):
     path = tmp_path / "full.json"
     save_scenario(reference_weighted(alpha=0.72), path)  # load 0.25 + 0.8 > 1

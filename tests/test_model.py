@@ -1,3 +1,9 @@
+import math
+import re
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +110,22 @@ def test_class_field_discipline():
         validate(Scenario(ues=(lat_c(beta=0.9),), variant=Variant.LATENCY_CONSTRAINED))
     # beta == 1 is the boundary (every packet served in its arrival slot)
     validate(Scenario(ues=(lat_c(beta=1.0),), variant=Variant.LATENCY_CONSTRAINED))
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (0.5, True), (1, True), (np.float64(0.5), True), (Fraction(1, 2), True),
+    (Decimal("0.5"), False), (True, False), (math.nan, False), (math.inf, False)],
+    ids=repr)
+@pytest.mark.parametrize("field", ["p", "q", "rho"])
+def test_number_fields_take_finite_reals_but_not_bools(field, value, accepted):
+    scenario = replace_param(Scenario(ues=(aoi(),), variant=Variant.LATENCY_WEIGHTED), 1,
+                             **{field: value})
+    if accepted:
+        validate(scenario)
+    else:
+        with pytest.raises(ScenarioError,
+                           match=re.escape(f"ue 1: {field} must be a finite number, got {value!r}")):
+            validate(scenario)
 
 
 def test_theta_sum_direct_values():

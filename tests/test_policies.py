@@ -6,7 +6,7 @@ import pytest
 from aoisched.metrics import UeMetrics
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
-from aoisched.rng import pcg64_states
+from test_arrival_lists import pcg_rows
 
 # Policy state and actions are indexed by UE position (UEs sorted by id):
 # in the three-UE scenarios below, ue 1 (aoi) is position 0, ue 2
@@ -299,8 +299,8 @@ def test_zero_weight_latency_queue_still_outranks_throughput_tier():
 
 def states_of(policy):
     """Fresh PCG64 states for each stream the policy draws: its arrival
-    streams, then the success and policy streams (``rng.pcg64_states``)."""
-    return pcg64_states([np.random.Generator(np.random.PCG64(k))
+    streams, then the success and policy streams."""
+    return pcg_rows([np.random.Generator(np.random.PCG64(k))
                          for k in range(len(policy.store.pos) + 2)])
 
 

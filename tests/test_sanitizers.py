@@ -9,10 +9,11 @@ AddressSanitizer at the first access outside an allocation (a write into
 that).  The interpreter is not instrumented, so the ASan runtime is
 preloaded, and its leak check is off: CPython keeps memory until exit.
 
-Both passes run the arrival-list tests (the kernel's draws against
-``Generator.random``, bit for bit, and its queues' compaction and growth,
-the overflow and redraw of a lane group included), an overloaded ``cmu``
-case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
+Both passes run the arrival-list tests (the kernel's stream seeding
+against numpy's, a seed of over a thousand words included, its draws
+against ``Generator.random``, bit for bit, and its queues' compaction and
+growth, the overflow and redraw of a lane group included), an overloaded
+``cmu`` case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
 and ``rd``'s stack growth, whose ``rd_serve`` call returns for a stack to
 grow and then runs again, so every kernel entry point and return runs
 under each sanitizer.

@@ -2,6 +2,7 @@ import concurrent.futures
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from aoisched import metrics, rng, sim
@@ -384,6 +385,23 @@ def test_cmu_queue_writes_stay_linear_in_the_arrivals(monkeypatch):
     stats = run(cfg(scenario, policy="cmu", horizon=64 * CHUNK)).per_ue[1]
     assert stats.arrivals - stats.deliveries > 8 * CHUNK
     assert sum(written) <= 2 * stats.arrivals, (sum(written), stats.arrivals)
+
+
+@pytest.mark.parametrize("policy, built", [("hier", 2), ("vw", 2), ("rd", 0), ("cmu", 0)])
+def test_only_hier_and_vw_build_numpy_generators(monkeypatch, policy, built):
+    # the kernel seeds every stream it draws from the run seed, so rd and
+    # cmu build no generator; hier and vw build only rng.substreams(seed,
+    # 0)'s policy and success generators, and draw the success stream
+    made = []
+    real = np.random.Generator
+
+    def counted(bits):
+        made.append(bits)
+        return real(bits)
+    monkeypatch.setattr(np.random, "Generator", counted)
+    scenario = {"hier": weighted(), "cmu": latency_only()}.get(policy, constrained())
+    run(cfg(scenario, policy=policy, horizon=CHUNK + 5))
+    assert len(made) == built
 
 
 def test_rd_consumes_draw_every_slot():
