@@ -143,9 +143,9 @@ static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, cons
    so k is one word) for arrival stream k, spawn key (0, k); then, of
    nrows <= 2, the success stream's, key (2,), and the policy stream's,
    key (1,).  seed holds the run seed's nw >= 1 32-bit words, as numpy
-   splits a nonnegative int, read in place.  Returns 0. */
-int64_t seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64_t narr,
-                     int64_t nrows)
+   splits a nonnegative int, read in place. */
+void seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64_t narr,
+                  int64_t nrows)
 {
     for (int64_t k = 0; k < narr; k++) {
         const uint32_t key[2] = {0, (uint32_t)k};
@@ -155,7 +155,6 @@ int64_t seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64
         const uint32_t key[1] = {2 - (uint32_t)r};
         seed_stream(pcg + 4 * (narr + r), seed, nw, key, 1);
     }
-    return 0;
 }
 
 /* A block's streams and the queues of arrival slots they fill

@@ -132,7 +132,7 @@ draw_block = _bind("draw_block", Store, _I)
 cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
 rd_serve = _bind("rd_serve", Rd, _I, _I)
 seed_streams = _lib.seed_streams
-seed_streams.restype, seed_streams.argtypes = _I, [_P, ctypes.c_char_p, _I, _I, _I]
+seed_streams.restype, seed_streams.argtypes = None, [_P, ctypes.c_char_p, _I, _I, _I]
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by
 # metrics.add_sums

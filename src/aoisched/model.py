@@ -110,7 +110,7 @@ def _check_ue(ue: UeConfig, variant: Variant) -> None:
     for key in ("p", "q", "rho", "beta", "alpha"):
         value = getattr(ue, key)
         # float and int before the ABC check, which costs microseconds
-        number = type(value) in (float, int) or (
+        number = type(value) is float or type(value) is int or (
             value is not None and isinstance(value, numbers.Real) and not isinstance(value, bool))
         if not ((number and math.isfinite(value)) or (value is None and key != "p")):
             raise ScenarioError(f"{name}: {key} must be a finite number, got {value!r}")

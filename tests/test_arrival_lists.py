@@ -6,6 +6,7 @@ block, and the queue protocol that ``rd`` and ``cmu`` share.
 starts from for each child ``SeedSequence([seed]).spawn`` gives, bit for
 bit: for seeds of one to more than a thousand 32-bit words, 0 to 40
 arrival streams and 0 to 2 rows.
+
 ``kernel.draw_block`` steps each stream's PCG64 state in the compiled
 kernel and appends the slots whose draw is below ``q`` to a queue; the
 engine tests reach it only through whole runs.  Here it is called on a
