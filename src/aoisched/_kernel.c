@@ -448,13 +448,8 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
                     record(sum, &prev, queue[h++], t);
             sum[ATTEMPTS] += t - from;
         }
-        int64_t *row = c->sums + j * NSUMS;
-        row[ATTEMPTS] += sum[ATTEMPTS];
-        row[DELIVERIES] += sum[DELIVERIES];
-        row[LATENCY] += sum[LATENCY];
-        row[SAMPLES] += sum[SAMPLES];
-        row[SPACING] += sum[SPACING];
-        row[SPACING_SQ] += sum[SPACING_SQ];
+        for (int k = 0; k < NSUMS; k++)
+            c->sums[j * NSUMS + k] += sum[k];
         head[j] = h;
         c->g_prev[j] = prev;
         tree_raise(tree, i, oldest(queue, h, e));
@@ -489,10 +484,14 @@ struct ue {
    members lists the AoI positions, then the latency ones, then the
    throughput ones group after group, each ascending; groups[g] is where
    group g starts among the throughput ones (ngroups + 1 entries).  ue and
-   the rows of sums are one per position.  queued and cum (nlat entries),
-   pool (naoi), turn (ngroups) and tree (max(4 * (naoi + nlat), 2)) are
-   rd_serve's scratch, so the stack holds none of them however many UEs
-   there are. */
+   the rows of sums are one per position.  rd_serve keeps its serving
+   state here between calls: the nq latency UEs holding a packet,
+   queued[0:nq] in ascending position, and their partition cum (room for
+   nlat); the np AoI UEs holding a retained packet, pool[0:np] in any
+   order, and best, the one whose packet outranks the others' (-1 if np is
+   0); and turn[g], where group g's candidate stands (ngroups entries, 0 at
+   first).  tree (max(4 * (naoi + nlat), 2)) is its scratch, so the stack
+   holds none of these however many UEs there are. */
 struct rd {
     const struct store *store;
     const double *u, *draws;
@@ -502,6 +501,7 @@ struct rd {
     int64_t *sums, *queued;
     double *cum;
     int64_t *pool, *turn, *tree;
+    int64_t nq, np, best;
 };
 
 /* The theta partition of [0, 1) among the nq latency queues that hold a
@@ -560,20 +560,6 @@ static inline void aoi_arrival(struct ue *ue, int64_t i, int64_t t, int64_t *poo
     }
 }
 
-/* Where group[0:size]'s candidate stands: the member with the fewest
-   tries, lowest position first.  Only a candidate attempts, and every
-   member starts at 0, so the members' tries differ by at most one and
-   those with fewer follow those with more: the candidate is the first
-   member with fewer tries than the one before it, else the first, and
-   after each attempt it is the next member, round the group. */
-static int64_t turn_of(const int64_t *group, int64_t size, const struct ue *ue)
-{
-    for (int64_t j = 1; j < size; j++)
-        if (ue[group[j]].tries < ue[group[j - 1]].tries)
-            return j;
-    return 0;
-}
-
 /* The group whose candidate thr[groups[g] + turn[g]] has the largest
    alpha*t/p - tries in slot t, ties to the lowest position. */
 static int64_t throughput_best(int64_t t, int64_t ngroups, const int64_t *groups,
@@ -627,9 +613,12 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    No step of a slot walks every UE: its arrivals come from the tree; the
    AoI UEs holding a packet are listed, and their argmax is kept as
    packets are retained and found again among them only when it is
-   delivered; each group's candidate is kept by turn_of's rule; and the
-   queued latency UEs are kept in order, so a partition sums only their
-   shares.
+   delivered; the queued latency UEs are kept in order, so a partition
+   sums only their shares; and each group's candidate, the member with the
+   fewest tries, lowest position first, is the next member, round the
+   group, after each attempt, since every member starts at 0 and only the
+   candidate attempts.  That state carries over to the next call, so a
+   block served in many calls is served as in one.
 
    Adds each UE's sums over the slots to its row, sums[i * NSUMS:], the
    AoI UEs' spacing times wait and age included. */
@@ -654,17 +643,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
         if (ue[i].depth + end[i] - head[i] > ue[i].room)
             return 1 + i;
     }
-    int64_t nq = 0, np = 0;
-    for (int64_t k = 0; k < nlat; k++)
-        if (ue[lat[k]].depth)
-            queued[nq++] = lat[k];
-    partition(nq, queued, ue, cum);
-    for (int64_t g = 0; g < ngroups; g++)
-        turn[g] = turn_of(thr + groups[g], groups[g + 1] - groups[g], ue);
-    for (int64_t k = 0; k < naoi; k++)
-        if (ue[aoi[k]].packet >= 0)
-            pool[np++] = aoi[k];
-    int64_t best = pool_best(np, pool, ue);
+    int64_t nq = r->nq, np = r->np, best = r->best;
     const int64_t leaves = tree_build(tree, queues, head, end, members, naoi + nlat);
     for (int64_t t = a; t < b; t++) {
         if (tree[1] <= t) {
@@ -741,5 +720,8 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     }
     for (int64_t k = 0; k < naoi; k++)
         accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], b - 1);
+    r->nq = nq;
+    r->np = np;
+    r->best = best;
     return 0;
 }

@@ -17,20 +17,21 @@ Each kernel takes its state as one struct (``Store``, ``Cmu``, ``Rd``),
 which its owner fills once with the addresses of the buffers it keeps, so
 a call converts a pointer and at most two numbers; ``UE_STATE`` lays out
 ``rd``'s per-UE state as the C ``struct ue`` does.  Every C layout is
-mirrored here.  ``QueueStore``, every policy's arrival lister, holds the
-queues of arrival slots that ``draw_block`` appends to and that
-``cmu_serve`` and ``rd_serve`` read first-in-first-out, and ``grown`` is
-the one growth rule of every buffer the kernels write.
+mirrored here.  ``QueueStore``, every policy's arrival lister, decides
+which positions draw an arrival stream, and holds the queues of arrival
+slots that ``draw_block`` appends to and that ``cmu_serve`` and
+``rd_serve`` read first-in-first-out; ``grown`` is the one growth rule of
+every buffer the kernels write.
 
 ``seed_streams`` seeds each stream as numpy's ``SeedSequence`` and
-``PCG64`` do (``rng.stream_states``), and ``draw_block`` steps its state as
-``PCG64`` does and converts the output as ``Generator.random`` does, so
-every draw, and ``rng``'s draw layout, is unchanged, bit for bit.  It
-appends each arrival slot to its queue as it is drawn, and under ``rd`` and
-``cmu`` writes the success and policy uniforms into the policy's rows, two
-streams side by side.  A queue that lacks room leaves its group of streams
-undrawn, their states as they were, for ``QueueStore.draw`` to grow it and
-draw the group again.
+``PCG64`` do, and ``draw_block`` steps its state as ``PCG64`` does and
+converts the output as ``Generator.random`` does, so every draw is
+numpy's, bit for bit, in ``rng``'s layout.  It appends each arrival slot
+to its queue as it is drawn, and under ``rd`` and ``cmu`` writes the
+success and policy uniforms into the policy's rows, two streams side by
+side.  A queue that lacks room leaves its group of streams undrawn, their
+states as they were, for ``QueueStore.draw`` to grow it and draw the
+group again.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ class Rd(ctypes.Structure):
     _fields_ = [("store", ctypes.POINTER(Store)), ("u", _P), ("draws", _P),
                 ("naoi", _I), ("nlat", _I),
                 ("ngroups", _I), *[(f, _P) for f in ("members", "groups", "ue", "sums", "queued",
-                                                    "cum", "pool", "turn", "tree")]]
+                                                    "cum", "pool", "turn", "tree")],
+                ("nq", _I), ("np", _I), ("best", _I)]
 
 
 # One UE's state under rd, _kernel.c's struct ue: the address, depth and
@@ -153,22 +155,25 @@ class QueueStore:
     and the streams that fill them and the block's rows of uniforms, all
     bound with every address in ``frame``, ``_kernel.c``'s ``struct store``.
 
-    Arrival stream k is the k-th ``(j, q)`` of ``streams``: queue j has an
-    arrival in slot t when the stream's draw t is below q.  Row r of
-    ``rows`` takes the draws of stream ``len(streams) + r``."""
+    ``qs`` gives each position's q, or None for a position without an
+    arrival stream; the positions with one, ascending, are ``pos``, and
+    ``pos[k]`` is ``rng``'s arrival stream k: queue ``pos[k]`` has an
+    arrival in slot t when the stream's draw t is below ``q[k]``.  Row r
+    of ``rows`` takes the draws of stream ``len(pos) + r``."""
 
-    def __init__(self, n: int, streams, rows: np.ndarray):
+    def __init__(self, qs, rows: np.ndarray):
         if rows.dtype != np.float64 or rows.ndim != 2 or not rows.flags.c_contiguous:
             raise TypeError("the block's rows of uniforms must be one contiguous float64 "
                             "array of rows")
+        n = len(qs)
         self.queues = [np.empty(0, np.int64)] * n
         self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
         self.at = np.zeros(n, np.uintp)
-        self.pos = np.array([j for j, _ in streams], np.int64)
-        self.q = np.array([q for _, q in streams], np.float64)
+        self.pos = np.array([j for j, q in enumerate(qs) if q is not None], np.int64)
+        self.q = np.array([q for q in qs if q is not None], np.float64)
         self.width = rows.shape[1]
         self._rows, self._states = rows, None
-        self.frame = Store(None, len(streams), len(rows), self.pos.ctypes.data,
+        self.frame = Store(None, len(self.pos), len(rows), self.pos.ctypes.data,
                            self.q.ctypes.data, rows.ctypes.data, self.width, 0, 0, 0,
                            *[x.ctypes.data for x in (self.at, self.cap, self.head, self.end)])
 

@@ -75,6 +75,12 @@ class Scenario:
         return tuple(u for u in self.ues if u.cls is cls)
 
     @property
+    def positions(self) -> tuple[UeConfig, ...]:
+        """The UEs by ascending id: a UE's *position* is its index here,
+        and every engine's per-UE state is indexed by it (see ``rng``)."""
+        return tuple(sorted(self.ues, key=lambda u: u.id))
+
+    @property
     def aoi_ues(self) -> tuple[UeConfig, ...]:
         return self.by_class(UeClass.AOI)
 
@@ -98,59 +104,69 @@ class FeasibilityReport:
     rd_feasible: bool | None = None
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ScenarioError(msg)
-
-
 def _check_ue(ue: UeConfig, variant: Variant) -> None:
-    name = f"ue {ue.id}"
-    _require(isinstance(ue.id, int) and not isinstance(ue.id, bool) and ue.id >= 0,
-             f"{name}: id must be a small nonnegative integer")
+    # a message is formatted only once its check has failed
+    i, cls = ue.id, ue.cls
+    if not (isinstance(i, int) and not isinstance(i, bool) and i >= 0):
+        raise ScenarioError(f"ue {i}: id must be a small nonnegative integer")
     for key in ("p", "q", "rho", "beta", "alpha"):
         value = getattr(ue, key)
         # float and int before the ABC check, which costs microseconds
         number = type(value) is float or type(value) is int or (
             value is not None and isinstance(value, numbers.Real) and not isinstance(value, bool))
         if not ((number and math.isfinite(value)) or (value is None and key != "p")):
-            raise ScenarioError(f"{name}: {key} must be a finite number, got {value!r}")
-    _require(0.0 < ue.p <= 1.0, f"{name}: p must be in (0, 1], got {ue.p}")
-    if ue.cls is UeClass.AOI:
-        _require(ue.q is not None, f"{name}: aoi class requires q")
-        _require(0.0 < ue.q <= 1.0, f"{name}: q must be in (0, 1], got {ue.q}")
-        _require(ue.rho is not None and ue.rho > 0, f"{name}: aoi class requires rho > 0")
-        _require(ue.beta is None, f"{name}: beta does not apply to aoi class")
-        _require(ue.alpha is None, f"{name}: alpha does not apply to aoi class")
-    elif ue.cls is UeClass.LATENCY:
-        _require(ue.q is not None, f"{name}: latency class requires q")
-        _require(0.0 < ue.q <= 1.0, f"{name}: q must be in (0, 1], got {ue.q}")
-        _require(ue.alpha is None,
-                 f"{name}: alpha does not apply to latency class")
-        if variant is Variant.LATENCY_WEIGHTED:
-            _require(ue.rho is not None and ue.rho > 0,
-                     f"{name}: latency class requires rho > 0 in weighted scenarios")
-            _require(ue.beta is None, f"{name}: beta applies only to constrained scenarios")
-        else:
-            _require(ue.beta is not None,
-                     f"{name}: latency class requires beta in constrained scenarios")
-            _require(ue.beta >= 1.0,
-                     f"{name}: beta must be at least 1 (any delivery takes a slot)")
-            _require(ue.rho is None, f"{name}: rho applies only to weighted scenarios")
-    else:  # THROUGHPUT
-        _require(ue.q is None, f"{name}: throughput class never specifies q (always backlogged)")
-        _require(ue.alpha is not None, f"{name}: throughput class requires alpha")
-        _require(0.0 < ue.alpha < 1.0, f"{name}: alpha must be in (0, 1), got {ue.alpha}")
-        _require(ue.rho is None, f"{name}: rho does not apply to throughput class")
-        _require(ue.beta is None, f"{name}: beta does not apply to throughput class")
+            raise ScenarioError(f"ue {i}: {key} must be a finite number, got {value!r}")
+    if not 0.0 < ue.p <= 1.0:
+        raise ScenarioError(f"ue {i}: p must be in (0, 1], got {ue.p}")
+    if cls is UeClass.THROUGHPUT:
+        if ue.q is not None:
+            raise ScenarioError(f"ue {i}: throughput class never specifies q (always backlogged)")
+        if ue.alpha is None:
+            raise ScenarioError(f"ue {i}: throughput class requires alpha")
+        if not 0.0 < ue.alpha < 1.0:
+            raise ScenarioError(f"ue {i}: alpha must be in (0, 1), got {ue.alpha}")
+        if ue.rho is not None:
+            raise ScenarioError(f"ue {i}: rho does not apply to throughput class")
+        if ue.beta is not None:
+            raise ScenarioError(f"ue {i}: beta does not apply to throughput class")
+        return
+    if ue.q is None:
+        raise ScenarioError(f"ue {i}: {cls.value} class requires q")
+    if not 0.0 < ue.q <= 1.0:
+        raise ScenarioError(f"ue {i}: q must be in (0, 1], got {ue.q}")
+    if cls is UeClass.AOI:
+        if ue.rho is None or not ue.rho > 0:
+            raise ScenarioError(f"ue {i}: aoi class requires rho > 0")
+        if ue.beta is not None:
+            raise ScenarioError(f"ue {i}: beta does not apply to aoi class")
+        if ue.alpha is not None:
+            raise ScenarioError(f"ue {i}: alpha does not apply to aoi class")
+        return
+    if ue.alpha is not None:
+        raise ScenarioError(f"ue {i}: alpha does not apply to latency class")
+    if variant is Variant.LATENCY_WEIGHTED:
+        if ue.rho is None or not ue.rho > 0:
+            raise ScenarioError(f"ue {i}: latency class requires rho > 0 in weighted scenarios")
+        if ue.beta is not None:
+            raise ScenarioError(f"ue {i}: beta applies only to constrained scenarios")
+    else:
+        if ue.beta is None:
+            raise ScenarioError(f"ue {i}: latency class requires beta in constrained scenarios")
+        if not ue.beta >= 1.0:
+            raise ScenarioError(f"ue {i}: beta must be at least 1 (any delivery takes a slot)")
+        if ue.rho is not None:
+            raise ScenarioError(f"ue {i}: rho applies only to weighted scenarios")
 
 
 def check_structure(scenario: Scenario) -> None:
     """Raise :class:`ScenarioError` on any structural violation."""
-    _require(len(scenario.ues) >= 1, "scenario needs at least one ue")
+    if not scenario.ues:
+        raise ScenarioError("scenario needs at least one ue")
     seen: set[int] = set()
     for ue in scenario.ues:
         _check_ue(ue, scenario.variant)
-        _require(ue.id not in seen, f"duplicate ue id {ue.id}")
+        if ue.id in seen:
+            raise ScenarioError(f"duplicate ue id {ue.id}")
         seen.add(ue.id)
 
 
@@ -182,7 +198,8 @@ def theta_sum(scenario: Scenario) -> float:
     if scenario.variant is not Variant.LATENCY_CONSTRAINED:
         raise ScenarioError("theta_sum applies to latency-constrained scenarios only")
     for u in scenario.latency_ues:
-        _require(u.beta is not None, f"ue {u.id}: beta required")
+        if u.beta is None:
+            raise ScenarioError(f"ue {u.id}: beta required")
     return sum(theta_j(u.q, u.p, u.beta) for u in scenario.latency_ues)
 
 

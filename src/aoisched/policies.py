@@ -16,10 +16,12 @@ probability share).  Ties break toward the lowest UE id everywhere, which
 keeps runs reproducible.  Every policy is the only holder of its
 undelivered packets: ``backlog()`` gives each position's count and sum of
 their arrival slots, for the engine to pass to ``UeMetrics.finalize`` at
-the horizon.
+the horizon.  Each policy owns the ``kernel.QueueStore`` its arrival
+streams fill, and takes each block's draws from the states the engine
+seeds for it (``rng`` states the layout).
 
-State is indexed by UE *position*: the UE's index in the scenario's UEs
-sorted by ascending id.  In ``HierarchicalPolicy`` ``update_index`` takes
+State is indexed by UE *position* (``Scenario.positions``, see ``rng``).
+In ``HierarchicalPolicy`` ``update_index`` takes
 the positions that saw an arrival, in ascending order, and may be skipped
 on slots without arrivals; ``select(t)`` returns at most one transmission,
 a ``(position, g)`` tuple, ``g`` being the arrival slot of the packet
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import kernel
 from .metrics import UeMetrics, add_sums
-from .model import Scenario, ScenarioError, UeClass, Variant, theta_j
+from .model import Scenario, ScenarioError, UeClass, UeConfig, Variant, theta_j
 from .solver import TStarSolution, compute_t_star, hier_threshold
 
 
@@ -61,8 +63,23 @@ def thresholds_for(scenario: Scenario, zeta: float) -> tuple[dict[int, int], TSt
     return {u.id: hier_threshold(sol.t_star[u.id], u.q) for u in aoi}, sol
 
 
+def throughput_groups(ues: Sequence[UeConfig]) -> list[list[int]]:
+    """The positions of the throughput UEs among ``ues`` (by position),
+    grouped by ``(alpha, p)``: each group ascending, the groups in the order
+    of their first members.  A group's members share ``alpha*t/p``, so the
+    throughput tier's argmax within it is the member with the fewest
+    attempts, lowest position first."""
+    groups: dict[tuple[float, float], list[int]] = {}
+    for i, u in enumerate(ues):
+        if u.cls is UeClass.THROUGHPUT:
+            groups.setdefault((u.alpha, u.p), []).append(i)
+    return list(groups.values())
+
+
 class _TwoTier:
-    """State the two-tier policies share, one list entry per UE position.
+    """The slot-by-slot two-tier state, one list entry per UE position, of
+    ``HierarchicalPolicy`` and of the tests' per-slot ``rd`` oracle
+    (``RandomizedPolicy`` keeps the same state in ``_kernel.c``).
 
     * The AoI eligibility gate: last bump slot ``a``, counter ``b``,
       ``deliveries``, newest delivered arrival slot ``lam`` and the
@@ -71,15 +88,13 @@ class _TwoTier:
       argmax (largest index, lowest position on ties).
     * The latency ``queues``: the arrival slots of each latency UE's
       undelivered packets, newest last (``None`` for other classes).
-    * The throughput tier: argmax of ``alpha*t/p - attempts``.  UEs that
-      share ``(alpha, p)`` share ``alpha*t/p``, and below 2**52 distinct
-      attempt counts never round to the same index, so within such a
-      group the argmax is the member with the fewest attempts, lowest
-      position first: a heap of ``(attempts, position)`` per group.
+    * The throughput tier: argmax of ``alpha*t/p - attempts``, a heap of
+      ``(attempts, position)`` per ``throughput_groups`` group (below 2**52
+      distinct attempt counts never round to the same index).
     """
 
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
-        ues = sorted(scenario.ues, key=lambda u: u.id)
+        ues = scenario.positions
         n = len(ues)
         self.ues = ues
         self.W = [0.0] * n
@@ -94,11 +109,8 @@ class _TwoTier:
         self.pool: set[int] = set()
         self._best: int | None = None
         self._best_w = -1.0
-        groups: dict[tuple[float, float], list] = {}
-        for i, u in enumerate(ues):
-            if u.cls is UeClass.THROUGHPUT:
-                groups.setdefault((u.alpha, u.p), []).append((0, i))
-        self._thr_groups = [(alpha, p, heap) for (alpha, p), heap in groups.items()]
+        self._thr_groups = [(ues[m[0]].alpha, ues[m[0]].p, [(0, i) for i in m])
+                            for m in throughput_groups(ues)]
         self._thr_heap = {i: heap for _, _, heap in self._thr_groups for _, i in heap}
 
     def _aoi_arrival(self, i: int, t: int) -> None:
@@ -210,6 +222,9 @@ class HierarchicalPolicy(_TwoTier):
             self.weight_log = {ues[j].id: array("d") for j in self.lat}
         self._p = [u.p for u in ues]
         self._q = [u.q for u in ues]
+        # each block's arrival slots, queue i of ``store``, which the engine
+        # draws and reads (their head stays 0); success is drawn apart
+        self.store = kernel.QueueStore(self._q, np.empty((0, kernel.CHUNK)))
 
     def update_virtual_weights(self, latencies: Sequence[float | None]) -> None:
         """One weight step from each latency UE's running latency, in ``lat``
@@ -273,13 +288,15 @@ class RandomizedPolicy:
     [a, b) of it in one call of ``kernel.rd_serve``, which takes each
     slot's arrivals from the queue heads and adds to each position's row of
     sums, and ``on_outcome``, once per window, adds the rows to the UEs'
-    metrics.  Like ``_TwoTier`` in Python, the kernel keeps the pool's
-    argmax as packets are retained and each throughput group's candidate as
-    its members attempt, so no step of a slot walks every UE.  The block's
-    uniforms (``block``), the kernel's per-UE scratch and every address the
-    kernels take (``frame``, ``_kernel.c``'s ``struct rd``) are bound here,
-    once, so a call converts no array and the C stack holds no per-UE
-    scratch at any number of UEs.
+    metrics and closes the window.  Like ``_TwoTier`` in Python, the
+    kernel keeps the pool's argmax as packets are retained, each throughput
+    group's candidate as its members attempt and the queued latency UEs'
+    partition as they change, so no step of a slot walks every UE; it keeps
+    that serving state between calls, in ``frame``, so a block served in
+    many calls is served as in one.  The block's uniforms (``block``), the
+    kernel's per-UE state and every address the kernels take (``frame``,
+    ``_kernel.c``'s ``struct rd``) are bound here, once, so a call converts
+    no array and the C stack holds no per-UE state at any number of UEs.
     """
 
     name = "rd"
@@ -287,14 +304,11 @@ class RandomizedPolicy:
     def __init__(self, scenario: Scenario, thresholds: dict[int, int]):
         if scenario.latency_ues and scenario.variant is not Variant.LATENCY_CONSTRAINED:
             raise ScenarioError("randomised policy needs latency ceilings (beta)")
-        ues = sorted(scenario.ues, key=lambda u: u.id)
+        ues = scenario.positions
         n = len(ues)
         aoi = [i for i, u in enumerate(ues) if u.cls is UeClass.AOI]
         lat = [i for i, u in enumerate(ues) if u.cls is UeClass.LATENCY]
-        groups: dict[tuple[float, float], list[int]] = {}
-        for i, u in enumerate(ues):
-            if u.cls is UeClass.THROUGHPUT:
-                groups.setdefault((u.alpha, u.p), []).append(i)
+        thr = throughput_groups(ues)
         ue = np.zeros(n, kernel.UE_STATE)
         ue["packet"] = ue["g_prev"] = -1
         ue["p"] = [u.p for u in ues]
@@ -304,7 +318,7 @@ class RandomizedPolicy:
             ue["weight"][i] = ues[i].rho * ues[i].p
         for i in lat:
             ue["weight"][i] = theta_j(ues[i].q, ues[i].p, ues[i].beta)
-        for members in groups.values():
+        for members in thr:
             for i in members:
                 ue["weight"][i] = ues[i].alpha
         self.ue = ue
@@ -313,32 +327,29 @@ class RandomizedPolicy:
         # ``store``; a latency UE's stack, grown to hold its queued arrivals
         # (None for other classes)
         self.block = np.empty((2, kernel.CHUNK))
-        self._streams = [(i, ues[i].q) for i in sorted(aoi + lat)]
-        self.store = kernel.QueueStore(n, self._streams, self.block)
+        self.store = kernel.QueueStore([u.q for u in ues], self.block)
         self.stacks = [np.empty(0, np.int64) if u.cls is UeClass.LATENCY else None for u in ues]
-        # each position's last delivered arrival slot (-1: none since the
-        # run or the warm-up began), and its sums since on_outcome last ran
-        self.g_prev = ue["g_prev"]
+        # each position's sums since on_outcome last ran
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         # AoI, latency, then each throughput group's members, ascending,
-        # and where each group starts among the throughput ones; rd_serve's
-        # scratch, its tree over the streams' queue heads last
-        thr = list(groups.values())
+        # and where each group starts among the throughput ones; the
+        # serving state rd_serve keeps between calls (the queued latency
+        # UEs and their partition, the pool, each group's turn, all empty
+        # or 0 at first), then its tree over the streams' queue heads
         self._buffers = (np.array(aoi + lat + [i for m in thr for i in m], np.int64),
                          np.array([0, *accumulate(len(m) for m in thr)], np.int64), ue, self.sums,
                          np.empty(len(lat), np.int64), np.empty(len(lat)),
-                         np.empty(len(aoi), np.int64), np.empty(len(thr), np.int64),
-                         np.empty(max(4 * len(self._streams), 2), np.int64))
+                         np.empty(len(aoi), np.int64), np.zeros(len(thr), np.int64),
+                         np.empty(max(4 * (len(aoi) + len(lat)), 2), np.int64))
         self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[0].ctypes.data,
                                self.block[1].ctypes.data, len(aoi), len(lat), len(thr),
-                               *[x.ctypes.data for x in self._buffers])
+                               *[x.ctypes.data for x in self._buffers], 0, 0, -1)
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``
-        (``rng.stream_states``), advancing them: the k-th AoI or latency
-        position (ascending) has an arrival in slot start + j, for j < n,
-        iff draw j of stream k is below its q (slot 0 has none), and the
-        next two streams fill ``block[0]`` and ``block[1]``."""
+        (``rng.stream_states``), advancing them: the arrival streams into
+        ``store``'s queues, the success and policy streams into ``block[0]``
+        and ``block[1]``."""
         self.store.draw(start, n, states)
 
     def select(self, a: int, b: int) -> None:
@@ -358,8 +369,11 @@ class RandomizedPolicy:
             raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums to its metrics, and zero them."""
+        """Close the window: add each position's sums to its metrics, zero
+        them, and forget each position's last delivery, so no spacing
+        sample spans two windows."""
         add_sums(metrics, self.sums)
+        self.ue["g_prev"] = -1
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each position's count and sum of arrival slots of undelivered
@@ -378,9 +392,9 @@ class CmuPolicy:
     call.  ``update_index`` draws a block, its arrivals into the queues
     and its success uniforms into ``block``, in one compiled call
     (``kernel.QueueStore.draw``), ``select`` serves slots [a, b) of it in
-    one compiled pass (``kernel.cmu_serve``),
-    adding to each queue's sums, its arrivals included, and ``on_outcome``,
-    once per window, adds them to the UEs' metrics.  The block's uniforms
+    one compiled pass (``kernel.cmu_serve``), adding to each queue's sums,
+    its arrivals included, and ``on_outcome``, once per window, adds them
+    to the UEs' metrics and closes the window.  The block's uniforms
     (``block``) and every address the kernels take (``frame``,
     ``_kernel.c``'s ``struct cmu``) are bound here, once.  Before a block,
     a queue is compacted in place when no more of its packets are live than
@@ -392,19 +406,18 @@ class CmuPolicy:
     name = "cmu"
 
     def __init__(self, scenario: Scenario):
-        lat = scenario.latency_ues
-        if len(lat) != len(scenario.ues):
+        if len(scenario.latency_ues) != len(scenario.ues):
             raise ScenarioError("weighted-rate rule runs on latency-only scenarios")
         if scenario.variant is not Variant.LATENCY_WEIGHTED:
             raise ScenarioError("weighted-rate rule needs latency weights (rho)")
-        ues = sorted(lat, key=lambda u: u.id)
+        ues = scenario.positions
         n = len(ues)
         self.order = sorted(range(n), key=lambda i: (-(ues[i].rho * ues[i].p / ues[i].q), i))
         # the block's success uniforms, drawn with its arrivals; the arrival
         # slots of each queue's undelivered packets, of which those after
         # the slots being served have not arrived yet
         self.block = np.empty((1, kernel.CHUNK))
-        self.store = kernel.QueueStore(n, [(i, u.q) for i, u in enumerate(ues)], self.block)
+        self.store = kernel.QueueStore([u.q for u in ues], self.block)
         # each queue's last delivered arrival slot (-1: none since the run or
         # the warm-up began), its sums since on_outcome last ran, and
         # cmu_serve's tree
@@ -417,9 +430,8 @@ class CmuPolicy:
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``
-        (``rng.stream_states``), advancing them: position i has an arrival
-        in slot start + k, for k < n, iff draw k of stream i is below its q
-        (slot 0 has none), and the next stream fills ``block[0]``."""
+        (``rng.stream_states``), advancing them: the arrival streams into
+        ``store``'s queues, the success stream into ``block[0]``."""
         self.store.draw(start, n, states)
 
     def select(self, a: int, b: int) -> None:
@@ -431,11 +443,14 @@ class CmuPolicy:
             raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
-        """Add each position's sums to its metrics, and zero them."""
+        """Close the window: add each position's sums to its metrics, zero
+        them, and forget each queue's last delivery, so no spacing sample
+        spans two windows."""
         add_sums(metrics, self.sums)
+        self.g_prev.fill(-1)
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each queue's count and sum of arrival slots of undelivered packets."""
         store = self.store
-        return [(e - h, int(queue[h:e].sum()))
+        return [(e - h, int(queue[h:e].sum()) if e > h else 0)
                 for queue, h, e in zip(store.queues, store.head.tolist(), store.end.tolist())]

@@ -1,13 +1,18 @@
 """Randomness plumbing: one seeded sequence per run, split into substreams.
 
-The draw layout is normative for reproducibility:
+This is the one statement of the engine's layout; the other modules point
+here.  It is normative for reproducibility:
 
+* a UE's *position* is its index among the scenario's UEs by ascending id
+  (``Scenario.positions``), and every engine's and policy's per-UE state
+  is indexed by it;
 * every stream is a numpy ``PCG64`` seeded from a child of
   ``numpy.random.SeedSequence([seed])``: policy under spawn key ``(1,)``,
-  success under ``(2,)``, and the k-th non-throughput UE by ascending id
-  under ``(0, k)``; each stream yields one uniform per slot, and a UE has
-  an arrival in slot t when draw t of its stream is below its q, so
-  arrivals never depend on the policy;
+  success under ``(2,)``, and arrival stream k under ``(0, k)``;
+* arrival stream k belongs to the k-th position with a q (an AoI or
+  latency UE; a throughput UE is perpetually backlogged and draws none),
+  ``kernel.QueueStore.pos[k]``: the UE has an arrival in slot t when draw
+  t of its stream is below its q, so arrivals never depend on the policy;
 * the success stream yields exactly one uniform per slot, compared against
   the served UE's success probability only when a transmission happens;
 * the policy stream yields one uniform per slot and is consumed only by
@@ -19,10 +24,12 @@ The draw layout is normative for reproducibility:
   the block size changes no result.
 
 The kernel seeds each stream a run reads from the run seed
-(:func:`stream_states`), and ``kernel.QueueStore.draw`` computes from those
-states every arrival draw, and under ``rd`` and ``cmu`` every draw: the
-numbers ``Generator.random`` returns, in the same layout.  Only ``hier``
-and ``vw`` build generators (:func:`substreams`), to draw success.
+(:func:`stream_states`): the arrival streams, then the rows of the
+policy's block of uniforms, success and, under ``rd``, policy.
+``kernel.QueueStore.draw`` computes from those states every arrival draw,
+and under ``rd`` and ``cmu`` every draw: the numbers ``Generator.random``
+returns, in the same layout.  Only ``hier`` and ``vw`` build generators
+(:func:`substreams`), to draw success.
 
 Sweep replicates derive their run seed as
 ``SeedSequence([base_seed, point_index, replicate_index])`` reduced to one

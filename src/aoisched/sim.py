@@ -3,8 +3,8 @@
 Per-slot order of operations (normative):
 
 1. virtual-weight step, when due;
-2. Bernoulli arrivals for non-throughput UEs, ascending id (throughput UEs
-   are perpetually backlogged and consume no draws);
+2. Bernoulli arrivals, one draw of each arrival stream (``rng`` lays
+   the streams out);
 3. policy index update, then selection (the randomised policy consumes its
    per-slot uniform here);
 4. on a transmission, one success draw against the served UE's p, then the
@@ -15,13 +15,12 @@ the horizon.  Under ``hier`` and ``vw`` each block is cut into segments at
 weight steps and at the warm-up's last slot; under ``rd`` and ``cmu`` only
 at the warm-up's last slot.
 
-Under every policy, one compiled call per block (``kernel.QueueStore.draw``)
-computes the block's arrival draws from each stream's PCG64 state, seeded
-in the kernel once per run (``rng.stream_states``), and appends each
-arrival slot to its UE's queue as it is drawn.  The draws, and their
-layout, are those of ``rng``'s generators.  Under ``rd`` and ``cmu`` the
-same call draws the success uniforms, and ``rd``'s policy uniforms; under
-``hier`` and ``vw`` the success generator's ``random`` draws them.
+Under every policy, one compiled call per block draws the arrival
+streams into the policy's ``store`` (``kernel.QueueStore.draw``), from the
+states seeded once per run for the streams that store lists
+(``rng.stream_states``).  Under ``rd`` and ``cmu`` the same call draws the
+success uniforms, and ``rd``'s policy uniforms; under ``hier`` and ``vw``
+the success generator's ``random`` draws them.
 
 ``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
 buffers, read in place: the loop walks a memoryview of the success
@@ -49,8 +48,8 @@ the block where the warm-up ends; both kernels read the store's queues
 first-in-first-out, through one tournament tree over the queue heads.  The
 kernels count each UE's arrivals and add up its deliveries (and, under
 ``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
-``metrics.add_sums`` once per window: where the warm-up ends and at the
-horizon.  So no ``UeMetrics`` fold runs.
+``metrics.add_sums`` once per window, where the warm-up ends and at the
+horizon, closing the window.  So no ``UeMetrics`` fold runs.
 
 Under every policy the queues and retained packets hold the backlog: after
 either loop the engine passes the policy's ``backlog()`` to ``finalize``.
@@ -65,10 +64,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import CHUNK, QueueStore
+from .kernel import CHUNK
 from .metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from .model import (FeasibilityReport, Scenario, ScenarioError, UeClass,
-                    Variant, replace_param, validate)
+                    Variant, check_structure, replace_param, validate)
 from .policies import (CmuPolicy, HierarchicalPolicy, RandomizedPolicy,
                        thresholds_for)
 from .rng import derive_seed, stream_states, substreams
@@ -108,6 +107,8 @@ def build_policy(config: RunConfig):
         raise ScenarioError(f"unknown policy {spec.name!r}")
     extras: dict = {}
     if spec.name == "cmu":
+        if scenario.ues:  # a system of no UEs idles under cmu
+            check_structure(scenario)
         return CmuPolicy(scenario), extras
 
     thresholds, sol = thresholds_for(scenario, validate(scenario).zeta)
@@ -165,18 +166,13 @@ def run(config: RunConfig) -> RunReport:
     policy, extras = build_policy(config)
     by_block = not isinstance(policy, HierarchicalPolicy)
 
-    ues = sorted(scenario.ues, key=lambda u: u.id)
+    ues = scenario.positions
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
-    p_of = [u.p for u in ues]
-    log_g = [m.dg.append for m in metrics]
-    log_t = [m.dt.append for m in metrics]
-    is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
-    arriving = [i for i, thr in enumerate(is_thr) if not thr]
 
-    # arrival streams, then the streams of rd's and cmu's rows of uniforms
-    states = stream_states(config.seed, len(arriving), len(policy.block) if by_block else 0)
+    # the policy's arrival streams, then those of its rows of uniforms
+    store = policy.store
+    states = stream_states(config.seed, store.frame.narr, store.frame.nrows)
     update_index, select, on_outcome = policy.update_index, policy.select, policy.on_outcome
-    every = config.policy.f if policy.name == "vw" else 0
     warm_end = config.warmup
 
     # Slot 0 is drawn and never used, so slot t is draw t of every stream.
@@ -194,17 +190,21 @@ def run(config: RunConfig) -> RunReport:
                 on_outcome(metrics)
                 for m in metrics:
                     m.reset_window()
-                policy.g_prev.fill(-1)  # no spacing sample spans the boundary
                 a = warm_end + 1
             select(a, b)
         on_outcome(metrics)
     else:
+        p_of = [u.p for u in ues]
+        log_g = [m.dg.append for m in metrics]
+        log_t = [m.dt.append for m in metrics]
+        is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
+        every = config.policy.f if policy.name == "vw" else 0
         # each block's arrivals are drawn in one call and listed as queue i
-        # of ``store`` (its head stays 0); then its success uniforms, into
-        # a buffer of their own
+        # of the policy's store (its head stays 0); then its success
+        # uniforms, into a buffer of their own
         _, _, success_gen = substreams(config.seed, 0)
         buffer = np.empty(CHUNK)
-        store = QueueStore(len(ues), [(i, ues[i].q) for i in arriving], np.empty((0, CHUNK)))
+        arriving = store.pos.tolist()
         for start in range(0, horizon + 1, CHUNK):
             n = min(CHUNK, horizon + 1 - start)
             store.end.fill(0)

@@ -76,7 +76,7 @@ def listed(store, j):
 def test_enqueue_lists_the_uniforms_below_q(q, n, start):
     (gen,), (ref,) = generators(n, 1), generators(n, 1)
     states = pcg_rows([gen])
-    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store = kernel.QueueStore([q], NO_ROWS)
     store.draw(start, n, states)
     assert listed(store, 0) == expected(ref.random(n), q, start).tolist()
     assert states[0].tolist() == state_row(ref)
@@ -94,7 +94,7 @@ def test_enqueue_matches_numpy_on_any_block(seed, n, data):
         [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, 1.0))]))
         | st.sampled_from(EDGE_QS) | st.floats(0.0, 1.0))
     states = pcg_rows(generators(seed, 1))
-    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store = kernel.QueueStore([q], NO_ROWS)
     store.draw(start, n, states)
     assert listed(store, 0) == expected(u, q, start).tolist()
 
@@ -110,7 +110,7 @@ def test_draws_equal_generator_random_bit_for_bit(seed, streams):
     arrivals = streams - rows if streams > 1 else 0
     qs = [EDGE_QS[k % len(EDGE_QS)] for k in range(arrivals)]
     block = np.empty((rows, kernel.CHUNK))
-    store = kernel.QueueStore(arrivals, list(enumerate(qs)), block)
+    store = kernel.QueueStore(qs, block)
     states = pcg_rows(generators(seed, arrivals + rows))
     refs = generators(seed, arrivals + rows)
     for start, n in (0, kernel.CHUNK), (kernel.CHUNK, kernel.CHUNK - 1), (2 * kernel.CHUNK - 1, 1):
@@ -167,7 +167,7 @@ def test_enqueue_returns_the_length_it_needs_then_fits(q):
     (ref,) = generators(5, 1)
     arrivals = expected(ref.random(n), q, 100).tolist()
     assert len(arrivals) > 4
-    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store = kernel.QueueStore([q], NO_ROWS)
     store.queues[0] = queue = np.array([-1, 3, 4, -1, -1, -1], np.int64)
     store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, 6, 1, 3
     states = pcg_rows(generators(5, 1))
@@ -190,7 +190,7 @@ def test_a_queue_that_overflows_is_drawn_again_with_its_lane():
     # streams 0 and 1 share a lane group; stream 1's queue is full, so the
     # group is drawn again once it has grown, and stream 0's arrivals and
     # both states come out as in one pass
-    store = kernel.QueueStore(2, [(0, 0.5), (1, 1.0)], NO_ROWS)
+    store = kernel.QueueStore([0.5, 1.0], NO_ROWS)
     store.queues = [np.empty(8, np.int64), np.array([1, 2], np.int64)]
     store.at[:] = [queue.ctypes.data for queue in store.queues]
     store.cap[:], store.end[1] = [8, 2], 2
@@ -241,7 +241,7 @@ def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n
 def store_holding(cap, head, end, q=1.0):
     """A one-queue store whose queue of ``cap`` elements holds slots 1, 2, ...
     in [head, end), drawing with ``q``."""
-    store = kernel.QueueStore(1, [(0, q)], NO_ROWS)
+    store = kernel.QueueStore([q], NO_ROWS)
     store.queues[0] = queue = np.full(cap, -1, np.int64)
     queue[head:end] = range(1, end - head + 1)
     store.at[0], store.cap[0], store.head[0], store.end[0] = queue.ctypes.data, cap, head, end
@@ -282,8 +282,8 @@ def test_a_queue_grows_when_moving_it_would_cost_more_than_it_frees():
 def test_store_takes_one_contiguous_float64_buffer_and_blocks_that_fit_it():
     for rows in np.zeros((1, 2), np.float32), np.zeros((1, 4))[:, ::2], np.zeros(4):
         with pytest.raises(TypeError, match="contiguous float64"):
-            kernel.QueueStore(1, [(0, 0.5)], rows)
-    store = kernel.QueueStore(1, [(0, 0.5)], np.empty((1, 4)))
+            kernel.QueueStore([0.5], rows)
+    store = kernel.QueueStore([0.5], np.empty((1, 4)))
     states = pcg_rows(generators(1, 2))
     for n in -1, 5:
         with pytest.raises(ValueError, match=f"a block of {n} slots does not fit 4"):

@@ -2,10 +2,14 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aoisched import kernel
 from aoisched.metrics import UeMetrics
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
+from aoisched.rng import stream_states
 from test_arrival_lists import pcg_rows
 
 # Policy state and actions are indexed by UE position (UEs sorted by id):
@@ -551,6 +555,60 @@ def test_cmu_select_checks_the_buffers_it_hands_the_kernel():
 def test_cmu_rejects_mixed_scenarios():
     with pytest.raises(ScenarioError):
         CmuPolicy(weighted_scenario())
+
+
+# -- a block served in many calls ------------------------------------------------------
+
+# rd: two AoI UEs gated at thresholds 1 and 3, two latency UEs whose shares
+# leave 0.1 of a slot when both are queued, and three throughput UEs, two
+# of them one (alpha, p) group; cmu: three queues at a load of about 0.95
+SPLIT_SYSTEMS = {
+    "rd": lambda: RandomizedPolicy(Scenario(ues=(
+        UeConfig(id=1, cls=UeClass.AOI, q=0.6, p=0.7, rho=1.0),
+        UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, beta=3.0),
+        UeConfig(id=3, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.1),
+        UeConfig(id=4, cls=UeClass.AOI, q=0.3, p=0.5, rho=2.0),
+        UeConfig(id=5, cls=UeClass.LATENCY, q=0.1, p=0.6, beta=10.0),
+        UeConfig(id=6, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.1),
+        UeConfig(id=7, cls=UeClass.THROUGHPUT, p=0.5, alpha=0.05),
+    ), variant=Variant.LATENCY_CONSTRAINED), {1: 1, 4: 3}),
+    "cmu": lambda: CmuPolicy(Scenario(ues=(
+        UeConfig(id=1, cls=UeClass.LATENCY, q=0.3, p=0.8, rho=1.0),
+        UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.6, rho=2.0),
+        UeConfig(id=3, cls=UeClass.LATENCY, q=0.1, p=0.9, rho=0.5),
+    ), variant=Variant.LATENCY_WEIGHTED)),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(SPLIT_SYSTEMS)), seed=st.integers(0, 2 ** 32),
+       n=st.integers(1, 400), data=st.data())
+def test_a_block_served_in_many_calls_is_served_as_in_one(name, seed, n, data):
+    # rd_serve keeps its serving state between calls (the queued latency
+    # UEs, the pool and its best, each group's turn), as cmu_serve keeps
+    # its queue heads and g_prev: two blocks, each served in one call by
+    # one policy and cut anywhere into calls, empty ones included, by
+    # another, leave the same sums, backlog and state, stack growth included
+    whole, cut = SPLIT_SYSTEMS[name](), SPLIT_SYSTEMS[name]()
+    states = [stream_states(seed, p.store.frame.narr, p.store.frame.nrows) for p in (whole, cut)]
+    for start in 0, n:
+        whole.update_index(start, n, states[0])
+        cut.update_index(start, n, states[1])
+        a, b = max(start, 1), start + n
+        whole.select(a, b)
+        cuts = sorted(data.draw(st.lists(st.integers(a, b), max_size=12)))
+        for lo, hi in zip([a, *cuts], [*cuts, b]):
+            cut.select(lo, hi)
+        assert cut.sums.tolist() == whole.sums.tolist()
+        assert cut.backlog() == whole.backlog()
+        assert cut.store.head.tolist() == whole.store.head.tolist()
+        if name == "rd":
+            fields = [f for f in kernel.UE_STATE.names if f != "stack"]  # an address
+            assert cut.ue[fields].tolist() == whole.ue[fields].tolist()
+            c, w = cut.frame, whole.frame
+            assert (c.nq, c.np, c.best) == (w.nq, w.np, w.best)
+        else:
+            assert cut.g_prev.tolist() == whole.g_prev.tolist()
 
 
 # -- construction helpers -------------------------------------------------------------

@@ -14,9 +14,10 @@ against numpy's, a seed of over a thousand words included, its draws
 against ``Generator.random``, bit for bit, and its queues' compaction and
 growth, the overflow and redraw of a lane group included), an overloaded
 ``cmu`` case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
-and ``rd``'s stack growth, whose ``rd_serve`` call returns for a stack to
-grow and then runs again, so every kernel entry point and return runs
-under each sanitizer.
+``rd``'s stack growth, whose ``rd_serve`` call returns for a stack to
+grow and then runs again, and a block of each served in many calls, whose
+serving state carries from call to call, so every kernel entry point and
+return runs under each sanitizer.
 The slow property tests, whose Python oracle walks every slot, are shared
 out: ``cmu``'s to the UBSan pass, which also runs ``rd`` on a small stack,
 and ``rd``'s to the ASan pass.  The two passes run at once.
@@ -37,7 +38,8 @@ BOTH = ("test_arrival_lists.py",
         "test_cmu_engine.py::test_window_edges_match_slot_reference",
         "test_cmu_engine.py::test_a_system_without_queues_idles",
         "test_rd_engine.py::test_window_edges_match_slot_reference",
-        "test_policies.py::test_rd_latency_stack_grows_across_blocks")
+        "test_policies.py::test_rd_latency_stack_grows_across_blocks",
+        "test_policies.py::test_a_block_served_in_many_calls_is_served_as_in_one")
 
 
 def _start(root: Path, flags: tuple[str, ...], env: dict[str, str],

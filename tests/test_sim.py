@@ -85,6 +85,20 @@ def test_policy_variant_mismatch_rejected():
         run(cfg(weighted(), policy="cmu", horizon=10))
 
 
+@pytest.mark.parametrize("field, value, message", [("q", 1.5, "q must be in"),
+                                                     ("rho", -1.0, "requires rho > 0")])
+@pytest.mark.parametrize("policy", ["cmu", "hier"])
+def test_a_malformed_latency_ue_is_rejected_under_every_policy(field, value, message, policy):
+    # cmu checks the structure, as validate does for the other policies and
+    # lower_bound, so it runs no system with q above 1 or a negative weight
+    ue = dict(id=2, cls=UeClass.LATENCY, q=0.2, p=0.8, rho=1.0)
+    scn = Scenario(ues=(UeConfig(**{**ue, field: value}),), variant=Variant.LATENCY_WEIGHTED)
+    with pytest.raises(ScenarioError, match=message):
+        run(cfg(scn, policy=policy, horizon=1000))
+    with pytest.raises(ScenarioError, match=message):
+        lower_bound(scn, horizon=1000, seed=1)
+
+
 @pytest.mark.parametrize("f", [0, -3])
 def test_vw_weight_period_below_one_rejected(f):
     with pytest.raises(ScenarioError, match="weight period"):
