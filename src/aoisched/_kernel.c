@@ -300,11 +300,11 @@ static inline int64_t oldest(const int64_t *queue, int64_t h, int64_t e)
     return h < e ? queue[h] : INT64_MAX;
 }
 
-/* A tournament tree over the heads of n of a store's queues, queues[j]
-   for j in idx[0:n], in tree[1:2 * leaves], leaves being the least power
-   of two >= n (so 2 * leaves <= max(4 * n, 2)): leaf leaves + k holds the
-   oldest slot of queue idx[k] (INT64_MAX past n), and each inner node the
-   least of its two children's.  Fills it and returns leaves. */
+/* A tournament tree over the heads of n >= 1 of a store's queues,
+   queues[j] for j in idx[0:n], in tree[1:2 * leaves], leaves being the
+   least power of two >= n (so 2 * leaves <= 4 * n): leaf leaves + k holds
+   the oldest slot of queue idx[k] (INT64_MAX past n), and each inner node
+   the least of its two children's.  Fills it and returns leaves. */
 static int64_t tree_build(int64_t *tree, int64_t *const *queues, const int64_t *head,
                           const int64_t *end, const int64_t *idx, int64_t n)
 {
@@ -348,8 +348,8 @@ static inline void tree_raise(int64_t *tree, int64_t i, int64_t x)
 }
 
 /* cmu's state (policies.CmuPolicy), bound once: the block's success
-   uniforms u, drawn into the store's row 0; nq queues in the store, taken
-   in ``order``, queue j succeeding at p[j], each one's arrival slot
+   uniforms u, drawn into the store's row 0; nq >= 1 queues in the store,
+   taken in ``order``, queue j succeeding at p[j], each one's arrival slot
    of its last delivery in g_prev[j] and its row of sums at
    sums[j * NSUMS:], and room for cmu_serve's tree in tree[0:4 * nq]. */
 struct cmu {
@@ -396,8 +396,6 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
     const struct store *store = c->store;
     if (a < store->start || a > b || b > store->start + store->n)
         return -1;
-    if (c->nq == 0)  /* a system without latency UEs: every slot is idle */
-        return 0;
     const double *restrict u = c->u;
     int64_t *const *queues = store->queues;
     int64_t *restrict head = store->head, *restrict tree = c->tree;
@@ -490,8 +488,9 @@ struct ue {
    nlat); the np AoI UEs holding a retained packet, pool[0:np] in any
    order, and best, the one whose packet outranks the others' (-1 if np is
    0); and turn[g], where group g's candidate stands (ngroups entries, 0 at
-   first).  tree (max(4 * (naoi + nlat), 2)) is its scratch, so the stack
-   holds none of these however many UEs there are. */
+   first).  wheel (the store's width), link and cursor (naoi + nlat each)
+   are its scratch, so the stack holds none of these however many UEs
+   there are. */
 struct rd {
     const struct store *store;
     const double *u, *draws;
@@ -500,7 +499,7 @@ struct rd {
     struct ue *ue;
     int64_t *sums, *queued;
     double *cum;
-    int64_t *pool, *turn, *tree;
+    int64_t *pool, *turn, *wheel, *link, *cursor;
     int64_t nq, np, best;
 };
 
@@ -590,19 +589,26 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
 /* Serve slots [a, b) of the store's block under the randomised latency
    policy (see policies.RandomizedPolicy), in the engine's per-slot order:
    the slot's arrivals, then one selection, then the outcome.  Returns 0;
-   -1, serving none, if [a, b) is not in the block; or 1 + i, serving
-   none, if latency UE i's stack lacks room for its queued arrivals, for
-   the caller to grow it and call again.
+   -1, serving none, if [a, b) is not in the block or a queued arrival is
+   before a (the calls skipped slots); or 1 + i, serving none, if latency
+   UE i's stack lacks room for its queued arrivals, for the caller to grow
+   it and call again.
 
    Stream k (k < naoi + nlat) is queue members[k] of the store, read
-   first-in-first-out as cmu_serve reads its queues: a tournament tree
-   over the streams' oldest slots gives, in each slot t, every stream
-   whose head is t, leftmost first, and the head advances past it.  The
-   order of a slot's arrivals changes nothing: each stream has at most
-   one per slot; each stack sees only its own stream's; queued is kept
-   sorted whatever order UEs join it in; and the pool's best is the
-   maximum under outranks, a total order, whatever order its members are
-   retained in.
+   first-in-first-out from cursor[k], which starts at its head: a timing
+   wheel over [a, b) lists the streams by the slot of their next arrival,
+   wheel[t - a] naming one whose next arrival is slot t (-1: none) and
+   link[k] the next in the same slot.  Each stream's first arrival in
+   [a, b) is entered when the call starts; serving slot t takes its list,
+   and each stream taken enters its following arrival, which is after t,
+   if it is before b.  So an arrival costs the same at any number of
+   streams.  The heads are set to the cursors, and each stream's arrivals
+   added to its row, once, at the end.  The wheel hands a slot's arrivals
+   out last-in first-out, and their order changes nothing: each stream
+   has at most one per slot; each stack sees only its own stream's; queued
+   is kept sorted whatever order UEs join it in; and the pool's best is
+   the maximum under outranks, a total order, whatever order its members
+   are retained in.
 
    In slot t, the policy uniform picks the latency queue whose partition
    interval holds it, which sends its newest packet; a draw in the
@@ -610,7 +616,7 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    without one to the best throughput candidate, g = t.  The attempt
    succeeds iff the slot's success uniform is below p.
 
-   No step of a slot walks every UE: its arrivals come from the tree; the
+   No step of a slot walks every UE: its arrivals come from the wheel; the
    AoI UEs holding a packet are listed, and their argmax is kept as
    packets are retained and found again among them only when it is
    delivered; the queued latency UEs are kept in order, so a partition
@@ -635,7 +641,8 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const int64_t *restrict end = store->end;
     struct ue *restrict ue = r->ue;
     int64_t *restrict sums = r->sums, *restrict queued = r->queued;
-    int64_t *restrict pool = r->pool, *restrict turn = r->turn, *restrict tree = r->tree;
+    int64_t *restrict pool = r->pool, *restrict turn = r->turn;
+    int64_t *restrict wheel = r->wheel, *restrict link = r->link, *restrict cursor = r->cursor;
     double *restrict cum = r->cum;
     const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
     for (int64_t k = 0; k < nlat; k++) {
@@ -643,21 +650,35 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
         if (ue[i].depth + end[i] - head[i] > ue[i].room)
             return 1 + i;
     }
+    for (int64_t t = a; t < b; t++)
+        wheel[t - a] = -1;
+    for (int64_t k = 0; k < naoi + nlat; k++) {
+        const int64_t i = members[k], h = cursor[k] = head[i];
+        if (h < end[i]) {
+            const int64_t g = queues[i][h];
+            if (g < a)
+                return -1;
+            if (g < b) {
+                link[k] = wheel[g - a];
+                wheel[g - a] = k;
+            }
+        }
+    }
     int64_t nq = r->nq, np = r->np, best = r->best;
-    const int64_t leaves = tree_build(tree, queues, head, end, members, naoi + nlat);
     for (int64_t t = a; t < b; t++) {
-        if (tree[1] <= t) {
+        if (wheel[t - a] >= 0) {
             int regroup = 0;
-            do {
-                int64_t wake;  /* cmu_serve's; unused here */
-                const int64_t leaf = tree_first(tree, leaves, t, &wake), k = leaf - leaves;
-                const int64_t i = members[k];
-                struct ue *x = &ue[i];
-                tree_raise(tree, leaf, oldest(queues[i], ++head[i], end[i]));
-                sums[i * NSUMS + ARRIVALS]++;
+            for (int64_t k = wheel[t - a], next; k >= 0; k = next) {
+                const int64_t i = members[k], h = ++cursor[k], g = h < end[i] ? queues[i][h] : b;
+                next = link[k];
+                if (g < b) {  /* its following arrival, after t */
+                    link[k] = wheel[g - a];
+                    wheel[g - a] = k;
+                }
                 if (k < naoi)
                     aoi_arrival(ue, i, t, pool, &np, &best);
                 else {
+                    struct ue *x = &ue[i];
                     if (!x->depth) {  /* into queued, ascending */
                         int64_t j = nq++;
                         for (; j && queued[j - 1] > i; j--)
@@ -667,7 +688,7 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
                     }
                     x->stack[x->depth++] = t;
                 }
-            } while (tree[1] <= t);
+            }
             if (regroup)
                 partition(nq, queued, ue, cum);
         }
@@ -720,6 +741,11 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     }
     for (int64_t k = 0; k < naoi; k++)
         accrue(sums + aoi[k] * NSUMS, &ue[aoi[k]], b - 1);
+    for (int64_t k = 0; k < naoi + nlat; k++) {
+        const int64_t i = members[k];
+        sums[i * NSUMS + ARRIVALS] += cursor[k] - head[i];
+        head[i] = cursor[k];
+    }
     r->nq = nq;
     r->np = np;
     r->best = best;

@@ -286,17 +286,20 @@ class RandomizedPolicy:
     As under ``CmuPolicy``, ``update_index`` draws a block, enqueueing its
     arrivals (``kernel.QueueStore.draw``), ``select`` serves slots
     [a, b) of it in one call of ``kernel.rd_serve``, which takes each
-    slot's arrivals from the queue heads and adds to each position's row of
-    sums, and ``on_outcome``, once per window, adds the rows to the UEs'
-    metrics and closes the window.  Like ``_TwoTier`` in Python, the
-    kernel keeps the pool's argmax as packets are retained, each throughput
-    group's candidate as its members attempt and the queued latency UEs'
-    partition as they change, so no step of a slot walks every UE; it keeps
-    that serving state between calls, in ``frame``, so a block served in
-    many calls is served as in one.  The block's uniforms (``block``), the
-    kernel's per-UE state and every address the kernels take (``frame``,
-    ``_kernel.c``'s ``struct rd``) are bound here, once, so a call converts
-    no array and the C stack holds no per-UE state at any number of UEs.
+    slot's arrivals from a timing wheel that lists the streams by the slot
+    of their next arrival, each arrival at the same cost however many
+    streams there are, and adds to each position's row of sums, and
+    ``on_outcome``, once per window, adds the rows to the UEs' metrics and
+    closes the window.  Like ``_TwoTier`` in Python, the kernel keeps the
+    pool's argmax as packets are retained, each throughput group's
+    candidate as its members attempt and the queued latency UEs' partition
+    as they change, so no step of a slot walks every UE; it keeps that
+    serving state between calls, in ``frame``, so a block served in many
+    calls is served as in one.  The block's uniforms (``block``), the
+    kernel's per-UE state, the wheel (a slot of the block each) and every
+    address the kernels take (``frame``, ``_kernel.c``'s ``struct rd``)
+    are bound here, once, so a call converts no array and the C stack
+    holds no per-UE state at any number of UEs.
     """
 
     name = "rd"
@@ -335,15 +338,18 @@ class RandomizedPolicy:
         # and where each group starts among the throughput ones; the
         # serving state rd_serve keeps between calls (the queued latency
         # UEs and their partition, the pool, each group's turn, all empty
-        # or 0 at first), then its tree over the streams' queue heads
+        # or 0 at first), then its scratch: a timing wheel over a block's
+        # slots and each arrival stream's link and cursor
+        streams = len(aoi) + len(lat)
         self._buffers = (np.array(aoi + lat + [i for m in thr for i in m], np.int64),
                          np.array([0, *accumulate(len(m) for m in thr)], np.int64), ue, self.sums,
                          np.empty(len(lat), np.int64), np.empty(len(lat)),
                          np.empty(len(aoi), np.int64), np.zeros(len(thr), np.int64),
-                         np.empty(max(4 * (len(aoi) + len(lat)), 2), np.int64))
-        self.frame = kernel.Rd(ctypes.pointer(self.store.frame), self.block[0].ctypes.data,
-                               self.block[1].ctypes.data, len(aoi), len(lat), len(thr),
-                               *[x.ctypes.data for x in self._buffers], 0, 0, -1)
+                         np.empty(self.store.width, np.int64), np.empty(streams, np.int64),
+                         np.empty(streams, np.int64))
+        self.frame = kernel.Rd(ctypes.pointer(self.store.frame), kernel.address(self.block[0]),
+                               kernel.address(self.block[1]), len(aoi), len(lat), len(thr),
+                               *map(kernel.address, self._buffers), 0, 0, -1)
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``
@@ -356,17 +362,20 @@ class RandomizedPolicy:
         """Serve slots [a, b) of the block drawn last, whose success and
         policy uniforms are in ``block[0]`` and ``block[1]`` from its first
         slot on, adding each position's sums over them to its row of
-        ``sums``; slots outside the block raise ValueError.  A latency
-        stack that lacks room for its queued arrivals, which the kernel
-        names before serving any slot, moves to ``grown`` storage first."""
+        ``sums``; slots outside the block, or after an arrival not yet
+        served (each call takes up where the last left off), raise
+        ValueError.  A latency stack that lacks room for its queued
+        arrivals, which the kernel names before serving any slot, moves to
+        ``grown`` storage first."""
         while (grow := kernel.rd_serve(self.frame, a, b)) > 0:
             i, ue, store = grow - 1, self.ue, self.store
             depth = int(ue["depth"][i])
             need = depth + int(store.end[i] - store.head[i])
             self.stacks[i] = stack = kernel.grown(self.stacks[i], need, 0, depth)
-            ue["stack"][i], ue["room"][i] = stack.ctypes.data, len(stack)
+            ue["stack"][i], ue["room"][i] = kernel.address(stack), len(stack)
         if grow:
-            raise ValueError(f"slots [{a}, {b}) are not in the block drawn")
+            raise ValueError(f"slots [{a}, {b}) are not in the block drawn, or skip an "
+                             f"arrival not yet served")
 
     def on_outcome(self, metrics: Sequence[UeMetrics]) -> None:
         """Close the window: add each position's sums to its metrics, zero
@@ -406,6 +415,8 @@ class CmuPolicy:
     name = "cmu"
 
     def __init__(self, scenario: Scenario):
+        if not scenario.ues:  # cmu_serve's tree is over at least one queue
+            raise ScenarioError("scenario needs at least one ue")
         if len(scenario.latency_ues) != len(scenario.ues):
             raise ScenarioError("weighted-rate rule runs on latency-only scenarios")
         if scenario.variant is not Variant.LATENCY_WEIGHTED:
@@ -425,8 +436,8 @@ class CmuPolicy:
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         self._buffers = (np.array(self.order, np.int64), np.array([u.p for u in ues]),
                          self.g_prev, self.sums, np.empty(4 * n, np.int64))
-        self.frame = kernel.Cmu(ctypes.pointer(self.store.frame), self.block.ctypes.data, n,
-                                *[x.ctypes.data for x in self._buffers])
+        self.frame = kernel.Cmu(ctypes.pointer(self.store.frame), kernel.address(self.block), n,
+                                *map(kernel.address, self._buffers))
 
     def update_index(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` from ``states``

@@ -70,6 +70,6 @@ def stream_states(seed: int, n_arrival: int, rows: int) -> np.ndarray:
         raise ValueError(f"no streams for seed {seed}, {n_arrival} arrivals, {rows} rows")
     words = max(1, -(-seed.bit_length() // 32))
     states = np.empty((n_arrival + rows, 4), np.uint64)
-    kernel.seed_streams(states.ctypes.data, seed.to_bytes(4 * words, "little"), words,
+    kernel.seed_streams(kernel.address(states), seed.to_bytes(4 * words, "little"), words,
                         n_arrival, rows)
     return states

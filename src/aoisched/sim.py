@@ -45,7 +45,8 @@ take, once, when it is built; per block the engine makes two calls:
 success uniforms, and ``rd``'s policy uniforms, into the policy's buffer in
 the same call, and ``select`` serves the block in one kernel call, two in
 the block where the warm-up ends; both kernels read the store's queues
-first-in-first-out, through one tournament tree over the queue heads.  The
+first-in-first-out, ``cmu`` through a tournament tree over the queue heads
+in rank order, ``rd`` through a timing wheel over the call's slots.  The
 kernels count each UE's arrivals and add up its deliveries (and, under
 ``rd``, its age) themselves, a row per UE that ``on_outcome`` hands to
 ``metrics.add_sums`` once per window, where the warm-up ends and at the
@@ -107,8 +108,7 @@ def build_policy(config: RunConfig):
         raise ScenarioError(f"unknown policy {spec.name!r}")
     extras: dict = {}
     if spec.name == "cmu":
-        if scenario.ues:  # a system of no UEs idles under cmu
-            check_structure(scenario)
+        check_structure(scenario)
         return CmuPolicy(scenario), extras
 
     thresholds, sol = thresholds_for(scenario, validate(scenario).zeta)

@@ -20,6 +20,8 @@ and 1, for 1 to 9 streams (every remainder of the kernel's lanes), for
 blocks of 1, ``CHUNK`` - 1 and ``CHUNK`` slots, from slot 0 and from a
 later block, and through the grow-and-retry protocol, which
 ``kernel.QueueStore`` runs with ``kernel.grown``'s rule for every queue.
+``kernel.address``, which binds every buffer a kernel takes, must give
+each buffer's ``ctypes.data``.
 ``kernel.rd_serve`` reads ``rd``'s queues first-in-first-out, as
 ``kernel.cmu_serve`` reads ``cmu``'s: serving a whole block leaves every
 queue's head at its end, so the next block's arrivals are appended to the
@@ -301,3 +303,12 @@ def test_growth_is_the_least_power_of_two_at_least_need_and_twice_the_storage(ca
     grown = kernel.grown(buffer, need, cap // 2, cap)
     assert len(grown) == size
     assert grown[:cap - cap // 2].tolist() == buffer[cap // 2:].tolist()
+
+
+def test_address_is_the_buffers_data_pointer():
+    # every buffer a kernel takes is bound through kernel.address, the
+    # empty ones rd binds for an absent class included
+    block = np.zeros((2, 8))
+    for buffer in (np.arange(5, dtype=np.int64), np.zeros(3), np.zeros((2, 4), np.uint64),
+                   block[1], np.empty(0, np.int64)):
+        assert kernel.address(buffer) == buffer.ctypes.data

@@ -19,7 +19,8 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from aoisched.metrics import report_rows
-from aoisched.model import Scenario, UeClass, UeConfig, Variant
+from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
+from aoisched.policies import CmuPolicy
 from aoisched.sim import CHUNK, PolicySpec, RunConfig, run
 from cmu_oracle import run_slots
 from test_engine_golden import (CMU_GOLDEN, CMU_SYSTEMS, GOLDEN, HORIZON, SYSTEMS,
@@ -110,11 +111,15 @@ def test_lower_queues_starve_behind_an_overloaded_top_queue():
     assert all(s.arrivals > 0 for s in low)
 
 
-def test_a_system_without_queues_idles():
-    # a scenario of no UEs is valid, and cmu_serve keeps no tree for it
-    config = RunConfig(scenario=Scenario(ues=(), variant=Variant.LATENCY_WEIGHTED),
-                       policy=PolicySpec("cmu"), horizon=CHUNK + 1, seed=1, warmup=1)
-    assert report_rows(run(config), "x") == report_rows(run_slots(config), "x")
+def test_a_system_without_queues_is_rejected():
+    # model.check_structure calls a scenario of no UEs malformed, so cmu
+    # raises on it as every policy does, and its kernel never runs without
+    # a queue
+    scenario = Scenario(ues=(), variant=Variant.LATENCY_WEIGHTED)
+    with pytest.raises(ScenarioError, match="at least one ue"):
+        run(RunConfig(scenario=scenario, policy=PolicySpec("cmu"), horizon=CHUNK + 1, seed=1))
+    with pytest.raises(ScenarioError, match="at least one ue"):
+        CmuPolicy(scenario)
 
 
 # Three queues at a total load of 0.95, so queues are rarely all empty at a

@@ -460,6 +460,10 @@ def test_rd_select_checks_the_buffers_it_hands_the_kernel():
     p.block[:, :4] = 0.5
     p.select(8, 12)
     assert p.sums[:, 1].tolist() == [0, 0, 4]
+    draw(p, states, 12, 4, arriving=[0])
+    with pytest.raises(ValueError, match="skip an arrival not yet served"):
+        p.select(13, 16)                     # the aoi ue's arrival in slot 12
+    assert p.sums[:, 1].tolist() == [0, 0, 4]
     with pytest.raises(ValueError, match="a block of 8193 slots does not fit 8192"):
         draw(p, states, 16, 8193)
 
@@ -561,7 +565,11 @@ def test_cmu_rejects_mixed_scenarios():
 
 # rd: two AoI UEs gated at thresholds 1 and 3, two latency UEs whose shares
 # leave 0.1 of a slot when both are queued, and three throughput UEs, two
-# of them one (alpha, p) group; cmu: three queues at a load of about 0.95
+# of them one (alpha, p) group; rd_wide: 24 AoI UEs at q 0.6-0.95 and 8
+# latency UEs at q 0.1, ids interleaved, so most slots take several
+# arrivals, and cuts fall between a stream's consecutive ones, and the
+# latency shares overfill the slot when most are queued; cmu: three queues
+# at a load of about 0.95
 SPLIT_SYSTEMS = {
     "rd": lambda: RandomizedPolicy(Scenario(ues=(
         UeConfig(id=1, cls=UeClass.AOI, q=0.6, p=0.7, rho=1.0),
@@ -572,6 +580,11 @@ SPLIT_SYSTEMS = {
         UeConfig(id=6, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.1),
         UeConfig(id=7, cls=UeClass.THROUGHPUT, p=0.5, alpha=0.05),
     ), variant=Variant.LATENCY_CONSTRAINED), {1: 1, 4: 3}),
+    "rd_wide": lambda: RandomizedPolicy(Scenario(ues=tuple(
+        UeConfig(id=i, cls=UeClass.LATENCY, q=0.1, p=0.9, beta=3.0 + i % 7) if i % 4 == 0 else
+        UeConfig(id=i, cls=UeClass.AOI, q=0.6 + 0.35 * i / 32, p=0.7, rho=1.0 + i % 3)
+        for i in range(1, 33)) + (UeConfig(id=33, cls=UeClass.THROUGHPUT, p=0.9, alpha=0.05),),
+        variant=Variant.LATENCY_CONSTRAINED), {i: i % 6 for i in range(1, 33) if i % 4}),
     "cmu": lambda: CmuPolicy(Scenario(ues=(
         UeConfig(id=1, cls=UeClass.LATENCY, q=0.3, p=0.8, rho=1.0),
         UeConfig(id=2, cls=UeClass.LATENCY, q=0.2, p=0.6, rho=2.0),
@@ -580,15 +593,17 @@ SPLIT_SYSTEMS = {
 }
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(sorted(SPLIT_SYSTEMS)), seed=st.integers(0, 2 ** 32),
        n=st.integers(1, 400), data=st.data())
 def test_a_block_served_in_many_calls_is_served_as_in_one(name, seed, n, data):
     # rd_serve keeps its serving state between calls (the queued latency
-    # UEs, the pool and its best, each group's turn), as cmu_serve keeps
-    # its queue heads and g_prev: two blocks, each served in one call by
-    # one policy and cut anywhere into calls, empty ones included, by
-    # another, leave the same sums, backlog and state, stack growth included
+    # UEs, the pool and its best, each group's turn) and writes its timing
+    # wheel's cursors back to the queue heads at each call's end, as
+    # cmu_serve keeps its queue heads and g_prev: two blocks, each served
+    # in one call by one policy and cut anywhere into calls, empty ones
+    # included, by another, leave the same sums, backlog and state, stack
+    # growth included
     whole, cut = SPLIT_SYSTEMS[name](), SPLIT_SYSTEMS[name]()
     states = [stream_states(seed, p.store.frame.narr, p.store.frame.nrows) for p in (whole, cut)]
     for start in 0, n:
@@ -602,7 +617,7 @@ def test_a_block_served_in_many_calls_is_served_as_in_one(name, seed, n, data):
         assert cut.sums.tolist() == whole.sums.tolist()
         assert cut.backlog() == whole.backlog()
         assert cut.store.head.tolist() == whole.store.head.tolist()
-        if name == "rd":
+        if name != "cmu":
             fields = [f for f in kernel.UE_STATE.names if f != "stack"]  # an address
             assert cut.ue[fields].tolist() == whole.ue[fields].tolist()
             c, w = cut.frame, whole.frame

@@ -1,7 +1,7 @@
 """The compiled ``rd`` engine against its slot-by-slot reference.
 
 ``sim.run`` serves ``rd`` a segment per call of ``kernel.rd_serve``, which
-takes each slot's arrivals from the heads of the streams' queues, reads
+takes each slot's arrivals from a timing wheel over the streams' queues, reads
 the success and policy uniforms in place and sums each UE's statistics
 itself; ``two_tier_oracle.run_blocks`` walks the same draws one slot at a time
 through ``SlotRandomizedPolicy``, the per-slot class the engine ran before,
@@ -170,8 +170,9 @@ writer.writerows(report_rows(report, "many"))
 
 
 def test_many_latency_ues_run_on_a_small_stack():
-    # rd_serve's scratch is 16 B per latency UE, 8 per AoI UE and 8 per
-    # throughput group: 320 KB here, more than the 256 KiB stack
+    # rd_serve's state and scratch are 32 B per latency UE, 24 per AoI
+    # UE, 8 per throughput group and a 64 KiB timing wheel: 706 KB here,
+    # more than the 256 KiB stack
     idle, stack = 20_000, 256 * 1024
     env = {**os.environ, "PYTHONPATH": str(Path(aoisched.__file__).parents[1])}
     proc = subprocess.run(

@@ -36,7 +36,6 @@ COMPILER = (sysconfig.get_config_var("CC") or "cc").split()[0]
 BOTH = ("test_arrival_lists.py",
         "test_cmu_engine.py::test_lower_queues_starve_behind_an_overloaded_top_queue",
         "test_cmu_engine.py::test_window_edges_match_slot_reference",
-        "test_cmu_engine.py::test_a_system_without_queues_idles",
         "test_rd_engine.py::test_window_edges_match_slot_reference",
         "test_policies.py::test_rd_latency_stack_grows_across_blocks",
         "test_policies.py::test_a_block_served_in_many_calls_is_served_as_in_one")

@@ -288,8 +288,9 @@ def test_one_block_costs_under_64_bytes_per_slot(policy):
     # slots 0..CHUNK-1 are one block.  Its draws stay in numpy buffers read
     # in place, and its arrival table shares tuples; holding the block's
     # uniforms and arrival slots as Python lists cost 91 B/slot (rd: 131).
-    # rd serves its arrivals from the queues they are drawn into, where a
-    # second list of them in slot order cost 45.8 B/slot
+    # rd serves its arrivals from the queues they are drawn into, through
+    # a timing wheel of 8 B/slot, where a second list of them in slot
+    # order cost 45.8 B/slot
     scenario = weighted() if policy == "hier" else constrained()
     per_slot = _alloc_peak(scenario, policy, CHUNK - 1) / (CHUNK - 1)
     assert per_slot < (40 if policy == "rd" else 64), f"{per_slot:.1f} B per slot"
