@@ -163,8 +163,12 @@ void seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64_t 
    arrival stream: queue pos[k] has an arrival in slot start + i, for
    0 < start + i and i < n, iff draw i of the block is below q[k].  Stream
    narr + r, r < nrows, fills row r of the block's uniforms,
-   rows[r * width:][0:n].  Queue j holds its packets' arrival slots,
-   ascending, in queues[j][head[j]:end[j]] of cap[j] elements. */
+   rows[r * width:][0:n].  Queue j of cap[j] elements holds its arrivals
+   not yet served, ascending, in queues[j][head[j]:end[j]]; below them,
+   queues[j][0:depth[j]] is rd's newest-first stack of a latency UE's
+   packets taken from the queue, newest last, and [depth[j], head[j]) is
+   free.  depth[j] <= head[j], since rd_serve advances past each arrival
+   before pushing it; depth is 0 for every first-in-first-out queue. */
 struct store {
     uint64_t *pcg;
     int64_t narr, nrows;
@@ -174,7 +178,7 @@ struct store {
     int64_t width, start, n, need;
     int64_t *const *queues;
     const int64_t *cap;
-    int64_t *head, *end;
+    int64_t *head, *end, *depth;
 };
 
 /* Streams drawn side by side: each one's draws are a chain of dependent
@@ -188,13 +192,16 @@ enum { LANES = 2 };
    stream k on (a + f <= LANES), slot by slot, each stream's draw in turn:
    an arrival is written at its queue's end while the storage has room, and
    counted in any case, so the draws take no branch.  Each arrival queue
-   whose live packets are no more than those that left it (head[j] of them)
-   is first moved to the front of its storage: each packet that left pays
-   for at most one move, so a run moves fewer packets than arrive, and a
-   queue that lacks room after the move lacks it for more packets than it
-   holds, which doubling its storage pays for.  Returns 0 once every stream's states and queue ends are advanced; or
-   1 + the first arrival stream whose queue lacks room for its arrivals,
-   its live packets plus arrivals in store->need, every state and end of
+   whose live packets are no more than the gap below them, head[j] -
+   depth[j], is first moved down onto its stack: only a packet that leaves
+   the storage (a delivery, or an arrival taken other than onto the stack)
+   widens the gap, and each pays for at most one move, so a run moves no
+   more packets than leave.  A queue that lacks room after that grows to
+   at least twice its storage, so its growths copy fewer packets than its
+   final storage holds.
+   Returns 0 once every stream's states and queue ends are advanced; or 1 +
+   the first arrival stream whose queue lacks room for its arrivals, its
+   stack, live packets and arrivals in store->need, every state and end of
    the group left as it was, so drawing the group again, once the queue has
    room, draws the same. */
 static inline __attribute__((always_inline)) int64_t group(struct store *restrict s, int64_t k,
@@ -211,15 +218,15 @@ static inline __attribute__((always_inline)) int64_t group(struct store *restric
         inc[l] = (u128)p[3] << 64 | p[2];
     }
     for (int l = 0; l < a; l++) {
-        const int64_t j = s->pos[k + l], h = s->head[j];
+        const int64_t j = s->pos[k + l], h = s->head[j], d = s->depth[j];
         queue[l] = s->queues[j];
         e[l] = s->end[j];
         c[l] = s->cap[j];
         below[l] = (uint64_t)ceil(s->q[k + l] * 0x1.0p53);
-        if (h && e[l] - h <= h) {
-            memmove(queue[l], queue[l] + h, (size_t)(e[l] - h) * sizeof *queue[l]);
-            s->end[j] = e[l] -= h;
-            s->head[j] = 0;
+        if (h > d && e[l] - h <= h - d) {
+            memmove(queue[l] + d, queue[l] + h, (size_t)(e[l] - h) * sizeof *queue[l]);
+            s->end[j] = e[l] -= h - d;
+            s->head[j] = d;
         }
     }
     for (int l = a; l < a + f; l++)
@@ -246,7 +253,8 @@ static inline __attribute__((always_inline)) int64_t group(struct store *restric
     }
     for (int l = 0; l < a; l++)
         if (e[l] > c[l]) {
-            s->need = e[l] - s->head[s->pos[k + l]];
+            const int64_t j = s->pos[k + l];
+            s->need = s->depth[j] + e[l] - s->head[j];
             return 1 + k + l;
         }
     for (int l = 0; l < a; l++)
@@ -459,9 +467,6 @@ int64_t cmu_serve(const struct cmu *restrict c, int64_t a, int64_t b)
    numpy dtype kernel.UE_STATE: all fields are 8 bytes, so neither side
    pads.  Fields a UE's class does not use keep their initial values. */
 struct ue {
-    int64_t *stack;   /* latency: its queued packets' arrival slots, newest last */
-    int64_t depth;    /* how many it holds */
-    int64_t room;     /* and how many it has room for */
     /* AoI eligibility gate: a bump needs more than threshold slots since
        the last; while counter > delivered each arrival is retained */
     int64_t threshold, bump, counter, delivered;
@@ -478,7 +483,7 @@ struct ue {
 /* rd's state (policies.RandomizedPolicy), bound once.  u holds the
    block's success uniforms and draws its policy uniforms, the store's rows
    0 and 1, and the store's queue i the arrival slots of AoI or latency UE
-   i not yet served.
+   i not yet served, and below them a latency UE's stack.
    members lists the AoI positions, then the latency ones, then the
    throughput ones group after group, each ascending; groups[g] is where
    group g starts among the throughput ones (ngroups + 1 entries).  ue and
@@ -489,7 +494,7 @@ struct ue {
    order, and best, the one whose packet outranks the others' (-1 if np is
    0); and turn[g], where group g's candidate stands (ngroups entries, 0 at
    first).  wheel (the store's width), link and cursor (naoi + nlat each)
-   are its scratch, so the stack holds none of these however many UEs
+   are its scratch, so the C stack holds none of these however many UEs
    there are. */
 struct rd {
     const struct store *store;
@@ -588,11 +593,9 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
 
 /* Serve slots [a, b) of the store's block under the randomised latency
    policy (see policies.RandomizedPolicy), in the engine's per-slot order:
-   the slot's arrivals, then one selection, then the outcome.  Returns 0;
-   -1, serving none, if [a, b) is not in the block or a queued arrival is
-   before a (the calls skipped slots); or 1 + i, serving none, if latency
-   UE i's stack lacks room for its queued arrivals, for the caller to grow
-   it and call again.
+   the slot's arrivals, then one selection, then the outcome.  Returns 0,
+   or -1, serving none, if [a, b) is not in the block or a queued arrival
+   is before a (the calls skipped slots).
 
    Stream k (k < naoi + nlat) is queue members[k] of the store, read
    first-in-first-out from cursor[k], which starts at its head: a timing
@@ -609,6 +612,11 @@ static inline void accrue(int64_t *s, struct ue *x, int64_t t)
    is kept sorted whatever order UEs join it in; and the pool's best is
    the maximum under outranks, a total order, whatever order its members
    are retained in.
+
+   A latency UE's arrival taken in slot t is pushed onto its stack,
+   queues[i][depth[i]++] = t, where the cursor has already passed it, so
+   depth[i] never passes the cursor and the stack never reaches a packet
+   not yet taken: the store's storage holds both, and nothing here grows.
 
    In slot t, the policy uniform picks the latency queue whose partition
    interval holds it, which sends its newest packet; a draw in the
@@ -637,19 +645,14 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
     const int64_t naoi = r->naoi, nlat = r->nlat, ngroups = r->ngroups, base = store->start;
     const int64_t *restrict members = r->members, *restrict groups = r->groups;
     int64_t *const *queues = store->queues;
-    int64_t *restrict head = store->head;
+    int64_t *restrict head = store->head, *restrict depth = store->depth;
     const int64_t *restrict end = store->end;
     struct ue *restrict ue = r->ue;
     int64_t *restrict sums = r->sums, *restrict queued = r->queued;
     int64_t *restrict pool = r->pool, *restrict turn = r->turn;
     int64_t *restrict wheel = r->wheel, *restrict link = r->link, *restrict cursor = r->cursor;
     double *restrict cum = r->cum;
-    const int64_t *aoi = members, *lat = aoi + naoi, *thr = lat + nlat;
-    for (int64_t k = 0; k < nlat; k++) {
-        const int64_t i = lat[k];
-        if (ue[i].depth + end[i] - head[i] > ue[i].room)
-            return 1 + i;
-    }
+    const int64_t *aoi = members, *thr = aoi + naoi + nlat;
     for (int64_t t = a; t < b; t++)
         wheel[t - a] = -1;
     for (int64_t k = 0; k < naoi + nlat; k++) {
@@ -678,15 +681,14 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
                 if (k < naoi)
                     aoi_arrival(ue, i, t, pool, &np, &best);
                 else {
-                    struct ue *x = &ue[i];
-                    if (!x->depth) {  /* into queued, ascending */
+                    if (!depth[i]) {  /* into queued, ascending */
                         int64_t j = nq++;
                         for (; j && queued[j - 1] > i; j--)
                             queued[j] = queued[j - 1];
                         queued[j] = i;
                         regroup = 1;
                     }
-                    x->stack[x->depth++] = t;
+                    queues[i][depth[i]++] = t;
                 }
             }
             if (regroup)
@@ -702,8 +704,8 @@ int64_t rd_serve(struct rd *restrict r, int64_t a, int64_t b)
             int64_t *s = sums + i * NSUMS;
             s[ATTEMPTS]++;
             if (u[t - base] < x->p) {
-                record(s, &x->g_prev, x->stack[--x->depth], t);
-                if (!x->depth) {
+                record(s, &x->g_prev, queues[i][--depth[i]], t);
+                if (!depth[i]) {
                     memmove(queued + k, queued + k + 1, (size_t)(--nq - k) * sizeof *queued);
                     partition(nq, queued, ue, cum);
                 }

@@ -49,7 +49,10 @@ def parse_grid(text: str) -> list[float]:
         a, b, step = values
         if step <= 0:
             raise ScenarioError("grid step must be positive")
-        n = int(round((b - a) / step))
+        steps = (b - a) / step
+        if not math.isfinite(steps):
+            raise ScenarioError(f"grid {text!r} has a number of steps that is not finite")
+        n = int(round(steps))
         values = [v for v in (round(a + i * step, 12) for i in range(n + 1))
                   if v <= b + step * 0.5]
     if not values:

@@ -21,8 +21,10 @@ two numbers; ``UE_STATE`` lays out ``rd``'s per-UE state as the C
 mirrored here.  ``QueueStore``, every policy's arrival lister, decides
 which positions draw an arrival stream, and holds the queues of arrival
 slots that ``draw_block`` appends to and that ``cmu_serve`` and
-``rd_serve`` read first-in-first-out; ``grown`` is the one growth rule of
-every buffer the kernels write.
+``rd_serve`` read first-in-first-out, and below each latency UE's
+queue under ``rd`` the newest-first stack of packets ``rd_serve`` has
+taken from it; ``grown``, which ``QueueStore.draw`` alone calls, is the
+one growth rule of every buffer the kernels write.
 
 ``seed_streams`` seeds each stream as numpy's ``SeedSequence`` and
 ``PCG64`` do, and ``draw_block`` steps its state as ``PCG64`` does and
@@ -99,7 +101,7 @@ _P, _I = ctypes.c_void_p, ctypes.c_int64
 class Store(ctypes.Structure):
     _fields_ = [("pcg", _P), ("narr", _I), ("nrows", _I), ("pos", _P), ("q", _P),
                 ("rows", _P), ("width", _I), ("start", _I), ("n", _I), ("need", _I),
-                ("queues", _P), ("cap", _P), ("head", _P), ("end", _P)]
+                ("queues", _P), ("cap", _P), ("head", _P), ("end", _P), ("depth", _P)]
 
 
 class Cmu(ctypes.Structure):
@@ -116,13 +118,11 @@ class Rd(ctypes.Structure):
                 ("nq", _I), ("np", _I), ("best", _I)]
 
 
-# One UE's state under rd, _kernel.c's struct ue: the address, depth and
-# room of a latency UE's stack, the AoI gate, the throughput tier's tries,
-# then the doubles.
-UE_STATE = np.dtype([("stack", np.uintp)]
-                    + [(name, np.int64) for name in (
-                        "depth", "room", "threshold", "bump", "counter", "delivered", "packet",
-                        "lam", "aged", "g_prev", "tries")]
+# One UE's state under rd, _kernel.c's struct ue: the AoI gate, the
+# throughput tier's tries, then the doubles.  A latency UE's stack is in
+# its queue of the store.
+UE_STATE = np.dtype([(name, np.int64) for name in ("threshold", "bump", "counter", "delivered",
+                                                   "packet", "lam", "aged", "g_prev", "tries")]
                     + [(name, np.float64) for name in ("p", "weight", "index")])
 
 
@@ -151,11 +151,12 @@ seed_streams.restype, seed_streams.argtypes = None, [_P, ctypes.c_char_p, _I, _I
 NSUMS = 9
 
 
-def grown(buffer: np.ndarray, need: int, h: int = 0, e: int = 0) -> np.ndarray:
+def grown(buffer: np.ndarray, need: int, depth: int, h: int, e: int) -> np.ndarray:
     """Storage of the least power of two >= max(``need``, 2 * len(``buffer``))
-    elements, starting with ``buffer[h:e]``."""
+    elements, starting with ``buffer[:depth]`` and then ``buffer[h:e]``."""
     grown = np.empty(1 << (max(need, 2 * len(buffer)) - 1).bit_length(), np.int64)
-    grown[:e - h] = buffer[h:e]
+    grown[:depth] = buffer[:depth]
+    grown[depth:depth + e - h] = buffer[h:e]
     return grown
 
 
@@ -164,6 +165,10 @@ class QueueStore:
     of ``cap[j]`` elements, at address ``at[j]`` (0 until it first holds one),
     and the streams that fill them and the block's rows of uniforms, all
     bound with every address in ``frame``, ``_kernel.c``'s ``struct store``.
+    Below a queue's head, ``queues[j][:depth[j]]`` is the stack of packets
+    that ``rd_serve`` took from a latency UE's queue, newest last, and
+    ``[depth[j], head[j])`` is free: ``depth[j] <= head[j]``, and ``depth``
+    stays 0 for every queue read first-in-first-out.
 
     ``qs`` gives each position's q, or None for a position without an
     arrival stream; the positions with one, ascending, are ``pos``, and
@@ -177,7 +182,7 @@ class QueueStore:
                             "array of rows")
         n = len(qs)
         self.queues = [np.empty(0, np.int64)] * n
-        self.head, self.end, self.cap = (np.zeros(n, np.int64) for _ in range(3))
+        self.head, self.end, self.cap, self.depth = (np.zeros(n, np.int64) for _ in range(4))
         self.at = np.zeros(n, np.uintp)
         self.pos = np.array([j for j, q in enumerate(qs) if q is not None], np.int64)
         self.q = np.array([q for q in qs if q is not None], np.float64)
@@ -185,7 +190,7 @@ class QueueStore:
         self._rows, self._states = rows, None
         self.frame = Store(None, len(self.pos), len(rows), address(self.pos), address(self.q),
                            address(rows), self.width, 0, 0, 0,
-                           *map(address, (self.at, self.cap, self.head, self.end)))
+                           *map(address, (self.at, self.cap, self.head, self.end, self.depth)))
 
     def draw(self, start: int, n: int, states: np.ndarray) -> None:
         """Draw the block of ``n`` slots from ``start`` of every stream, in
@@ -193,10 +198,10 @@ class QueueStore:
         (``rng.stream_states``): the arrival streams' rows first, then the
         rows' streams.  Slot 0 takes no arrival.  The ``states`` array is
         bound at its first block.  Before a queue's arrivals are drawn, its
-        live packets move to the front of its storage if no more of them
-        are live than have left it; a queue whose arrivals still do not fit
-        moves, packets first, to ``grown`` storage, and its group of
-        streams is drawn again, from the same states."""
+        live packets move down onto its stack if the free gap below them
+        holds them all; a queue whose arrivals still do not fit moves, stack
+        and packets first, to ``grown`` storage, and its group of streams is
+        drawn again, from the same states."""
         if not 0 <= n <= self.width:
             raise ValueError(f"a block of {n} slots does not fit {self.width} uniforms")
         frame = self.frame
@@ -212,7 +217,7 @@ class QueueStore:
         while r := draw_block(frame, k):
             k = r - 1
             j = int(self.pos[k])
-            h, e = int(self.head[j]), int(self.end[j])
-            self.queues[j] = queue = grown(self.queues[j], frame.need, h, e)
+            d, h, e = int(self.depth[j]), int(self.head[j]), int(self.end[j])
+            self.queues[j] = queue = grown(self.queues[j], frame.need, d, h, e)
             self.at[j], self.cap[j], self.head[j], self.end[j] = (
-                address(queue), len(queue), 0, e - h)
+                address(queue), len(queue), d, d + e - h)

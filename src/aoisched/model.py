@@ -28,6 +28,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 
@@ -68,27 +69,32 @@ class UeConfig:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A system's UEs and its variant.  Its layout, ``positions`` and the
+    UEs of each class, is derived from the fields on first use and kept in
+    the instance's ``__dict__``, outside the fields, so equality, hashing,
+    ``replace`` and ``repr`` see only ``ues`` and ``variant``."""
+
     ues: tuple[UeConfig, ...]
     variant: Variant
 
     def by_class(self, cls: UeClass) -> tuple[UeConfig, ...]:
         return tuple(u for u in self.ues if u.cls is cls)
 
-    @property
+    @cached_property
     def positions(self) -> tuple[UeConfig, ...]:
         """The UEs by ascending id: a UE's *position* is its index here,
         and every engine's per-UE state is indexed by it (see ``rng``)."""
         return tuple(sorted(self.ues, key=lambda u: u.id))
 
-    @property
+    @cached_property
     def aoi_ues(self) -> tuple[UeConfig, ...]:
         return self.by_class(UeClass.AOI)
 
-    @property
+    @cached_property
     def latency_ues(self) -> tuple[UeConfig, ...]:
         return self.by_class(UeClass.LATENCY)
 
-    @property
+    @cached_property
     def throughput_ues(self) -> tuple[UeConfig, ...]:
         return self.by_class(UeClass.THROUGHPUT)
 

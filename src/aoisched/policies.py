@@ -295,11 +295,14 @@ class RandomizedPolicy:
     candidate as its members attempt and the queued latency UEs' partition
     as they change, so no step of a slot walks every UE; it keeps that
     serving state between calls, in ``frame``, so a block served in many
-    calls is served as in one.  The block's uniforms (``block``), the
-    kernel's per-UE state, the wheel (a slot of the block each) and every
-    address the kernels take (``frame``, ``_kernel.c``'s ``struct rd``)
-    are bound here, once, so a call converts no array and the C stack
-    holds no per-UE state at any number of UEs.
+    calls is served as in one.  A latency UE's queued packets, newest
+    first, are a stack in its queue's storage below the arrivals not yet
+    taken (``kernel.QueueStore``), so they grow with the queue and a call
+    never stops for room.  The block's uniforms (``block``), the kernel's
+    per-UE state, the wheel (a slot of the block each) and every address
+    the kernels take (``frame``, ``_kernel.c``'s ``struct rd``) are bound
+    here, once, so a call converts no array and the C stack holds no
+    per-UE state at any number of UEs.
     """
 
     name = "rd"
@@ -327,11 +330,9 @@ class RandomizedPolicy:
         self.ue = ue
         # the block's success and policy uniforms, drawn with its arrivals;
         # each AoI and latency UE's arrival slots not yet served, queue i of
-        # ``store``; a latency UE's stack, grown to hold its queued arrivals
-        # (None for other classes)
+        # ``store``, below which a latency UE keeps its stack
         self.block = np.empty((2, kernel.CHUNK))
         self.store = kernel.QueueStore([u.q for u in ues], self.block)
-        self.stacks = [np.empty(0, np.int64) if u.cls is UeClass.LATENCY else None for u in ues]
         # each position's sums since on_outcome last ran
         self.sums = np.zeros((n, kernel.NSUMS), np.int64)
         # AoI, latency, then each throughput group's members, ascending,
@@ -364,16 +365,8 @@ class RandomizedPolicy:
         slot on, adding each position's sums over them to its row of
         ``sums``; slots outside the block, or after an arrival not yet
         served (each call takes up where the last left off), raise
-        ValueError.  A latency stack that lacks room for its queued
-        arrivals, which the kernel names before serving any slot, moves to
-        ``grown`` storage first."""
-        while (grow := kernel.rd_serve(self.frame, a, b)) > 0:
-            i, ue, store = grow - 1, self.ue, self.store
-            depth = int(ue["depth"][i])
-            need = depth + int(store.end[i] - store.head[i])
-            self.stacks[i] = stack = kernel.grown(self.stacks[i], need, 0, depth)
-            ue["stack"][i], ue["room"][i] = kernel.address(stack), len(stack)
-        if grow:
+        ValueError."""
+        if kernel.rd_serve(self.frame, a, b):
             raise ValueError(f"slots [{a}, {b}) are not in the block drawn, or skip an "
                              f"arrival not yet served")
 
@@ -386,10 +379,11 @@ class RandomizedPolicy:
 
     def backlog(self) -> list[tuple[int, int]]:
         """Each position's count and sum of arrival slots of undelivered
-        packets: a latency UE's queue, an AoI UE's retained packet."""
-        depth, packet = self.ue["depth"].tolist(), self.ue["packet"].tolist()
-        return [(d, int(stack[:d].sum())) if d else (1, g) if g >= 0 else (0, 0)
-                for stack, d, g in zip(self.stacks, depth, packet)]
+        packets: a latency UE's stack, an AoI UE's retained packet."""
+        store = self.store
+        return [(d, int(queue[:d].sum())) if d else (1, g) if g >= 0 else (0, 0)
+                for queue, d, g in zip(store.queues, store.depth.tolist(),
+                                       self.ue["packet"].tolist())]
 
 
 class CmuPolicy:

@@ -224,15 +224,18 @@ def test_rd_serves_its_queues_to_the_end_and_the_next_block_reuses_them(start, n
     states = pcg_rows(generators(start + n, len(classes) + 2))
     store, sums = policy.store, policy.sums
     # blocks of n slots with the same arrivals (slot 0 has none): after the
-    # second, the queues neither grow nor move
+    # second, a queue neither grows nor moves unless the stack below its
+    # arrivals grew, as a starved latency UE's does with its backlog
     for block in range(4):
         first = start + block * n
         slots = [list(range(max(first, 1), first + n)) if q else [] for q in qs]
         policy.update_index(first, n, states)
         assert [listed(store, i) for i in arriving] == slots
         if block <= 1:
-            cap, at = store.cap.copy(), store.at.copy()
-        assert store.cap.tolist() == cap.tolist() and store.at.tolist() == at.tolist()
+            cap, at, depth = store.cap.copy(), store.at.copy(), store.depth.copy()
+        same = store.depth == depth
+        assert store.cap[same].tolist() == cap[same].tolist()
+        assert store.at[same].tolist() == at[same].tolist()
         policy.block[:, :n] = [[0.0] * n, [0.5] * n]
         policy.select(max(first, 1), first + n)
         assert store.head.tolist() == store.end.tolist()
@@ -296,13 +299,18 @@ def test_store_takes_one_contiguous_float64_buffer_and_blocks_that_fit_it():
     assert store.end.tolist() == [0]
 
 
-@pytest.mark.parametrize("cap, need, size", [(0, 1, 1), (0, 5, 8), (8, 5, 16), (8, 9, 16),
-                                             (8, 17, 32), (16, 16, 32)])
-def test_growth_is_the_least_power_of_two_at_least_need_and_twice_the_storage(cap, need, size):
+@pytest.mark.parametrize("cap, need, depth, size", [
+    (0, 1, 0, 1), (0, 5, 0, 8), (8, 5, 0, 16), (8, 9, 0, 16), (8, 17, 0, 32), (16, 16, 0, 32),
+    (8, 20, 3, 32)])
+def test_growth_is_the_least_power_of_two_at_least_need_and_twice_the_storage(cap, need, depth,
+                                                                             size):
+    # the stack buffer[:depth] stays where it is, and the live packets
+    # buffer[cap // 2:] follow it
     buffer = np.arange(cap, dtype=np.int64)
-    grown = kernel.grown(buffer, need, cap // 2, cap)
+    grown = kernel.grown(buffer, need, depth, cap // 2, cap)
     assert len(grown) == size
-    assert grown[:cap - cap // 2].tolist() == buffer[cap // 2:].tolist()
+    kept = depth + cap - cap // 2
+    assert grown[:kept].tolist() == buffer[:depth].tolist() + buffer[cap // 2:].tolist()
 
 
 def test_address_is_the_buffers_data_pointer():

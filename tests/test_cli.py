@@ -97,10 +97,11 @@ def test_parse_grid_forms():
     ("x:1:0.1", "not a number"),
     ("0.5:0.1:0.1", "no values"),
     ("", "no values"),
+    ("0:1e308:1e-308", "number of steps"),
 ])
 def test_cli_malformed_grid_exits_1(scenario_file, tmp_path, capsys, grid, reason):
-    # each ended in a ValueError or OverflowError traceback, or (the last
-    # two) in a header-only CSV and exit 0
+    # each ended in a ValueError or OverflowError traceback, or (the two
+    # "no values" grids) in a header-only CSV and exit 0
     out = tmp_path / "out.csv"
     argv = ["sweep", str(scenario_file), "--param", "alpha", "--grid", grid, "--seeds", "1",
             "--horizon", "1000", "--out", str(out)]

@@ -1,5 +1,7 @@
 import math
+import pickle
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -170,6 +172,23 @@ def test_scenario_dict_rejects_unknown_keys():
            "bogus": True}
     with pytest.raises(ScenarioError, match="top-level"):
         scenario_from_dict(doc)
+
+
+def test_scenario_layout_is_derived_once_and_is_not_a_field():
+    scn = Scenario(ues=(thr(id=3), lat_c(id=2), aoi(id=1)), variant=Variant.LATENCY_CONSTRAINED)
+    fresh = Scenario(ues=scn.ues, variant=scn.variant)
+    assert [u.id for u in scn.positions] == [1, 2, 3]
+    assert scn.positions is scn.positions and scn.aoi_ues is scn.aoi_ues
+    assert (scn.aoi_ues, scn.latency_ues, scn.throughput_ues) == ((aoi(),), (lat_c(),), (thr(),))
+    # the derived layout takes no part in equality, hashing or repr
+    assert scn == fresh and hash(scn) == hash(fresh) and repr(scn) == repr(fresh)
+    # a replaced scenario derives its own, and a pickled one, as sweep's
+    # workers receive it, is equal and lays out the same
+    swapped = replace(scn, ues=scn.ues[:2])
+    assert [u.id for u in swapped.positions] == [2, 3] and swapped.aoi_ues == ()
+    back = pickle.loads(pickle.dumps(scn))
+    assert back == scn and hash(back) == hash(scn)
+    assert back.positions == scn.positions and back.throughput_ues == scn.throughput_ues
 
 
 def test_replace_param():

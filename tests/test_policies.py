@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisched import kernel
 from aoisched.metrics import UeMetrics
 from aoisched.model import Scenario, ScenarioError, UeClass, UeConfig, Variant
 from aoisched.policies import CmuPolicy, HierarchicalPolicy, RandomizedPolicy, thresholds_for
@@ -407,7 +406,7 @@ def test_rd_latency_ues_have_no_index():
     p = rd()
     rd_served(p, [0.99], arrivals=[(), (1,)])
     assert p.ue["index"][LAT] == 0.0 and p.ue["packet"][LAT] == -1
-    assert p.ue["depth"][LAT] == 1
+    assert p.store.depth[LAT] == 1
 
 
 def test_rd_success_clears_aoi_candidate_only():
@@ -423,14 +422,17 @@ def test_rd_success_clears_aoi_candidate_only():
     assert not p.sums.any()                  # zeroed once added
     # slots 1 and 2 stay queued; the delivered aoi packet leaves no backlog
     assert p.backlog() == [(0, 0), (2, 1 + 2), (0, 0)]
-    assert p.stacks[AOI] is None and p.stacks[THR] is None   # only latency ues keep a stack
+    assert p.store.depth.tolist() == [0, 2, 0]   # only latency ues keep a stack
 
 
 def test_rd_latency_stack_grows_across_blocks():
     # the latency ue has an arrival in every slot, and every draw falls in
-    # the leftover (theta 0.75), so its stack keeps every packet: its
-    # storage grows to the next power of two holding the block's arrivals
-    # on top of the stack, keeping what it held
+    # the leftover (theta 0.75), so its stack keeps every packet.  The stack
+    # is the bottom of its queue, and no gap opens above it, so before each
+    # block the queue needs its stack, no live packet (each block's are
+    # taken by its end) and the block's arrivals: 7, 15, 23, 31, 39, 47.
+    # Its storage, when that does not fit, grows to the least power of two
+    # at least that and twice what it had, keeping the stack
     p, metrics = rd(), [UeMetrics(u.id, u.cls) for u in constrained_scenario().ues]
     states, caps = states_of(p), []
     for start in range(0, 48, 8):
@@ -438,7 +440,8 @@ def test_rd_latency_stack_grows_across_blocks():
         p.block[:, :8] = [[0.0] * 8, [0.99] * 8]
         p.select(max(start, 1), start + 8)
         p.on_outcome(metrics)
-        caps.append(len(p.stacks[LAT]))
+        caps.append(int(p.store.cap[LAT]))
+        assert p.store.depth[LAT] == p.store.head[LAT] == p.store.end[LAT] == start + 7
     assert caps == [8, 16, 32, 32, 64, 64]
     assert [m.attempts for m in metrics] == [0, 0, 47]
     assert metrics[LAT].arrivals == 47 and metrics[LAT].deliveries == 0
@@ -602,8 +605,8 @@ def test_a_block_served_in_many_calls_is_served_as_in_one(name, seed, n, data):
     # wheel's cursors back to the queue heads at each call's end, as
     # cmu_serve keeps its queue heads and g_prev: two blocks, each served
     # in one call by one policy and cut anywhere into calls, empty ones
-    # included, by another, leave the same sums, backlog and state, stack
-    # growth included
+    # included, by another, leave the same sums, backlog and state, the
+    # stacks in the queues included
     whole, cut = SPLIT_SYSTEMS[name](), SPLIT_SYSTEMS[name]()
     states = [stream_states(seed, p.store.frame.narr, p.store.frame.nrows) for p in (whole, cut)]
     for start in 0, n:
@@ -617,9 +620,9 @@ def test_a_block_served_in_many_calls_is_served_as_in_one(name, seed, n, data):
         assert cut.sums.tolist() == whole.sums.tolist()
         assert cut.backlog() == whole.backlog()
         assert cut.store.head.tolist() == whole.store.head.tolist()
+        assert cut.store.depth.tolist() == whole.store.depth.tolist()
         if name != "cmu":
-            fields = [f for f in kernel.UE_STATE.names if f != "stack"]  # an address
-            assert cut.ue[fields].tolist() == whole.ue[fields].tolist()
+            assert cut.ue.tolist() == whole.ue.tolist()
             c, w = cut.frame, whole.frame
             assert (c.nq, c.np, c.best) == (w.nq, w.np, w.best)
         else:

@@ -14,8 +14,8 @@ against numpy's, a seed of over a thousand words included, its draws
 against ``Generator.random``, bit for bit, and its queues' compaction and
 growth, the overflow and redraw of a lane group included), an overloaded
 ``cmu`` case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
-``rd``'s stack growth, whose ``rd_serve`` call returns for a stack to
-grow and then runs again, and a block of each served in many calls, whose
+``rd``'s latency stack growing with the queue that holds it, below the
+arrivals not yet taken, and a block of each served in many calls, whose
 serving state carries from call to call, so every kernel entry point and
 return runs under each sanitizer.
 The slow property tests, whose Python oracle walks every slot, are shared
