@@ -85,10 +85,11 @@ static inline uint32_t mix(uint32_t x, uint32_t y)
     return r ^ r >> 16;
 }
 
-/* Word i of a spawned stream's entropy: the nw words of the run seed,
-   little-endian bytes, padded with zeros to the pool's size (numpy pads a
-   seed shorter than the pool before a spawn key), then the nk words of
-   the spawn key. */
+/* Word i of a sequence's entropy: the nw words of the seed, little-endian
+   bytes, padded with zeros to the pool's size (numpy pads a seed shorter
+   than the pool before a spawn key, and without one hashes zeros into
+   the pool's words past the seed's), then the nk words of the spawn
+   key. */
 static inline uint32_t entropy(const unsigned char *seed, int64_t nw, const uint32_t *key,
                                int64_t i)
 {
@@ -100,18 +101,15 @@ static inline uint32_t entropy(const unsigned char *seed, int64_t nw, const uint
     return i < pad ? 0 : key[i - pad];
 }
 
-/* Write to p[0:4] the PCG64 state and increment, each low 64 bits first,
-   that np.random.PCG64(SeedSequence([seed], spawn_key=key)) starts from.
-   The sequence's first four 64-bit words w, each two of its 32-bit words
-   low first, give the 128-bit seed w0:w1 and sequence w2:w3 (high word
-   first), which seed PCG64 as pcg64_srandom_r does: the increment is
-   2 * sequence + 1, and the state 0 is stepped, the seed added, and the
-   state stepped again. */
-static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, const uint32_t *key,
-                        int64_t nk)
+/* The pool of SeedSequence(entropy, spawn_key=key): the nw words of
+   entropy (entropy() reads them) and then the nk words of the key hashed
+   into POOL words, each mixed into every other, and the words past the
+   pool mixed into all of them. */
+static void seed_pool(uint32_t pool[POOL], const unsigned char *seed, int64_t nw,
+                      const uint32_t *key, int64_t nk)
 {
     const int64_t len = (nw < POOL ? POOL : nw) + nk;
-    uint32_t pool[POOL], hash = 0x43b0d7e5u;
+    uint32_t hash = 0x43b0d7e5u;
     for (int i = 0; i < POOL; i++)
         pool[i] = hashmix(entropy(seed, nw, key, i), &hash);
     for (int src = 0; src < POOL; src++)
@@ -121,15 +119,36 @@ static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, cons
     for (int64_t src = POOL; src < len; src++)
         for (int dst = 0; dst < POOL; dst++)
             pool[dst] = mix(pool[dst], hashmix(entropy(seed, nw, key, src), &hash));
-    uint64_t w[4];
-    hash = 0x8b51f9ddu;
-    for (int i = 0; i < 8; i++) {
+}
+
+/* generate_state(n, np.uint64) of the sequence whose pool is pool: the
+   pool, cycled, hashed into 2n 32-bit words, read two at a time, low
+   first. */
+static void generate_state(const uint32_t pool[POOL], uint64_t *w, int n)
+{
+    uint32_t hash = 0x8b51f9ddu;
+    for (int i = 0; i < 2 * n; i++) {
         uint32_t value = pool[i % POOL] ^ hash;
         hash *= 0x58f38dedu;
         value *= hash;
         value ^= value >> 16;
         w[i / 2] = i % 2 ? w[i / 2] | (uint64_t)value << 32 : value;
     }
+}
+
+/* Write to p[0:4] the PCG64 state and increment, each low 64 bits first,
+   that numpy's PCG64(SeedSequence([seed], spawn_key=key)) starts from.
+   The sequence's first four 64-bit words w give the 128-bit seed w0:w1
+   and sequence w2:w3 (high word first), which seed PCG64 as
+   pcg64_srandom_r does: the increment is 2 * sequence + 1, and the state
+   0 is stepped, the seed added, and the state stepped again. */
+static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, const uint32_t *key,
+                        int64_t nk)
+{
+    uint32_t pool[POOL];
+    uint64_t w[4];
+    seed_pool(pool, seed, nw, key, nk);
+    generate_state(pool, w, 4);
     const u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
     const u128 state = (inc + ((u128)w[0] << 64 | w[1])) * MULT + inc;
     p[0] = (uint64_t)state;
@@ -138,12 +157,37 @@ static void seed_stream(uint64_t *p, const unsigned char *seed, int64_t nw, cons
     p[3] = (uint64_t)(inc >> 64);
 }
 
-/* The rows of a run's streams, as rng.substreams spawns them from
-   SeedSequence([seed]) and draw_block reads them: row k < narr (< 2^32,
-   so k is one word) for arrival stream k, spawn key (0, k); then, of
-   nrows <= 2, the success stream's, key (2,), and the policy stream's,
-   key (1,).  seed holds the run seed's nw >= 1 32-bit words, as numpy
-   splits a nonnegative int, read in place. */
+/* The first word of SeedSequence(words).generate_state(1, np.uint64), for
+   an entropy of nw >= 1 32-bit words, little-endian bytes, and no spawn
+   key: a sweep replicate's run seed (rng.derive_seed). */
+uint64_t seed_word(const unsigned char *words, int64_t nw)
+{
+    uint32_t pool[POOL];
+    uint64_t w;
+    seed_pool(pool, words, nw, NULL, 0);
+    generate_state(pool, &w, 1);
+    return w;
+}
+
+/* Write to out[0:n] the next n draws of Generator.random from the stream
+   whose PCG64 state and increment are p[0:4], and advance its state past
+   them: hier's and vw's success stream (rng.substreams). */
+void uniforms(uint64_t *p, double *out, int64_t n)
+{
+    u128 state = (u128)p[1] << 64 | p[0];
+    const u128 inc = (u128)p[3] << 64 | p[2];
+    for (int64_t i = 0; i < n; i++)
+        out[i] = uniform(&state, inc);
+    p[0] = (uint64_t)state;
+    p[1] = (uint64_t)(state >> 64);
+}
+
+/* The rows of a run's streams, as numpy spawns them from
+   SeedSequence([seed]) and draw_block and uniforms read them: row k <
+   narr (< 2^32, so k is one word) for arrival stream k, spawn key (0, k);
+   then, of nrows <= 2, the success stream's, key (2,), and the policy
+   stream's, key (1,).  seed holds the run seed's nw >= 1 32-bit words, as
+   numpy splits a nonnegative int, read in place. */
 void seed_streams(uint64_t *pcg, const unsigned char *seed, int64_t nw, int64_t narr,
                   int64_t nrows)
 {

@@ -32,9 +32,15 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
         writer.writerows(rows)
 
 
+# The most values a grid holds: a ranged grid's values are all built
+# before the sweep runs any of them.
+MAX_GRID_POINTS = 10 ** 6
+
+
 def parse_grid(text: str) -> list[float]:
     """Grid syntax: 'a:b:step' (inclusive within half a step) or 'v1,v2,...'
-    of finite numbers, holding at least one value."""
+    of finite numbers, holding at least one value and at most
+    ``MAX_GRID_POINTS``."""
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip()]
     try:
@@ -43,8 +49,9 @@ def parse_grid(text: str) -> list[float]:
         raise ScenarioError(f"grid {text!r} holds a value that is not a number") from None
     if not all(map(math.isfinite, values)):
         raise ScenarioError(f"grid {text!r} holds a value that is not finite")
+    count = len(values)
     if ranged:
-        if len(values) != 3:
+        if count != 3:
             raise ScenarioError(f"grid must be a:b:step, got {text!r}")
         a, b, step = values
         if step <= 0:
@@ -52,8 +59,11 @@ def parse_grid(text: str) -> list[float]:
         steps = (b - a) / step
         if not math.isfinite(steps):
             raise ScenarioError(f"grid {text!r} has a number of steps that is not finite")
-        n = int(round(steps))
-        values = [v for v in (round(a + i * step, 12) for i in range(n + 1))
+        count = int(round(steps)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ScenarioError(f"grid {text!r} holds {count} values, more than {MAX_GRID_POINTS}")
+    if ranged:
+        values = [v for v in (round(a + i * step, 12) for i in range(count))
                   if v <= b + step * 0.5]
     if not values:
         raise ScenarioError(f"grid {text!r} holds no values")

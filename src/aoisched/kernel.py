@@ -27,12 +27,16 @@ taken from it; ``grown``, which ``QueueStore.draw`` alone calls, is the
 one growth rule of every buffer the kernels write.
 
 ``seed_streams`` seeds each stream as numpy's ``SeedSequence`` and
-``PCG64`` do, and ``draw_block`` steps its state as ``PCG64`` does and
-converts the output as ``Generator.random`` does, so every draw is
-numpy's, bit for bit, in ``rng``'s layout.  It appends each arrival slot
-to its queue as it is drawn, and under ``rd`` and ``cmu`` writes the
-success and policy uniforms into the policy's rows, two streams side by
-side.  A queue that lacks room leaves its group of streams undrawn, their
+``PCG64`` do, and ``seed_word`` gives the first 64-bit word of a
+``SeedSequence`` of given words, through the same port; ``draw_block`` and
+``uniforms`` step a stream's state as ``PCG64`` does and convert the
+output as ``Generator.random`` does, so every draw is numpy's, bit for bit,
+in ``rng``'s layout, and no run loads numpy's random module.
+``uniforms`` writes the next draws of one stream into a buffer, as
+``hier``'s and ``vw``'s success stream takes them.  ``draw_block``
+appends each arrival slot to its queue as it is drawn, and under ``rd``
+and ``cmu`` writes the success and policy uniforms into the policy's
+rows, two streams side by side.  A queue that lacks room leaves its group of streams undrawn, their
 states as they were, for ``QueueStore.draw`` to grow it and draw the
 group again.
 """
@@ -145,6 +149,10 @@ cmu_serve = _bind("cmu_serve", Cmu, _I, _I)
 rd_serve = _bind("rd_serve", Rd, _I, _I)
 seed_streams = _lib.seed_streams
 seed_streams.restype, seed_streams.argtypes = None, [_P, ctypes.c_char_p, _I, _I, _I]
+seed_word = _lib.seed_word
+seed_word.restype, seed_word.argtypes = ctypes.c_uint64, [ctypes.c_char_p, _I]
+uniforms = _lib.uniforms
+uniforms.restype, uniforms.argtypes = None, [_P, _P, _I]
 
 # columns of a UE's row of sums: the enum of _kernel.c, unpacked by
 # metrics.add_sums

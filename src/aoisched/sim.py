@@ -20,7 +20,8 @@ streams into the policy's ``store`` (``kernel.QueueStore.draw``), from the
 states seeded once per run for the streams that store lists
 (``rng.stream_states``).  Under ``rd`` and ``cmu`` the same call draws the
 success uniforms, and ``rd``'s policy uniforms; under ``hier`` and ``vw``
-the success generator's ``random`` draws them.
+the success stream of ``rng.substreams`` draws them, a block into a
+buffer in one compiled call (``kernel.uniforms``).
 
 ``hier`` and ``vw`` are driven slot by slot.  A block's draws stay in numpy
 buffers, read in place: the loop walks a memoryview of the success
@@ -201,7 +202,7 @@ def run(config: RunConfig) -> RunReport:
         every = config.policy.f if policy.name == "vw" else 0
         # each block's arrivals are drawn in one call and listed as queue i
         # of the policy's store (its head stays 0); then its success
-        # uniforms, into a buffer of their own
+        # uniforms, in another, into a buffer of their own
         _, _, success_gen = substreams(config.seed, 0)
         buffer = np.empty(CHUNK)
         arriving = store.pos.tolist()

@@ -4,7 +4,8 @@
 rule in its plain per-slot form, as the engine ran it before, so tests can
 compare the two: ``SlotCmuPolicy`` holds one deque per latency UE, and
 ``run_slots`` draws the same streams as ``sim.run`` (one arrival stream
-per UE, the success stream; no policy stream) and walks every slot,
+per UE, the success stream; no policy stream), with numpy's own
+generators (``numpy_streams``), and walks every slot,
 folding each arrival and delivery into ``UeMetrics`` as it happens and
 handing it the backlog of its own queues at the end.
 """
@@ -17,8 +18,8 @@ from typing import Sequence
 
 from aoisched.metrics import RunReport, UeMetrics, assemble_cost
 from aoisched.model import Scenario, ScenarioError, Variant
-from aoisched.rng import substreams
 from aoisched.sim import RunConfig
+from numpy_streams import numpy_substreams
 
 
 class SlotCmuPolicy:
@@ -67,7 +68,7 @@ def run_slots(config: RunConfig) -> RunReport:
     policy = SlotCmuPolicy(scenario)
     ues = sorted(scenario.ues, key=lambda u: u.id)
     metrics = [UeMetrics(u.id, u.cls) for u in ues]
-    arrival_gens, _, success_gen = substreams(config.seed, len(ues))
+    arrival_gens, _, success_gen = numpy_substreams(config.seed, len(ues))
     # slot t reads draw t of every stream; draw 0 is never used
     arrival_u = [gen.random(horizon + 1).tolist() for gen in arrival_gens]
     success_u = success_gen.random(horizon + 1).tolist()

@@ -5,7 +5,10 @@ block, and the queue protocol that ``rd`` and ``cmu`` share.
 ``rng.stream_states`` must give the state and increment numpy's ``PCG64``
 starts from for each child ``SeedSequence([seed]).spawn`` gives, bit for
 bit: for seeds of one to more than a thousand 32-bit words, 0 to 40
-arrival streams and 0 to 2 rows.
+arrival streams and 0 to 2 rows.  Each stream of ``rng.substreams`` must
+draw into a buffer (``kernel.uniforms``) what ``Generator.random`` draws,
+and ``rng.derive_seed`` must give ``SeedSequence([base, point,
+replicate])``'s first 64-bit word (``kernel.seed_word``), bit for bit.
 
 ``kernel.draw_block`` steps each stream's PCG64 state in the compiled
 kernel and appends the slots whose draw is below ``q`` to a queue; the
@@ -36,7 +39,8 @@ from hypothesis import strategies as st
 from aoisched import kernel
 from aoisched.model import Scenario, UeClass, UeConfig, Variant
 from aoisched.policies import RandomizedPolicy
-from aoisched.rng import derive_seed, stream_states
+from aoisched.rng import derive_seed, stream_states, substreams
+from numpy_streams import numpy_substreams
 
 QS = [0.0, 1.0, np.nextafter(1.0 / 32, 0.0), 1.0 / 32, np.nextafter(1.0 / 32, 1.0), 0.01, 0.5]
 EDGE_QS = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
@@ -127,10 +131,10 @@ def test_draws_equal_generator_random_bit_for_bit(seed, streams):
 
 
 def spawned_rows(seed, n_arrival):
-    """Rows of numpy's PCG64 seeded as ``rng.substreams`` spawns the run's
-    streams: the arrival streams, then the success and policy streams."""
-    arrivals, policy, success = np.random.SeedSequence([seed]).spawn(3)
-    return pcg_rows([np.random.PCG64(c) for c in [*arrivals.spawn(n_arrival), success, policy]])
+    """Rows of numpy's PCG64 seeded as numpy spawns the run's streams: the
+    arrival streams, then the success and policy streams."""
+    arrivals, policy, success = numpy_substreams(seed, n_arrival)
+    return pcg_rows([*arrivals, success, policy])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1,
@@ -152,6 +156,48 @@ def test_a_seed_of_many_words_is_read_to_its_last_word(words):
     expected = spawned_rows(seed, 3)
     assert stream_states(seed, 3, 2).tolist() == expected.tolist()
     assert (stream_states(seed ^ (1 << 32 * words - 1), 3, 2) != expected).any(axis=1).all()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 200 + 3])
+def test_substreams_draw_as_generator_random_bit_for_bit(seed):
+    # every stream, over calls of varied length, an empty one included,
+    # each from where the one before left its state
+    streams = substreams(seed, 3)
+    refs = numpy_substreams(seed, 3)
+    for mine, ref in zip([*streams[0], *streams[1:]], [*refs[0], *refs[1:]]):
+        for n in 0, 1, 7, kernel.CHUNK, 0, 3:
+            out = np.full(n, np.nan)
+            assert mine.random(out=out) is out
+            assert out.view(np.uint64).tolist() == ref.random(n).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("base", [0, 1, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 200 + 3])
+def test_derive_seed_is_numpy_seedsequences_first_word(base):
+    # bases of one to seven 32-bit words, indices of one and two words
+    for point in 0, 2 ** 32, 2 ** 64 - 1:
+        for replicate in 0, 2 ** 32, 2 ** 64 - 1:
+            ss = np.random.SeedSequence([base, point, replicate])
+            assert derive_seed(base, point, replicate) == int(ss.generate_state(1, np.uint64)[0])
+
+
+def test_substreams_random_takes_a_writable_contiguous_float64_array():
+    (stream,), _, _ = substreams(1, 1)
+    readonly = np.zeros(4)
+    readonly.flags.writeable = False
+    for out in np.zeros(8)[::2], np.zeros(4, np.float32), readonly, [0.0] * 4:
+        with pytest.raises(TypeError, match="writable, contiguous float64"):
+            stream.random(out=out)
+    with pytest.raises(TypeError):
+        stream.random(4)
+    out = np.empty(3)
+    stream.random(out=out)  # the rejected calls left the state as it was
+    assert out.tolist() == numpy_substreams(1, 1)[0][0].random(3).tolist()
+
+
+@pytest.mark.parametrize("args", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_derive_seed_refuses_negative_entropy(args):
+    with pytest.raises(ValueError, match="negative entropy"):
+        derive_seed(*args)
 
 
 @pytest.mark.parametrize("args", [(-1, 1, 0), (1, -1, 0), (1, 1, 3), (1, 1, -1)])

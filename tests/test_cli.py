@@ -1,13 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from aoisched.cli import main, parse_grid
+from aoisched.cli import MAX_GRID_POINTS, main, parse_grid
 from aoisched.model import (Scenario, ScenarioError, UeClass, UeConfig, Variant,
                             load_scenario, save_scenario)
 from aoisched.presets import reference_constrained, reference_weighted
 from aoisched.sim import PolicySpec, RunConfig, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -86,6 +93,9 @@ def test_malformed_values_are_scenario_errors(tmp_path, capsys, ue, field):
 def test_parse_grid_forms():
     assert parse_grid("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
     assert parse_grid("1.5,2.0,3") == [1.5, 2.0, 3.0]
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ScenarioError, match=f"holds {MAX_GRID_POINTS + 1} values"):
+        parse_grid(f"0:{MAX_GRID_POINTS}:1")
     with pytest.raises(ScenarioError):
         parse_grid("1:2")
 
@@ -98,14 +108,21 @@ def test_parse_grid_forms():
     ("0.5:0.1:0.1", "no values"),
     ("", "no values"),
     ("0:1e308:1e-308", "number of steps"),
+    ("0:1:1e-12", "holds 1000000000001 values, more than"),
 ])
 def test_cli_malformed_grid_exits_1(scenario_file, tmp_path, capsys, grid, reason):
     # each ended in a ValueError or OverflowError traceback, or (the two
-    # "no values" grids) in a header-only CSV and exit 0
+    # "no values" grids) in a header-only CSV and exit 0, or (the grid of
+    # 10^12 steps) in building all its values, about 32 bytes each
     out = tmp_path / "out.csv"
     argv = ["sweep", str(scenario_file), "--param", "alpha", "--grid", grid, "--seeds", "1",
             "--horizon", "1000", "--out", str(out)]
-    assert main(argv) == 1
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and reason in err
     assert not out.exists()
@@ -322,6 +339,46 @@ def test_reproduce_help_says_fig5_weights_ignores_seeds_and_jobs(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "fig5_weights ignores it and runs --seed alone" in text
     assert "fig5_weights ignores it and runs serially" in text
+
+
+# Loaded by every Python process of the command, sweep's workers included
+# (as a forked worker inherits it, a spawned one imports it again): logs
+# each process that looks for numpy.random.
+WATCH_NUMPY_RANDOM = """
+import os, sys
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.random":
+            with open(os.environ["NUMPY_RANDOM_LOG"], "a") as log:
+                log.write(f"{os.getpid()}\\n")
+        return None
+
+sys.meta_path.insert(0, Watch())
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{scenario}", "--policy", "hier", "--horizon", "20000"],
+    ["run", "{constrained}", "--policy", "vw", "--f", "500", "--horizon", "20000"],
+    ["sweep", "{constrained}", "--policy", "vw", "--param", "alpha", "--grid", "0.1:0.3:0.1",
+     "--seeds", "2", "--horizon", "5000", "--jobs", "2"],
+    ["reproduce", "fig5_cost", "--horizon", "2000", "--seeds", "1", "--jobs", "2"],
+], ids=["run-hier", "run-vw", "sweep", "reproduce"])
+def test_no_command_imports_numpy_random(scenario_file, constrained_file, tmp_path, argv):
+    # the kernel seeds and draws every stream, and derives sweep seeds
+    (tmp_path / "sitecustomize.py").write_text(WATCH_NUMPY_RANDOM)
+    log = tmp_path / "numpy_random.log"
+    argv = [a.format(scenario=scenario_file, constrained=constrained_file) for a in argv]
+    argv += ["--out", str(tmp_path / "o.csv")]
+    code = ("import sys; from aoisched.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "NUMPY_RANDOM_LOG": str(log),
+           "PYTHONPATH": os.pathsep.join([str(tmp_path), str(SRC)])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stderr[-2000:]
+    assert not log.exists(), log.read_text()
 
 
 def test_cli_run_byte_identical(scenario_file, tmp_path):

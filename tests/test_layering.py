@@ -78,3 +78,30 @@ def test_metrics_imports_only_the_model():
     # the statistics never reach packets or kernels: the policies hold the
     # backlog and hand it over, so metrics needs nothing but the model
     assert GRAPH["metrics"][0] == {"model"}
+
+
+def _numpy_random_references(module: str) -> list[str]:
+    """Lines of ``module`` that import ``numpy.random`` or read it as an
+    attribute of a name ``numpy`` is bound to."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    numpy_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in numpy_names)
+        if hit:
+            found.append(f"{module}.py:{node.lineno}")
+    return found
+
+
+def test_no_module_references_numpy_random():
+    # the kernel seeds and draws every stream (see rng), so no run loads
+    # numpy.random
+    assert [line for m in MODULES for line in _numpy_random_references(m)] == []

@@ -10,8 +10,9 @@ that).  The interpreter is not instrumented, so the ASan runtime is
 preloaded, and its leak check is off: CPython keeps memory until exit.
 
 Both passes run the arrival-list tests (the kernel's stream seeding
-against numpy's, a seed of over a thousand words included, its draws
-against ``Generator.random``, bit for bit, and its queues' compaction and
+against numpy's, a seed of over a thousand words included, and its
+sweep-seed word, its draws, by block and by buffer, against
+``Generator.random``, bit for bit, and its queues' compaction and
 growth, the overflow and redraw of a lane group included), an overloaded
 ``cmu`` case, the window-edge cases of ``rd`` and ``cmu`` against their oracles,
 ``rd``'s latency stack growing with the queue that holds it, below the

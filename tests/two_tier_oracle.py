@@ -10,7 +10,8 @@ policies, the metrics and the report are ``aoisched``'s own; only the
 loop that feeds them the draws lives here.  ``sim.run`` serves ``rd`` a
 segment at a time in compiled code (``policies.RandomizedPolicy``), so
 its per-slot form lives here too: ``SlotRandomizedPolicy``, the class as
-the engine ran it before.
+the engine ran it before.  The draws come from numpy's own generators
+(``numpy_streams``), not from the kernel the engine draws with.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from aoisched.metrics import RunReport, UeMetrics, aoi_decomposition_audit, assemble_cost
 from aoisched.model import Scenario, ScenarioError, UeClass, Variant, theta_j
 from aoisched.policies import RandomizedPolicy, _TwoTier
-from aoisched.rng import substreams
 from aoisched.sim import CHUNK, RunConfig, build_policy
+from numpy_streams import numpy_substreams
 
 
 class SlotRandomizedPolicy(_TwoTier):
@@ -156,7 +157,7 @@ def run_blocks(config: RunConfig) -> RunReport:
     is_thr = [u.cls is UeClass.THROUGHPUT for u in ues]
     arriving = [i for i, thr in enumerate(is_thr) if not thr]
 
-    arrival_gens, policy_gen, success_gen = substreams(config.seed, len(arriving))
+    arrival_gens, policy_gen, success_gen = numpy_substreams(config.seed, len(arriving))
     streams = [(i, gen, ues[i].q, metrics[i]) for i, gen in zip(arriving, arrival_gens)]
     every = config.policy.f if policy.name == "vw" else 0
 
